@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import q_np
 from .errors import MathContractError
 from .fiber import (
     CheckResult,
@@ -249,11 +250,7 @@ def per_prime_geometric(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> F
     gs = g_s(model, cusp)
     vs = v_s(model, cusp)
     graph = -2 * g * pair(config, gs, gs) + (2 * g - 2) * pair(config, vs, vs)
-    m = n // p
-    closed = Fraction(
-        3 * n * n - 2 * n * p - 10 * n + 6 * p - 6 - 4 * m * m + 12 * m,
-        n * (n - 3),
-    )
+    closed = q_np(n, p)
     if graph != closed:
         raise MathContractError(
             f"per-prime geometric mismatch: graph {graph}, closed form {closed}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Any, Iterable, Mapping
 
 from .errors import CapExceeded, MathContractError, NoSolutionError, ParameterError
@@ -26,6 +27,13 @@ def component_cap() -> int:
         return int(raw)
     except ValueError as exc:
         raise ParameterError(f"bad {COMPONENT_CAP_ENV} value: {raw!r}") from exc
+
+
+def check_component_cap(n: int, cap: int | None = None) -> None:
+    """Raise CapExceeded if n components exceed `cap` (default: component_cap())."""
+    limit = component_cap() if cap is None else cap
+    if n > limit:
+        raise CapExceeded(f"{n} components exceed the component cap {limit}")
 
 
 @dataclass(frozen=True)
@@ -129,9 +137,7 @@ class FiberConfig:
     def __init__(self, components: Iterable[Component], pairings: Mapping[tuple[int, int], int],
                  genus: int, cap: int | None = None):
         comps = tuple(components)
-        limit = component_cap() if cap is None else cap
-        if len(comps) > limit:
-            raise CapExceeded(f"{len(comps)} components exceed the component cap {limit}")
+        check_component_cap(len(comps), cap)
         for i, c in enumerate(comps):
             if c.cid != i:
                 raise ParameterError("component ids must be 0..n-1 in order")
@@ -159,10 +165,9 @@ class FiberConfig:
         return len(self.components)
 
     def component(self, cid: int) -> Component:
-        try:
+        if 0 <= cid < len(self.components):
             return self.components[cid]
-        except IndexError:
-            raise ParameterError(f"unknown component id {cid}") from None
+        raise ParameterError(f"unknown component id {cid}")
 
     def neighbors(self, cid: int) -> Mapping[int, int]:
         return self._nbrs[cid]
@@ -309,126 +314,88 @@ def validate(config: FiberConfig) -> list[CheckResult]:
 class GaugeSolver:
     """Factor-once solver for (V . C) = t_C with one pinned coefficient.
 
-    The sparse elimination depends only on the pairing matrix and the gauge
-    component, so it is performed once; each solve replays the recorded row
-    operations on a fresh right-hand side. On tree-shaped fibers this is
-    linear per solve.
+    Every fiber `model` builds is a tree, and fiber orthogonality turns the
+    pairing system into a weighted graph Laplacian: with y_C = x_C / d_C,
+    d_C t_C = sum over neighbours P of e d_C d_P (y_P - y_C). Rooted at the
+    gauge component, the equations of the subtree below C sum to one edge
+    term, so y_C = y_P - F_C / (e d_C d_P) with F_C = sum of d_v t_v over
+    that subtree. A solve is one post-order pass for the F_C and one
+    pre-order pass for the y_C, both in integers scaled by den * K, where
+    den clears the denominators of the targets and the gauge value and K is
+    the lcm of d_gauge and the edge weights e d_C d_P.
+
+    Factoring checks, in integers, that the graph is connected, has n - 1
+    edges and satisfies fiber orthogonality; a config that fails any of the
+    three raises MathContractError.
     """
 
     def __init__(self, config: FiberConfig, gauge_cid: int):
-        import heapq
-
-        config.component(gauge_cid)
+        root = config.component(gauge_cid)
         self.config = config
         self.gauge_cid = gauge_cid
-        n = config.n_components
+        comps = config.components
+        n = len(comps)
+        mult = [c.multiplicity for c in comps]
 
-        rows: list[dict[int, Fraction]] = []
-        for c in config.components:
-            row = {c.cid: Fraction(c.self_int)} if c.self_int else {}
-            for nbr, cnt in config.neighbors(c.cid).items():
-                row[nbr] = Fraction(cnt)
-            rows.append(row)
-        rows.append({gauge_cid: Fraction(1)})
-
-        col_rows: dict[int, set[int]] = {v: set() for v in range(n)}
-        for ri, row in enumerate(rows):
-            for v in row:
-                col_rows[v].add(ri)
-
-        heap = [(len(col_rows[v]), v) for v in range(n)]
-        heapq.heapify(heap)
-        ops: list[tuple[int, int, Fraction]] = []  # (target row, pivot row, factor)
-        eliminated: list[tuple[int, int]] = []
-        done: set[int] = set()
-        active_rows = set(range(len(rows)))
-
-        while heap:
-            deg, var = heapq.heappop(heap)
-            if var in done:
-                continue
-            occ = col_rows[var]
-            if deg != len(occ):
-                heapq.heappush(heap, (len(occ), var))
-                continue
-            if not occ:
-                continue
-            pivot_ri = min(occ, key=lambda ri: (len(rows[ri]), ri))
-            pivot = rows[pivot_ri]
-            pval = pivot[var]
-            touched: set[int] = set()
-            for ri in list(occ):
-                if ri == pivot_ri:
-                    continue
-                row = rows[ri]
-                factor = row[var] / pval
-                ops.append((ri, pivot_ri, factor))
-                for v2, c2 in pivot.items():
-                    newv = row.get(v2, Fraction(0)) - factor * c2
-                    if newv == 0:
-                        if v2 in row:
-                            del row[v2]
-                            col_rows[v2].discard(ri)
-                            touched.add(v2)
-                    else:
-                        if v2 not in row:
-                            col_rows[v2].add(ri)
-                            touched.add(v2)
-                        row[v2] = newv
-            for v2 in pivot:
-                col_rows[v2].discard(pivot_ri)
-                touched.add(v2)
-            done.add(var)
-            eliminated.append((var, pivot_ri))
-            active_rows.discard(pivot_ri)
-            for v2 in touched:
-                if v2 not in done:
-                    heapq.heappush(heap, (len(col_rows[v2]), v2))
-
-        if len(eliminated) < n:
+        parent = [-1] * n
+        parent[gauge_cid] = gauge_cid
+        order = [gauge_cid]
+        for cid in order:
+            for nbr in config.neighbors(cid):
+                if parent[nbr] < 0:
+                    parent[nbr] = cid
+                    order.append(nbr)
+        if len(order) < n:
             raise MathContractError(
-                "pairing system is rank-deficient beyond the fiber kernel"
+                f"fiber graph is disconnected: {n - len(order)} of {n} components "
+                f"are unreachable from {root.label}"
             )
-        for ri in active_rows:
-            if rows[ri]:
-                raise MathContractError("elimination left a non-empty row")
+        if len(config._pairs) != n - 1:
+            raise MathContractError(
+                f"fiber graph is not a tree: {len(config._pairs)} edges on {n} components"
+            )
+        for c in comps:
+            if mult[c.cid] * c.self_int + sum(
+                cnt * mult[nbr] for nbr, cnt in config.neighbors(c.cid).items()
+            ):
+                raise MathContractError(f"fiber orthogonality fails at component {c.label}")
 
-        self._rows = rows
-        self._ops = ops
-        self._eliminated = eliminated
-        self._residual_rows = active_rows
+        weights = [config.neighbors(cid)[parent[cid]] * mult[cid] * mult[parent[cid]]
+                   for cid in order[1:]]
+        scale = lcm(root.multiplicity, *weights)
+        self._mult = mult
+        self._scale = scale
+        self._root_step = scale // root.multiplicity
+        # (component, parent, K // (e d_C d_P)) in BFS order, root excluded
+        self._edges = [(cid, parent[cid], scale // w) for cid, w in zip(order[1:], weights)]
 
     def solve(self, targets: Mapping[int, Fraction], gauge_val) -> QDivisor:
         config = self.config
+        mult = self._mult
         t = {cid: Fraction(v) for cid, v in targets.items() if v != 0}
         for cid in t:
             config.component(cid)
-        compat = sum(
-            (Fraction(config.component(cid).multiplicity) * v for cid, v in t.items()),
-            Fraction(0),
-        )
-        if compat != 0:
+        gauge = Fraction(gauge_val)
+        den = lcm(gauge.denominator, *(v.denominator for v in t.values()))
+        sub = [0] * len(mult)  # den * d_C t_C, then den * F_C
+        for cid, v in t.items():
+            sub[cid] = mult[cid] * v.numerator * (den // v.denominator)
+        compat = sum(sub)
+        if compat:
             raise NoSolutionError(
                 "no solution: targets are not orthogonal to the fiber "
-                f"(sum d_C t_C = {compat})"
+                f"(sum d_C t_C = {Fraction(compat, den)})"
             )
-        rhs = [t.get(c.cid, Fraction(0)) for c in config.components]
-        rhs.append(Fraction(gauge_val))
-        for ri, pivot_ri, factor in self._ops:
-            if factor:
-                rhs[ri] -= factor * rhs[pivot_ri]
-        for ri in self._residual_rows:
-            if rhs[ri] != 0:
-                raise NoSolutionError("no solution: inconsistent targets")
-        x: dict[int, Fraction] = {}
-        for var, ri in reversed(self._eliminated):
-            row = self._rows[ri]
-            acc = rhs[ri]
-            for v2, c2 in row.items():
-                if v2 != var:
-                    acc -= c2 * x.get(v2, Fraction(0))
-            x[var] = acc / row[var]
-        return QDivisor(x)
+        edges = self._edges
+        for cid, par, _ in reversed(edges):
+            sub[par] += sub[cid]
+        y = [0] * len(mult)  # den * K * y_C
+        y[self.gauge_cid] = gauge.numerator * (den // gauge.denominator) * self._root_step
+        for cid, par, step in edges:
+            y[cid] = y[par] - sub[cid] * step
+        total = den * self._scale
+        return QDivisor({cid: Fraction(d * yc, total)
+                         for cid, (d, yc) in enumerate(zip(mult, y)) if yc})
 
 
 def solve_gauge(
@@ -441,6 +408,7 @@ def solve_gauge(
     The pairing matrix of a connected fiber has a one-dimensional kernel, so
     the gauge row (coefficient of one chosen component) makes the solution
     unique. Targets must be orthogonal to the kernel: sum d_C targets[C] = 0.
+    The fiber graph must be a tree (see GaugeSolver).
     """
     gauge_cid, gauge_val = gauge
     return GaugeSolver(config, gauge_cid).solve(targets, gauge_val)

@@ -28,6 +28,7 @@ from .fiber import (
     CuspSection,
     FiberConfig,
     QDivisor,
+    check_component_cap,
     pair_component,
 )
 
@@ -154,18 +155,33 @@ class FermatModel:
         return out
 
 
+def expected_census(p: int, m: int, s: int) -> dict[str, int]:
+    """Component count per kind, from the census table above."""
+    rho = m * s
+    return {
+        "Fm": 1,
+        "LXYZ": 3 * m,
+        "Chain": 3 * m * p * (m - 1),
+        "Lgamma": m * rho,
+        "LgammaLeaf": p * m * rho,
+        "Ldelta": m * m * (p - 3) - 2 * m * rho,
+    }
+
+
 def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     """Build the special-fiber configuration for given (p, m, s).
 
     s (the double-root count) is an explicit parameter so synthetic
     configurations can be exercised; pass None to derive it from the
-    polynomial arithmetic.
+    polynomial arithmetic. The component cap is checked against the census
+    before any component is created.
     """
     if s is None:
         s = polyarith.double_root_count(p)
     params = FermatParams(p, m, s)
-    n_gamma = m * params.rho
-    n_delta = m * m * (p - 3) - 2 * m * params.rho
+    census = expected_census(p, m, s)
+    check_component_cap(sum(census.values()))
+    n_gamma, n_delta = census["Lgamma"], census["Ldelta"]
 
     labels: list[FermatLabel] = [FermatLabel("Fm")]
     labels += [FermatLabel("LXYZ", i=i) for i in range(1, 3 * m + 1)]

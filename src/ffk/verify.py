@@ -21,7 +21,14 @@ from .fiber import (
     pair_profile,
     validate,
 )
-from .model import FermatModel, build_config, i_c, i_c_matches_pairing, transversality_check
+from .model import (
+    FermatModel,
+    build_config,
+    expected_census,
+    i_c,
+    i_c_matches_pairing,
+    transversality_check,
+)
 
 #: the (p, m) pairs the acceptance suites run on
 ACCEPTANCE_PAIRS = ((3, 5), (5, 3), (3, 7), (7, 3), (5, 7), (7, 5), (3, 11), (11, 3))
@@ -83,18 +90,6 @@ def suite_polynomial() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # fiber/configuration suite
 # ---------------------------------------------------------------------------
-
-
-def expected_census(p: int, m: int, s: int) -> dict[str, int]:
-    rho = m * s
-    return {
-        "Fm": 1,
-        "LXYZ": 3 * m,
-        "Chain": 3 * m * p * (m - 1),
-        "Lgamma": m * rho,
-        "LgammaLeaf": p * m * rho,
-        "Ldelta": m * m * (p - 3) - 2 * m * rho,
-    }
 
 
 def suite_fiber(models: list[FermatModel] | None = None) -> list[CheckResult]:

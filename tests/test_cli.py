@@ -1,10 +1,15 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 import ffk.cli as cli
 import ffk.divisors
+from ffk import verify
 from ffk.errors import MathContractError
 
 
@@ -126,6 +131,27 @@ def test_divisors_exit_4_on_contract_violation(capsys, monkeypatch):
     assert "contract violation" in err
 
 
+def test_divisors_exit_code_ignores_the_u_s_probe(capsys, monkeypatch):
+    def failing_probe(model, cusp=(1, 1)):
+        return [verify.CheckResult("candidate probe (seeded)", False, "seeded")]
+
+    monkeypatch.setattr(cli.divisors, "u_s_probe", failing_probe)
+    code, doc, _ = run_json(capsys, "divisors", "--p", "5", "--m", "3")
+    assert code == 0
+    assert doc["checks"][-1] == {"name": "candidate probe (seeded)", "pass": False,
+                                 "detail": "seeded"}
+
+    real_suite_beta = verify.suite_beta
+
+    def failing_suite_beta(models):
+        return real_suite_beta(models) + [verify.CheckResult("beta check (seeded)", False)]
+
+    monkeypatch.setattr(cli.verify, "suite_beta", failing_suite_beta)
+    code, _, err = run(capsys, "divisors", "--p", "5", "--m", "3")
+    assert code == 4
+    assert "identity failed: beta check (seeded)" in err
+
+
 def test_bounds_json(capsys):
     code, doc, _ = run_json(capsys, "bounds", "--N", "15")
     assert code == 0
@@ -214,3 +240,16 @@ def test_json_deterministic(capsys):
 def test_rational_serialization():
     assert cli.rat(Fraction(-6, 8)) == "-3/4"
     assert cli.rat(Fraction(5)) == "5/1"
+
+
+#: SHA-256 and exit code of stdout for a fixed set of commands, recorded from
+#: the CLI before the tree solver replaced the general sparse elimination
+GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_CLI, ids=lambda case: " ".join(case["argv"]))
+def test_golden_cli_stdout(capsys, monkeypatch, case):
+    monkeypatch.delenv("FFK_COMPONENT_CAP", raising=False)
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit_code"]
+    assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,8 @@ def test_pair_examples(model53):
 def test_pair_unknown_component(model53):
     with pytest.raises(ParameterError):
         pair(model53.config, QDivisor.single(10**6), QDivisor.single(0))
+    with pytest.raises(ParameterError):
+        pair(model53.config, QDivisor.single(-1), QDivisor.single(0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,6 +230,68 @@ def test_solve_gauge_extra_rank_deficiency():
     cfg = FiberConfig(comps, {}, genus=2)
     with pytest.raises(MathContractError):
         solve_gauge(cfg, {}, (0, Fraction(1)))
+
+
+@st.composite
+def orthogonal_trees(draw):
+    """A random tree of up to 9 components on which fiber orthogonality holds.
+
+    Each edge meets k * lcm(d_C, d_P) times, so every self-intersection
+    -sum(e d_nbr) / d_C is an integer.
+    """
+    n = draw(st.integers(min_value=1, max_value=9))
+    mult = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=n, max_size=n))
+    edges = {}
+    self_int = [0] * n
+    for cid in range(1, n):
+        par = draw(st.integers(min_value=0, max_value=cid - 1))
+        e = draw(st.integers(min_value=1, max_value=2)) * lcm(mult[par], mult[cid])
+        edges[(par, cid)] = e
+        self_int[par] -= e * mult[cid] // mult[par]
+        self_int[cid] -= e * mult[par] // mult[cid]
+    comps = [Component(cid, f"T{cid}", mult[cid], 0, self_int[cid]) for cid in range(n)]
+    return FiberConfig(comps, edges, genus=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthogonal_trees(), st.data())
+def test_solve_gauge_matches_dense_oracle_on_random_trees(cfg, data):
+    n = cfg.n_components
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+    targets = data.draw(st.dictionaries(st.integers(min_value=0, max_value=n - 1), coeff))
+    fix = data.draw(st.integers(min_value=0, max_value=n - 1))
+    rest = sum(cfg.component(cid).multiplicity * v for cid, v in targets.items() if cid != fix)
+    targets[fix] = -Fraction(rest) / cfg.component(fix).multiplicity
+    gauge = (data.draw(st.integers(min_value=0, max_value=n - 1)), data.draw(coeff))
+    assert solve_gauge(cfg, targets, gauge) == dense_solve_oracle(cfg, targets, gauge)
+
+
+def _small_config(comps, edges):
+    """Components given as (multiplicity, self-intersection), all of genus 0."""
+    return FiberConfig(
+        [Component(cid, f"C{cid}", d, 0, s) for cid, (d, s) in enumerate(comps)], edges, genus=1
+    )
+
+
+NOT_ORTHOGONAL_TREES = {
+    # orthogonal, but the three components form a cycle
+    "cycle": _small_config([(1, -2)] * 3, {(0, 1): 1, (1, 2): 1, (0, 2): 1}),
+    # two orthogonal pieces with no edge between them
+    "disconnected": _small_config([(1, -1)] * 4, {(0, 1): 1, (2, 3): 1}),
+    # a chain whose last component has the wrong self-intersection
+    "non-orthogonal": _small_config([(1, -1), (1, -2), (1, -2)], {(0, 1): 1, (1, 2): 1}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_ORTHOGONAL_TREES))
+def test_solver_rejects_configs_that_are_not_orthogonal_trees(kind):
+    cfg = NOT_ORTHOGONAL_TREES[kind]
+    with pytest.raises(MathContractError):
+        solve_gauge(cfg, {}, (0, Fraction(1)))
+    results = {c.name: c for c in validate(cfg)}
+    kernel = results["kernel spanned by multiplicity vector"]
+    assert not kernel.passed
+    assert kernel.detail
 
 
 def test_component_cap(monkeypatch):

@@ -154,6 +154,19 @@ def test_component_cap(monkeypatch):
         build_config(5, 3)
 
 
+def test_component_cap_fires_before_any_component_is_built(monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("a component was built before the cap check")
+
+    monkeypatch.setattr("ffk.model.Component", no_alloc)
+    monkeypatch.setenv("FFK_COMPONENT_CAP", "19159")
+    with pytest.raises(CapExceeded, match="19160 components exceed the component cap 19159"):
+        build_config(7, 23)
+    monkeypatch.undo()
+    monkeypatch.setenv("FFK_COMPONENT_CAP", "118")
+    assert build_config(5, 3).config.n_components == 118
+
+
 def test_fiber_divisor_orthogonal_on_all(models):
     for model in models.values():
         cfg = model.config
