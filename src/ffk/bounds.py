@@ -76,45 +76,62 @@ def beta_sp_closed(n: int, p: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _geometric_terms(n: int, primes: list[int], phi: int) -> list[tuple[int, Fraction]]:
+    return [(p, Fraction(phi, p - 1) * q_np(n, p)) for p in primes]
+
+
+def _log_sum(terms) -> float:
+    """float64 assembly sum c_p log p of exact per-prime coefficients."""
+    return math.fsum(float(c) * math.log(p) for p, c in terms)
+
+
+def _lower(n: int, primes: list[int], phi: int) -> float:
+    return _log_sum((p, Fraction(phi, p - 1) * beta_sp_closed(n, p)) for p in primes)
+
+
+def _simple(n: int, phi: int) -> float:
+    return phi * math.log(n) / (5 * n * n)
+
+
+def _upper(n: int, phi: int, geo: float, kappa1: float, kappa2: float) -> float:
+    if not (kappa1 > 0 and kappa2 > 0):
+        raise ParameterError("kappa1 and kappa2 must be positive")
+    g = (n - 1) * (n - 2) // 2
+    return (2 * g - 2) * (phi * (kappa1 * math.log(n) + kappa2) + geo)
+
+
+def _mertens(primes: list[int]) -> float:
+    return math.fsum(math.log(p) / (p - 1) for p in primes)
+
+
 def geometric_contribution(n: int) -> tuple[list[tuple[int, Fraction]], float]:
     """Per-prime exact coefficients of log p, plus their float64 assembly."""
     primes = factor_odd_squarefree(n)
-    phi = euler_phi(primes)
-    terms = [(p, Fraction(phi, p - 1) * q_np(n, p)) for p in primes]
-    total = math.fsum(float(c) * math.log(p) for p, c in terms)
-    return terms, total
+    terms = _geometric_terms(n, primes, euler_phi(primes))
+    return terms, _log_sum(terms)
 
 
 def upper_bound(n: int, kappa1: float, kappa2: float) -> float:
     """Conditional upper bound (2g-2)(phi(N)(k1 log N + k2) + geometric term)."""
-    if not (kappa1 > 0 and kappa2 > 0):
-        raise ParameterError("kappa1 and kappa2 must be positive")
     primes = factor_odd_squarefree(n)
     phi = euler_phi(primes)
-    g = (n - 1) * (n - 2) // 2
-    _, geo = geometric_contribution(n)
-    return (2 * g - 2) * (phi * (kappa1 * math.log(n) + kappa2) + geo)
+    return _upper(n, phi, _log_sum(_geometric_terms(n, primes, phi)), kappa1, kappa2)
 
 
 def lower_bound(n: int) -> float:
     """Unconditional lower bound phi(N) sum_p beta_{S,p}/(p-1) log p."""
     primes = factor_odd_squarefree(n)
-    phi = euler_phi(primes)
-    return math.fsum(
-        float(Fraction(phi, p - 1) * beta_sp_closed(n, p)) * math.log(p)
-        for p in primes
-    )
+    return _lower(n, primes, euler_phi(primes))
 
 
 def simple_lower(n: int) -> float:
     """The simplified lower bound phi(N) log N / (5 N^2)."""
-    primes = factor_odd_squarefree(n)
-    return euler_phi(primes) * math.log(n) / (5 * n * n)
+    return _simple(n, euler_phi(factor_odd_squarefree(n)))
 
 
 def mertens_diag(n: int) -> float:
     """Diagnostic sum of log p/(p-1) over p | N."""
-    return math.fsum(math.log(p) / (p - 1) for p in factor_odd_squarefree(n))
+    return _mertens(factor_odd_squarefree(n))
 
 
 @dataclass(frozen=True)
@@ -154,16 +171,17 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
         records.append(
             PrimeRecord(p, m, s, m * s, q_np(n, p), beta_sp_closed(n, p), alpha(n, p))
         )
-    terms, geo = geometric_contribution(n)
+    terms = _geometric_terms(n, primes, phi)
+    geo = _log_sum(terms)
     upper = None
     conditional = False
     if kappa1 is not None or kappa2 is not None:
         if kappa1 is None or kappa2 is None:
             raise ParameterError("kappa1 and kappa2 must be given together")
-        upper = upper_bound(n, kappa1, kappa2)
+        upper = _upper(n, phi, geo, kappa1, kappa2)
         conditional = True
-    lower = lower_bound(n)
-    simple = simple_lower(n)
+    lower = _lower(n, primes, phi)
+    simple = _simple(n, phi)
     if not lower > simple:
         raise MathContractError(
             f"lower-bound inequality fails at N={n}: {lower} <= {simple}"
@@ -177,7 +195,7 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
         geometric_float=geo,
         lower=lower,
         simple=simple,
-        mertens=mertens_diag(n),
+        mertens=_mertens(primes),
         upper=upper,
         conditional=conditional,
     )
@@ -219,10 +237,9 @@ def scan_rows(max_n: int) -> list[dict]:
     rows = []
     for n, primes in odd_squarefree_composites(max_n):
         phi = euler_phi(primes)
-        coeffs = [(p, Fraction(phi, p - 1) * beta_sp_closed(n, p)) for p in primes]
-        lower = math.fsum(float(c) * math.log(p) for p, c in coeffs)
-        simple = phi * math.log(n) / (5 * n * n)
-        geo = [(p, Fraction(phi, p - 1) * q_np(n, p)) for p in primes]
+        lower = _lower(n, primes, phi)
+        simple = _simple(n, phi)
+        geo = _geometric_terms(n, primes, phi)
         if not lower > simple:
             raise MathContractError(
                 f"lower-bound inequality fails at N={n}: {lower} <= {simple}"

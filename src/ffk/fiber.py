@@ -77,7 +77,9 @@ class QDivisor:
 
     def __init__(self, coeffs: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self._c = {cid: Fraction(v) for cid, v in items if v != 0}
+        self._c = {
+            cid: v if isinstance(v, Fraction) else Fraction(v) for cid, v in items if v != 0
+        }
 
     @classmethod
     def zero(cls) -> "QDivisor":

@@ -19,7 +19,6 @@ Each multiplicity-one chain end Chain(1,k,i) is met by exactly one cusp section.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import polyarith
 from .errors import ParameterError
@@ -27,7 +26,6 @@ from .fiber import (
     Component,
     CuspSection,
     FiberConfig,
-    QDivisor,
     check_component_cap,
     pair_component,
 )
@@ -275,11 +273,14 @@ def transversality_check(model: FermatModel) -> bool:
 
 
 def i_c_matches_pairing(model: FermatModel) -> bool:
-    """Transversality makes I_C = (C . F - d_C C) an equality for every C."""
+    """Transversality makes I_C = (C . F - d_C C) an equality for every C.
+
+    By bilinearity (C . F - d_C C) = (C . F) - d_C C^2, so F is built once.
+    """
     config = model.config
     fpi = config.fiber_divisor()
     for c in config.components:
-        rest = fpi - QDivisor.single(c.cid, c.multiplicity)
-        if Fraction(i_c(config, c.cid)) != pair_component(config, rest, c.cid):
+        rest = pair_component(config, fpi, c.cid) - c.multiplicity * c.self_int
+        if i_c(config, c.cid) != rest:
             return False
     return True

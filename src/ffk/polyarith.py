@@ -16,9 +16,9 @@ from .errors import CapExceeded, MathContractError, ParameterError
 #: default degree cap for the full bivariate splitting check (memory guard)
 DEFAULT_SPLIT_CAP = 2000
 
-#: below this prime, roots in F_p are counted by enumeration; above, via
-#: gcd with a^p - a
-ROOT_ENUM_THRESHOLD = 1000
+#: verify checks double_roots against its O(p^2) oracle double_roots_gcd for
+#: every prime below this bound
+ORACLE_BOUND = 500
 
 
 def is_prime(n: int) -> bool:
@@ -293,21 +293,6 @@ class FpPoly:
         inv = pow(self.coeffs[-1], -1, self.p)
         return FpPoly(self.p, [v * inv for v in self.coeffs])
 
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return FpPoly(self.p, out)
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, v in enumerate(other.coeffs):
-            out[i] -= v
-        return FpPoly(self.p, out)
-
     def __mul__(self, other: "FpPoly") -> "FpPoly":
         if not self or not other:
             return FpPoly(self.p, ())
@@ -349,17 +334,6 @@ class FpPoly:
     def derivative(self) -> "FpPoly":
         return FpPoly(self.p, [i * v for i, v in enumerate(self.coeffs)][1:])
 
-    def pow_x_mod(self, e: int) -> "FpPoly":
-        """x^e mod self, by square and multiply."""
-        result = FpPoly(self.p, (1,))
-        base = FpPoly(self.p, (0, 1)) % self
-        while e:
-            if e & 1:
-                result = (result * base) % self
-            base = (base * base) % self
-            e >>= 1
-        return result
-
     def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -367,51 +341,48 @@ class FpPoly:
         return acc
 
     def roots_in_fp(self) -> list[int]:
-        """Distinct roots in F_p; enumeration below ROOT_ENUM_THRESHOLD."""
+        """Distinct roots in F_p, by enumeration."""
         if not self:
             raise ValueError("zero polynomial")
-        if self.p <= ROOT_ENUM_THRESHOLD:
-            return [x for x in range(self.p) if self(x) == 0]
-        # gcd with x^p - x isolates the F_p-rational part
-        frob = self.pow_x_mod(self.p) - FpPoly(self.p, (0, 1))
-        rational_part = self.gcd(frob)
-        # the rational part splits into distinct linear factors; find them
-        # by successive root extraction (degrees here are tiny)
-        roots = []
-        f = rational_part
-        x = 0
-        while f.degree > 0 and x < self.p:
-            if f(x) == 0:
-                roots.append(x)
-                f, _ = f.divmod(FpPoly(self.p, (-x, 1)))
-            else:
-                x += 1
-        return roots
+        return [x for x in range(self.p) if self(x) == 0]
+
+
+def double_roots(p: int) -> list[int]:
+    """The multiplicity-2 roots of PsiCap mod p, as elements of [2, p).
+
+    They are the a in [2, p-1] with a^p + (1-a)^p = 1 (mod p^2), found with
+    one modular power per residue. This is exact for every odd prime p.
+    Work mod p with psi_diag(a) = (a^p + (1-a)^p - 1)/p = a(a-1) PsiCap(a):
+
+    * psi_diag'(a) = a^(p-1) - (1-a)^(p-1). A root of it over the algebraic
+      closure is neither 0 nor 1 and has (a/(1-a))^(p-1) = 1, so a/(1-a) and
+      hence a lie in F_p. Every repeated root of PsiCap is F_p-rational, and
+      since psi_diag' vanishes on all of F_p minus {0, 1}, every F_p-root of
+      PsiCap other than 0, 1 is repeated.
+    * psi_diag''(a) = -(a^(p-2) + (1-a)^(p-2)) = -1/(a(1-a)) is nonzero
+      there, so each repeated root has multiplicity exactly 2.
+    * PsiCap(0) = PsiCap(1) = 1, so a = 0, 1 never count.
+
+    So the F_p-roots a of PsiCap are exactly the double roots, and a is one
+    iff p^2 divides a^p + (1-a)^p - 1. As (1-a)^p = -(a-1)^p, the test
+    compares a^p and (a-1)^p mod p^2. double_roots_gcd is the independent
+    gcd(f, f') oracle for this count.
+    """
+    _require_odd_prime(p)
+    p2 = p * p
+    prev = 1  # 1^p
+    roots = []
+    for a in range(2, p):
+        cur = pow(a, p, p2)
+        if (cur - prev) % p2 == 1:
+            roots.append(a)
+        prev = cur
+    return roots
 
 
 def double_root_count(p: int) -> int:
-    """Number of multiplicity-2 roots of PsiCap mod p lying in F_p.
-
-    Also asserts the multiplicity contract: every repeated irreducible factor
-    of PsiCap mod p is linear with F_p-rational root, no factor has
-    multiplicity >= 3, and 0 <= 2s <= p-3.
-    """
-    _require_odd_prime(p)
-    f = FpPoly.from_intpoly(p, capital_psi(p))
-    # deg f = p-3 < p, so gcd(f, f') = prod q_i^(e_i - 1) classically
-    rep = f.gcd(f.derivative())
-    if rep.degree > 0 and rep.gcd(rep.derivative()).degree > 0:
-        raise MathContractError(
-            f"multiplicity contract violation: PsiCap mod {p} has a factor of multiplicity >= 3"
-        )
-    s = rep.degree
-    if s:
-        n_roots = len(rep.roots_in_fp())
-        if n_roots != s:
-            raise MathContractError(
-                f"multiplicity contract violation: repeated factor of PsiCap mod {p} "
-                "is not a product of F_p-rational linear factors"
-            )
+    """s(p): the number of double roots of PsiCap mod p; 0 <= 2s <= p-3."""
+    s = len(double_roots(p))
     if not 0 <= 2 * s <= p - 3:
         raise MathContractError(
             f"multiplicity contract violation: 2s = {2 * s} outside [0, {p - 3}] for p={p}"
@@ -419,12 +390,30 @@ def double_root_count(p: int) -> int:
     return s
 
 
-def double_roots(p: int) -> list[int]:
-    """The multiplicity-2 roots of PsiCap mod p, as elements of [0, p)."""
+def double_roots_gcd(p: int) -> list[int]:
+    """Oracle for double_roots: the roots of gcd(f, f') with f = PsiCap mod p.
+
+    O(p^2); run it below ORACLE_BOUND. Raises MathContractError if a repeated
+    factor of f has multiplicity >= 3 or is not a product of F_p-rational
+    linear factors.
+    """
     _require_odd_prime(p)
     f = FpPoly.from_intpoly(p, capital_psi(p))
+    # deg f = p-3 < p, so gcd(f, f') = prod q_i^(e_i - 1) classically
     rep = f.gcd(f.derivative())
-    return sorted(rep.roots_in_fp()) if rep.degree > 0 else []
+    if rep.degree <= 0:
+        return []
+    if rep.gcd(rep.derivative()).degree > 0:
+        raise MathContractError(
+            f"multiplicity contract violation: PsiCap mod {p} has a factor of multiplicity >= 3"
+        )
+    roots = rep.roots_in_fp()
+    if len(roots) != rep.degree:
+        raise MathContractError(
+            f"multiplicity contract violation: repeated factor of PsiCap mod {p} "
+            "is not a product of F_p-rational linear factors"
+        )
+    return roots
 
 
 def rho(p: int, m: int) -> int:

@@ -77,6 +77,27 @@ def suite_polynomial() -> list[CheckResult]:
             )
         )
 
+    mismatch = ""
+    for p in range(3, polyarith.ORACLE_BOUND, 2):
+        if not polyarith.is_prime(p):
+            continue
+        try:
+            want = polyarith.double_roots_gcd(p)
+        except MathContractError as exc:
+            mismatch = str(exc)
+            break
+        got = polyarith.double_roots(p)
+        if got != want:
+            mismatch = f"p={p}: fast path {got}, gcd oracle {want}"
+            break
+    out.append(
+        CheckResult(
+            f"double_roots == gcd oracle for p < {polyarith.ORACLE_BOUND}",
+            not mismatch,
+            mismatch,
+        )
+    )
+
     for p, m in ACCEPTANCE_PAIRS:
         out.append(
             CheckResult(

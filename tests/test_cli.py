@@ -164,6 +164,14 @@ def test_bounds_json(capsys):
     assert doc["checks"][0]["pass"]
 
 
+def test_bounds_large_prime_smoke(capsys):
+    # N = 3 * 99991; 99991 = 1 (mod 6), so s >= 2 (no wall-clock gate)
+    code, doc, _ = run_json(capsys, "bounds", "--N", "299973")
+    assert code == 0
+    s = {rec["p"]: rec["s"] for rec in doc["results"]["primes"]}
+    assert s[99991] >= 2
+
+
 def test_bounds_conditional_upper(capsys):
     code, doc, _ = run_json(capsys, "bounds", "--N", "15",
                             "--kappa1", "1", "--kappa2", "1")

@@ -62,6 +62,15 @@ def cfg53(model53):
     return model53.config
 
 
+def test_qdivisor_coefficients():
+    third = Fraction(1, 3)
+    D = QDivisor({0: third, 1: 2, 2: 0, 3: Fraction(0)})
+    assert dict(D.items()) == {0: third, 1: Fraction(2)}
+    assert D.coeff(0) is third  # a Fraction is stored as given
+    assert type(D.coeff(1)) is Fraction
+    assert D == QDivisor({0: third, 1: Fraction(2)})
+
+
 def test_pair_fiber_orthogonality(model53):
     cfg = model53.config
     fpi = cfg.fiber_divisor()

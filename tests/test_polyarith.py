@@ -2,12 +2,15 @@ import pytest
 
 from ffk.errors import CapExceeded, ParameterError
 from ffk.polyarith import (
+    ORACLE_BOUND,
     BiPoly,
     FpPoly,
     IntPoly,
     capital_psi,
     double_root_count,
     double_roots,
+    double_roots_gcd,
+    is_prime,
     fermat_split_check,
     psi_diag,
     psi_poly,
@@ -149,8 +152,19 @@ def test_fppoly_gcd_monic():
     assert f.gcd(g).coeffs == (3, 1)
 
 
-def test_roots_large_prime_path():
-    # exercise the gcd-based root counting branch
-    p = 1009
-    f = FpPoly(p, (-6, 11, -6, 1))  # (x-1)(x-2)(x-3)
-    assert f.roots_in_fp() == [1, 2, 3]
+def test_double_roots_match_gcd_oracle():
+    # the fast Fermat-quotient count against the gcd(f, f') oracle, as root lists
+    for p in range(3, ORACLE_BOUND):
+        if is_prime(p):
+            assert double_roots(p) == double_roots_gcd(p), p
+
+
+def test_double_roots_include_sixth_roots_of_unity():
+    # for p = 1 (mod 6), (a^2 - a + 1)^2 divides a^p + (1-a)^p - 1 over Z and
+    # a^2 - a + 1 has two distinct roots in F_p, so s(p) >= 2
+    for p in range(7, 3000, 6):
+        if is_prime(p):
+            roots = double_roots(p)
+            assert double_root_count(p) == len(roots) >= 2, p
+            sixth = [a for a in range(p) if (a * a - a + 1) % p == 0]
+            assert len(sixth) == 2 and set(sixth) <= set(roots), p
