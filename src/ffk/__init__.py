@@ -49,7 +49,6 @@ from .fiber import (
     canonical_pair,
     p_a_divisor,
     pair,
-    section_pair,
     solve_gauge,
     validate,
 )
@@ -68,7 +67,6 @@ from .polyarith import (
     fermat_split_check,
     psi_diag,
     psi_poly,
-    rho,
 )
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import polyarith
 from .errors import MathContractError, ParameterError
+from .model import genus_formula
 
 
 def factor_odd_squarefree(n: int) -> list[int]:
@@ -21,18 +22,10 @@ def factor_odd_squarefree(n: int) -> list[int]:
         raise ParameterError(f"N must be >= 3, got {n}")
     if n % 2 == 0:
         raise ParameterError(f"N must be odd, got {n}")
-    primes = []
-    rest = n
-    d = 3
-    while d * d <= rest:
-        if rest % d == 0:
-            rest //= d
-            if rest % d == 0:
-                raise ParameterError(f"N = {n} is squareful (divisible by {d}^2)")
-            primes.append(d)
-        d += 2
-    if rest > 1:
-        primes.append(rest)
+    primes = polyarith.factorize(n)
+    for d, e in zip(primes, primes[1:]):
+        if d == e:
+            raise ParameterError(f"N = {n} is squareful (divisible by {d}^2)")
     if len(primes) < 2:
         raise ParameterError(f"N = {n} is prime; a composite exponent is required")
     return primes
@@ -96,8 +89,7 @@ def _simple(n: int, phi: int) -> float:
 def _upper(n: int, phi: int, geo: float, kappa1: float, kappa2: float) -> float:
     if not (kappa1 > 0 and kappa2 > 0):
         raise ParameterError("kappa1 and kappa2 must be positive")
-    g = (n - 1) * (n - 2) // 2
-    return (2 * g - 2) * (phi * (kappa1 * math.log(n) + kappa2) + geo)
+    return (2 * genus_formula(n) - 2) * (phi * (kappa1 * math.log(n) + kappa2) + geo)
 
 
 def _mertens(primes: list[int]) -> float:
@@ -188,7 +180,7 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
         )
     return BoundReport(
         n=n,
-        genus=(n - 1) * (n - 2) // 2,
+        genus=genus_formula(n),
         phi=phi,
         primes=tuple(records),
         geometric_terms=tuple(terms),

@@ -62,12 +62,12 @@ def emit(doc: dict, stream=None) -> None:
 
 def cmd_rho(args) -> int:
     p = args.p
-    s = polyarith.double_root_count(p)
+    roots = polyarith.double_roots(p)
     results = {
         "p": p,
-        "s": s,
-        "rho_over_m": s,
-        "double_roots_mod_p": polyarith.double_roots(p),
+        "s": len(roots),
+        "rho_over_m": len(roots),
+        "double_roots_mod_p": roots,
     }
     emit(envelope("rho", {"p": p}, results))
     return 0

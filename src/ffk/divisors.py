@@ -19,8 +19,8 @@ from .bounds import q_np
 from .errors import MathContractError
 from .fiber import (
     CheckResult,
-    CuspSection,
     QDivisor,
+    a_number,
     canonical_pair,
     pair,
     pair_component,
@@ -49,6 +49,13 @@ def lambda_nu(params: FermatParams) -> LambdaNu:
     lam = -Fraction(m * (p - 2), 2 * (g - 1)) ** 2
     nu = Fraction(p - 2, p * (g - 1))
     return LambdaNu(lam, nu)
+
+
+def beta_closed(params: FermatParams) -> Fraction:
+    """beta_{S,p} in closed form: N(lambda+nu)(N(lambda+nu)(g-1)/g + 4m - 6)."""
+    g = params.genus
+    b = params.n * lambda_nu(params).total
+    return b * (b * Fraction(g - 1, g) + 4 * params.m - 6)
 
 
 def mu_chain(params: FermatParams, j: int, k: int) -> Fraction:
@@ -162,18 +169,9 @@ def vs_pair_closed(model: FermatModel, cid: int, cusp: tuple[int, int] = (1, 1))
 # ---------------------------------------------------------------------------
 
 
-def _cusp_chain_cid(model: FermatModel, cusp: tuple[int, int]) -> int:
-    i, k = cusp
-    return model.chain(1, k, i)
-
-
-def cusp_section(model: FermatModel, cusp: tuple[int, int]) -> CuspSection:
-    return CuspSection(_cusp_chain_cid(model, cusp))
-
-
 def v_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
     """V_S = V_{Chain(1,k,i)} for the cusp meeting that chain end."""
-    return v_divisor(model, _cusp_chain_cid(model, cusp))
+    return v_divisor(model, model.cusp(*cusp).target)
 
 
 def g_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
@@ -200,13 +198,10 @@ def u_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
     return x - v_s(model, cusp).scale(2)
 
 
-def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
-    """Values a_C + 2(S.C) - (U_S.C) per component; all must be >= 0."""
-    from .fiber import a_number
-
+def _semipositivity(model: FermatModel, us: QDivisor, cusp: tuple[int, int]):
+    """Values a_C + 2(S.C) - (U.C) per component, for a given divisor U."""
     config = model.config
-    us = u_s(model, cusp)
-    target = _cusp_chain_cid(model, cusp)
+    target = model.cusp(*cusp).target
     out = []
     for c in config.components:
         val = (
@@ -218,12 +213,16 @@ def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
     return out
 
 
+def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
+    """Values a_C + 2(S.C) - (U_S.C) per component; all must be >= 0."""
+    return _semipositivity(model, u_s(model, cusp), cusp)
+
+
 def beta_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:
     """Per-prime lower-bound quantity beta_{S,p}.
 
     Computed from the graph as (1-g)/g (2V_S+U_S)^2 + 2 (K . U_S) and from
-    the closed form N(lambda+nu)(N(lambda+nu)(g-1)/g + 4m - 6); both must
-    agree exactly.
+    beta_closed; both must agree exactly.
     """
     params = model.params
     g = params.genus
@@ -233,8 +232,7 @@ def beta_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:
     graph = Fraction(1 - g, g) * pair(model.config, x, x) + 2 * canonical_pair(
         model.config, us
     )
-    b = params.n * lambda_nu(params).total
-    closed = b * (b * Fraction(g - 1, g) + 4 * params.m - 6)
+    closed = beta_closed(params)
     if graph != closed:
         raise MathContractError(
             f"beta_S mismatch: graph {graph}, closed form {closed}"
@@ -315,26 +313,18 @@ def u_s_probe(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> list[CheckR
     pairing value, the pairing against a multiplicity-one self -p component,
     and semipositivity.
     """
-    from .fiber import a_number
-
     params = model.params
     config = model.config
     ln = lambda_nu(params)
     b = params.n * ln.total
     vs = v_s(model, cusp)
-    target = _cusp_chain_cid(model, cusp)
+    deltas = [c.cid for c in config.components if c.label.kind == "Ldelta"]
     results = []
     for name, cand in u_s_candidates(model, cusp).items():
         x = vs.scale(2) + cand
         sq_ok = pair(config, x, x) == -b * b
         ku_ok = canonical_pair(config, cand) == (2 * params.m - 3) * b
-        semi = min(
-            a_number(config, c.cid)
-            + 2 * (1 if c.cid == target else 0)
-            - pair_component(config, cand, c.cid)
-            for c in config.components
-        )
-        deltas = [c.cid for c in config.components if c.label.kind == "Ldelta"]
+        semi = min(v for _, v in _semipositivity(model, cand, cusp))
         ld = pair_component(config, cand, deltas[0]) if deltas else None
         results.append(
             CheckResult(

@@ -95,10 +95,6 @@ class QDivisor:
     def items(self):
         return self._c.items()
 
-    @property
-    def support(self):
-        return self._c.keys()
-
     def __bool__(self) -> bool:
         return bool(self._c)
 
@@ -117,9 +113,6 @@ class QDivisor:
     def scale(self, k) -> "QDivisor":
         k = Fraction(k)
         return QDivisor({cid: v * k for cid, v in self._c.items()})
-
-    def __rmul__(self, k) -> "QDivisor":
-        return self.scale(k)
 
     def is_effective_integral(self) -> bool:
         return all(v.denominator == 1 and v > 0 for v in self._c.values())
@@ -225,11 +218,6 @@ def pair_profile(config: FiberConfig, D: QDivisor) -> dict[int, Fraction]:
         for nbr, cnt in config.neighbors(cid).items():
             out[nbr] = out.get(nbr, Fraction(0)) + v * cnt
     return {cid: v for cid, v in out.items() if v != 0}
-
-
-def section_pair(config: FiberConfig, section: CuspSection, D: QDivisor) -> Fraction:
-    """(S . D) for a cusp section: the coefficient of its target component."""
-    return D.coeff(section.target)
 
 
 def a_number(config: FiberConfig, cid: int) -> int:

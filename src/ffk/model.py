@@ -59,15 +59,6 @@ def genus_formula(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
-def _is_squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class FermatParams:
     """Validated parameters (p, m, s) with N = p*m odd squarefree composite."""
@@ -87,7 +78,8 @@ class FermatParams:
             raise ParameterError(f"m must be odd and >= 3, got {self.m}")
         if self.m % self.p == 0:
             raise ParameterError(f"gcd(p, m) must be 1, got p={self.p}, m={self.m}")
-        if not _is_squarefree(self.m):
+        factors = polyarith.factorize(self.m)
+        if len(set(factors)) < len(factors):
             raise ParameterError(f"N = p*m must be squarefree; m={self.m} is not")
         if not 0 <= 2 * self.s <= self.p - 3:
             raise ParameterError(
@@ -202,7 +194,7 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     comps = []
     for cid, lab in enumerate(labels):
         if lab.kind == "Fm":
-            comp = Component(cid, lab, p, (m - 1) * (m - 2) // 2, -m * m)
+            comp = Component(cid, lab, p, genus_formula(m), -m * m)
         elif lab.kind == "LXYZ":
             comp = Component(cid, lab, m, 0, -p)
         elif lab.kind == "Chain":
@@ -265,7 +257,7 @@ def transversality_check(model: FermatModel) -> bool:
     p, m = model.params.p, model.params.m
     total_ic = sum(i_c(config, c.cid) for c in config.components)
     total_d = sum(c.multiplicity for c in config.components)
-    g_fm = (m - 1) * (m - 2) // 2
+    g_fm = genus_formula(m)
     lhs = 2 * model.params.genus - 2
     if lhs != total_ic + 2 * p * g_fm - 2 * total_d:
         return False

@@ -9,7 +9,7 @@ the special fiber.
 
 from __future__ import annotations
 
-from math import comb, factorial, isqrt
+from math import comb, factorial
 
 from .errors import CapExceeded, MathContractError, ParameterError
 
@@ -21,17 +21,22 @@ DEFAULT_SPLIT_CAP = 2000
 ORACLE_BOUND = 500
 
 
+def factorize(n: int) -> list[int]:
+    """Prime factors of n >= 1 in ascending order, with multiplicity, by trial division."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            primes.append(d)
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    return n > 1 and factorize(n) == [n]
 
 
 def _require_odd_prime(p: int) -> None:
@@ -59,9 +64,6 @@ class IntPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
@@ -160,14 +162,6 @@ class BiPoly:
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        out: dict = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + a * b
-        return BiPoly(out)
 
     def scale(self, k: int) -> "BiPoly":
         return BiPoly({key: k * v for key, v in self.terms.items()})
@@ -284,9 +278,6 @@ class FpPoly:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
     def monic(self) -> "FpPoly":
         if not self:
             return self
@@ -366,7 +357,8 @@ def double_roots(p: int) -> list[int]:
     So the F_p-roots a of PsiCap are exactly the double roots, and a is one
     iff p^2 divides a^p + (1-a)^p - 1. As (1-a)^p = -(a-1)^p, the test
     compares a^p and (a-1)^p mod p^2. double_roots_gcd is the independent
-    gcd(f, f') oracle for this count.
+    gcd(f, f') oracle for this count. The contract 0 <= 2s <= p-3 on
+    s = len(roots) is checked here, so every caller gets it.
     """
     _require_odd_prime(p)
     p2 = p * p
@@ -377,17 +369,17 @@ def double_roots(p: int) -> list[int]:
         if (cur - prev) % p2 == 1:
             roots.append(a)
         prev = cur
+    s = len(roots)
+    if not 0 <= 2 * s <= p - 3:
+        raise MathContractError(
+            f"multiplicity contract violation: 2s = {2 * s} outside [0, {p - 3}] for p={p}"
+        )
     return roots
 
 
 def double_root_count(p: int) -> int:
     """s(p): the number of double roots of PsiCap mod p; 0 <= 2s <= p-3."""
-    s = len(double_roots(p))
-    if not 0 <= 2 * s <= p - 3:
-        raise MathContractError(
-            f"multiplicity contract violation: 2s = {2 * s} outside [0, {p - 3}] for p={p}"
-        )
-    return s
+    return len(double_roots(p))
 
 
 def double_roots_gcd(p: int) -> list[int]:
@@ -414,17 +406,6 @@ def double_roots_gcd(p: int) -> list[int]:
             "is not a product of F_p-rational linear factors"
         )
     return roots
-
-
-def rho(p: int, m: int) -> int:
-    """Count of squared linear factors of PsiCap(X^m) over the algebraic closure.
-
-    Each F_p-rational double root contributes m distinct m-th roots, so this
-    is m * double_root_count(p).
-    """
-    if m < 1:
-        raise ParameterError(f"m must be positive, got {m}")
-    return m * double_root_count(p)
 
 
 def fermat_split_check(p: int, m: int, cap: int = DEFAULT_SPLIT_CAP) -> bool:

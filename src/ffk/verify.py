@@ -1,8 +1,8 @@
 """Identity suites: every exact claim the package encodes, as pass/fail checks.
 
-The CLI's verify command runs these; the acceptance tests reuse them. Checks
-return data (CheckResult), they do not raise, so a single run reports every
-failure at once.
+The CLI's verify command runs these, and acceptance criteria 1-6 each run
+one of them on the acceptance models. Checks return data (CheckResult), they
+do not raise, so a single run reports every failure at once.
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ def suite_beta(models: list[FermatModel] | None = None) -> list[CheckResult]:
     out = []
     for model in models or _models():
         params = model.params
-        p, m, n, g = params.p, params.m, params.n, params.genus
+        p, m, n = params.p, params.m, params.n
         tag = f"(p={p}, m={m})"
         config = model.config
         ln = divisors.lambda_nu(params)
@@ -301,8 +301,7 @@ def suite_beta(models: list[FermatModel] | None = None) -> list[CheckResult]:
         for c in cusps:
             gs = divisors.g_s(model, c)
             prof = pair_profile(config, gs)
-            sect = divisors.cusp_section(model, c)
-            want = {model.fm: Fraction(1, p), sect.target: Fraction(-1)}
+            want = {model.fm: Fraction(1, p), model.cusp(*c).target: Fraction(-1)}
             es_ok &= prof == want
         out.append(CheckResult(f"(S + G_S) pairing profile {tag}", es_ok))
     return out
@@ -358,14 +357,7 @@ def suite_bounds(models: list[FermatModel] | None = None, scan_to: int = 10**4) 
         out.append(
             CheckResult(
                 f"beta closed forms agree {tag}",
-                bounds.beta_sp_closed(n, p)
-                == n
-                * divisors.lambda_nu(params).total
-                * (
-                    n * divisors.lambda_nu(params).total * Fraction(params.genus - 1, params.genus)
-                    + 4 * params.m
-                    - 6
-                ),
+                bounds.beta_sp_closed(n, p) == divisors.beta_closed(params),
             )
         )
     try:

@@ -1,26 +1,22 @@
 """Acceptance suite: one test per exit criterion, with a pass/fail line each.
 
-Budgets are wall-clock seconds; all identity checks are exact (no tolerances
-anywhere except the stated float agreement for assembled logarithms).
+Criteria 1-6 each run their identity suite from ffk.verify on the session
+models and add the pinned values that no suite checks. Budgets are
+wall-clock seconds; all identity checks are exact (no tolerances anywhere
+except the stated float agreement for assembled logarithms).
 """
 
+import dataclasses
 import time
 from fractions import Fraction
 
-from ffk import bounds, divisors, polyarith, verify
-from ffk.errors import MathContractError
-from ffk.fiber import (
-    Component,
-    FiberConfig,
-    a_number,
-    canonical_pair,
-    pair,
-    validate,
-)
-from ffk.model import FermatModel, transversality_check
-from ffk.polyarith import FpPoly, IntPoly
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-PAIRS = verify.ACCEPTANCE_PAIRS
+from ffk import divisors, verify
+from ffk.errors import MathContractError
+from ffk.fiber import CheckResult, Component, FiberConfig, pair, validate
+from ffk.model import FermatModel
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, detail: str = ""):
@@ -30,157 +26,57 @@ def _report(num: int, name: str, ok: bool, elapsed: float, detail: str = ""):
     assert ok, f"criterion {num} ({name}) failed{extra}"
 
 
+def _criterion(num: int, name: str, t0: float, checks, budget: float | None = None):
+    """Every CheckResult passed, within `budget` seconds of t0 when one is set."""
+    elapsed = time.monotonic() - t0
+    failed = [c for c in checks if not c.passed]
+    detail = f"{failed[0].name}: {failed[0].detail}" if failed else ""
+    ok = not failed and (budget is None or elapsed < budget)
+    _report(num, name, ok, elapsed, detail)
+
+
 def test_criterion_1_polynomials():
     t0 = time.monotonic()
-    ok = polyarith.capital_psi(5) == IntPoly((1, -1, 1))
-    ok &= FpPoly.from_intpoly(5, polyarith.capital_psi(5)).coeffs == (1, 4, 1)
-    psi7 = FpPoly.from_intpoly(7, polyarith.capital_psi(7))
-    want = FpPoly(7, (2, 1)) * FpPoly(7, (2, 1)) * FpPoly(7, (4, 1)) * FpPoly(7, (4, 1))
-    u = psi7.coeffs[-1] * pow(want.coeffs[-1], -1, 7) % 7
-    ok &= psi7.coeffs == tuple(u * c % 7 for c in want.coeffs)
-    ok &= polyarith.double_root_count(5) == 0
-    ok &= polyarith.double_root_count(7) == 2
-    ok &= polyarith.double_root_count(3) == 0
-    for p, m in PAIRS:
-        ok &= polyarith.fermat_split_check(p, m)
-    elapsed = time.monotonic() - t0
-    _report(1, "polynomial suite", ok and elapsed < 5.0, elapsed)
+    _criterion(1, "polynomial suite", t0, verify.suite_polynomial(), budget=5.0)
 
 
 def test_criterion_2_configuration(models):
     t0 = time.monotonic()
-    ok = True
-    detail = ""
-    for (p, m), model in models.items():
-        s = polyarith.double_root_count(p)
-        if model.params.s != s:
-            ok, detail = False, f"s mismatch at {(p, m)}"
-            break
-        if model.census() != verify.expected_census(p, m, s):
-            ok, detail = False, f"census at {(p, m)}"
-            break
-        if not all(c.passed for c in validate(model.config)):
-            ok, detail = False, f"validate at {(p, m)}"
-            break
-        total = sum(
-            c.multiplicity * a_number(model.config, c.cid)
-            for c in model.config.components
-        )
-        if total != 2 * model.params.genus - 2:
-            ok, detail = False, f"adjunction sum at {(p, m)}"
-            break
-        if not transversality_check(model):
-            ok, detail = False, f"transversality at {(p, m)}"
-            break
-        if 2 * model.params.genus - 2 != m * m * p * p - 3 * m * p:
-            ok, detail = False, f"2g-2 identity at {(p, m)}"
-            break
-    elapsed = time.monotonic() - t0
-    _report(2, "configuration suite", ok and elapsed < 10.0, elapsed, detail)
+    _criterion(2, "configuration suite", t0, verify.suite_fiber(list(models.values())),
+               budget=10.0)
 
 
 def test_criterion_3_divisors(models):
     t0 = time.monotonic()
-    ok = True
-    detail = ""
-    for (p, m), model in models.items():
-        chk = verify.representative_relation_full(model)
-        if not chk.passed:
-            ok, detail = False, f"{chk.detail} at {(p, m)}"
-            break
-        cfg = model.config
-        vs = divisors.v_s(model)
-        forms_ok = all(
-            pair(cfg, divisors.v_divisor(model, c.cid), divisors.v_divisor(model, c.cid))
-            == divisors.v_self_closed(model, c.cid)
-            and pair(cfg, vs, divisors.v_divisor(model, c.cid))
-            == divisors.vs_pair_closed(model, c.cid)
-            for c in cfg.components
-        )
-        if not forms_ok:
-            ok, detail = False, f"closed forms at {(p, m)}"
-            break
-        chk = verify.gauge_reproduction(model)
-        if not chk.passed:
-            ok, detail = False, f"{chk.detail} at {(p, m)}"
-            break
-    elapsed = time.monotonic() - t0
-    _report(3, "divisor suite", ok and elapsed < 60.0, elapsed, detail)
+    _criterion(3, "divisor suite", t0, verify.suite_divisor(list(models.values())),
+               budget=60.0)
 
 
 def test_criterion_4_beta_g(models):
     t0 = time.monotonic()
-    ok = True
-    detail = ""
-    for (p, m), model in models.items():
-        params = model.params
-        n, g = params.n, params.genus
-        b = n * divisors.lambda_nu(params).total
-        cusps = [(1, 1), (2, 3), (3 * m, p)]
-        try:
-            betas = [divisors.beta_s(model, c) for c in cusps]
-        except MathContractError as exc:
-            ok, detail = False, str(exc)
-            break
-        if len(set(betas)) != 1 or betas[0] != bounds.beta_sp_closed(n, p):
-            ok, detail = False, f"beta triple equality at {(p, m)}"
-            break
-        gs_sq = {
-            pair(model.config, divisors.g_s(model, c), divisors.g_s(model, c))
-            for c in cusps
-        }
-        if gs_sq != {-Fraction(n - p + 1, n)}:
-            ok, detail = False, f"G_S^2 at {(p, m)}"
-            break
-        for c in cusps:
-            us = divisors.u_s(model, c)
-            x = divisors.v_s(model, c).scale(2) + us
-            if pair(model.config, x, x) != -b * b:
-                ok, detail = False, f"square identity at {(p, m)}"
-            if canonical_pair(model.config, us) != (2 * m - 3) * b:
-                ok, detail = False, f"canonical pairing at {(p, m)}"
-            if min(v for _, v in divisors.semipos_check(model, c)) < 0:
-                ok, detail = False, f"semipositivity at {(p, m)}"
-        if not ok:
-            break
-    if ok:
-        m15 = models[(5, 3)]
-        ok = divisors.beta_s(m15) == Fraction(4413, 11648)
-        gs15 = divisors.g_s(m15)
-        ok &= pair(m15.config, gs15, gs15) == Fraction(-11, 15)
-        m21 = models[(7, 3)]
-        gs21 = divisors.g_s(m21)
-        ok &= pair(m21.config, gs21, gs21) == Fraction(-5, 7)
-        if not ok:
-            detail = "pinned values"
-    elapsed = time.monotonic() - t0
-    _report(4, "beta/G suite", ok, elapsed, detail)
+    checks = verify.suite_beta(list(models.values()))
+    m15, m21 = models[(5, 3)], models[(7, 3)]
+    gs15, gs21 = divisors.g_s(m15), divisors.g_s(m21)
+    checks += [
+        CheckResult("beta at N=15 is 4413/11648",
+                    divisors.beta_s(m15) == Fraction(4413, 11648)),
+        CheckResult("G_S^2 at N=15 is -11/15", pair(m15.config, gs15, gs15) == Fraction(-11, 15)),
+        CheckResult("G_S^2 at N=21 is -5/7", pair(m21.config, gs21, gs21) == Fraction(-5, 7)),
+    ]
+    _criterion(4, "beta/G suite", t0, checks)
 
 
 def test_criterion_5_bounds(models):
     t0 = time.monotonic()
-    ok = True
-    detail = ""
-    for (p, m), model in models.items():
-        if divisors.per_prime_geometric(model) != bounds.q_np(p * m, p):
-            ok, detail = False, f"Q identity at {(p, m)}"
-            break
-    ok &= divisors.per_prime_geometric(models[(5, 3)]) == Fraction(133, 60)
-    try:
-        rows = bounds.scan_rows(10**5)
-        ok &= all(r["ratio"] > 1 for r in rows)
-    except MathContractError as exc:
-        ok, detail = False, str(exc)
-    elapsed = time.monotonic() - t0
-    _report(5, "bounds suite", ok and elapsed < 60.0, elapsed, detail)
+    checks = verify.suite_bounds(list(models.values()), scan_to=10**5)
+    checks.append(CheckResult("Q(15,5) is 133/60",
+                              divisors.per_prime_geometric(models[(5, 3)]) == Fraction(133, 60)))
+    _criterion(5, "bounds suite", t0, checks, budget=60.0)
 
 
 def test_criterion_6_fundamental_cycles(models):
     t0 = time.monotonic()
-    results = verify.suite_cycles(list(models.values()))
-    ok = all(c.passed for c in results)
-    elapsed = time.monotonic() - t0
-    _report(6, "fundamental-cycle suite", ok, elapsed)
+    _criterion(6, "fundamental-cycle suite", t0, verify.suite_cycles(list(models.values())))
 
 
 def _mutated(model, mode: str) -> FermatModel:
@@ -246,3 +142,31 @@ def test_criterion_7_mutation_sensitivity(models):
             ok, detail = False, f"CLI exit code {code} != 4"
     elapsed = time.monotonic() - t0
     _report(7, "mutation sensitivity", ok, elapsed, detail)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_random_mutation_is_caught(models, data):
+    # one random change to the (5,3) fiber: validate or a divisor identity must see it
+    base = models[(5, 3)]
+    comps = list(base.config.components)
+    edges = dict(base.config.edges())
+    mode = data.draw(st.sampled_from(
+        ("self_int", "multiplicity", "genus", "add_edge", "remove_edge")), label="mode")
+    if mode == "remove_edge":
+        del edges[data.draw(st.sampled_from(sorted(edges)), label="edge")]
+    elif mode == "add_edge":
+        a = data.draw(st.integers(0, len(comps) - 1), label="a")
+        b = data.draw(st.integers(0, len(comps) - 1).filter(lambda b: b != a), label="b")
+        key = (min(a, b), max(a, b))
+        edges[key] = edges.get(key, 0) + 1
+    else:
+        c = comps[data.draw(st.integers(0, len(comps) - 1), label="component")]
+        old = getattr(c, mode)
+        low = {"self_int": old - 3, "multiplicity": 1, "genus": 0}[mode]
+        new = data.draw(st.integers(low, old + 3).filter(lambda v: v != old), label=mode)
+        comps[c.cid] = dataclasses.replace(c, **{mode: new})
+    bad = FermatModel(base.params, FiberConfig(comps, edges, base.config.genus),
+                      base.labels, base.by_label, base.cusps)
+    caught = not all(chk.passed for chk in validate(bad.config)) or _divisor_suite_raises(bad)
+    assert caught, f"random {mode} defect not caught"

@@ -9,7 +9,7 @@ import pytest
 
 import ffk.cli as cli
 import ffk.divisors
-from ffk import verify
+from ffk import polyarith, verify
 from ffk.errors import MathContractError
 
 
@@ -36,6 +36,20 @@ def test_rho_7(capsys):
     assert code == 0
     assert doc["results"]["s"] == 2
     assert doc["results"]["double_roots_mod_p"] == [3, 5]
+
+
+def test_rho_scans_once(capsys, monkeypatch):
+    calls = []
+    scan = polyarith.double_roots
+
+    def counted(p):
+        calls.append(p)
+        return scan(p)
+
+    monkeypatch.setattr(polyarith, "double_roots", counted)
+    code, doc, _ = run_json(capsys, "rho", "--p", "7")
+    assert code == 0 and doc["results"]["s"] == 2
+    assert calls == [7]
 
 
 def test_rho_bad_p(capsys):
@@ -250,8 +264,10 @@ def test_rational_serialization():
     assert cli.rat(Fraction(5)) == "5/1"
 
 
-#: SHA-256 and exit code of stdout for a fixed set of commands, recorded from
-#: the CLI before the tree solver replaced the general sparse elimination
+#: SHA-256 and exit code of stdout for a fixed set of commands. The first six
+#: were recorded before the tree solver replaced the general sparse
+#: elimination, the last four before the duplicated beta closed form, cusp
+#: lookup, semipositivity loop and number-theory helpers were merged
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 

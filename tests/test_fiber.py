@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ffk.errors import MathContractError, NoSolutionError, ParameterError
 from ffk.fiber import (
     Component,
-    CuspSection,
     FiberConfig,
     QDivisor,
     a_number,
@@ -17,7 +16,6 @@ from ffk.fiber import (
     pair,
     pair_component,
     pair_profile,
-    section_pair,
     solve_gauge,
     validate,
 )
@@ -114,14 +112,6 @@ def test_pair_profile_matches_pair(model53):
     prof = pair_profile(cfg, D)
     for c in cfg.components:
         assert prof.get(c.cid, Fraction(0)) == pair_component(cfg, D, c.cid)
-
-
-def test_section_pair(model53):
-    target = model53.chain(1, 1, 1)
-    s = CuspSection(target)
-    assert section_pair(model53.config, s, QDivisor.single(target)) == 1
-    assert section_pair(model53.config, s, QDivisor.single(model53.fm)) == 0
-    assert section_pair(model53.config, s, QDivisor.single(target, Fraction(1, 2))) == Fraction(1, 2)
 
 
 def test_a_number_values(model53):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ffk.errors import CapExceeded, ParameterError
@@ -10,11 +12,11 @@ from ffk.polyarith import (
     double_root_count,
     double_roots,
     double_roots_gcd,
+    factorize,
     is_prime,
     fermat_split_check,
     psi_diag,
     psi_poly,
-    rho,
 )
 
 PRIMES_TO_101 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -123,17 +125,6 @@ def test_repeated_part_is_exactly_squared(p):
         assert len(rep.roots_in_fp()) == rep.degree
 
 
-def test_rho_values():
-    assert rho(5, 3) == 0
-    assert rho(7, 3) == 6
-    assert rho(7, 5) == 10
-
-
-def test_rho_rejects_bad_m():
-    with pytest.raises(ParameterError):
-        rho(5, 0)
-
-
 @pytest.mark.parametrize("p,m", [(3, 5), (5, 3), (3, 7), (7, 3), (5, 7), (7, 5),
                                  (3, 11), (11, 3)])
 def test_fermat_split(p, m):
@@ -144,6 +135,15 @@ def test_fermat_split_cap():
     with pytest.raises(CapExceeded, match="2000"):
         fermat_split_check(3, 667)
     assert fermat_split_check(3, 667, cap=2001)
+
+
+def test_factorize_and_is_prime():
+    for n in range(1, 1000):
+        primes = factorize(n)
+        assert math.prod(primes) == n and primes == sorted(primes)
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))
+        assert all(is_prime(q) for q in primes)
+    assert not is_prime(0) and not is_prime(-7)
 
 
 def test_fppoly_gcd_monic():
