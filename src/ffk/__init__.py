@@ -47,6 +47,7 @@ from .fiber import (
     QDivisor,
     a_number,
     canonical_pair,
+    i_c,
     p_a_divisor,
     pair,
     solve_gauge,
@@ -58,7 +59,6 @@ from .model import (
     FermatParams,
     build_config,
     genus_formula,
-    i_c,
     transversality_check,
 )
 from .polyarith import (

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from . import bounds, divisors, polyarith, verify
 from .errors import CapExceeded, MathContractError, ParameterError
-from .fiber import pair
-from .model import build_config, i_c, transversality_check
+from .fiber import i_c, pair
+from .model import build_config, transversality_check
 
 SCHEMA_VERSION = "1"
 

@@ -218,6 +218,25 @@ def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
     return _semipositivity(model, u_s(model, cusp), cusp)
 
 
+def u_s_identities(
+    model: FermatModel, vs: QDivisor, us: QDivisor, cusp: tuple[int, int]
+) -> tuple[bool, bool, Fraction]:
+    """Evaluate a divisor U against the identities stated for U_S, given V_S.
+
+    Returns whether (2V_S + U)^2 = -(N(lambda+nu))^2, whether
+    (K . U) = (2m-3) N (lambda+nu), and min_C a_C + 2(S.C) - (U.C).
+    """
+    params = model.params
+    config = model.config
+    b = params.n * lambda_nu(params).total
+    x = vs.scale(2) + us
+    return (
+        pair(config, x, x) == -b * b,
+        canonical_pair(config, us) == (2 * params.m - 3) * b,
+        min(v for _, v in _semipositivity(model, us, cusp)),
+    )
+
+
 def beta_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:
     """Per-prime lower-bound quantity beta_{S,p}.
 
@@ -313,18 +332,12 @@ def u_s_probe(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> list[CheckR
     pairing value, the pairing against a multiplicity-one self -p component,
     and semipositivity.
     """
-    params = model.params
     config = model.config
-    ln = lambda_nu(params)
-    b = params.n * ln.total
     vs = v_s(model, cusp)
     deltas = [c.cid for c in config.components if c.label.kind == "Ldelta"]
     results = []
     for name, cand in u_s_candidates(model, cusp).items():
-        x = vs.scale(2) + cand
-        sq_ok = pair(config, x, x) == -b * b
-        ku_ok = canonical_pair(config, cand) == (2 * params.m - 3) * b
-        semi = min(v for _, v in _semipositivity(model, cand, cusp))
+        sq_ok, ku_ok, semi = u_s_identities(model, vs, cand, cusp)
         ld = pair_component(config, cand, deltas[0]) if deltas else None
         results.append(
             CheckResult(

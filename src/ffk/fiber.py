@@ -29,9 +29,9 @@ def component_cap() -> int:
         raise ParameterError(f"bad {COMPONENT_CAP_ENV} value: {raw!r}") from exc
 
 
-def check_component_cap(n: int, cap: int | None = None) -> None:
-    """Raise CapExceeded if n components exceed `cap` (default: component_cap())."""
-    limit = component_cap() if cap is None else cap
+def check_component_cap(n: int) -> None:
+    """Raise CapExceeded if n components exceed component_cap()."""
+    limit = component_cap()
     if n > limit:
         raise CapExceeded(f"{n} components exceed the component cap {limit}")
 
@@ -126,33 +126,28 @@ class FiberConfig:
     """Immutable weighted intersection graph of one special fiber.
 
     `pairings` holds the off-diagonal entries: (i, j) -> number of transversal
-    intersection points, with i < j. Self-intersections live on the components.
+    intersection points; counts given as both (i, j) and (j, i) are summed.
+    Self-intersections live on the components. Each edge is stored once per
+    endpoint, in the neighbour map of that component.
     """
 
     def __init__(self, components: Iterable[Component], pairings: Mapping[tuple[int, int], int],
-                 genus: int, cap: int | None = None):
+                 genus: int):
         comps = tuple(components)
-        check_component_cap(len(comps), cap)
+        check_component_cap(len(comps))
         for i, c in enumerate(comps):
             if c.cid != i:
                 raise ParameterError("component ids must be 0..n-1 in order")
-        pairs = {}
         nbrs: list[dict[int, int]] = [{} for _ in comps]
         for (a, b), cnt in pairings.items():
             if a == b:
                 raise ParameterError("diagonal entries belong to Component.self_int")
             if not (0 <= a < len(comps) and 0 <= b < len(comps)):
                 raise ParameterError(f"unknown component id in pairing ({a}, {b})")
-            if cnt == 0:
-                continue
-            key = (min(a, b), max(a, b))
-            pairs[key] = pairs.get(key, 0) + cnt
-        for (a, b), cnt in pairs.items():
-            nbrs[a][b] = cnt
-            nbrs[b][a] = cnt
+            if cnt:
+                nbrs[a][b] = nbrs[b][a] = nbrs[a].get(b, 0) + cnt
         self.components = comps
         self.genus = genus
-        self._pairs = pairs
         self._nbrs = tuple(nbrs)
 
     @property
@@ -165,19 +160,23 @@ class FiberConfig:
         raise ParameterError(f"unknown component id {cid}")
 
     def neighbors(self, cid: int) -> Mapping[int, int]:
-        return self._nbrs[cid]
+        if 0 <= cid < len(self._nbrs):
+            return self._nbrs[cid]
+        raise ParameterError(f"unknown component id {cid}")
 
     def pair_cc(self, a: int, b: int) -> int:
         """Intersection number of two irreducible components."""
         if a == b:
             return self.component(a).self_int
-        return self._nbrs[a].get(b, 0)
+        return self.neighbors(a).get(b, 0)
 
     def fiber_divisor(self) -> QDivisor:
         return QDivisor({c.cid: Fraction(c.multiplicity) for c in self.components})
 
     def edges(self):
-        return self._pairs.items()
+        """((a, b), count) for every edge, with a < b."""
+        return [((a, b), cnt) for a, nbrs in enumerate(self._nbrs)
+                for b, cnt in nbrs.items() if a < b]
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +219,23 @@ def pair_profile(config: FiberConfig, D: QDivisor) -> dict[int, Fraction]:
     return {cid: v for cid, v in out.items() if v != 0}
 
 
+def i_c(config: FiberConfig, cid: int) -> int:
+    """I_C: neighbour multiplicities weighted by intersection points.
+
+    (F . C) = d_C C^2 + I_C, with F = sum d_C C the fiber.
+    """
+    comps = config.components
+    return sum(comps[nbr].multiplicity * cnt for nbr, cnt in config.neighbors(cid).items())
+
+
+def non_orthogonal_component(config: FiberConfig) -> Component | None:
+    """The first component C with (F . C) = d_C C^2 + I_C != 0, or None."""
+    return next(
+        (c for c in config.components if c.multiplicity * c.self_int + i_c(config, c.cid)),
+        None,
+    )
+
+
 def a_number(config: FiberConfig, cid: int) -> int:
     """Adjunction number -C^2 + 2 g_C - 2 = (K . C)."""
     c = config.component(cid)
@@ -252,21 +268,15 @@ def validate(config: FiberConfig) -> list[CheckResult]:
     """
     results = []
 
-    sym_ok = all(
-        config._nbrs[a].get(b) == config._nbrs[b].get(a) for (a, b) in config._pairs
-    )
+    sym_ok = all(config._nbrs[b].get(a) == cnt for (a, b), cnt in config.edges())
     results.append(CheckResult("pairing matrix symmetric", sym_ok))
 
-    fpi = config.fiber_divisor()
-    offender = next(
-        (c.cid for c in config.components if pair_component(config, fpi, c.cid) != 0),
-        None,
-    )
+    offender = non_orthogonal_component(config)
     results.append(
         CheckResult(
             "fiber orthogonality (F.C = 0 for all C)",
             offender is None,
-            "" if offender is None else f"fails at component {config.component(offender).label}",
+            "" if offender is None else f"fails at component {offender.label}",
         )
     )
 
@@ -340,15 +350,12 @@ class GaugeSolver:
                 f"fiber graph is disconnected: {n - len(order)} of {n} components "
                 f"are unreachable from {root.label}"
             )
-        if len(config._pairs) != n - 1:
-            raise MathContractError(
-                f"fiber graph is not a tree: {len(config._pairs)} edges on {n} components"
-            )
-        for c in comps:
-            if mult[c.cid] * c.self_int + sum(
-                cnt * mult[nbr] for nbr, cnt in config.neighbors(c.cid).items()
-            ):
-                raise MathContractError(f"fiber orthogonality fails at component {c.label}")
+        n_edges = sum(map(len, config._nbrs)) // 2
+        if n_edges != n - 1:
+            raise MathContractError(f"fiber graph is not a tree: {n_edges} edges on {n} components")
+        offender = non_orthogonal_component(config)
+        if offender is not None:
+            raise MathContractError(f"fiber orthogonality fails at component {offender.label}")
 
         weights = [config.neighbors(cid)[parent[cid]] * mult[cid] * mult[parent[cid]]
                    for cid in order[1:]]

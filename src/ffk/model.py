@@ -27,6 +27,7 @@ from .fiber import (
     CuspSection,
     FiberConfig,
     check_component_cap,
+    i_c,
     pair_component,
 )
 
@@ -93,10 +94,6 @@ class FermatParams:
     @property
     def genus(self) -> int:
         return genus_formula(self.n)
-
-    @property
-    def rho(self) -> int:
-        return self.m * self.s
 
 
 @dataclass(frozen=True)
@@ -211,7 +208,7 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     pairs: dict[tuple[int, int], int] = {}
 
     def edge(a: int, b: int) -> None:
-        pairs[(min(a, b), max(a, b))] = 1
+        pairs[(a, b)] = 1
 
     for i in range(1, 3 * m + 1):
         lx = by_label[FermatLabel("LXYZ", i=i)]
@@ -238,14 +235,6 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
         for k in range(1, p + 1)
     )
     return FermatModel(params, config, tuple(labels), by_label, cusps)
-
-
-def i_c(config: FiberConfig, cid: int) -> int:
-    """Sum of neighbor multiplicities weighted by intersection points."""
-    return sum(
-        config.component(nbr).multiplicity * cnt
-        for nbr, cnt in config.neighbors(cid).items()
-    )
 
 
 def transversality_check(model: FermatModel) -> bool:

@@ -13,9 +13,10 @@ from . import bounds, divisors, polyarith
 from .errors import MathContractError, ParameterError
 from .fiber import (
     CheckResult,
+    GaugeSolver,
     QDivisor,
     a_number,
-    canonical_pair,
+    i_c,
     p_a_divisor,
     pair,
     pair_profile,
@@ -25,7 +26,6 @@ from .model import (
     FermatModel,
     build_config,
     expected_census,
-    i_c,
     i_c_matches_pairing,
     transversality_check,
 )
@@ -197,8 +197,6 @@ def representative_relation_full(model: FermatModel) -> CheckResult:
 
 def gauge_reproduction(model: FermatModel) -> CheckResult:
     """solve_gauge with the relation targets reproduces every representative."""
-    from .fiber import GaugeSolver
-
     config = model.config
     two_g2 = 2 * model.params.genus - 2
     gauge_val = Fraction(model.params.p - 2, two_g2)
@@ -228,14 +226,13 @@ def suite_divisor(models: list[FermatModel] | None = None) -> list[CheckResult]:
 
         closed_ok = True
         detail = ""
+        vs = divisors.v_s(model)
         for c in config.components:
             vc = divisors.v_divisor(model, c.cid)
             if pair(config, vc, vc) != divisors.v_self_closed(model, c.cid):
                 closed_ok, detail = False, f"V_D^2 fails for D={c.label}"
                 break
-            if pair(config, divisors.v_s(model), vc) != divisors.vs_pair_closed(
-                model, c.cid
-            ):
+            if pair(config, vs, vc) != divisors.vs_pair_closed(model, c.cid):
                 closed_ok, detail = False, f"(V_S.V_D) fails for D={c.label}"
                 break
         out.append(CheckResult(f"self/cross closed forms {tag}", closed_ok, detail))
@@ -251,8 +248,6 @@ def suite_beta(models: list[FermatModel] | None = None) -> list[CheckResult]:
         p, m, n = params.p, params.m, params.n
         tag = f"(p={p}, m={m})"
         config = model.config
-        ln = divisors.lambda_nu(params)
-        b = n * ln.total
         cusps = [(1, 1), (2, 3), (3, p)]
 
         try:
@@ -284,18 +279,13 @@ def suite_beta(models: list[FermatModel] | None = None) -> list[CheckResult]:
             )
         )
 
-        vsq_ok = True
-        ku_ok = True
-        semi_ok = True
-        for c in cusps:
-            us = divisors.u_s(model, c)
-            x = divisors.v_s(model, c).scale(2) + us
-            vsq_ok &= pair(config, x, x) == -b * b
-            ku_ok &= canonical_pair(config, us) == (2 * m - 3) * b
-            semi_ok &= min(v for _, v in divisors.semipos_check(model, c)) >= 0
-        out.append(CheckResult(f"square identity for 2V_S+U_S {tag}", vsq_ok))
-        out.append(CheckResult(f"canonical pairing of U_S {tag}", ku_ok))
-        out.append(CheckResult(f"semipositivity at every component {tag}", semi_ok))
+        squares, canonicals, minima = zip(*(
+            divisors.u_s_identities(model, divisors.v_s(model, c), divisors.u_s(model, c), c)
+            for c in cusps
+        ))
+        out.append(CheckResult(f"square identity for 2V_S+U_S {tag}", all(squares)))
+        out.append(CheckResult(f"canonical pairing of U_S {tag}", all(canonicals)))
+        out.append(CheckResult(f"semipositivity at every component {tag}", min(minima) >= 0))
 
         es_ok = True
         for c in cusps:

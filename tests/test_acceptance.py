@@ -7,8 +7,10 @@ except the stated float agreement for assembled logarithms).
 """
 
 import dataclasses
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from ffk import divisors, verify
 from ffk.errors import MathContractError
 from ffk.fiber import CheckResult, Component, FiberConfig, pair, validate
 from ffk.model import FermatModel
+from test_fiber import NOT_ORTHOGONAL_TREES
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, detail: str = ""):
@@ -109,6 +112,36 @@ def _divisor_suite_raises(model) -> bool:
     except MathContractError:
         return True
     return False
+
+
+def _doubled_edge(model) -> FiberConfig:
+    # one extra Ldelta-Ldelta edge, listed as both (a, b) and (b, a): its count is 2
+    edges = dict(model.config.edges())
+    a, b = model.ldelta(1), model.ldelta(2)
+    edges[(a, b)] = edges[(b, a)] = 1
+    return FiberConfig(model.config.components, edges, model.config.genus)
+
+
+def _pinned_validate_configs(models) -> dict[str, FiberConfig]:
+    out = dict(NOT_ORTHOGONAL_TREES)
+    for mode in ("self_int", "adjacency", "multiplicity"):
+        out[f"(5,3) {mode}"] = _mutated(models[(5, 3)], mode).config
+    out["(5,3) doubled edge"] = _doubled_edge(models[(5, 3)])
+    return out
+
+
+#: validate output and sorted edge list of each pinned config, recorded before
+#: the edge store and the orthogonality pass of fiber.py were rewritten
+GOLDEN_VALIDATE = json.loads((Path(__file__).parent / "golden_validate.json").read_text())
+
+
+def test_validate_output_is_pinned(models):
+    configs = _pinned_validate_configs(models)
+    assert sorted(configs) == sorted(GOLDEN_VALIDATE)
+    for name, cfg in configs.items():
+        want = GOLDEN_VALIDATE[name]
+        assert [[c.name, c.passed, c.detail] for c in validate(cfg)] == want["validate"], name
+        assert [[a, b, cnt] for (a, b), cnt in sorted(cfg.edges())] == want["edges"], name
 
 
 def test_criterion_7_mutation_sensitivity(models):

@@ -12,6 +12,7 @@ from ffk.fiber import (
     QDivisor,
     a_number,
     canonical_pair,
+    i_c,
     p_a_divisor,
     pair,
     pair_component,
@@ -89,6 +90,15 @@ def test_pair_unknown_component(model53):
         pair(model53.config, QDivisor.single(10**6), QDivisor.single(0))
     with pytest.raises(ParameterError):
         pair(model53.config, QDivisor.single(-1), QDivisor.single(0))
+
+
+def test_neighbors_reject_out_of_range_ids(model53):
+    cfg = model53.config
+    for cid in (-1, cfg.n_components):
+        with pytest.raises(ParameterError):
+            cfg.neighbors(cid)
+        with pytest.raises(ParameterError):
+            i_c(cfg, cid)
 
 
 @settings(max_examples=40, deadline=None)

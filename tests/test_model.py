@@ -24,7 +24,7 @@ def test_census_7_3(model73):
     # census with the closure count rho = m*s = 6: the squared factors
     # of the composed polynomial give m*rho gamma-lines, each with p leaves,
     # leaving m^2(p-3) - 2*m*rho delta-lines (here zero).
-    assert model73.params.rho == 6
+    assert model73.params.m * model73.params.s == 6
     assert model73.census() == {
         "Fm": 1, "LXYZ": 9, "Chain": 126, "Lgamma": 18, "LgammaLeaf": 126, "Ldelta": 0,
     }
