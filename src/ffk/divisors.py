@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
+from math import lcm
 
 from .bounds import q_np
 from .errors import MathContractError
@@ -24,6 +26,7 @@ from .fiber import (
     canonical_pair,
     pair,
     pair_component,
+    pairing_divisor,
 )
 from .model import FermatLabel, FermatModel, FermatParams
 
@@ -75,37 +78,35 @@ def v_divisor(model: FermatModel, cid: int) -> QDivisor:
     """The representative V_D for component D, gauged by its Fm coefficient.
 
     Satisfies (V_D . C) = a_C/(2g-2) - delta_{D,C}/d_D exactly, for every C.
+    Built as integer numerators over lcm(2g-2, 2N, r m), r = j for Chain(j,k,i).
     """
     params = model.params
     p, m, n = params.p, params.m, params.n
     lab: FermatLabel = model.config.component(cid).label
-    coeffs = {model.fm: Fraction(p - 2, 2 * params.genus - 2)}
+    two_g2 = 2 * params.genus - 2
+    r = lab.j if lab.kind == "Chain" else 1
+    den = lcm(two_g2, 2 * n, r * m)
+    num = {model.fm: (p - 2) * (den // two_g2)}
     if lab.kind == "Fm":
         pass
     elif lab.kind == "Ldelta":
-        coeffs[cid] = Fraction(1, p)
+        num[cid] = den // p
     elif lab.kind in ("Lgamma", "LgammaLeaf"):
-        i = lab.i
-        coeffs[model.lgamma(i)] = Fraction(1, p)
-        for j in range(1, p + 1):
-            coeffs[model.leaf(j, i)] = Fraction(1, 2 * p)
+        num[model.lgamma(lab.i)] = den // p
+        num.update(dict.fromkeys(model.leaves(lab.i), den // (2 * p)))
         if lab.kind == "LgammaLeaf":
-            coeffs[cid] = coeffs[cid] + Fraction(1, 2)
+            num[cid] += den // 2
     elif lab.kind in ("LXYZ", "Chain"):
-        i = lab.i
-        coeffs[model.lxyz(i)] = Fraction(1, p)
-        for j in range(1, m):
-            for k in range(1, p + 1):
-                coeffs[model.chain(j, k, i)] = Fraction(j, n)
+        num[model.lxyz(lab.i)] = den // p
+        arm = model.chain_arm(lab.i)
+        num.update(zip(arm, cycle([j * (den // n) for j in range(1, m)])))  # Chain(j,k,i): j/N
         if lab.kind == "Chain":
-            r, kk = lab.j, lab.k
-            for j in range(1, r):
-                coeffs[model.chain(j, kk, i)] += Fraction(j * (m - r), r * m)
-            for j in range(r, m):
-                coeffs[model.chain(j, kk, i)] += Fraction(m - j, m)
+            kk = lab.k
+            for j, c in enumerate(arm[(kk - 1) * (m - 1):kk * (m - 1)], 1):
+                num[c] += j * (m - r) * (den // (r * m)) if j < r else (m - j) * (den // m)
     else:  # pragma: no cover
         raise MathContractError(f"unknown component kind {lab.kind}")
-    return QDivisor(coeffs)
+    return QDivisor.from_numerators(num, den)
 
 
 def v_self_closed(model: FermatModel, cid: int) -> Fraction:
@@ -192,49 +193,66 @@ def u_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
     leaf components. See u_s_probe for the printed alternatives.
     """
     params = model.params
-    ln = lambda_nu(params)
-    fpi = model.config.fiber_divisor()
-    x = fpi.scale(2 * ln.total) + QDivisor.single(model.fm, params.p * ln.total)
-    return x - v_s(model, cusp).scale(2)
+    x = model.config.fiber_divisor().scale(2) + QDivisor.single(model.fm, params.p)
+    return x.scale(lambda_nu(params).total) - v_s(model, cusp).scale(2)
 
 
 def _semipositivity(model: FermatModel, us: QDivisor, cusp: tuple[int, int]):
-    """Values a_C + 2(S.C) - (U.C) per component, for a given divisor U."""
+    """Numerators of a_C + 2(S.C) - (U.C) by component id, and their common denominator."""
     config = model.config
     target = model.cusp(*cusp).target
-    out = []
-    for c in config.components:
-        val = (
-            a_number(config, c.cid)
-            + 2 * (1 if c.cid == target else 0)
-            - pair_component(config, us, c.cid)
-        )
-        out.append((c.cid, val))
-    return out
+    prof = pairing_divisor(config, us)
+    den, get = prof.denominator, prof.numerators().get
+    vals = [
+        (a_number(config, c.cid) + 2 * (c.cid == target)) * den - get(c.cid, 0)
+        for c in config.components
+    ]
+    return vals, den
 
 
 def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
     """Values a_C + 2(S.C) - (U_S.C) per component; all must be >= 0."""
-    return _semipositivity(model, u_s(model, cusp), cusp)
+    vals, den = _semipositivity(model, u_s(model, cusp), cusp)
+    return [(cid, Fraction(v, den)) for cid, v in enumerate(vals)]
+
+
+def _square_and_canonical(config, vs: QDivisor, us: QDivisor) -> tuple[Fraction, Fraction]:
+    """(2V_S + U)^2 and (K . U)."""
+    x = vs.scale(2) + us
+    return pair(config, x, x), canonical_pair(config, us)
+
+
+def u_s_values(
+    model: FermatModel, vs: QDivisor, us: QDivisor, cusp: tuple[int, int]
+) -> tuple[Fraction, Fraction, Fraction]:
+    """(2V_S + U)^2, (K . U) and min_C a_C + 2(S.C) - (U.C) for a divisor U, given V_S."""
+    vals, den = _semipositivity(model, us, cusp)
+    return (*_square_and_canonical(model.config, vs, us), Fraction(min(vals), den))
 
 
 def u_s_identities(
-    model: FermatModel, vs: QDivisor, us: QDivisor, cusp: tuple[int, int]
+    params: FermatParams, values: tuple[Fraction, Fraction, Fraction]
 ) -> tuple[bool, bool, Fraction]:
-    """Evaluate a divisor U against the identities stated for U_S, given V_S.
+    """Judge u_s_values against the identities stated for U_S.
 
     Returns whether (2V_S + U)^2 = -(N(lambda+nu))^2, whether
-    (K . U) = (2m-3) N (lambda+nu), and min_C a_C + 2(S.C) - (U.C).
+    (K . U) = (2m-3) N (lambda+nu), and the semipositivity minimum.
     """
-    params = model.params
-    config = model.config
+    square, canonical, semi = values
     b = params.n * lambda_nu(params).total
-    x = vs.scale(2) + us
-    return (
-        pair(config, x, x) == -b * b,
-        canonical_pair(config, us) == (2 * params.m - 3) * b,
-        min(v for _, v in _semipositivity(model, us, cusp)),
-    )
+    return square == -b * b, canonical == (2 * params.m - 3) * b, semi
+
+
+def beta_graph(params: FermatParams, square: Fraction, canonical: Fraction) -> Fraction:
+    """(1-g)/g (2V_S+U_S)^2 + 2 (K . U_S), asserted equal to beta_closed."""
+    g = params.genus
+    graph = Fraction(1 - g, g) * square + 2 * canonical
+    closed = beta_closed(params)
+    if graph != closed:
+        raise MathContractError(
+            f"beta_S mismatch: graph {graph}, closed form {closed}"
+        )
+    return graph
 
 
 def beta_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:
@@ -243,20 +261,8 @@ def beta_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:
     Computed from the graph as (1-g)/g (2V_S+U_S)^2 + 2 (K . U_S) and from
     beta_closed; both must agree exactly.
     """
-    params = model.params
-    g = params.genus
-    vs = v_s(model, cusp)
-    us = u_s(model, cusp)
-    x = vs.scale(2) + us
-    graph = Fraction(1 - g, g) * pair(model.config, x, x) + 2 * canonical_pair(
-        model.config, us
-    )
-    closed = beta_closed(params)
-    if graph != closed:
-        raise MathContractError(
-            f"beta_S mismatch: graph {graph}, closed form {closed}"
-        )
-    return graph
+    vs, us = v_s(model, cusp), u_s(model, cusp)
+    return beta_graph(model.params, *_square_and_canonical(model.config, vs, us))
 
 
 def per_prime_geometric(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:
@@ -311,10 +317,16 @@ def u_s_candidates(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> dict[s
                     val -= Fraction(2 * (m - j), m)
             expansion[c.cid] = val
 
+    # (V_C . V_S) is a dot product with V_S's pairing profile, taken once; V_C^2
+    # follows from the representative relation (V_C . D) = a_D/(2g-2) - delta_{C,D}/d_C,
+    # which suite_divisor checks for every pair (C, D)
+    vs_profile = pairing_divisor(config, vs)
+    two_g2 = 2 * params.genus - 2
     weighted: dict[int, Fraction] = {}
     for c in config.components:
         vc = v_divisor(model, c.cid)
-        t = 2 * pair(config, vc, vs) - pair(config, vc, vc)
+        vc_sq = canonical_pair(config, vc) / two_g2 - vc.coeff(c.cid) / c.multiplicity
+        t = 2 * vc.dot(vs_profile) - vc_sq
         if t:
             weighted[c.cid] = c.multiplicity * t
 
@@ -337,7 +349,7 @@ def u_s_probe(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> list[CheckR
     deltas = [c.cid for c in config.components if c.label.kind == "Ldelta"]
     results = []
     for name, cand in u_s_candidates(model, cusp).items():
-        sq_ok, ku_ok, semi = u_s_identities(model, vs, cand, cusp)
+        sq_ok, ku_ok, semi = u_s_identities(model.params, u_s_values(model, vs, cand, cusp))
         ld = pair_component(config, cand, deltas[0]) if deltas else None
         results.append(
             CheckResult(

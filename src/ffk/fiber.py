@@ -10,7 +10,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import floordiv, itemgetter, mul
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from .errors import CapExceeded, MathContractError, NoSolutionError, ParameterError
@@ -68,57 +71,89 @@ class CheckResult:
 
 
 class QDivisor:
-    """Vertical Q-divisor: finite map from component id to a rational coefficient.
+    """Vertical Q-divisor: integer numerators over one shared positive denominator.
 
-    Zero coefficients are dropped on construction, so equality is structural.
+    The form is normal: zero numerators are dropped and the denominator is the
+    least one that makes every numerator an integer, so equality is
+    structural. `Fraction`s are made only at the boundary (`coeff`, `items`,
+    `repr`, `dot`); integer code reads `numerators()` and `denominator`.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self._c = {
-            cid: v if isinstance(v, Fraction) else Fraction(v) for cid, v in items if v != 0
-        }
+        vals = {cid: Fraction(v) for cid, v in dict(coeffs).items() if v != 0}
+        den = lcm(*(v.denominator for v in vals.values()))
+        self._num = {cid: v.numerator * (den // v.denominator) for cid, v in vals.items()}
+        self._den = den
 
     @classmethod
-    def zero(cls) -> "QDivisor":
-        return cls()
+    def from_numerators(cls, num: Mapping[int, int], den: int) -> "QDivisor":
+        """The divisor sum num[C]/den C, for integers num[C] and den > 0."""
+        num = dict(filter(itemgetter(1), num.items()))
+        g = gcd(den, *num.values())
+        out = cls.__new__(cls)
+        out._num = dict(zip(num, map(floordiv, num.values(), repeat(g)))) if g > 1 else num
+        out._den = den // g
+        return out
 
     @classmethod
     def single(cls, cid: int, coeff=1) -> "QDivisor":
-        return cls({cid: Fraction(coeff)})
+        return cls({cid: coeff})
+
+    @property
+    def denominator(self) -> int:
+        return self._den
+
+    def numerators(self) -> Mapping[int, int]:
+        """Read-only view of the integer numerators, keyed by component id."""
+        return MappingProxyType(self._num)
 
     def coeff(self, cid: int) -> Fraction:
-        return self._c.get(cid, Fraction(0))
+        return Fraction(self._num.get(cid, 0), self._den)
 
-    def items(self):
-        return self._c.items()
+    def items(self) -> list[tuple[int, Fraction]]:
+        den = self._den
+        return [(cid, Fraction(v, den)) for cid, v in self._num.items()]
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QDivisor) and self._c == other._c
+        return isinstance(other, QDivisor) and self._den == other._den and self._num == other._num
+
+    def _combine(self, other: "QDivisor", sign: int) -> "QDivisor":
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        out = dict(zip(self._num, map(mul, self._num.values(), repeat(a))))
+        get = out.get
+        for cid, v in other._num.items():
+            out[cid] = get(cid, 0) + v * b
+        return QDivisor.from_numerators(out, den)
 
     def __add__(self, other: "QDivisor") -> "QDivisor":
-        out = dict(self._c)
-        for cid, v in other._c.items():
-            out[cid] = out.get(cid, Fraction(0)) + v
-        return QDivisor(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "QDivisor") -> "QDivisor":
-        return self + other.scale(-1)
+        return self._combine(other, -1)
 
     def scale(self, k) -> "QDivisor":
         k = Fraction(k)
-        return QDivisor({cid: v * k for cid, v in self._c.items()})
+        return QDivisor.from_numerators(
+            {cid: v * k.numerator for cid, v in self._num.items()}, self._den * k.denominator
+        )
+
+    def dot(self, other: "QDivisor") -> Fraction:
+        """sum_C (coefficient in self) (coefficient in other), over the support of self."""
+        b = other._num
+        return Fraction(sum(v * b[cid] for cid, v in self._num.items() if cid in b),
+                        self._den * other._den)
 
     def is_effective_integral(self) -> bool:
-        return all(v.denominator == 1 and v > 0 for v in self._c.values())
+        return self._den == 1 and all(v > 0 for v in self._num.values())
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{cid}: {v}" for cid, v in sorted(self._c.items()))
+        inner = ", ".join(f"{cid}: {v}" for cid, v in sorted(self.items()))
         return f"QDivisor({{{inner}}})"
 
 
@@ -171,7 +206,7 @@ class FiberConfig:
         return self.neighbors(a).get(b, 0)
 
     def fiber_divisor(self) -> QDivisor:
-        return QDivisor({c.cid: Fraction(c.multiplicity) for c in self.components})
+        return QDivisor.from_numerators({c.cid: c.multiplicity for c in self.components}, 1)
 
     def edges(self):
         """((a, b), count) for every edge, with a < b."""
@@ -184,39 +219,61 @@ class FiberConfig:
 # ---------------------------------------------------------------------------
 
 
-def pair_component(config: FiberConfig, D: QDivisor, cid: int) -> Fraction:
-    """(D . C) for a single component C."""
-    comp = config.component(cid)
-    total = D.coeff(cid) * comp.self_int
-    for nbr, cnt in config.neighbors(cid).items():
-        v = D.coeff(nbr)
-        if v:
-            total += v * cnt
-    return total
+def _spread(config: FiberConfig, num: Mapping[int, int], onto: Mapping[int, int] | None = None):
+    """{C: den * (D . C)} for every C that D meets, or only for the C in `onto`.
+
+    `num` holds D's numerators over den. Each component of D's support hands
+    its pairing to its neighbours and to itself; a component with more
+    neighbours than `onto` has entries (the hub Fm against a small divisor)
+    looks up its adjacency for the entries of `onto` instead.
+    """
+    comps = config.components
+    out: dict[int, int] = {}
+    get = out.get
+    for c, v in num.items():
+        adj = config.neighbors(c)
+        if onto is None:
+            hits = adj.items()
+        elif len(adj) > len(onto):
+            hits = [(x, adj[x]) for x in onto if x in adj]
+        else:
+            hits = [(x, cnt) for x, cnt in adj.items() if x in onto]
+        for x, cnt in hits:
+            out[x] = get(x, 0) + v * cnt
+        if onto is None or c in onto:
+            out[c] = get(c, 0) + v * comps[c].self_int
+    return out
 
 
 def pair(config: FiberConfig, D: QDivisor, E: QDivisor) -> Fraction:
-    """Bilinear extension of the component pairing; symmetric in D, E."""
-    if len(D._c) > len(E._c):
+    """Bilinear extension of the component pairing; symmetric in D, E.
+
+    Spreads the smaller support onto the larger one in integers and divides once.
+    """
+    if len(D._num) > len(E._num):
         D, E = E, D
-    total = Fraction(0)
-    for cid, v in D.items():
-        total += v * pair_component(config, E, cid)
-    return total
+    e = E._num
+    total = sum(e[x] * t for x, t in _spread(config, D._num, e).items())
+    return Fraction(total, D._den * E._den)
 
 
-def pair_profile(config: FiberConfig, D: QDivisor) -> dict[int, Fraction]:
-    """All nonzero values of (D . C), keyed by component id.
+def pair_component(config: FiberConfig, D: QDivisor, cid: int) -> Fraction:
+    """(D . C) for a single component C."""
+    d = D._num
+    return Fraction(sum(d[x] * t for x, t in _spread(config, {cid: 1}, d).items()), D._den)
+
+
+def pairing_divisor(config: FiberConfig, D: QDivisor) -> QDivisor:
+    """sum_C (D . C) C: the pairing of D with every component, as a divisor.
 
     Sparse: touches only the support of D and its graph neighborhood.
     """
-    out: dict[int, Fraction] = {}
-    for cid, v in D.items():
-        c = config.component(cid)
-        out[cid] = out.get(cid, Fraction(0)) + v * c.self_int
-        for nbr, cnt in config.neighbors(cid).items():
-            out[nbr] = out.get(nbr, Fraction(0)) + v * cnt
-    return {cid: v for cid, v in out.items() if v != 0}
+    return QDivisor.from_numerators(_spread(config, D._num), D._den)
+
+
+def pair_profile(config: FiberConfig, D: QDivisor) -> dict[int, Fraction]:
+    """All nonzero values of (D . C), keyed by component id."""
+    return dict(pairing_divisor(config, D).items())
 
 
 def i_c(config: FiberConfig, cid: int) -> int:
@@ -244,7 +301,8 @@ def a_number(config: FiberConfig, cid: int) -> int:
 
 def canonical_pair(config: FiberConfig, D: QDivisor) -> Fraction:
     """(K . D) via adjunction, without constructing a canonical divisor."""
-    return sum((v * a_number(config, cid) for cid, v in D.items()), Fraction(0))
+    total = sum(v * a_number(config, cid) for cid, v in D._num.items())
+    return Fraction(total, D._den)
 
 
 def p_a_divisor(config: FiberConfig, D: QDivisor) -> Fraction:
@@ -286,9 +344,7 @@ def validate(config: FiberConfig) -> list[CheckResult]:
     gauge_val = Fraction(config.component(gauge_cid).multiplicity)
     try:
         hom = solve_gauge(config, {}, (gauge_cid, gauge_val))
-        kernel_ok = all(
-            hom.coeff(c.cid) == c.multiplicity for c in config.components
-        )
+        kernel_ok = hom == config.fiber_divisor()
         detail = "" if kernel_ok else "homogeneous solution is not the multiplicity vector"
     except (NoSolutionError, MathContractError) as exc:
         kernel_ok, detail = False, str(exc)
@@ -322,7 +378,8 @@ class GaugeSolver:
     that subtree. A solve is one post-order pass for the F_C and one
     pre-order pass for the y_C, both in integers scaled by den * K, where
     den clears the denominators of the targets and the gauge value and K is
-    the lcm of d_gauge and the edge weights e d_C d_P.
+    the lcm of d_gauge and the edge weights e d_C d_P. The scaled vector
+    d_C y_C becomes the returned QDivisor's numerators over den * K.
 
     Factoring checks, in integers, that the graph is connected, has n - 1
     edges and satisfies fiber orthogonality; a config that fails any of the
@@ -363,41 +420,45 @@ class GaugeSolver:
         self._mult = mult
         self._scale = scale
         self._root_step = scale // root.multiplicity
-        # (component, parent, K // (e d_C d_P)) in BFS order, root excluded
-        self._edges = [(cid, parent[cid], scale // w) for cid, w in zip(order[1:], weights)]
+        # component, parent and K // (e d_C d_P), in BFS order, root excluded
+        self._below = order[1:]
+        self._parents = [parent[cid] for cid in order[1:]]
+        self._steps = [scale // w for w in weights]
 
-    def solve(self, targets: Mapping[int, Fraction], gauge_val) -> QDivisor:
+    def solve(self, targets: QDivisor | Mapping[int, Fraction], gauge_val) -> QDivisor:
+        """The V with (V . C) = targets[C] for every C and gauge coefficient gauge_val."""
         config = self.config
         mult = self._mult
-        t = {cid: Fraction(v) for cid, v in targets.items() if v != 0}
-        for cid in t:
-            config.component(cid)
+        t = targets if isinstance(targets, QDivisor) else QDivisor(targets)
         gauge = Fraction(gauge_val)
-        den = lcm(gauge.denominator, *(v.denominator for v in t.values()))
+        den = lcm(gauge.denominator, t._den)
+        k = den // t._den
+        num = t._num
+        for cid in (min(num, default=0), max(num, default=0)):
+            config.component(cid)
         sub = [0] * len(mult)  # den * d_C t_C, then den * F_C
-        for cid, v in t.items():
-            sub[cid] = mult[cid] * v.numerator * (den // v.denominator)
+        for cid, v in num.items():
+            sub[cid] = mult[cid] * v * k
         compat = sum(sub)
         if compat:
             raise NoSolutionError(
                 "no solution: targets are not orthogonal to the fiber "
                 f"(sum d_C t_C = {Fraction(compat, den)})"
             )
-        edges = self._edges
-        for cid, par, _ in reversed(edges):
+        below, parents = self._below, self._parents
+        for cid, par in zip(reversed(below), reversed(parents)):
             sub[par] += sub[cid]
         y = [0] * len(mult)  # den * K * y_C
         y[self.gauge_cid] = gauge.numerator * (den // gauge.denominator) * self._root_step
-        for cid, par, step in edges:
+        for cid, par, step in zip(below, parents, self._steps):
             y[cid] = y[par] - sub[cid] * step
-        total = den * self._scale
-        return QDivisor({cid: Fraction(d * yc, total)
-                         for cid, (d, yc) in enumerate(zip(mult, y)) if yc})
+        coeffs = {cid: mult[cid] * y[cid] for cid in compress(range(len(y)), y)}
+        return QDivisor.from_numerators(coeffs, den * self._scale)
 
 
 def solve_gauge(
     config: FiberConfig,
-    targets: Mapping[int, Fraction],
+    targets: QDivisor | Mapping[int, Fraction],
     gauge: tuple[int, Fraction],
 ) -> QDivisor:
     """Solve (V . C) = targets[C] for all C, with one coefficient pinned.

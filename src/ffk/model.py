@@ -122,11 +122,24 @@ class FermatModel:
     def chain(self, j: int, k: int, i: int) -> int:
         return self.cid(FermatLabel("Chain", i=i, k=k, j=j))
 
+    def chain_arm(self, i: int) -> range:
+        """Ids of every Chain(j, k, i) for this i; Chain(j, k, i) is at offset (k-1)(m-1) + j-1.
+
+        Ids follow the label order (kind, i, k, j), so the arm is one contiguous run.
+        """
+        first = self.chain(1, 1, i)
+        return range(first, first + self.params.p * (self.params.m - 1))
+
     def lgamma(self, i: int) -> int:
         return self.cid(FermatLabel("Lgamma", i=i))
 
     def leaf(self, j: int, i: int) -> int:
         return self.cid(FermatLabel("LgammaLeaf", i=i, j=j))
+
+    def leaves(self, i: int) -> range:
+        """Ids of LgammaLeaf(j, i) for j = 1..p, contiguous by the label order."""
+        first = self.leaf(1, i)
+        return range(first, first + self.params.p)
 
     def ldelta(self, i: int) -> int:
         return self.cid(FermatLabel("Ldelta", i=i))

@@ -20,6 +20,7 @@ from .fiber import (
     p_a_divisor,
     pair,
     pair_profile,
+    pairing_divisor,
     validate,
 )
 from .model import (
@@ -168,25 +169,25 @@ def suite_fiber(models: list[FermatModel] | None = None) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _relation_targets(model: FermatModel):
+    """(D, sum_C ((V_D . C) as the relation demands) C) for every component D.
+
+    The relation is (V_D . C) = a_C/(2g-2) - delta_{D,C}/d_D.
+    """
+    config = model.config
+    base = QDivisor.from_numerators(
+        {c.cid: a_number(config, c.cid) for c in config.components},
+        2 * model.params.genus - 2,
+    )
+    for d in config.components:
+        yield d, base - QDivisor.single(d.cid, Fraction(1, d.multiplicity))
+
+
 def representative_relation_full(model: FermatModel) -> CheckResult:
     """(V_D . C) = a_C/(2g-2) - delta_{D,C}/d_D for every ordered pair (D, C)."""
     config = model.config
-    two_g2 = 2 * model.params.genus - 2
-    base = {
-        c.cid: Fraction(a_number(config, c.cid), two_g2)
-        for c in config.components
-        if a_number(config, c.cid) != 0
-    }
-    for d in config.components:
-        vd = divisors.v_divisor(model, d.cid)
-        prof = pair_profile(config, vd)
-        want = dict(base)
-        corr = want.get(d.cid, Fraction(0)) - Fraction(1, d.multiplicity)
-        if corr:
-            want[d.cid] = corr
-        else:
-            want.pop(d.cid, None)
-        if prof != want:
+    for d, want in _relation_targets(model):
+        if pairing_divisor(config, divisors.v_divisor(model, d.cid)) != want:
             return CheckResult(
                 "representative pairing relation (all pairs)",
                 False,
@@ -197,16 +198,10 @@ def representative_relation_full(model: FermatModel) -> CheckResult:
 
 def gauge_reproduction(model: FermatModel) -> CheckResult:
     """solve_gauge with the relation targets reproduces every representative."""
-    config = model.config
-    two_g2 = 2 * model.params.genus - 2
-    gauge_val = Fraction(model.params.p - 2, two_g2)
-    solver = GaugeSolver(config, model.fm)
-    base = {c.cid: Fraction(a_number(config, c.cid), two_g2) for c in config.components}
-    for d in config.components:
-        targets = dict(base)
-        targets[d.cid] = targets[d.cid] - Fraction(1, d.multiplicity)
-        got = solver.solve(targets, gauge_val)
-        if got != divisors.v_divisor(model, d.cid):
+    gauge_val = Fraction(model.params.p - 2, 2 * model.params.genus - 2)
+    solver = GaugeSolver(model.config, model.fm)
+    for d, targets in _relation_targets(model):
+        if solver.solve(targets, gauge_val) != divisors.v_divisor(model, d.cid):
             return CheckResult(
                 "gauged solver reproduces representatives",
                 False,
@@ -250,8 +245,13 @@ def suite_beta(models: list[FermatModel] | None = None) -> list[CheckResult]:
         config = model.config
         cusps = [(1, 1), (2, 3), (3, p)]
 
+        # (2V_S+U_S)^2 and (K . U_S) feed both the beta check and the identity checks
+        values = [
+            divisors.u_s_values(model, divisors.v_s(model, c), divisors.u_s(model, c), c)
+            for c in cusps
+        ]
         try:
-            betas = [divisors.beta_s(model, c) for c in cusps]
+            betas = [divisors.beta_graph(params, sq, canonical) for sq, canonical, _ in values]
             beta_ok = len(set(betas)) == 1
             detail = ""
         except MathContractError as exc:
@@ -268,28 +268,22 @@ def suite_beta(models: list[FermatModel] | None = None) -> list[CheckResult]:
                 )
             )
 
-        gs_vals = [
-            pair(config, divisors.g_s(model, c), divisors.g_s(model, c)) for c in cusps
-        ]
+        g_ss = [divisors.g_s(model, c) for c in cusps]
         want_gs = -Fraction(n - p + 1, n)
         out.append(
             CheckResult(
                 f"G_S^2 = -(N-p+1)/N, all cusps {tag}",
-                all(v == want_gs for v in gs_vals),
+                all(pair(config, gs, gs) == want_gs for gs in g_ss),
             )
         )
 
-        squares, canonicals, minima = zip(*(
-            divisors.u_s_identities(model, divisors.v_s(model, c), divisors.u_s(model, c), c)
-            for c in cusps
-        ))
+        squares, canonicals, minima = zip(*(divisors.u_s_identities(params, v) for v in values))
         out.append(CheckResult(f"square identity for 2V_S+U_S {tag}", all(squares)))
         out.append(CheckResult(f"canonical pairing of U_S {tag}", all(canonicals)))
         out.append(CheckResult(f"semipositivity at every component {tag}", min(minima) >= 0))
 
         es_ok = True
-        for c in cusps:
-            gs = divisors.g_s(model, c)
+        for c, gs in zip(cusps, g_ss):
             prof = pair_profile(config, gs)
             want = {model.fm: Fraction(1, p), model.cusp(*c).target: Fraction(-1)}
             es_ok &= prof == want

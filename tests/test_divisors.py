@@ -220,6 +220,28 @@ def test_u_s_probe_reports(model53):
     assert not results["u_s[weighted-vc]"].passed
 
 
+def test_u_s_probe_makes_a_fixed_number_of_pairing_calls(models, monkeypatch):
+    # the weighted-vc candidate pairs through one profile of V_S, not 2 calls per component
+    import ffk.divisors
+
+    calls = []
+    for name in ("pair", "pair_profile", "pairing_divisor", "pair_component"):
+        orig = getattr(ffk.divisors, name, None)
+        if orig is not None:
+            def counted(*args, _orig=orig, _name=name):
+                calls.append(_name)
+                return _orig(*args)
+
+            monkeypatch.setattr(ffk.divisors, name, counted)
+    counts = []
+    for pm in ((5, 3), (5, 7)):
+        calls.clear()
+        u_s_probe(models[pm])
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 12
+    assert counts[0] < models[(5, 3)].config.n_components
+
+
 def test_chain_divisor_high_r():
     # r >= 2 representatives still satisfy the defining relation
     model = build_config(3, 7)

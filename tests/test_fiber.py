@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -65,9 +65,49 @@ def test_qdivisor_coefficients():
     third = Fraction(1, 3)
     D = QDivisor({0: third, 1: 2, 2: 0, 3: Fraction(0)})
     assert dict(D.items()) == {0: third, 1: Fraction(2)}
-    assert D.coeff(0) is third  # a Fraction is stored as given
+    assert D.denominator == 3 and dict(D.numerators()) == {0: 1, 1: 6}  # least shared denominator
     assert type(D.coeff(1)) is Fraction
     assert D == QDivisor({0: third, 1: Fraction(2)})
+
+
+COEFFS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+def _reference(coeffs):
+    """The plain dict[int, Fraction] a QDivisor stands for."""
+    return {cid: Fraction(v) for cid, v in coeffs.items() if v != 0}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_qdivisor_matches_fraction_dict_reference(data):
+    sparse = st.dictionaries(st.integers(min_value=0, max_value=9), COEFFS, max_size=7)
+    a, b = data.draw(sparse), data.draw(sparse)
+    k = data.draw(COEFFS)
+    A, B = QDivisor(a), QDivisor(b)
+    ra, rb = _reference(a), _reference(b)
+
+    assert dict(A.items()) == ra
+    assert all(A.coeff(cid) == ra.get(cid, 0) for cid in range(-1, 11))
+    both = ra.keys() | rb.keys()
+    assert dict((A + B).items()) == _reference({c: ra.get(c, 0) + rb.get(c, 0) for c in both})
+    assert dict((A - B).items()) == _reference({c: ra.get(c, 0) - rb.get(c, 0) for c in both})
+    assert dict(A.scale(k).items()) == _reference({c: v * k for c, v in ra.items()})
+
+    # normal form: the least denominator, so equal divisors are equal structurally
+    assert A.denominator == lcm(*(v.denominator for v in ra.values()))
+    assert gcd(A.denominator, *A.numerators().values()) == 1
+    if k:
+        assert A.scale(k).scale(1 / k) == A
+    assert (A + B) - B == A
+    assert QDivisor(list(a.items())[::-1]) == A
+    order = data.draw(st.permutations(sorted(ra)))
+    built = QDivisor()
+    for cid in order:
+        built = built + QDivisor.single(cid, ra[cid])
+    assert built == A
+    assert QDivisor.from_numerators({c: 6 * v for c, v in A.numerators().items()},
+                                    6 * A.denominator) == A
 
 
 def test_pair_fiber_orthogonality(model53):
@@ -135,7 +175,7 @@ def test_canonical_pair_fiber(model53):
     cfg = model53.config
     g = model53.params.genus
     assert canonical_pair(cfg, cfg.fiber_divisor()) == 2 * g - 2
-    assert canonical_pair(cfg, QDivisor.zero()) == 0
+    assert canonical_pair(cfg, QDivisor()) == 0
 
 
 def test_adjunction_sum(models):
@@ -152,7 +192,7 @@ def test_p_a_divisor(model53):
     assert p_a_divisor(cfg, chain) == 0
     assert p_a_divisor(cfg, QDivisor.single(model53.fm)) == 1  # (m-1)(m-2)/2 for m=3
     with pytest.raises(ParameterError):
-        p_a_divisor(cfg, QDivisor.zero())
+        p_a_divisor(cfg, QDivisor())
     with pytest.raises(ParameterError):
         p_a_divisor(cfg, QDivisor.single(model53.fm, Fraction(1, 2)))
 
@@ -201,7 +241,7 @@ def test_validate_detects_dropped_adjacency(model53):
 
 def test_solve_gauge_zero(model53):
     got = solve_gauge(model53.config, {}, (model53.fm, Fraction(0)))
-    assert got == QDivisor.zero()
+    assert got == QDivisor()
 
 
 def test_solve_gauge_kernel_multiple(model53):
@@ -273,6 +313,23 @@ def test_solve_gauge_matches_dense_oracle_on_random_trees(cfg, data):
     targets[fix] = -Fraction(rest) / cfg.component(fix).multiplicity
     gauge = (data.draw(st.integers(min_value=0, max_value=n - 1)), data.draw(coeff))
     assert solve_gauge(cfg, targets, gauge) == dense_solve_oracle(cfg, targets, gauge)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthogonal_trees(), st.data())
+def test_pairing_kernels_match_dense_pairing_on_random_trees(cfg, data):
+    n = cfg.n_components
+    sparse = st.dictionaries(st.integers(min_value=0, max_value=n - 1), COEFFS, max_size=n)
+    D, E, F = (QDivisor(data.draw(sparse)) for _ in range(3))
+    t = data.draw(COEFFS)
+    matrix = [[cfg.pair_cc(i, j) for j in range(n)] for i in range(n)]
+    dense = [sum(D.coeff(i) * matrix[i][j] for i in range(n)) for j in range(n)]
+
+    assert pair_profile(cfg, D) == {j: v for j, v in enumerate(dense) if v}
+    assert [pair_component(cfg, D, j) for j in range(n)] == dense
+    assert pair(cfg, D, E) == sum(E.coeff(j) * dense[j] for j in range(n))
+    assert pair(cfg, D, E) == pair(cfg, E, D)
+    assert pair(cfg, D + E.scale(t), F) == pair(cfg, D, F) + t * pair(cfg, E, F)
 
 
 def _small_config(comps, edges):
