@@ -8,6 +8,7 @@ consumer can re-evaluate the exact data at arbitrary precision.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,13 +40,18 @@ def euler_phi(primes: list[int]) -> int:
     return out
 
 
-def q_np(n: int, p: int) -> Fraction:
-    """Exact per-prime geometric coefficient Q(N, p)."""
+def _q_parts(n: int, p: int) -> tuple[int, int]:
+    """Numerator and denominator of Q(N, p), not reduced."""
     m = n // p
-    return Fraction(
+    return (
         3 * n * n - 2 * n * p - 10 * n + 6 * p - 6 - 4 * m * m + 12 * m,
         n * (n - 3),
     )
+
+
+def q_np(n: int, p: int) -> Fraction:
+    """Exact per-prime geometric coefficient Q(N, p)."""
+    return Fraction(*_q_parts(n, p))
 
 
 def alpha(n: int, p: int) -> int:
@@ -62,15 +68,36 @@ def alpha(n: int, p: int) -> int:
     )
 
 
+def _beta_parts(n: int, p: int) -> tuple[int, int]:
+    """Numerator and denominator of beta_{S,p}, not reduced."""
+    return (
+        alpha(n, p) * (n * p + 2 * n - 6 * p) * (p - 2),
+        (n - 1) * (n - 2) * (n - 3) ** 3 * p**4,
+    )
+
+
 def beta_sp_closed(n: int, p: int) -> Fraction:
     """Per-prime lower-bound quantity in closed form."""
-    num = alpha(n, p) * (n * p + 2 * n - 6 * p) * (p - 2)
-    den = (n - 1) * (n - 2) * (n - 3) ** 3 * p**4
-    return Fraction(num, den)
+    return Fraction(*_beta_parts(n, p))
 
 
-def _geometric_terms(n: int, primes: list[int], phi: int) -> list[tuple[int, Fraction]]:
-    return [(p, Fraction(phi, p - 1) * q_np(n, p)) for p in primes]
+def _per_prime(n: int, primes: list[int], phi: int) -> tuple[list[tuple[int, Fraction]], float]:
+    """Exact coefficients phi/(p-1) Q(N,p) of log p, and the float64 lower bound
+    phi sum_p beta_{S,p}/(p-1) log p.
+
+    N is squarefree, so k = phi/(p-1) is an integer: each coefficient is one
+    Fraction, and each lower-bound term is the true division k num / den, which
+    rounds correctly, so it is the same float as float(Fraction(k num, den)).
+    """
+    terms = []
+    lower = []
+    for p in primes:
+        k = phi // (p - 1)
+        num, den = _q_parts(n, p)
+        terms.append((p, Fraction(k * num, den)))
+        num, den = _beta_parts(n, p)
+        lower.append(k * num / den * math.log(p))
+    return terms, math.fsum(lower)
 
 
 def _log_sum(terms) -> float:
@@ -78,12 +105,15 @@ def _log_sum(terms) -> float:
     return math.fsum(float(c) * math.log(p) for p, c in terms)
 
 
-def _lower(n: int, primes: list[int], phi: int) -> float:
-    return _log_sum((p, Fraction(phi, p - 1) * beta_sp_closed(n, p)) for p in primes)
-
-
 def _simple(n: int, phi: int) -> float:
     return phi * math.log(n) / (5 * n * n)
+
+
+def _check_strict(n: int, lower: float, simple: float) -> None:
+    if not lower > simple:
+        raise MathContractError(
+            f"lower-bound inequality fails at N={n}: {lower} <= {simple}"
+        )
 
 
 def _upper(n: int, phi: int, geo: float, kappa1: float, kappa2: float) -> float:
@@ -99,7 +129,7 @@ def _mertens(primes: list[int]) -> float:
 def geometric_contribution(n: int) -> tuple[list[tuple[int, Fraction]], float]:
     """Per-prime exact coefficients of log p, plus their float64 assembly."""
     primes = factor_odd_squarefree(n)
-    terms = _geometric_terms(n, primes, euler_phi(primes))
+    terms, _ = _per_prime(n, primes, euler_phi(primes))
     return terms, _log_sum(terms)
 
 
@@ -107,13 +137,15 @@ def upper_bound(n: int, kappa1: float, kappa2: float) -> float:
     """Conditional upper bound (2g-2)(phi(N)(k1 log N + k2) + geometric term)."""
     primes = factor_odd_squarefree(n)
     phi = euler_phi(primes)
-    return _upper(n, phi, _log_sum(_geometric_terms(n, primes, phi)), kappa1, kappa2)
+    terms, _ = _per_prime(n, primes, phi)
+    return _upper(n, phi, _log_sum(terms), kappa1, kappa2)
 
 
 def lower_bound(n: int) -> float:
     """Unconditional lower bound phi(N) sum_p beta_{S,p}/(p-1) log p."""
     primes = factor_odd_squarefree(n)
-    return _lower(n, primes, euler_phi(primes))
+    _, lower = _per_prime(n, primes, euler_phi(primes))
+    return lower
 
 
 def simple_lower(n: int) -> float:
@@ -163,7 +195,7 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
         records.append(
             PrimeRecord(p, m, s, m * s, q_np(n, p), beta_sp_closed(n, p), alpha(n, p))
         )
-    terms = _geometric_terms(n, primes, phi)
+    terms, lower = _per_prime(n, primes, phi)
     geo = _log_sum(terms)
     upper = None
     conditional = False
@@ -172,12 +204,8 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
             raise ParameterError("kappa1 and kappa2 must be given together")
         upper = _upper(n, phi, geo, kappa1, kappa2)
         conditional = True
-    lower = _lower(n, primes, phi)
     simple = _simple(n, phi)
-    if not lower > simple:
-        raise MathContractError(
-            f"lower-bound inequality fails at N={n}: {lower} <= {simple}"
-        )
+    _check_strict(n, lower, simple)
     return BoundReport(
         n=n,
         genus=genus_formula(n),
@@ -202,48 +230,45 @@ def odd_squarefree_composites(max_n: int):
     """Yield (N, prime factors) for odd squarefree composite N <= max_n."""
     if max_n < 3:
         return
-    spf = list(range(max_n + 1))  # smallest prime factor sieve
-    for i in range(3, int(math.isqrt(max_n)) + 1, 2):
-        if spf[i] == i:
-            for j in range(i * i, max_n + 1, 2 * i):
-                if spf[j] == j:
-                    spf[j] = i
+    # smallest prime factor of each odd n, at index n // 2; 0 marks a prime.
+    # Every odd q is written over its odd multiples from q^2 on, largest q
+    # first, so the smallest prime factor is written last.
+    spf = array("I", bytes(4 * (max_n // 2 + 1)))
+    for q in range(math.isqrt(max_n) | 1, 2, -2):
+        start = q * q // 2
+        spf[start::q] = array("I", [q]) * len(range(start, len(spf), q))
     for n in range(15, max_n + 1, 2):
         rest = n
         primes = []
-        squarefree = True
         while rest > 1:
-            p = spf[rest]
+            p = spf[rest // 2] or rest
             rest //= p
             if rest % p == 0:
-                squarefree = False
                 break
             primes.append(p)
-        if squarefree and len(primes) >= 2:
-            yield n, primes
+        else:
+            if len(primes) >= 2:
+                yield n, primes
+
+
+def scan(max_n: int):
+    """Yield one row per odd squarefree composite N <= max_n, in increasing N,
+    with the strict lower/simple inequality asserted per row."""
+    for n, primes in odd_squarefree_composites(max_n):
+        phi = euler_phi(primes)
+        terms, lower = _per_prime(n, primes, phi)
+        simple = _simple(n, phi)
+        _check_strict(n, lower, simple)
+        yield {
+            "N": n,
+            "phi": phi,
+            "geometric_coeffs": terms,
+            "lower": lower,
+            "simple": simple,
+            "ratio": lower / simple,
+        }
 
 
 def scan_rows(max_n: int) -> list[dict]:
-    """One row per odd squarefree composite N <= max_n, with the strict
-    lower/simple inequality asserted per row."""
-    rows = []
-    for n, primes in odd_squarefree_composites(max_n):
-        phi = euler_phi(primes)
-        lower = _lower(n, primes, phi)
-        simple = _simple(n, phi)
-        geo = _geometric_terms(n, primes, phi)
-        if not lower > simple:
-            raise MathContractError(
-                f"lower-bound inequality fails at N={n}: {lower} <= {simple}"
-            )
-        rows.append(
-            {
-                "N": n,
-                "phi": phi,
-                "geometric_coeffs": geo,
-                "lower": lower,
-                "simple": simple,
-                "ratio": lower / simple,
-            }
-        )
-    return rows
+    """The rows of scan(max_n) as a list."""
+    return list(scan(max_n))

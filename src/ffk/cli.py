@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -252,19 +253,27 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    rows = bounds.scan_rows(args.max_N) if args.max_N >= 15 else []
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["N", "phi", "geometric_coeffs", "lower_bound", "simple_lower", "ratio"])
-        for r in rows:
-            coeffs = ";".join(f"{p}:{rat(c)}" for p, c in r["geometric_coeffs"])
-            w.writerow([r["N"], r["phi"], coeffs, repr(r["lower"]),
-                        repr(r["simple"]), repr(r["ratio"])])
+    rows = 0
+    all_strict = True
+    try:
+        with open(args.out, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["N", "phi", "geometric_coeffs", "lower_bound", "simple_lower", "ratio"])
+            for r in bounds.scan(args.max_N):
+                coeffs = ";".join(f"{p}:{c.numerator}/{c.denominator}"
+                                  for p, c in r["geometric_coeffs"])
+                # csv writes floats with repr
+                w.writerow([r["N"], r["phi"], coeffs, r["lower"], r["simple"], r["ratio"]])
+                rows += 1
+                all_strict = all_strict and r["ratio"] > 1
+    except MathContractError:
+        os.remove(args.out)  # no truncated CSV
+        raise
     results = {
-        "rows": len(rows),
+        "rows": rows,
         "max_N": args.max_N,
         "out": args.out,
-        "all_strict": all(r["ratio"] > 1 for r in rows),
+        "all_strict": all_strict,
     }
     if not rows:
         results["warning"] = "no odd squarefree composite N <= max-N"

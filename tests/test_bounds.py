@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ffk import polyarith
 from ffk.bounds import (
     alpha,
     beta_sp_closed,
@@ -159,3 +160,31 @@ def test_scan_rows():
     first = rows[0]
     assert first["N"] == 15 and first["phi"] == 8
     assert dict(first["geometric_coeffs"]) == {3: Fraction(407, 45), 5: Fraction(133, 30)}
+
+
+def test_sieve_matches_factorize():
+    """The smallest-prime-factor sieve against trial division on every odd N."""
+    want = []
+    for n in range(3, 20001, 2):
+        primes = polyarith.factorize(n)
+        if len(primes) >= 2 and len(set(primes)) == len(primes):
+            want.append((n, primes))
+    assert list(odd_squarefree_composites(20000)) == want
+
+
+def test_scan_rows_match_fraction_reference():
+    """Every scan row to 20,000, bit for bit against an all-Fraction evaluation."""
+    rows = scan_rows(20000)
+    assert len(rows) == 5842
+    for row, (n, primes) in zip(rows, odd_squarefree_composites(20000), strict=True):
+        phi = euler_phi(primes)
+        lower = math.fsum(float(Fraction(phi, p - 1) * beta_sp_closed(n, p)) * math.log(p)
+                          for p in primes)
+        simple = phi * math.log(n) / (5 * n * n)
+        assert row["N"] == n and row["phi"] == phi
+        assert row["lower"].hex() == lower.hex()
+        assert row["simple"].hex() == simple.hex()
+        assert row["ratio"].hex() == (lower / simple).hex()
+        assert list(row["geometric_coeffs"]) == [
+            (p, Fraction(phi, p - 1) * q_np(n, p)) for p in primes
+        ]

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 
 import ffk.cli as cli
 import ffk.divisors
-from ffk import polyarith, verify
+from ffk import bounds, polyarith, verify
 from ffk.errors import MathContractError
 
 
@@ -245,6 +247,46 @@ def test_scan_io_error(capsys):
                        "/nonexistent-dir/scan.csv")
     assert code == 5
     assert "i/o error" in err
+
+
+#: SHA-256 of the `ffk scan --max-N 20000` CSV, recorded before the scan rows
+#: were computed in integers and streamed to the file
+SCAN_20000_SHA256 = "cfb8ab91810399885a0d9c9cbd27950be2406bdb9070cbfbf3142618d7d5d0f2"
+
+
+def test_scan_csv_pinned(tmp_path, capsys):
+    out_file = tmp_path / "scan.csv"
+    code, doc, _ = run_json(capsys, "scan", "--max-N", "20000", "--out", str(out_file))
+    assert code == 0
+    assert doc["results"] == {"all_strict": True, "max_N": 20000, "out": str(out_file),
+                              "rows": 5842}
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SCAN_20000_SHA256
+
+
+def test_scan_contract_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
+    simple = bounds._simple
+    monkeypatch.setattr(bounds, "_simple",
+                        lambda n, phi: math.inf if n == 1155 else simple(n, phi))
+    out_file = tmp_path / "scan.csv"
+    code, out, err = run(capsys, "scan", "--max-N", "2000", "--out", str(out_file))
+    assert code == 4
+    assert "N=1155" in err
+    assert out == ""
+    assert not out_file.exists()
+
+
+def test_scan_memory_flat(tmp_path, capsys):
+    """Rows are written as they are made: the traced peak of a 60,000 scan
+    (18,255 rows) stays far below the 18 MB a held row list takes."""
+    tracemalloc.start()
+    try:
+        code = cli.main(["scan", "--max-N", "60000", "--out", str(tmp_path / "scan.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 2 * 2**20
 
 
 def test_verify_polynomial(capsys):
