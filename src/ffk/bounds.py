@@ -8,7 +8,6 @@ consumer can re-evaluate the exact data at arbitrary precision.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -226,49 +225,71 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
 # ---------------------------------------------------------------------------
 
 
-def odd_squarefree_composites(max_n: int):
-    """Yield (N, prime factors) for odd squarefree composite N <= max_n."""
-    if max_n < 3:
+#: values of N per `scan_rows` call in `scan`: about 640 rows, under 1 MB
+SCAN_BLOCK = 1 << 11
+
+
+def _odd_primes(limit: int) -> list[int]:
+    """Odd primes <= limit."""
+    sieve = bytearray([1]) * (limit + 1)
+    for q in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[q]:
+            sieve[q * q::2 * q] = bytes(len(range(q * q, limit + 1, 2 * q)))
+    return [q for q in range(3, limit + 1, 2) if sieve[q]]
+
+
+def odd_squarefree_composites(max_n: int, start: int = 3):
+    """Yield (N, prime factors) for odd squarefree composite N, start <= N <= max_n."""
+    lo = max(start, 3) | 1
+    if lo > max_n:
         return
-    # smallest prime factor of each odd n, at index n // 2; 0 marks a prime.
-    # Every odd q is written over its odd multiples from q^2 on, largest q
-    # first, so the smallest prime factor is written last.
-    spf = array("I", bytes(4 * (max_n // 2 + 1)))
-    for q in range(math.isqrt(max_n) | 1, 2, -2):
-        start = q * q // 2
-        spf[start::q] = array("I", [q]) * len(range(start, len(spf), q))
-    for n in range(15, max_n + 1, 2):
-        rest = n
-        primes = []
-        while rest > 1:
-            p = spf[rest // 2] or rest
-            rest //= p
-            if rest % p == 0:
-                break
-            primes.append(p)
-        else:
+    # A segmented sieve over the odd n = lo + 2i: each odd prime q <= sqrt(max_n)
+    # is divided out of its multiples once, and rest[i] = 0 marks q^2 | n. What
+    # is left is 1 or the one prime factor above sqrt(max_n).
+    rest = list(range(lo, max_n + 1, 2))
+    small = [[] for _ in rest]
+    for q in _odd_primes(math.isqrt(max_n)):
+        first = -(-lo // q) * q
+        if not first & 1:
+            first += q
+        for i in range((first - lo) // 2, len(rest), q):
+            r = rest[i] // q
+            if r % q:
+                rest[i] = r
+                small[i].append(q)
+            else:
+                rest[i] = 0
+    for i, r in enumerate(rest):
+        if r:
+            primes = small[i]
+            if r > 1:
+                primes.append(r)
             if len(primes) >= 2:
-                yield n, primes
+                yield lo + 2 * i, primes
 
 
-def scan(max_n: int):
-    """Yield one row per odd squarefree composite N <= max_n, in increasing N,
-    with the strict lower/simple inequality asserted per row."""
-    for n, primes in odd_squarefree_composites(max_n):
+def scan_rows(max_n: int, start: int = 15) -> list[dict]:
+    """One row per odd squarefree composite N with start <= N <= max_n, in
+    increasing N, with the strict lower/simple inequality asserted per row."""
+    rows = []
+    for n, primes in odd_squarefree_composites(max_n, start):
         phi = euler_phi(primes)
         terms, lower = _per_prime(n, primes, phi)
         simple = _simple(n, phi)
         _check_strict(n, lower, simple)
-        yield {
+        rows.append({
             "N": n,
             "phi": phi,
             "geometric_coeffs": terms,
             "lower": lower,
             "simple": simple,
             "ratio": lower / simple,
-        }
+        })
+    return rows
 
 
-def scan_rows(max_n: int) -> list[dict]:
-    """The rows of scan(max_n) as a list."""
-    return list(scan(max_n))
+def scan(max_n: int):
+    """Yield the rows of scan_rows(max_n), computed SCAN_BLOCK values of N at a
+    time, so memory stays flat in max_n."""
+    for lo in range(15, max_n + 1, SCAN_BLOCK):
+        yield from scan_rows(min(lo + SCAN_BLOCK - 1, max_n), lo)

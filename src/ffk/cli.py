@@ -13,7 +13,10 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
+import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import bounds, divisors, polyarith, verify
@@ -25,8 +28,8 @@ SCHEMA_VERSION = "1"
 
 
 def rat(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """A Fraction (or int) as "numerator/denominator"."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _jsonify(obj):
@@ -252,23 +255,45 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+@contextmanager
+def _replaced_on_success(path: str):
+    """A text file that replaces `path` only if the block completes; on any
+    exception whatever was at `path` is left as it was. A path that exists
+    and is not a regular file (a device, a pipe) is written in place."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", newline="") as fh:
+            yield fh
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".ffk-", suffix=".tmp")
+    try:
+        with open(fd, "w", newline="") as fh:
+            yield fh
+        if os.path.exists(target):
+            mode = os.stat(target).st_mode
+        else:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def cmd_scan(args) -> int:
     rows = 0
     all_strict = True
-    try:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["N", "phi", "geometric_coeffs", "lower_bound", "simple_lower", "ratio"])
-            for r in bounds.scan(args.max_N):
-                coeffs = ";".join(f"{p}:{c.numerator}/{c.denominator}"
-                                  for p, c in r["geometric_coeffs"])
-                # csv writes floats with repr
-                w.writerow([r["N"], r["phi"], coeffs, r["lower"], r["simple"], r["ratio"]])
-                rows += 1
-                all_strict = all_strict and r["ratio"] > 1
-    except MathContractError:
-        os.remove(args.out)  # no truncated CSV
-        raise
+    with _replaced_on_success(args.out) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["N", "phi", "geometric_coeffs", "lower_bound", "simple_lower", "ratio"])
+        for r in bounds.scan(args.max_N):
+            coeffs = ";".join(f"{p}:{rat(c)}" for p, c in r["geometric_coeffs"])
+            # csv writes floats with repr
+            w.writerow([r["N"], r["phi"], coeffs, r["lower"], r["simple"], r["ratio"]])
+            rows += 1
+            all_strict = all_strict and r["ratio"] > 1
     results = {
         "rows": rows,
         "max_N": args.max_N,

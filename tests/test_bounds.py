@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffk import polyarith
+from ffk import bounds, polyarith
 from ffk.bounds import (
     alpha,
     beta_sp_closed,
@@ -163,13 +163,26 @@ def test_scan_rows():
 
 
 def test_sieve_matches_factorize():
-    """The smallest-prime-factor sieve against trial division on every odd N."""
+    """The segmented sieve against trial division on every odd N, over the
+    whole range and over segments that start anywhere."""
     want = []
     for n in range(3, 20001, 2):
         primes = polyarith.factorize(n)
         if len(primes) >= 2 and len(set(primes)) == len(primes):
             want.append((n, primes))
     assert list(odd_squarefree_composites(20000)) == want
+    for start in (4, 15, 1000, 1001, 9801, 19999, 20000):
+        assert list(odd_squarefree_composites(20000, start)) == [w for w in want if w[0] >= start]
+    assert list(odd_squarefree_composites(1155, 1155)) == [(1155, [3, 5, 7, 11])]
+
+
+@pytest.mark.parametrize("block", [64, 2048, 10**6])
+def test_scan_blocks_match_scan_rows(monkeypatch, block):
+    """scan() yields the rows of scan_rows() whatever the block width."""
+    want = scan_rows(5000)
+    monkeypatch.setattr(bounds, "SCAN_BLOCK", block)
+    assert list(bounds.scan(5000)) == want
+    assert scan_rows(5000, 2001) == [r for r in want if r["N"] >= 2001]
 
 
 def test_scan_rows_match_fraction_reference():

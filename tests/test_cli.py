@@ -275,6 +275,62 @@ def test_scan_contract_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
     assert not out_file.exists()
 
 
+def test_scan_failure_keeps_existing_file(tmp_path, capsys, monkeypatch):
+    """Exit 4, or an interrupt, mid-scan leaves an earlier file at --out as it
+    was, and no temporary file behind."""
+    simple = bounds._simple
+
+    def failing(exc):
+        def _simple(n, phi):
+            if n == 1155:
+                raise exc
+            return simple(n, phi)
+        return _simple
+
+    out_file = tmp_path / "scan.csv"
+    out_file.write_bytes(b"earlier bytes\n")
+    monkeypatch.setattr(bounds, "_simple", failing(MathContractError("N=1155")))
+    code, out, _ = run(capsys, "scan", "--max-N", "2000", "--out", str(out_file))
+    assert code == 4 and out == ""
+    monkeypatch.setattr(bounds, "_simple", failing(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["scan", "--max-N", "2000", "--out", str(out_file)])
+    assert out_file.read_bytes() == b"earlier bytes\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["scan.csv"]
+
+
+def test_scan_replaces_existing_file_keeping_its_mode(tmp_path, capsys):
+    out_file = tmp_path / "scan.csv"
+    out_file.write_bytes(b"earlier bytes\n")
+    out_file.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(out_file)
+    code, doc, _ = run_json(capsys, "scan", "--max-N", "100", "--out", str(link))
+    assert code == 0 and doc["results"]["rows"] == 16
+    assert link.is_symlink()
+    assert out_file.read_text().splitlines()[1].startswith("15,8,3:407/45;5:133/30,")
+    assert out_file.stat().st_mode & 0o777 == 0o640
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["link.csv", "scan.csv"]
+
+
+def test_scan_streams_through_scan_rows(tmp_path, capsys, monkeypatch):
+    """ffk scan takes its rows from bounds.scan_rows, one block of N at a time."""
+    sizes = []
+    scan_rows = bounds.scan_rows
+
+    def counted(*args):
+        rows = scan_rows(*args)
+        sizes.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(bounds, "scan_rows", counted)
+    code, doc, _ = run_json(capsys, "scan", "--max-N", "20000",
+                            "--out", str(tmp_path / "scan.csv"))
+    assert code == 0
+    assert len(sizes) == -(-(20000 - 14) // bounds.SCAN_BLOCK)
+    assert sum(sizes) == doc["results"]["rows"] == 5842
+
+
 def test_scan_memory_flat(tmp_path, capsys):
     """Rows are written as they are made: the traced peak of a 60,000 scan
     (18,255 rows) stays far below the 18 MB a held row list takes."""
