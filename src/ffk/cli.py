@@ -105,7 +105,7 @@ def _fiber_csv(model) -> str:
             "multiplicity",
             "genus",
             "self_intersection",
-            "degree_in_graph",
+            "i_c",
         ]
     )
     for c in model.config.components:

@@ -191,10 +191,19 @@ def u_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
     pairing (K . U_S) = (2m-3) N (lambda+nu), and semipositivity
     a_C + 2(S . C) - (U_S . C) >= 0 with equality exactly on the chain and
     leaf components. See u_s_probe for the printed alternatives.
+
+    With lambda+nu = a/b and V_S = sum v_C/e C, the numerators over b e are
+    a e (2 d_C + p [C = Fm]) - 2 b v_C, built in one pass and normalised once.
     """
-    params = model.params
-    x = model.config.fiber_divisor().scale(2) + QDivisor.single(model.fm, params.p)
-    return x.scale(lambda_nu(params).total) - v_s(model, cusp).scale(2)
+    total = lambda_nu(model.params).total
+    vs = v_s(model, cusp)
+    e = vs.denominator
+    ae, b = total.numerator * e, total.denominator
+    num = {c.cid: 2 * ae * c.multiplicity for c in model.config.components}
+    num[model.fm] += ae * model.params.p
+    for cid, v in vs.numerators().items():
+        num[cid] -= 2 * b * v
+    return QDivisor.from_numerators(num, b * e)
 
 
 def _semipositivity(model: FermatModel, us: QDivisor, cusp: tuple[int, int]):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import floordiv, itemgetter, mul
@@ -39,7 +40,7 @@ def check_component_cap(n: int) -> None:
         raise CapExceeded(f"{n} components exceed the component cap {limit}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     """One irreducible component of the special fiber."""
 
@@ -163,7 +164,8 @@ class FiberConfig:
     `pairings` holds the off-diagonal entries: (i, j) -> number of transversal
     intersection points; counts given as both (i, j) and (j, i) are summed.
     Self-intersections live on the components. Each edge is stored once per
-    endpoint, in the neighbour map of that component.
+    endpoint, in the neighbour map of that component. Whole-fiber facts that
+    never change, such as the first non-orthogonal component, are computed once.
     """
 
     def __init__(self, components: Iterable[Component], pairings: Mapping[tuple[int, int], int],
@@ -209,9 +211,25 @@ class FiberConfig:
         return QDivisor.from_numerators({c.cid: c.multiplicity for c in self.components}, 1)
 
     def edges(self):
-        """((a, b), count) for every edge, with a < b."""
-        return [((a, b), cnt) for a, nbrs in enumerate(self._nbrs)
-                for b, cnt in nbrs.items() if a < b]
+        """Iterate ((a, b), count) over every edge, with a < b."""
+        return (((a, b), cnt) for a, nbrs in enumerate(self._nbrs)
+                for b, cnt in nbrs.items() if a < b)
+
+    @cached_property
+    def _non_orthogonal(self) -> Component | None:
+        """See non_orthogonal_component; the config is immutable, so this runs once."""
+        return next(
+            (c for c in self.components if c.multiplicity * c.self_int + i_c(self, c.cid)),
+            None,
+        )
+
+
+def _check_ids(config: FiberConfig, ids) -> None:
+    """Raise ParameterError unless every id in `ids` names a component, so callers may index."""
+    if ids:
+        lo, hi = min(ids), max(ids)
+        if lo < 0 or hi >= len(config.components):
+            raise ParameterError(f"unknown component id {lo if lo < 0 else hi}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +245,12 @@ def _spread(config: FiberConfig, num: Mapping[int, int], onto: Mapping[int, int]
     neighbours than `onto` has entries (the hub Fm against a small divisor)
     looks up its adjacency for the entries of `onto` instead.
     """
-    comps = config.components
+    _check_ids(config, num)
+    comps, nbrs = config.components, config._nbrs
     out: dict[int, int] = {}
     get = out.get
     for c, v in num.items():
-        adj = config.neighbors(c)
+        adj = nbrs[c]
         if onto is None:
             hits = adj.items()
         elif len(adj) > len(onto):
@@ -286,11 +305,8 @@ def i_c(config: FiberConfig, cid: int) -> int:
 
 
 def non_orthogonal_component(config: FiberConfig) -> Component | None:
-    """The first component C with (F . C) = d_C C^2 + I_C != 0, or None."""
-    return next(
-        (c for c in config.components if c.multiplicity * c.self_int + i_c(config, c.cid)),
-        None,
-    )
+    """The first component C with (F . C) = d_C C^2 + I_C != 0, or None; cached per config."""
+    return config._non_orthogonal
 
 
 def a_number(config: FiberConfig, cid: int) -> int:
@@ -397,8 +413,9 @@ class GaugeSolver:
         parent = [-1] * n
         parent[gauge_cid] = gauge_cid
         order = [gauge_cid]
+        nbrs = config._nbrs
         for cid in order:
-            for nbr in config.neighbors(cid):
+            for nbr in nbrs[cid]:
                 if parent[nbr] < 0:
                     parent[nbr] = cid
                     order.append(nbr)
@@ -407,14 +424,14 @@ class GaugeSolver:
                 f"fiber graph is disconnected: {n - len(order)} of {n} components "
                 f"are unreachable from {root.label}"
             )
-        n_edges = sum(map(len, config._nbrs)) // 2
+        n_edges = sum(map(len, nbrs)) // 2
         if n_edges != n - 1:
             raise MathContractError(f"fiber graph is not a tree: {n_edges} edges on {n} components")
         offender = non_orthogonal_component(config)
         if offender is not None:
             raise MathContractError(f"fiber orthogonality fails at component {offender.label}")
 
-        weights = [config.neighbors(cid)[parent[cid]] * mult[cid] * mult[parent[cid]]
+        weights = [nbrs[cid][parent[cid]] * mult[cid] * mult[parent[cid]]
                    for cid in order[1:]]
         scale = lcm(root.multiplicity, *weights)
         self._mult = mult
@@ -434,8 +451,7 @@ class GaugeSolver:
         den = lcm(gauge.denominator, t._den)
         k = den // t._den
         num = t._num
-        for cid in (min(num, default=0), max(num, default=0)):
-            config.component(cid)
+        _check_ids(config, num)
         sub = [0] * len(mult)  # den * d_C t_C, then den * F_C
         for cid, v in num.items():
             sub[cid] = mult[cid] * v * k

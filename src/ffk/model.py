@@ -14,6 +14,17 @@ so the closure count is rho = m*s):
 Adjacency is a tree: chains hang off each LXYZ, leaves off each Lgamma, and
 LXYZ/Lgamma/Ldelta all meet Fm, every intersection a single transversal point.
 Each multiplicity-one chain end Chain(1,k,i) is met by exactly one cusp section.
+
+Component ids follow the label order (kind, i, k, j), so each id is closed
+form. With c = 3mp(m-1) Chain components and the census counts n_delta of
+Ldelta and n_gamma of Lgamma:
+
+    Chain(j,k,i)     ((i-1)p + k-1)(m-1) + j-1
+    Fm               c
+    LXYZ(i)          c + i
+    Ldelta(i)        c + 3m + i
+    Lgamma(i)        c + 3m + n_delta + i
+    LgammaLeaf(j,i)  c + 3m + n_delta + n_gamma + (i-1)p + j
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from .fiber import (
 KINDS = ("Fm", "LXYZ", "Chain", "Lgamma", "LgammaLeaf", "Ldelta")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FermatLabel:
     """Canonical component label; sort order (kind, i, k, j) is the id order."""
 
@@ -123,9 +134,9 @@ class FermatModel:
         return self.cid(FermatLabel("Chain", i=i, k=k, j=j))
 
     def chain_arm(self, i: int) -> range:
-        """Ids of every Chain(j, k, i) for this i; Chain(j, k, i) is at offset (k-1)(m-1) + j-1.
+        """Ids of every Chain(j, k, i) for this i: one contiguous run (module docstring).
 
-        Ids follow the label order (kind, i, k, j), so the arm is one contiguous run.
+        Chain(j, k, i) is at offset (k-1)(m-1) + j-1 in the run.
         """
         first = self.chain(1, 1, i)
         return range(first, first + self.params.p * (self.params.m - 1))
@@ -137,7 +148,7 @@ class FermatModel:
         return self.cid(FermatLabel("LgammaLeaf", i=i, j=j))
 
     def leaves(self, i: int) -> range:
-        """Ids of LgammaLeaf(j, i) for j = 1..p, contiguous by the label order."""
+        """Ids of LgammaLeaf(j, i) for j = 1..p: one contiguous run (module docstring)."""
         first = self.leaf(1, i)
         return range(first, first + self.params.p)
 
@@ -182,71 +193,57 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     census = expected_census(p, m, s)
     check_component_cap(sum(census.values()))
     n_gamma, n_delta = census["Lgamma"], census["Ldelta"]
+    length = m - 1  # components Chain(1..m-1, k, i) of one chain
 
-    labels: list[FermatLabel] = [FermatLabel("Fm")]
-    labels += [FermatLabel("LXYZ", i=i) for i in range(1, 3 * m + 1)]
-    labels += [
-        FermatLabel("Chain", i=i, k=k, j=j)
+    # ids from the closed-form offsets of the module docstring, in label order
+    fm = 3 * m * p * length
+    ldelta0 = fm + 3 * m
+    lgamma0 = ldelta0 + n_delta
+    leaf0 = lgamma0 + n_gamma
+    labels = [
+        FermatLabel("Chain", i, k, j)
         for i in range(1, 3 * m + 1)
         for k in range(1, p + 1)
         for j in range(1, m)
     ]
-    labels += [FermatLabel("Lgamma", i=i) for i in range(1, n_gamma + 1)]
+    labels.append(FermatLabel("Fm"))
+    labels += [FermatLabel("LXYZ", i) for i in range(1, 3 * m + 1)]
+    labels += [FermatLabel("Ldelta", i) for i in range(1, n_delta + 1)]
+    labels += [FermatLabel("Lgamma", i) for i in range(1, n_gamma + 1)]
     labels += [
-        FermatLabel("LgammaLeaf", i=i, j=j)
-        for i in range(1, n_gamma + 1)
-        for j in range(1, p + 1)
+        FermatLabel("LgammaLeaf", i, 0, j) for i in range(1, n_gamma + 1) for j in range(1, p + 1)
     ]
-    labels += [FermatLabel("Ldelta", i=i) for i in range(1, n_delta + 1)]
-    labels.sort()
 
-    by_label = {lab: cid for cid, lab in enumerate(labels)}
-    comps = []
-    for cid, lab in enumerate(labels):
-        if lab.kind == "Fm":
-            comp = Component(cid, lab, p, genus_formula(m), -m * m)
-        elif lab.kind == "LXYZ":
-            comp = Component(cid, lab, m, 0, -p)
-        elif lab.kind == "Chain":
-            comp = Component(cid, lab, lab.j, 0, -2)
-        elif lab.kind == "Lgamma":
-            comp = Component(cid, lab, 2, 0, -p)
-        elif lab.kind == "LgammaLeaf":
-            comp = Component(cid, lab, 1, 0, -2)
-        else:
-            comp = Component(cid, lab, 1, 0, -p)
-        comps.append(comp)
+    # (multiplicity, genus, self-intersection) by kind; a Chain's multiplicity is its j
+    shape = {
+        "Fm": (p, genus_formula(m), -m * m),
+        "LXYZ": (m, 0, -p),
+        "Ldelta": (1, 0, -p),
+        "Lgamma": (2, 0, -p),
+        "LgammaLeaf": (1, 0, -2),
+    }
+    comps = [Component(cid, lab, lab.j, 0, -2) for cid, lab in enumerate(labels[:fm])]
+    comps += [Component(cid, lab, *shape[lab.kind]) for cid, lab in enumerate(labels[fm:], fm)]
 
-    fm = by_label[FermatLabel("Fm")]
     pairs: dict[tuple[int, int], int] = {}
-
-    def edge(a: int, b: int) -> None:
-        pairs[(a, b)] = 1
-
     for i in range(1, 3 * m + 1):
-        lx = by_label[FermatLabel("LXYZ", i=i)]
-        edge(lx, fm)
-        for k in range(1, p + 1):
-            for j in range(1, m - 1):
-                edge(
-                    by_label[FermatLabel("Chain", i=i, k=k, j=j)],
-                    by_label[FermatLabel("Chain", i=i, k=k, j=j + 1)],
-                )
-            edge(by_label[FermatLabel("Chain", i=i, k=k, j=m - 1)], lx)
+        lx = fm + i
+        pairs[(lx, fm)] = 1
+        for first in range((i - 1) * p * length, i * p * length, length):  # Chain(1, k, i)
+            for c in range(first, first + length - 1):
+                pairs[(c, c + 1)] = 1
+            pairs[(first + length - 1, lx)] = 1
     for i in range(1, n_gamma + 1):
-        lg = by_label[FermatLabel("Lgamma", i=i)]
-        edge(lg, fm)
-        for j in range(1, p + 1):
-            edge(by_label[FermatLabel("LgammaLeaf", i=i, j=j)], lg)
+        lg = lgamma0 + i
+        pairs[(lg, fm)] = 1
+        for leaf in range(leaf0 + (i - 1) * p + 1, leaf0 + i * p + 1):
+            pairs[(leaf, lg)] = 1
     for i in range(1, n_delta + 1):
-        edge(by_label[FermatLabel("Ldelta", i=i)], fm)
+        pairs[(ldelta0 + i, fm)] = 1
 
     config = FiberConfig(comps, pairs, params.genus)
-    cusps = tuple(
-        CuspSection(by_label[FermatLabel("Chain", i=i, k=k, j=1)])
-        for i in range(1, 3 * m + 1)
-        for k in range(1, p + 1)
-    )
+    cusps = tuple(map(CuspSection, range(0, fm, length)))
+    by_label = dict(zip(labels, range(len(labels))))
     return FermatModel(params, config, tuple(labels), by_label, cusps)
 
 

@@ -98,7 +98,7 @@ def test_fiber_csv_matches_json(capsys):
     assert by_kind == {k: v for k, v in census.items() if v}
     chain = next(r for r in rows if r["kind"] == "Chain")
     assert set(chain) == {"kind", "i", "k", "j", "multiplicity", "genus",
-                          "self_intersection", "degree_in_graph"}
+                          "self_intersection", "i_c"}
 
 
 def test_fiber_bad_params(capsys):
@@ -365,7 +365,9 @@ def test_rational_serialization():
 #: SHA-256 and exit code of stdout for a fixed set of commands. The first six
 #: were recorded before the tree solver replaced the general sparse
 #: elimination, the last four before the duplicated beta closed form, cusp
-#: lookup, semipositivity loop and number-theory helpers were merged
+#: lookup, semipositivity loop and number-theory helpers were merged. The
+#: `fiber --N 15 --format csv` digest was re-recorded when its last column was
+#: renamed from `degree_in_graph` to `i_c`; its rows are unchanged
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 

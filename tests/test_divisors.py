@@ -144,6 +144,21 @@ def test_u_s_identities_all(models):
         assert pair(model.config, x, x) == -b * b
 
 
+@pytest.mark.parametrize("pm, cusps", [((5, 3), [(1, 1), (2, 3), (9, 5)]),
+                                       ((7, 3), [(1, 1), (4, 2), (9, 7)]),
+                                       ((3, 7), [(1, 1), (11, 2), (21, 3)])])
+def test_u_s_matches_divisor_algebra(models, pm, cusps):
+    # the defining algebra (lambda+nu)(2F + p Fm) - 2 V_S, one QDivisor operation at a time
+    model = models[pm]
+    total = lambda_nu(model.params).total
+    x = model.config.fiber_divisor().scale(2) + QDivisor.single(model.fm, model.params.p)
+    for cusp in cusps:
+        want = x.scale(total) - v_s(model, cusp).scale(2)
+        got = u_s(model, cusp)
+        assert got == want
+        assert list(got.numerators()) == list(want.numerators())
+
+
 def test_semipositivity(models):
     for model in models.values():
         vals = dict(semipos_check(model))

@@ -9,6 +9,7 @@ from ffk.errors import MathContractError, NoSolutionError, ParameterError
 from ffk.fiber import (
     Component,
     FiberConfig,
+    GaugeSolver,
     QDivisor,
     a_number,
     canonical_pair,
@@ -17,9 +18,11 @@ from ffk.fiber import (
     pair,
     pair_component,
     pair_profile,
+    pairing_divisor,
     solve_gauge,
     validate,
 )
+from ffk.model import build_config
 
 
 def dense_solve_oracle(config, targets, gauge):
@@ -139,6 +142,38 @@ def test_neighbors_reject_out_of_range_ids(model53):
             cfg.neighbors(cid)
         with pytest.raises(ParameterError):
             i_c(cfg, cid)
+
+
+@pytest.mark.parametrize("bad", [-1, "n"])
+def test_pairing_kernels_reject_unknown_ids(model53, bad):
+    cfg = model53.config
+    bad = cfg.n_components if bad == "n" else bad
+    D = QDivisor({bad: 1, 0: 2})
+    with pytest.raises(ParameterError):
+        pair(cfg, D, D)
+    with pytest.raises(ParameterError):
+        pair(cfg, D, cfg.fiber_divisor())
+    with pytest.raises(ParameterError):
+        pair_component(cfg, cfg.fiber_divisor(), bad)
+    with pytest.raises(ParameterError):
+        pairing_divisor(cfg, D)
+
+
+def test_orthogonality_is_computed_once_per_config(monkeypatch):
+    import ffk.fiber
+
+    calls = []
+    kernel = ffk.fiber.i_c
+
+    def counted(config, cid):
+        calls.append(cid)
+        return kernel(config, cid)
+
+    cfg = build_config(7, 3).config
+    monkeypatch.setattr(ffk.fiber, "i_c", counted)
+    assert all(c.passed for c in validate(cfg))
+    GaugeSolver(cfg, 0)
+    assert len(calls) == cfg.n_components
 
 
 @settings(max_examples=40, deadline=None)

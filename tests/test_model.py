@@ -1,11 +1,12 @@
 import pytest
 
 from ffk.errors import CapExceeded, ParameterError
-from ffk.fiber import pair_component
+from ffk.fiber import Component, CuspSection, FiberConfig, pair_component
 from ffk.model import (
     FermatLabel,
     FermatParams,
     build_config,
+    expected_census,
     genus_formula,
     i_c,
     i_c_matches_pairing,
@@ -178,3 +179,58 @@ def test_fiber_divisor_orthogonal_on_all(models):
 def test_unknown_label_lookup(model53):
     with pytest.raises(ParameterError):
         model53.cid(FermatLabel("Ldelta", i=99))
+
+
+def _build_by_sorted_labels(p, m, s):
+    """The fiber built without closed-form ids: sorted labels, edges looked up by label."""
+    census = expected_census(p, m, s)
+    labels = [FermatLabel("Fm")]
+    labels += [FermatLabel("LXYZ", i=i) for i in range(1, 3 * m + 1)]
+    labels += [FermatLabel("Chain", i=i, k=k, j=j)
+               for i in range(1, 3 * m + 1) for k in range(1, p + 1) for j in range(1, m)]
+    labels += [FermatLabel("Lgamma", i=i) for i in range(1, census["Lgamma"] + 1)]
+    labels += [FermatLabel("LgammaLeaf", i=i, j=j)
+               for i in range(1, census["Lgamma"] + 1) for j in range(1, p + 1)]
+    labels += [FermatLabel("Ldelta", i=i) for i in range(1, census["Ldelta"] + 1)]
+    labels.sort()
+    by_label = {lab: cid for cid, lab in enumerate(labels)}
+    shape = {"Fm": (p, genus_formula(m), -m * m), "LXYZ": (m, 0, -p), "Lgamma": (2, 0, -p),
+             "LgammaLeaf": (1, 0, -2), "Ldelta": (1, 0, -p)}
+    comps = tuple(Component(cid, lab, lab.j, 0, -2) if lab.kind == "Chain"
+                  else Component(cid, lab, *shape[lab.kind]) for cid, lab in enumerate(labels))
+
+    def cid(kind, **kw):
+        return by_label[FermatLabel(kind, **kw)]
+
+    pairs = {}
+    for i in range(1, 3 * m + 1):
+        pairs[(cid("LXYZ", i=i), cid("Fm"))] = 1
+        for k in range(1, p + 1):
+            for j in range(1, m - 1):
+                pairs[(cid("Chain", i=i, k=k, j=j), cid("Chain", i=i, k=k, j=j + 1))] = 1
+            pairs[(cid("Chain", i=i, k=k, j=m - 1), cid("LXYZ", i=i))] = 1
+    for i in range(1, census["Lgamma"] + 1):
+        pairs[(cid("Lgamma", i=i), cid("Fm"))] = 1
+        for j in range(1, p + 1):
+            pairs[(cid("LgammaLeaf", i=i, j=j), cid("Lgamma", i=i))] = 1
+    for i in range(1, census["Ldelta"] + 1):
+        pairs[(cid("Ldelta", i=i), cid("Fm"))] = 1
+    cusps = tuple(CuspSection(cid("Chain", i=i, k=k, j=1))
+                  for i in range(1, 3 * m + 1) for k in range(1, p + 1))
+    return tuple(labels), by_label, FiberConfig(comps, pairs, genus_formula(p * m)), cusps
+
+
+@pytest.mark.parametrize("p, m, s", [(3, 5, None), (5, 3, None), (7, 3, None), (3, 7, None),
+                                     (5, 7, None), (7, 23, None), (11, 3, 4), (13, 3, 0)])
+def test_closed_form_ids_match_sorted_label_build(p, m, s):
+    model = build_config(p, m, s)
+    labels, by_label, cfg, cusps = _build_by_sorted_labels(p, m, model.params.s)
+    assert model.labels == labels
+    assert model.by_label == by_label
+    assert model.config.components == cfg.components
+    assert sorted(model.config.edges()) == sorted(cfg.edges())
+    # the same neighbour order too, so every sparse kernel walks the graph alike
+    assert [list(model.config.neighbors(c)) for c in range(len(labels))] == [
+        list(cfg.neighbors(c)) for c in range(len(labels))]
+    assert model.cusps == cusps
+    assert model.config.genus == cfg.genus
