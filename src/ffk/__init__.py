@@ -12,12 +12,7 @@ from .bounds import (
     bound_report,
     euler_phi,
     factor_odd_squarefree,
-    geometric_contribution,
-    lower_bound,
-    mertens_diag,
     q_np,
-    simple_lower,
-    upper_bound,
 )
 from .divisors import (
     LambdaNu,
@@ -30,7 +25,6 @@ from .divisors import (
     u_s_probe,
     v_divisor,
     v_s,
-    v_self,
 )
 from .errors import (
     CapExceeded,

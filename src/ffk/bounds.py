@@ -99,11 +99,6 @@ def _per_prime(n: int, primes: list[int], phi: int) -> tuple[list[tuple[int, Fra
     return terms, math.fsum(lower)
 
 
-def _log_sum(terms) -> float:
-    """float64 assembly sum c_p log p of exact per-prime coefficients."""
-    return math.fsum(float(c) * math.log(p) for p, c in terms)
-
-
 def _simple(n: int, phi: int) -> float:
     return phi * math.log(n) / (5 * n * n)
 
@@ -113,48 +108,6 @@ def _check_strict(n: int, lower: float, simple: float) -> None:
         raise MathContractError(
             f"lower-bound inequality fails at N={n}: {lower} <= {simple}"
         )
-
-
-def _upper(n: int, phi: int, geo: float, kappa1: float, kappa2: float) -> float:
-    if not (kappa1 > 0 and kappa2 > 0):
-        raise ParameterError("kappa1 and kappa2 must be positive")
-    return (2 * genus_formula(n) - 2) * (phi * (kappa1 * math.log(n) + kappa2) + geo)
-
-
-def _mertens(primes: list[int]) -> float:
-    return math.fsum(math.log(p) / (p - 1) for p in primes)
-
-
-def geometric_contribution(n: int) -> tuple[list[tuple[int, Fraction]], float]:
-    """Per-prime exact coefficients of log p, plus their float64 assembly."""
-    primes = factor_odd_squarefree(n)
-    terms, _ = _per_prime(n, primes, euler_phi(primes))
-    return terms, _log_sum(terms)
-
-
-def upper_bound(n: int, kappa1: float, kappa2: float) -> float:
-    """Conditional upper bound (2g-2)(phi(N)(k1 log N + k2) + geometric term)."""
-    primes = factor_odd_squarefree(n)
-    phi = euler_phi(primes)
-    terms, _ = _per_prime(n, primes, phi)
-    return _upper(n, phi, _log_sum(terms), kappa1, kappa2)
-
-
-def lower_bound(n: int) -> float:
-    """Unconditional lower bound phi(N) sum_p beta_{S,p}/(p-1) log p."""
-    primes = factor_odd_squarefree(n)
-    _, lower = _per_prime(n, primes, euler_phi(primes))
-    return lower
-
-
-def simple_lower(n: int) -> float:
-    """The simplified lower bound phi(N) log N / (5 N^2)."""
-    return _simple(n, euler_phi(factor_odd_squarefree(n)))
-
-
-def mertens_diag(n: int) -> float:
-    """Diagnostic sum of log p/(p-1) over p | N."""
-    return _mertens(factor_odd_squarefree(n))
 
 
 @dataclass(frozen=True)
@@ -184,7 +137,11 @@ class BoundReport:
 
 
 def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = None) -> BoundReport:
-    """Assemble the full per-N report; the upper bound only if kappas given."""
+    """Assemble the full per-N report; the upper bound only if kappas given.
+
+    The only per-N assembly. The conditional upper bound is
+    (2g-2)(phi(N)(kappa1 log N + kappa2) + geometric term), for positive kappas.
+    """
     primes = factor_odd_squarefree(n)
     phi = euler_phi(primes)
     records = []
@@ -195,26 +152,29 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
             PrimeRecord(p, m, s, m * s, q_np(n, p), beta_sp_closed(n, p), alpha(n, p))
         )
     terms, lower = _per_prime(n, primes, phi)
-    geo = _log_sum(terms)
+    geo = math.fsum(float(c) * math.log(p) for p, c in terms)
+    genus = genus_formula(n)
     upper = None
     conditional = False
     if kappa1 is not None or kappa2 is not None:
         if kappa1 is None or kappa2 is None:
             raise ParameterError("kappa1 and kappa2 must be given together")
-        upper = _upper(n, phi, geo, kappa1, kappa2)
+        if not (kappa1 > 0 and kappa2 > 0):
+            raise ParameterError("kappa1 and kappa2 must be positive")
+        upper = (2 * genus - 2) * (phi * (kappa1 * math.log(n) + kappa2) + geo)
         conditional = True
     simple = _simple(n, phi)
     _check_strict(n, lower, simple)
     return BoundReport(
         n=n,
-        genus=genus_formula(n),
+        genus=genus,
         phi=phi,
         primes=tuple(records),
         geometric_terms=tuple(terms),
         geometric_float=geo,
         lower=lower,
         simple=simple,
-        mertens=_mertens(primes),
+        mertens=math.fsum(math.log(p) / (p - 1) for p in primes),
         upper=upper,
         conditional=conditional,
     )

@@ -146,8 +146,9 @@ def cmd_fiber(args) -> int:
         payload, checks = _fiber_payload(model)
         subreports.append(payload)
         all_checks.extend(checks)
-        blob = _fiber_csv(model)
-        csv_blobs.append(blob if not csv_blobs else blob.split("\n", 1)[1])
+        if args.format == "csv":
+            blob = _fiber_csv(model)
+            csv_blobs.append(blob if not csv_blobs else blob.split("\n", 1)[1])
     if args.format == "csv":
         sys.stdout.write("".join(csv_blobs))
     else:

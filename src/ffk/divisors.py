@@ -25,7 +25,6 @@ from .fiber import (
     a_number,
     canonical_pair,
     pair,
-    pair_component,
     pairing_divisor,
 )
 from .model import FermatLabel, FermatModel, FermatParams
@@ -128,19 +127,6 @@ def v_self_closed(model: FermatModel, cid: int) -> Fraction:
         return base - Fraction(1, n)
     r = lab.j
     return base - mu_chain(params, r, 1) / r
-
-
-def v_self(model: FermatModel, cid: int) -> Fraction:
-    """V_D^2: the closed form, asserted equal to the graph pairing."""
-    vd = v_divisor(model, cid)
-    got = pair(model.config, vd, vd)
-    want = v_self_closed(model, cid)
-    if got != want:
-        raise MathContractError(
-            f"V_D^2 mismatch for D={model.config.component(cid).label}: "
-            f"graph {got}, closed form {want}"
-        )
-    return got
 
 
 def vs_pair_closed(model: FermatModel, cid: int, cusp: tuple[int, int] = (1, 1)) -> Fraction:
@@ -359,7 +345,7 @@ def u_s_probe(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> list[CheckR
     results = []
     for name, cand in u_s_candidates(model, cusp).items():
         sq_ok, ku_ok, semi = u_s_identities(model.params, u_s_values(model, vs, cand, cusp))
-        ld = pair_component(config, cand, deltas[0]) if deltas else None
+        ld = pair(config, cand, QDivisor.single(deltas[0])) if deltas else None
         results.append(
             CheckResult(
                 f"u_s[{name}]",

@@ -272,14 +272,10 @@ def pair(config: FiberConfig, D: QDivisor, E: QDivisor) -> Fraction:
     if len(D._num) > len(E._num):
         D, E = E, D
     e = E._num
+    if E is not D:
+        _check_ids(config, e)
     total = sum(e[x] * t for x, t in _spread(config, D._num, e).items())
     return Fraction(total, D._den * E._den)
-
-
-def pair_component(config: FiberConfig, D: QDivisor, cid: int) -> Fraction:
-    """(D . C) for a single component C."""
-    d = D._num
-    return Fraction(sum(d[x] * t for x, t in _spread(config, {cid: 1}, d).items()), D._den)
 
 
 def pairing_divisor(config: FiberConfig, D: QDivisor) -> QDivisor:
@@ -338,7 +334,9 @@ def p_a_divisor(config: FiberConfig, D: QDivisor) -> Fraction:
 def validate(config: FiberConfig) -> list[CheckResult]:
     """Structural checks: symmetry, fiber orthogonality, kernel, adjunction sum.
 
-    Failures are reported as data, never raised.
+    Failures are reported as data, never raised. The symmetry check passes by
+    construction, since `FiberConfig` writes both neighbour maps of an edge
+    from one count; it stays so that the list of reported checks is unchanged.
     """
     results = []
 

@@ -39,7 +39,7 @@ from .fiber import (
     FiberConfig,
     check_component_cap,
     i_c,
-    pair_component,
+    pairing_divisor,
 )
 
 KINDS = ("Fm", "LXYZ", "Chain", "Lgamma", "LgammaLeaf", "Ldelta")
@@ -266,12 +266,12 @@ def transversality_check(model: FermatModel) -> bool:
 def i_c_matches_pairing(model: FermatModel) -> bool:
     """Transversality makes I_C = (C . F - d_C C) an equality for every C.
 
-    By bilinearity (C . F - d_C C) = (C . F) - d_C C^2, so F is built once.
+    By bilinearity (C . F - d_C C) = (C . F) - d_C C^2, and one pairing pass
+    gives every (F . C); F is integral, so each (F . C) is a numerator over 1.
     """
     config = model.config
-    fpi = config.fiber_divisor()
-    for c in config.components:
-        rest = pair_component(config, fpi, c.cid) - c.multiplicity * c.self_int
-        if i_c(config, c.cid) != rest:
-            return False
-    return True
+    get = pairing_divisor(config, config.fiber_divisor()).numerators().get
+    return all(
+        i_c(config, c.cid) == get(c.cid, 0) - c.multiplicity * c.self_int
+        for c in config.components
+    )

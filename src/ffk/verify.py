@@ -198,16 +198,16 @@ def representative_relation_full(model: FermatModel) -> CheckResult:
 
 def gauge_reproduction(model: FermatModel) -> CheckResult:
     """solve_gauge with the relation targets reproduces every representative."""
+    name = "gauged solver reproduces representatives"
     gauge_val = Fraction(model.params.p - 2, 2 * model.params.genus - 2)
-    solver = GaugeSolver(model.config, model.fm)
+    try:
+        solver = GaugeSolver(model.config, model.fm)
+    except MathContractError as exc:
+        return CheckResult(name, False, str(exc))
     for d, targets in _relation_targets(model):
         if solver.solve(targets, gauge_val) != divisors.v_divisor(model, d.cid):
-            return CheckResult(
-                "gauged solver reproduces representatives",
-                False,
-                f"fails for D={d.label}",
-            )
-    return CheckResult("gauged solver reproduces representatives", True)
+            return CheckResult(name, False, f"fails for D={d.label}")
+    return CheckResult(name, True)
 
 
 def suite_divisor(models: list[FermatModel] | None = None) -> list[CheckResult]:

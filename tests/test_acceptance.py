@@ -106,7 +106,9 @@ def _mutated(model, mode: str) -> FermatModel:
 def _divisor_suite_raises(model) -> bool:
     try:
         for c in model.config.components[:40]:
-            divisors.v_self(model, c.cid)
+            vc = divisors.v_divisor(model, c.cid)
+            if pair(model.config, vc, vc) != divisors.v_self_closed(model, c.cid):
+                return True
         divisors.beta_s(model)
         divisors.per_prime_geometric(model)
     except MathContractError:

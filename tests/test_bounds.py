@@ -10,14 +10,9 @@ from ffk.bounds import (
     bound_report,
     euler_phi,
     factor_odd_squarefree,
-    geometric_contribution,
-    lower_bound,
-    mertens_diag,
     odd_squarefree_composites,
     q_np,
     scan_rows,
-    simple_lower,
-    upper_bound,
 )
 from ffk.divisors import lambda_nu, per_prime_geometric
 from ffk.errors import ParameterError
@@ -78,7 +73,8 @@ def test_beta_closed_values(models):
 
 
 def test_geometric_contribution():
-    terms, total = geometric_contribution(15)
+    rep = bound_report(15)
+    terms, total = rep.geometric_terms, rep.geometric_float
     assert dict(terms) == {3: Fraction(407, 45), 5: Fraction(133, 30)}
     want = float(Fraction(407, 45)) * math.log(3) + float(Fraction(133, 30)) * math.log(5)
     assert math.isclose(total, want, rel_tol=1e-15)
@@ -86,45 +82,46 @@ def test_geometric_contribution():
 
 
 def test_upper_bound():
-    up = upper_bound(15, 1.0, 1.0)
-    _, geo = geometric_contribution(15)
+    up = bound_report(15, 1.0, 1.0).upper
+    geo = bound_report(15).geometric_float
     assert math.isclose(up, 180 * (8 * (math.log(15) + 1) + geo), rel_tol=1e-15)
     # strictly increasing in both kappas
-    assert upper_bound(15, 2.0, 1.0) > up
-    assert upper_bound(15, 1.0, 2.0) > up
+    assert bound_report(15, 2.0, 1.0).upper > up
+    assert bound_report(15, 1.0, 2.0).upper > up
     with pytest.raises(ParameterError):
-        upper_bound(15, 0.0, 0.0)
+        bound_report(15, 0.0, 0.0)
     with pytest.raises(ParameterError):
-        upper_bound(15, 1.0, 0.0)
+        bound_report(15, 1.0, 0.0)
 
 
 def test_lower_bound_assembly():
     # independent assembly in a different summation order
     want = 8 * (float(beta_sp_closed(15, 3) / 2) * math.log(3)
                 + float(beta_sp_closed(15, 5) / 4) * math.log(5))
-    got = lower_bound(15)
+    got = bound_report(15).lower
     assert math.isclose(got, want, rel_tol=4e-16)  # <= 4 ulp
     assert got > 0
 
 
 def test_simple_lower():
-    assert math.isclose(simple_lower(15), 8 * math.log(15) / 1125, rel_tol=1e-15)
-    assert abs(simple_lower(15) - 0.01926) < 5e-6
-    assert abs(simple_lower(33) - 0.01284) < 5e-6
+    assert math.isclose(bound_report(15).simple, 8 * math.log(15) / 1125, rel_tol=1e-15)
+    assert abs(bound_report(15).simple - 0.01926) < 5e-6
+    assert abs(bound_report(33).simple - 0.01284) < 5e-6
 
 
 def test_lower_exceeds_simple():
     for n in (15, 21, 33, 105):
-        assert lower_bound(n) > simple_lower(n)
+        rep = bound_report(n)
+        assert rep.lower > rep.simple
 
 
 def test_mertens():
-    got = mertens_diag(15)
+    got = bound_report(15).mertens
     assert math.isclose(got, math.log(3) / 2 + math.log(5) / 4, rel_tol=1e-15)
     assert abs(got - 0.9516) < 1e-4  # quoted value is truncated, not rounded
-    assert math.isclose(mertens_diag(105) - got, math.log(7) / 6, rel_tol=1e-12)
+    assert math.isclose(bound_report(105).mertens - got, math.log(7) / 6, rel_tol=1e-12)
     for n, _ in odd_squarefree_composites(500):
-        assert mertens_diag(n) < math.log(n)
+        assert bound_report(n).mertens < math.log(n)
 
 
 def test_bound_report():

@@ -16,7 +16,6 @@ from ffk.fiber import (
     i_c,
     p_a_divisor,
     pair,
-    pair_component,
     pair_profile,
     pairing_divisor,
     solve_gauge,
@@ -116,7 +115,7 @@ def test_qdivisor_matches_fraction_dict_reference(data):
 def test_pair_fiber_orthogonality(model53):
     cfg = model53.config
     fpi = cfg.fiber_divisor()
-    assert all(pair_component(cfg, fpi, c.cid) == 0 for c in cfg.components)
+    assert all(pair(cfg, fpi, QDivisor.single(c.cid)) == 0 for c in cfg.components)
 
 
 def test_pair_examples(model53):
@@ -154,7 +153,12 @@ def test_pairing_kernels_reject_unknown_ids(model53, bad):
     with pytest.raises(ParameterError):
         pair(cfg, D, cfg.fiber_divisor())
     with pytest.raises(ParameterError):
-        pair_component(cfg, cfg.fiber_divisor(), bad)
+        pair(cfg, cfg.fiber_divisor(), QDivisor.single(bad))
+    # the unknown id is in the larger operand, the one pair does not spread
+    with pytest.raises(ParameterError):
+        pair(cfg, QDivisor.single(0), QDivisor({bad: 1, 1: 1}))
+    with pytest.raises(ParameterError):
+        pair(cfg, QDivisor(), QDivisor.single(bad))
     with pytest.raises(ParameterError):
         pairing_divisor(cfg, D)
 
@@ -196,7 +200,7 @@ def test_pair_profile_matches_pair(model53):
     D = QDivisor({model53.fm: Fraction(1, 3), model53.lxyz(1): Fraction(-2)})
     prof = pair_profile(cfg, D)
     for c in cfg.components:
-        assert prof.get(c.cid, Fraction(0)) == pair_component(cfg, D, c.cid)
+        assert prof.get(c.cid, Fraction(0)) == pair(cfg, D, QDivisor.single(c.cid))
 
 
 def test_a_number_values(model53):
@@ -361,7 +365,7 @@ def test_pairing_kernels_match_dense_pairing_on_random_trees(cfg, data):
     dense = [sum(D.coeff(i) * matrix[i][j] for i in range(n)) for j in range(n)]
 
     assert pair_profile(cfg, D) == {j: v for j, v in enumerate(dense) if v}
-    assert [pair_component(cfg, D, j) for j in range(n)] == dense
+    assert [pair(cfg, D, QDivisor.single(j)) for j in range(n)] == dense
     assert pair(cfg, D, E) == sum(E.coeff(j) * dense[j] for j in range(n))
     assert pair(cfg, D, E) == pair(cfg, E, D)
     assert pair(cfg, D + E.scale(t), F) == pair(cfg, D, F) + t * pair(cfg, E, F)

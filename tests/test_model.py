@@ -1,7 +1,7 @@
 import pytest
 
 from ffk.errors import CapExceeded, ParameterError
-from ffk.fiber import Component, CuspSection, FiberConfig, pair_component
+from ffk.fiber import Component, CuspSection, FiberConfig, QDivisor, pair
 from ffk.model import (
     FermatLabel,
     FermatParams,
@@ -114,9 +114,22 @@ def test_transversality_detects_mutation(model53):
     assert not transversality_check(bad)
 
 
-def test_i_c_pairing_equality(model53, model73):
-    assert i_c_matches_pairing(model53)
-    assert i_c_matches_pairing(model73)
+def test_i_c_pairing_equality(models, monkeypatch):
+    # every (F . C) comes from one pairing_divisor(config, F), not one pairing per component
+    import ffk.fiber
+    import ffk.model
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ffk.fiber.pairing_divisor(*args)
+
+    monkeypatch.setattr(ffk.model, "pairing_divisor", counted, raising=False)
+    for model in models.values():
+        calls.clear()
+        assert i_c_matches_pairing(model)
+        assert len(calls) == 1
 
 
 def test_cusp_sections(models):
@@ -173,7 +186,7 @@ def test_fiber_divisor_orthogonal_on_all(models):
     for model in models.values():
         cfg = model.config
         fpi = cfg.fiber_divisor()
-        assert all(pair_component(cfg, fpi, c.cid) == 0 for c in cfg.components)
+        assert all(pair(cfg, fpi, QDivisor.single(c.cid)) == 0 for c in cfg.components)
 
 
 def test_unknown_label_lookup(model53):
