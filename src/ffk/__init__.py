@@ -44,7 +44,6 @@ from .fiber import (
     i_c,
     p_a_divisor,
     pair,
-    solve_gauge,
     validate,
 )
 from .model import (

@@ -140,7 +140,8 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
     """Assemble the full per-N report; the upper bound only if kappas given.
 
     The only per-N assembly. The conditional upper bound is
-    (2g-2)(phi(N)(kappa1 log N + kappa2) + geometric term), for positive kappas.
+    (2g-2)(phi(N)(kappa1 log N + kappa2) + geometric term), for positive kappas;
+    kappas whose bound is not a finite float raise ParameterError.
     """
     primes = factor_odd_squarefree(n)
     phi = euler_phi(primes)
@@ -162,6 +163,8 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
         if not (kappa1 > 0 and kappa2 > 0):
             raise ParameterError("kappa1 and kappa2 must be positive")
         upper = (2 * genus - 2) * (phi * (kappa1 * math.log(n) + kappa2) + geo)
+        if not math.isfinite(upper):
+            raise ParameterError(f"upper bound is not finite for kappa1={kappa1}, kappa2={kappa2}")
         conditional = True
     simple = _simple(n, phi)
     _check_strict(n, lower, simple)

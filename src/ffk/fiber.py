@@ -216,8 +216,8 @@ class FiberConfig:
                 for b, cnt in nbrs.items() if a < b)
 
     @cached_property
-    def _non_orthogonal(self) -> Component | None:
-        """See non_orthogonal_component; the config is immutable, so this runs once."""
+    def non_orthogonal(self) -> Component | None:
+        """The first component C with (F . C) = d_C C^2 + I_C != 0, or None; computed once."""
         return next(
             (c for c in self.components if c.multiplicity * c.self_int + i_c(self, c.cid)),
             None,
@@ -237,44 +237,33 @@ def _check_ids(config: FiberConfig, ids) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _spread(config: FiberConfig, num: Mapping[int, int], onto: Mapping[int, int] | None = None):
-    """{C: den * (D . C)} for every C that D meets, or only for the C in `onto`.
+def _spread(config: FiberConfig, num: Mapping[int, int]) -> dict[int, int]:
+    """{C: den * (D . C)} for every C that D meets, where `num` holds D's numerators over den.
 
-    `num` holds D's numerators over den. Each component of D's support hands
-    its pairing to its neighbours and to itself; a component with more
-    neighbours than `onto` has entries (the hub Fm against a small divisor)
-    looks up its adjacency for the entries of `onto` instead.
+    Each component of D's support hands its pairing to its neighbours and to itself.
     """
     _check_ids(config, num)
     comps, nbrs = config.components, config._nbrs
     out: dict[int, int] = {}
     get = out.get
     for c, v in num.items():
-        adj = nbrs[c]
-        if onto is None:
-            hits = adj.items()
-        elif len(adj) > len(onto):
-            hits = [(x, adj[x]) for x in onto if x in adj]
-        else:
-            hits = [(x, cnt) for x, cnt in adj.items() if x in onto]
-        for x, cnt in hits:
+        for x, cnt in nbrs[c].items():
             out[x] = get(x, 0) + v * cnt
-        if onto is None or c in onto:
-            out[c] = get(c, 0) + v * comps[c].self_int
+        out[c] = get(c, 0) + v * comps[c].self_int
     return out
 
 
 def pair(config: FiberConfig, D: QDivisor, E: QDivisor) -> Fraction:
     """Bilinear extension of the component pairing; symmetric in D, E.
 
-    Spreads the smaller support onto the larger one in integers and divides once.
+    Spreads the smaller support, takes its dot product with the other in integers, divides once.
     """
     if len(D._num) > len(E._num):
         D, E = E, D
     e = E._num
     if E is not D:
         _check_ids(config, e)
-    total = sum(e[x] * t for x, t in _spread(config, D._num, e).items())
+    total = sum(e[x] * t for x, t in _spread(config, D._num).items() if x in e)
     return Fraction(total, D._den * E._den)
 
 
@@ -298,11 +287,6 @@ def i_c(config: FiberConfig, cid: int) -> int:
     """
     comps = config.components
     return sum(comps[nbr].multiplicity * cnt for nbr, cnt in config.neighbors(cid).items())
-
-
-def non_orthogonal_component(config: FiberConfig) -> Component | None:
-    """The first component C with (F . C) = d_C C^2 + I_C != 0, or None; cached per config."""
-    return config._non_orthogonal
 
 
 def a_number(config: FiberConfig, cid: int) -> int:
@@ -334,6 +318,8 @@ def p_a_divisor(config: FiberConfig, D: QDivisor) -> Fraction:
 def validate(config: FiberConfig) -> list[CheckResult]:
     """Structural checks: symmetry, fiber orthogonality, kernel, adjunction sum.
 
+    The kernel check pins component 0 to d_0 in `GaugeSolver(config, 0).solve`
+    and demands the multiplicity vector back as the homogeneous solution.
     Failures are reported as data, never raised. The symmetry check passes by
     construction, since `FiberConfig` writes both neighbour maps of an edge
     from one count; it stays so that the list of reported checks is unchanged.
@@ -343,7 +329,7 @@ def validate(config: FiberConfig) -> list[CheckResult]:
     sym_ok = all(config._nbrs[b].get(a) == cnt for (a, b), cnt in config.edges())
     results.append(CheckResult("pairing matrix symmetric", sym_ok))
 
-    offender = non_orthogonal_component(config)
+    offender = config.non_orthogonal
     results.append(
         CheckResult(
             "fiber orthogonality (F.C = 0 for all C)",
@@ -352,12 +338,8 @@ def validate(config: FiberConfig) -> list[CheckResult]:
         )
     )
 
-    # kernel is exactly the multiplicity line: fix one coefficient, demand the
-    # homogeneous solution reproduce the multiplicity vector
-    gauge_cid = 0
-    gauge_val = Fraction(config.component(gauge_cid).multiplicity)
     try:
-        hom = solve_gauge(config, {}, (gauge_cid, gauge_val))
+        hom = GaugeSolver(config, 0).solve(QDivisor(), config.component(0).multiplicity)
         kernel_ok = hom == config.fiber_divisor()
         detail = "" if kernel_ok else "homogeneous solution is not the multiplicity vector"
     except (NoSolutionError, MathContractError) as exc:
@@ -425,7 +407,7 @@ class GaugeSolver:
         n_edges = sum(map(len, nbrs)) // 2
         if n_edges != n - 1:
             raise MathContractError(f"fiber graph is not a tree: {n_edges} edges on {n} components")
-        offender = non_orthogonal_component(config)
+        offender = config.non_orthogonal
         if offender is not None:
             raise MathContractError(f"fiber orthogonality fails at component {offender.label}")
 
@@ -440,15 +422,17 @@ class GaugeSolver:
         self._parents = [parent[cid] for cid in order[1:]]
         self._steps = [scale // w for w in weights]
 
-    def solve(self, targets: QDivisor | Mapping[int, Fraction], gauge_val) -> QDivisor:
-        """The V with (V . C) = targets[C] for every C and gauge coefficient gauge_val."""
+    def solve(self, targets: QDivisor, gauge_val) -> QDivisor:
+        """The V with (V . C) = targets.coeff(C) for every C and gauge coefficient gauge_val.
+
+        Targets must be orthogonal to the kernel: sum d_C t_C = 0.
+        """
         config = self.config
         mult = self._mult
-        t = targets if isinstance(targets, QDivisor) else QDivisor(targets)
         gauge = Fraction(gauge_val)
-        den = lcm(gauge.denominator, t._den)
-        k = den // t._den
-        num = t._num
+        den = lcm(gauge.denominator, targets._den)
+        k = den // targets._den
+        num = targets._num
         _check_ids(config, num)
         sub = [0] * len(mult)  # den * d_C t_C, then den * F_C
         for cid, v in num.items():
@@ -468,19 +452,3 @@ class GaugeSolver:
             y[cid] = y[par] - sub[cid] * step
         coeffs = {cid: mult[cid] * y[cid] for cid in compress(range(len(y)), y)}
         return QDivisor.from_numerators(coeffs, den * self._scale)
-
-
-def solve_gauge(
-    config: FiberConfig,
-    targets: QDivisor | Mapping[int, Fraction],
-    gauge: tuple[int, Fraction],
-) -> QDivisor:
-    """Solve (V . C) = targets[C] for all C, with one coefficient pinned.
-
-    The pairing matrix of a connected fiber has a one-dimensional kernel, so
-    the gauge row (coefficient of one chosen component) makes the solution
-    unique. Targets must be orthogonal to the kernel: sum d_C targets[C] = 0.
-    The fiber graph must be a tree (see GaugeSolver).
-    """
-    gauge_cid, gauge_val = gauge
-    return GaugeSolver(config, gauge_cid).solve(targets, gauge_val)

@@ -13,8 +13,8 @@ from math import comb, factorial
 
 from .errors import CapExceeded, MathContractError, ParameterError
 
-#: default degree cap for the full bivariate splitting check (memory guard)
-DEFAULT_SPLIT_CAP = 2000
+#: degree cap for the full bivariate splitting check (memory guard)
+SPLIT_CAP = 2000
 
 #: verify checks double_roots against its O(p^2) oracle double_roots_gcd for
 #: every prime below this bound
@@ -74,12 +74,6 @@ class IntPoly:
             out[i] += v
         return IntPoly(out)
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(-v for v in self.coeffs)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if not self or not other:
             return IntPoly(())
@@ -89,9 +83,6 @@ class IntPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPoly(out)
-
-    def scale(self, k: int) -> "IntPoly":
-        return IntPoly(k * v for v in self.coeffs)
 
     def exact_div_scalar(self, k: int) -> "IntPoly":
         if any(v % k for v in self.coeffs):
@@ -408,14 +399,14 @@ def double_roots_gcd(p: int) -> list[int]:
     return roots
 
 
-def fermat_split_check(p: int, m: int, cap: int = DEFAULT_SPLIT_CAP) -> bool:
+def fermat_split_check(p: int, m: int) -> bool:
     """Exact check of X^N + Y^N - 1 = (X^m + Y^m - 1)^p + p*psi(X^m, Y^m)."""
     _require_odd_prime(p)
     if m < 1:
         raise ParameterError(f"m must be positive, got {m}")
     n = p * m
-    if n > cap:
-        raise CapExceeded(f"degree N = {n} exceeds the splitting-check cap {cap}")
+    if n > SPLIT_CAP:
+        raise CapExceeded(f"degree N = {n} exceeds the splitting-check cap {SPLIT_CAP}")
     lhs = (
         BiPoly.monomial(n, 0)
         + BiPoly.monomial(0, n)

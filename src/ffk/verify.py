@@ -197,7 +197,7 @@ def representative_relation_full(model: FermatModel) -> CheckResult:
 
 
 def gauge_reproduction(model: FermatModel) -> CheckResult:
-    """solve_gauge with the relation targets reproduces every representative."""
+    """GaugeSolver(config, Fm).solve with the relation targets reproduces every representative."""
     name = "gauged solver reproduces representatives"
     gauge_val = Fraction(model.params.p - 2, 2 * model.params.genus - 2)
     try:
@@ -221,13 +221,13 @@ def suite_divisor(models: list[FermatModel] | None = None) -> list[CheckResult]:
 
         closed_ok = True
         detail = ""
-        vs = divisors.v_s(model)
+        vs_profile = pairing_divisor(config, divisors.v_s(model))
         for c in config.components:
             vc = divisors.v_divisor(model, c.cid)
             if pair(config, vc, vc) != divisors.v_self_closed(model, c.cid):
                 closed_ok, detail = False, f"V_D^2 fails for D={c.label}"
                 break
-            if pair(config, vs, vc) != divisors.vs_pair_closed(model, c.cid):
+            if vc.dot(vs_profile) != divisors.vs_pair_closed(model, c.cid):
                 closed_ok, detail = False, f"(V_S.V_D) fails for D={c.label}"
                 break
         out.append(CheckResult(f"self/cross closed forms {tag}", closed_ok, detail))

@@ -94,6 +94,13 @@ def test_upper_bound():
         bound_report(15, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("kappas", [(math.inf, 1.0), (1e308, 1e308)])
+def test_upper_bound_must_be_finite(kappas):
+    # an infinite bound would be written as the non-JSON token Infinity
+    with pytest.raises(ParameterError, match="not finite"):
+        bound_report(15, *kappas)
+
+
 def test_lower_bound_assembly():
     # independent assembly in a different summation order
     want = 8 * (float(beta_sp_closed(15, 3) / 2) * math.log(3)

@@ -69,6 +69,28 @@ def test_fiber_json(capsys):
     assert all(c["pass"] for c in doc["checks"])
 
 
+def test_fiber_runs_transversality_check_once(capsys, monkeypatch):
+    # the payload's "transversality" is the suite_fiber check's result, not a second run
+    calls = []
+    check = ffk.verify.transversality_check
+
+    def counted(model):
+        calls.append(model)
+        return check(model)
+
+    for mod in (ffk.verify, cli):
+        monkeypatch.setattr(mod, "transversality_check", counted, raising=False)
+    code, doc, _ = run_json(capsys, "fiber", "--p", "5", "--m", "3")
+    assert code == 0
+    assert doc["results"]["fibers"][0]["transversality"] is True
+    assert len(calls) == 1
+
+    monkeypatch.setattr(ffk.verify, "transversality_check", lambda model: False)
+    code, doc, _ = run_json(capsys, "fiber", "--p", "5", "--m", "3")
+    assert code == 4
+    assert doc["results"]["fibers"][0]["transversality"] is False
+
+
 def test_fiber_gamma_rows(capsys):
     code, doc, _ = run_json(capsys, "fiber", "--p", "7", "--m", "3")
     assert code == 0
@@ -194,6 +216,14 @@ def test_bounds_conditional_upper(capsys):
     assert code == 0
     assert doc["results"]["upper_is_conditional"] is True
     assert doc["results"]["upper_bound"] > 0
+
+
+@pytest.mark.parametrize("kappas", [("inf", "1"), ("1e308", "1e308")])
+def test_bounds_rejects_infinite_upper(capsys, kappas):
+    code, out, err = run(capsys, "bounds", "--N", "15", "--kappa1", kappas[0], "--kappa2", kappas[1])
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err
 
 
 def test_bounds_squareful_rejected(capsys):
@@ -371,9 +401,15 @@ def test_rational_serialization():
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 
+def _reject_constant(name):
+    raise ValueError(f"stdout is not standard JSON: it holds {name}")
+
+
 @pytest.mark.parametrize("case", GOLDEN_CLI, ids=lambda case: " ".join(case["argv"]))
 def test_golden_cli_stdout(capsys, monkeypatch, case):
     monkeypatch.delenv("FFK_COMPONENT_CAP", raising=False)
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit_code"]
+    if "csv" not in case["argv"]:
+        json.loads(out, parse_constant=_reject_constant)
     assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]

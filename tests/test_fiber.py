@@ -18,7 +18,6 @@ from ffk.fiber import (
     pair,
     pair_profile,
     pairing_divisor,
-    solve_gauge,
     validate,
 )
 from ffk.model import build_config
@@ -279,7 +278,7 @@ def test_validate_detects_dropped_adjacency(model53):
 
 
 def test_solve_gauge_zero(model53):
-    got = solve_gauge(model53.config, {}, (model53.fm, Fraction(0)))
+    got = GaugeSolver(model53.config, model53.fm).solve(QDivisor(), Fraction(0))
     assert got == QDivisor()
 
 
@@ -287,7 +286,7 @@ def test_solve_gauge_kernel_multiple(model53):
     cfg = model53.config
     p = model53.params.p
     q = Fraction(7, 11)
-    got = solve_gauge(cfg, {}, (model53.fm, q * p))
+    got = GaugeSolver(cfg, model53.fm).solve(QDivisor(), q * p)
     assert got == cfg.fiber_divisor().scale(q)
 
 
@@ -300,7 +299,7 @@ def test_solve_gauge_matches_dense_oracle(model53):
     }
     targets[model53.fm] -= Fraction(1, model53.params.p)
     gauge = (model53.fm, Fraction(model53.params.p - 2, two_g2))
-    got = solve_gauge(cfg, targets, gauge)
+    got = GaugeSolver(cfg, gauge[0]).solve(QDivisor(targets), gauge[1])
     want = dense_solve_oracle(cfg, targets, gauge)
     assert got == want
     prof = pair_profile(cfg, got)
@@ -310,14 +309,14 @@ def test_solve_gauge_matches_dense_oracle(model53):
 
 def test_solve_gauge_incompatible_targets(model53):
     with pytest.raises(NoSolutionError):
-        solve_gauge(model53.config, {model53.fm: Fraction(1)}, (model53.fm, Fraction(0)))
+        GaugeSolver(model53.config, model53.fm).solve(QDivisor.single(model53.fm), Fraction(0))
 
 
 def test_solve_gauge_extra_rank_deficiency():
     comps = [Component(0, "A", 1, 0, 0), Component(1, "B", 1, 0, 0)]
     cfg = FiberConfig(comps, {}, genus=2)
     with pytest.raises(MathContractError):
-        solve_gauge(cfg, {}, (0, Fraction(1)))
+        GaugeSolver(cfg, 0).solve(QDivisor(), Fraction(1))
 
 
 @st.composite
@@ -351,7 +350,8 @@ def test_solve_gauge_matches_dense_oracle_on_random_trees(cfg, data):
     rest = sum(cfg.component(cid).multiplicity * v for cid, v in targets.items() if cid != fix)
     targets[fix] = -Fraction(rest) / cfg.component(fix).multiplicity
     gauge = (data.draw(st.integers(min_value=0, max_value=n - 1)), data.draw(coeff))
-    assert solve_gauge(cfg, targets, gauge) == dense_solve_oracle(cfg, targets, gauge)
+    got = GaugeSolver(cfg, gauge[0]).solve(QDivisor(targets), gauge[1])
+    assert got == dense_solve_oracle(cfg, targets, gauge)
 
 
 @settings(max_examples=60, deadline=None)
@@ -392,7 +392,7 @@ NOT_ORTHOGONAL_TREES = {
 def test_solver_rejects_configs_that_are_not_orthogonal_trees(kind):
     cfg = NOT_ORTHOGONAL_TREES[kind]
     with pytest.raises(MathContractError):
-        solve_gauge(cfg, {}, (0, Fraction(1)))
+        GaugeSolver(cfg, 0).solve(QDivisor(), Fraction(1))
     results = {c.name: c for c in validate(cfg)}
     kernel = results["kernel spanned by multiplicity vector"]
     assert not kernel.passed

@@ -134,7 +134,6 @@ def test_fermat_split(p, m):
 def test_fermat_split_cap():
     with pytest.raises(CapExceeded, match="2000"):
         fermat_split_check(3, 667)
-    assert fermat_split_check(3, 667, cap=2001)
 
 
 def test_factorize_and_is_prime():
