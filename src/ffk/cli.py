@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import bounds, divisors, polyarith, verify
 from .errors import CapExceeded, MathContractError, ParameterError
-from .fiber import i_c, pair
+from .fiber import i_c
 from .model import build_config
 
 SCHEMA_VERSION = "1"
@@ -168,8 +168,7 @@ def cmd_divisors(args) -> int:
         model = build_config(p, m)
         params = model.params
         ln = divisors.lambda_nu(params)
-        vs = divisors.v_s(model, cusp)
-        gs = divisors.g_s(model, cusp)
+        vs_self, gs_self = divisors.cusp_squares(model, cusp)
         semis = divisors.semipos_check(model, cusp)
         payload = {
             "p": p,
@@ -177,8 +176,8 @@ def cmd_divisors(args) -> int:
             "N": params.n,
             "lambda": ln.lam,
             "nu": ln.nu,
-            "v_s_self": pair(model.config, vs, vs),
-            "g_s_self": pair(model.config, gs, gs),
+            "v_s_self": vs_self,
+            "g_s_self": gs_self,
             "beta_s": divisors.beta_s(model, cusp),
             "per_prime_geometric": divisors.per_prime_geometric(model, cusp),
             "semipositivity_min": min(v for _, v in semis),

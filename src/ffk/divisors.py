@@ -27,7 +27,7 @@ from .fiber import (
     pair,
     pairing_divisor,
 )
-from .model import FermatLabel, FermatModel, FermatParams
+from .model import FermatLabel, FermatModel, FermatParams, cusp_quotient, expected_census
 
 
 @dataclass(frozen=True)
@@ -177,52 +177,71 @@ def u_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
     pairing (K . U_S) = (2m-3) N (lambda+nu), and semipositivity
     a_C + 2(S . C) - (U_S . C) >= 0 with equality exactly on the chain and
     leaf components. See u_s_probe for the printed alternatives.
+    """
+    return _u_of(model.params, v_s(model, cusp), model.config.components, model.fm)
+
+
+def _u_of(params: FermatParams, vs: QDivisor, comps, fm: int) -> QDivisor:
+    """(lambda+nu)(2F + p Fm) - 2V_S, F = sum d_C C over `comps`: fiber components or cells.
 
     With lambda+nu = a/b and V_S = sum v_C/e C, the numerators over b e are
     a e (2 d_C + p [C = Fm]) - 2 b v_C, built in one pass and normalised once.
     """
-    total = lambda_nu(model.params).total
-    vs = v_s(model, cusp)
+    total = lambda_nu(params).total
     e = vs.denominator
     ae, b = total.numerator * e, total.denominator
-    num = {c.cid: 2 * ae * c.multiplicity for c in model.config.components}
-    num[model.fm] += ae * model.params.p
+    num = {c.cid: 2 * ae * c.multiplicity for c in comps}
+    num[fm] += ae * params.p
     for cid, v in vs.numerators().items():
         num[cid] -= 2 * b * v
     return QDivisor.from_numerators(num, b * e)
 
 
-def _semipositivity(model: FermatModel, us: QDivisor, cusp: tuple[int, int]):
-    """Numerators of a_C + 2(S.C) - (U.C) by component id, and their common denominator."""
-    config = model.config
-    target = model.cusp(*cusp).target
-    prof = pairing_divisor(config, us)
-    den, get = prof.denominator, prof.numerators().get
-    vals = [
-        (a_number(config, c.cid) + 2 * (c.cid == target)) * den - get(c.cid, 0)
-        for c in config.components
-    ]
-    return vals, den
+def _on_cells(model: FermatModel, cusp: tuple[int, int]):
+    """model.cusp_quotient, with V_Fm, V_S and U_S on its cells.
+
+    V_S is v_divisor at the cusp chain end: (p-2)/(2g-2) on Fm, 1/p on
+    LXYZ(i) and mu_chain on the chains of arm i.
+    """
+    q = cusp_quotient(model, cusp)
+    params, ids = model.params, q.ids
+    fm = ids[("Fm",)]
+    v_fm = QDivisor.single(fm, Fraction(params.p - 2, 2 * params.genus - 2))
+    vs = {ids[("LXYZ", "cusp")]: Fraction(1, params.p)}
+    for where, k in (("cusp", 1), ("arm", 2)):
+        vs.update((ids[("Chain", where, j)], mu_chain(params, j, k)) for j in range(1, params.m))
+    vs = v_fm + QDivisor(vs)
+    return q, v_fm, vs, _u_of(params, vs, q.cells, fm)
 
 
 def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
-    """Values a_C + 2(S.C) - (U_S.C) per component; all must be >= 0."""
-    vals, den = _semipositivity(model, u_s(model, cusp), cusp)
-    return [(cid, Fraction(v, den)) for cid, v in enumerate(vals)]
+    """Values a_C + 2(S.C) - (U_S.C) per component, in id order; all must be >= 0.
 
-
-def _square_and_canonical(config, vs: QDivisor, us: QDivisor) -> tuple[Fraction, Fraction]:
-    """(2V_S + U)^2 and (K . U)."""
-    x = vs.scale(2) + us
-    return pair(config, x, x), canonical_pair(config, us)
+    One value per cell of the cusp quotient (model.cusp_quotient lists the
+    cells), shared by the cell's components; reads model.params and the cusp,
+    not the graph. u_s_values evaluates the graph, as suite_beta's oracle.
+    """
+    q, _, _, us = _on_cells(model, cusp)
+    prof, cusp_end = q.profile(us), q.ids[("Chain", "cusp", 1)]
+    vals = [a_number(q, c.cid) + 2 * (c.cid == cusp_end) - prof.coeff(c.cid) for c in q.cells]
+    return list(enumerate(q.by_id(vals)))
 
 
 def u_s_values(
     model: FermatModel, vs: QDivisor, us: QDivisor, cusp: tuple[int, int]
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """(2V_S + U)^2, (K . U) and min_C a_C + 2(S.C) - (U.C) for a divisor U, given V_S."""
-    vals, den = _semipositivity(model, us, cusp)
-    return (*_square_and_canonical(model.config, vs, us), Fraction(min(vals), den))
+    """(2V_S + U)^2, (K . U) and min_C a_C + 2(S.C) - (U.C) for a divisor U, given V_S.
+
+    Evaluated on the full graph: the oracle of the cusp-quotient beta_s and semipos_check.
+    """
+    config = model.config
+    target = model.cusp(*cusp).target
+    prof = pairing_divisor(config, us)
+    den, get = prof.denominator, prof.numerators().get
+    semi = min((a_number(config, c.cid) + 2 * (c.cid == target)) * den - get(c.cid, 0)
+               for c in config.components)
+    x = vs.scale(2) + us
+    return pair(config, x, x), canonical_pair(config, us), Fraction(semi, den)
 
 
 def u_s_identities(
@@ -239,7 +258,7 @@ def u_s_identities(
 
 
 def beta_graph(params: FermatParams, square: Fraction, canonical: Fraction) -> Fraction:
-    """(1-g)/g (2V_S+U_S)^2 + 2 (K . U_S), asserted equal to beta_closed."""
+    """(1-g)/g (2V_S+U_S)^2 + 2 (K . U_S) from given pairings, asserted equal to beta_closed."""
     g = params.genus
     graph = Fraction(1 - g, g) * square + 2 * canonical
     closed = beta_closed(params)
@@ -253,22 +272,36 @@ def beta_graph(params: FermatParams, square: Fraction, canonical: Fraction) -> F
 def beta_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:
     """Per-prime lower-bound quantity beta_{S,p}.
 
-    Computed from the graph as (1-g)/g (2V_S+U_S)^2 + 2 (K . U_S) and from
-    beta_closed; both must agree exactly.
+    (1-g)/g (2V_S+U_S)^2 + 2 (K . U_S) on the cusp quotient (model.cusp_quotient
+    lists the cells), from model.params and the cusp, not the graph; it must
+    equal beta_closed exactly. suite_beta evaluates the graph, as the oracle.
     """
-    vs, us = v_s(model, cusp), u_s(model, cusp)
-    return beta_graph(model.params, *_square_and_canonical(model.config, vs, us))
+    q, _, vs, us = _on_cells(model, cusp)
+    x = vs.scale(2) + us
+    return beta_graph(model.params, q.pair(x, x), q.canonical(us))
+
+
+def cusp_squares(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> tuple[Fraction, Fraction]:
+    """(V_S^2, G_S^2) on the cusp quotient, from model.params and the cusp."""
+    q, v_fm, vs, _ = _on_cells(model, cusp)
+    gs = vs - v_fm
+    return q.pair(vs, vs), q.pair(gs, gs)
 
 
 def per_prime_geometric(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:
-    """-2g G_S^2 + (2g-2) V_S^2, asserted equal to the closed rational Q(N,p)."""
-    params = model.params
-    g, n, p = params.genus, params.n, params.p
-    config = model.config
-    gs = g_s(model, cusp)
-    vs = v_s(model, cusp)
-    graph = -2 * g * pair(config, gs, gs) + (2 * g - 2) * pair(config, vs, vs)
-    closed = q_np(n, p)
+    """-2g G_S^2 + (2g-2) V_S^2 on the cusp quotient, asserted equal to Q(N,p).
+
+    Reads model.params and the cusp, not the graph (model.cusp_quotient lists
+    the cells); suite_bounds evaluates the squares on the graph, as the oracle.
+    """
+    return geometric_graph(model.params, *cusp_squares(model, cusp))
+
+
+def geometric_graph(params: FermatParams, vs_self: Fraction, gs_self: Fraction) -> Fraction:
+    """-2g G_S^2 + (2g-2) V_S^2 from given squares, asserted equal to the closed Q(N,p)."""
+    g = params.genus
+    graph = -2 * g * gs_self + (2 * g - 2) * vs_self
+    closed = q_np(params.n, params.p)
     if graph != closed:
         raise MathContractError(
             f"per-prime geometric mismatch: graph {graph}, closed form {closed}"
@@ -339,13 +372,13 @@ def u_s_probe(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> list[CheckR
     pairing value, the pairing against a multiplicity-one self -p component,
     and semipositivity.
     """
-    config = model.config
+    config, params = model.config, model.params
     vs = v_s(model, cusp)
-    deltas = [c.cid for c in config.components if c.label.kind == "Ldelta"]
+    ldelta = model.ldelta(1) if expected_census(params.p, params.m, params.s)["Ldelta"] else None
     results = []
     for name, cand in u_s_candidates(model, cusp).items():
         sq_ok, ku_ok, semi = u_s_identities(model.params, u_s_values(model, vs, cand, cusp))
-        ld = pair(config, cand, QDivisor.single(deltas[0])) if deltas else None
+        ld = pair(config, cand, QDivisor.single(ldelta)) if ldelta is not None else None
         results.append(
             CheckResult(
                 f"u_s[{name}]",

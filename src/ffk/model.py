@@ -32,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import polyarith
-from .errors import ParameterError
+from .errors import MathContractError, ParameterError
 from .fiber import (
     Component,
     CuspSection,
     FiberConfig,
+    Quotient,
     check_component_cap,
     i_c,
     pairing_divisor,
@@ -179,6 +180,17 @@ def expected_census(p: int, m: int, s: int) -> dict[str, int]:
     }
 
 
+def _shapes(p: int, m: int) -> dict[str, tuple[int, int, int]]:
+    """(multiplicity, genus, self-intersection) by kind; a Chain(j) has (j, 0, -2)."""
+    return {
+        "Fm": (p, genus_formula(m), -m * m),
+        "LXYZ": (m, 0, -p),
+        "Ldelta": (1, 0, -p),
+        "Lgamma": (2, 0, -p),
+        "LgammaLeaf": (1, 0, -2),
+    }
+
+
 def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     """Build the special-fiber configuration for given (p, m, s).
 
@@ -214,14 +226,7 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
         FermatLabel("LgammaLeaf", i, 0, j) for i in range(1, n_gamma + 1) for j in range(1, p + 1)
     ]
 
-    # (multiplicity, genus, self-intersection) by kind; a Chain's multiplicity is its j
-    shape = {
-        "Fm": (p, genus_formula(m), -m * m),
-        "LXYZ": (m, 0, -p),
-        "Ldelta": (1, 0, -p),
-        "Lgamma": (2, 0, -p),
-        "LgammaLeaf": (1, 0, -2),
-    }
+    shape = _shapes(p, m)
     comps = [Component(cid, lab, lab.j, 0, -2) for cid, lab in enumerate(labels[:fm])]
     comps += [Component(cid, lab, *shape[lab.kind]) for cid, lab in enumerate(labels[fm:], fm)]
 
@@ -245,6 +250,38 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     cusps = tuple(map(CuspSection, range(0, fm, length)))
     by_label = dict(zip(labels, range(len(labels))))
     return FermatModel(params, config, tuple(labels), by_label, cusps)
+
+
+def cusp_quotient(model: FermatModel, cusp: tuple[int, int]) -> Quotient:
+    """The cells of the fiber under the stabiliser of the cusp chain, from the census alone.
+
+    For the cusp at Chain(1, k, i) the 3(m-1)+6 cells are ("Fm",), ("LXYZ",
+    "cusp") = {LXYZ(i)}, ("LXYZ", "other"), ("Ldelta",), ("Lgamma",),
+    ("LgammaLeaf",) and, for each level j, ("Chain", where, j) on the cusp
+    chain (where = "cusp"), on the other p-1 chains of arm i ("arm") and on
+    the other arms ("other"). Empty cells are dropped: Ldelta when 2s = p-3,
+    Lgamma and its leaves when s = 0. Reads model.params, checks the cusp
+    through model.cusp and the component count against model.config; never
+    reads the graph.
+    """
+    model.cusp(*cusp)
+    (ci, ck), p, m = cusp, model.params.p, model.params.m
+    census, shape = expected_census(p, m, model.params.s), _shapes(p, m)
+    cusp_c, arm, other = ([("Chain", w, j) for j in range(1, m)] for w in ("cusp", "arm", "other"))
+    fm, lx, lx_other, ld, lg, leaf = [("Fm",), ("LXYZ", "cusp"), ("LXYZ", "other"),
+                                      ("Ldelta",), ("Lgamma",), ("LgammaLeaf",)]
+    runs = [(other, p * (ci - 1)), (arm, ck - 1), (cusp_c, 1), (arm, p - ck),
+            (other, p * (3 * m - ci)), ([fm], 1), ([lx_other], ci - 1), ([lx], 1),
+            ([lx_other], 3 * m - ci)] + [([lab], census[lab[0]]) for lab in (ld, lg, leaf)]
+    meets = [(fm, lx, 1), (fm, lx_other, 3 * m - 1), (fm, ld, census["Ldelta"]),
+             (fm, lg, census["Lgamma"]), (lg, leaf, p), (lx, cusp_c[-1], 1),
+             (lx, arm[-1], p - 1), (lx_other, other[-1], p)]
+    meets += [(a, b, 1) for run in (cusp_c, arm, other) for a, b in zip(run, run[1:])]
+    quotient = Quotient(runs, meets, lambda c: (c[2], 0, -2) if len(c) == 3 else shape[c[0]])
+    if sum(quotient.sizes) != model.config.n_components:
+        raise MathContractError(f"cusp quotient has {sum(quotient.sizes)} components, "
+                                f"the fiber {model.config.n_components}")
+    return quotient
 
 
 def transversality_check(model: FermatModel) -> bool:

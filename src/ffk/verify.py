@@ -331,8 +331,10 @@ def suite_bounds(models: list[FermatModel] | None = None, scan_to: int = 10**4) 
         params = model.params
         n, p = params.n, params.p
         tag = f"(p={p}, m={params.m})"
+        vs, gs = divisors.v_s(model), divisors.g_s(model)
         try:
-            graph = divisors.per_prime_geometric(model)
+            graph = divisors.geometric_graph(params, pair(model.config, vs, vs),
+                                             pair(model.config, gs, gs))
             ok = graph == bounds.q_np(n, p)
             detail = ""
         except MathContractError as exc:

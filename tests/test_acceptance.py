@@ -104,6 +104,11 @@ def _mutated(model, mode: str) -> FermatModel:
 
 
 def _divisor_suite_raises(model) -> bool:
+    """A divisor identity raises, or a full-graph oracle check of beta_S or Q(N,p) fails.
+
+    beta_s and per_prime_geometric read the cusp quotient, not model.config, so
+    a defect in the built graph reaches them only through the oracle suites.
+    """
     try:
         for c in model.config.components[:40]:
             vc = divisors.v_divisor(model, c.cid)
@@ -111,9 +116,10 @@ def _divisor_suite_raises(model) -> bool:
                 return True
         divisors.beta_s(model)
         divisors.per_prime_geometric(model)
+        oracle = verify.suite_beta([model]) + verify.suite_bounds([model], scan_to=15)
     except MathContractError:
         return True
-    return False
+    return not all(c.passed for c in oracle)
 
 
 def _doubled_edge(model) -> FiberConfig:

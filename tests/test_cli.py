@@ -158,6 +158,13 @@ def test_divisors_cusp_independence(capsys):
     assert a["g_s_self"] == b["g_s_self"]
 
 
+def test_divisors_bad_cusp_exits_2(capsys):
+    # (5,3) has cusps (i, k) with 1 <= i <= 9 and 1 <= k <= 5
+    code, out, err = run(capsys, "divisors", "--p", "5", "--m", "3", "--cusp", "10,1")
+    assert code == 2
+    assert out == ""
+
+
 def test_divisors_exit_4_on_contract_violation(capsys, monkeypatch):
     def boom(model, cusp=(1, 1)):
         raise MathContractError("beta_S mismatch (seeded)")
