@@ -36,7 +36,6 @@ from .errors import (
 from .fiber import (
     CheckResult,
     Component,
-    CuspSection,
     FiberConfig,
     QDivisor,
     a_number,

@@ -158,7 +158,7 @@ def vs_pair_closed(model: FermatModel, cid: int, cusp: tuple[int, int] = (1, 1))
 
 def v_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
     """V_S = V_{Chain(1,k,i)} for the cusp meeting that chain end."""
-    return v_divisor(model, model.cusp(*cusp).target)
+    return v_divisor(model, model.cusp(*cusp))
 
 
 def g_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
@@ -215,16 +215,16 @@ def _on_cells(model: FermatModel, cusp: tuple[int, int]):
 
 
 def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
-    """Values a_C + 2(S.C) - (U_S.C) per component, in id order; all must be >= 0.
+    """(cell label, a_C + 2(S.C) - (U_S.C)) per non-empty cell; every value must be >= 0.
 
-    One value per cell of the cusp quotient (model.cusp_quotient lists the
-    cells), shared by the cell's components; reads model.params and the cusp,
-    not the graph. u_s_values evaluates the graph, as suite_beta's oracle.
+    The value is shared by every component C of the cell (model.cusp_quotient
+    lists the cells, at most 3(m-1)+6); reads model.params and the cusp, not
+    the graph. u_s_values evaluates the graph, as suite_beta's oracle.
     """
     q, _, _, us = _on_cells(model, cusp)
     prof, cusp_end = q.profile(us), q.ids[("Chain", "cusp", 1)]
-    vals = [a_number(q, c.cid) + 2 * (c.cid == cusp_end) - prof.coeff(c.cid) for c in q.cells]
-    return list(enumerate(q.by_id(vals)))
+    return [(c.label, a_number(q, c.cid) + 2 * (c.cid == cusp_end) - prof.coeff(c.cid))
+            for c in q.cells]
 
 
 def u_s_values(
@@ -235,7 +235,7 @@ def u_s_values(
     Evaluated on the full graph: the oracle of the cusp-quotient beta_s and semipos_check.
     """
     config = model.config
-    target = model.cusp(*cusp).target
+    target = model.cusp(*cusp)
     prof = pairing_divisor(config, us)
     den, get = prof.denominator, prof.numerators().get
     semi = min((a_number(config, c.cid) + 2 * (c.cid == target)) * den - get(c.cid, 0)

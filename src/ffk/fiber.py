@@ -58,13 +58,6 @@ class Component:
 
 
 @dataclass(frozen=True)
-class CuspSection:
-    """Horizontal cusp section; meets exactly one vertical component once."""
-
-    target: int
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -221,28 +214,23 @@ class FiberConfig:
 class Quotient:
     """An equitable partition of a fiber into cells, pairing divisors constant on cells.
 
-    `runs` gives the cell label of every fiber id in id order, as (labels, repeat)
-    pairs; cells no id falls in are dropped. A `meets` entry (a, b, ab) says that
-    every component of cell a meets ab components of cell b and every one of b
-    meets one of a; `shape(label)` is (multiplicity, genus, C^2). Cell c is the
-    Component `cells[c]`, with |c| = sizes[c] and b(c, c2) = nbrs[c][c2].
+    `sizes` maps each cell label to its number of components; cells of size 0
+    are dropped. A `meets` entry (a, b, ab) says that every component of cell a
+    meets ab components of cell b and every one of b meets one of a;
+    `shape(label)` is (multiplicity, genus, C^2). Cell c is the Component
+    `cells[c]`, with |c| = sizes[c] and b(c, c2) = nbrs[c][c2].
     For D = sum x_c c, E = sum y_c c, each coefficient spread over its cell,
     D.E = sum_c |c| x_c (C_c^2 y_c + sum_c2 b(c, c2) y_c2), (K.D) = sum_c |c| x_c a_c.
     """
 
-    def __init__(self, runs, meets, shape):
-        sizes: dict = {}
-        for seq, rep in runs:
-            for label in seq:
-                sizes[label] = sizes.get(label, 0) + rep
-        self.ids = {label: c for c, label in enumerate(x for x in sizes if sizes[x])}
+    def __init__(self, sizes: Mapping[Any, int], meets, shape):
+        self.ids = {label: c for c, label in enumerate(x for x, n in sizes.items() if n)}
         self.cells = tuple(Component(c, label, *shape(label)) for label, c in self.ids.items())
         self.sizes = tuple(map(sizes.get, self.ids))
         self.nbrs = tuple({} for _ in self.cells)
         for a, b, ab in meets:
             if a in self.ids and b in self.ids:
                 self.nbrs[self.ids[a]][self.ids[b]], self.nbrs[self.ids[b]][self.ids[a]] = ab, 1
-        self.runs = tuple((tuple(map(self.ids.get, seq)), rep) for seq, rep in runs if rep)
 
     def component(self, cid: int) -> Component:
         return self.cells[cid]
@@ -263,10 +251,6 @@ class Quotient:
     def canonical(self, D: QDivisor) -> Fraction:
         return Fraction(sum(self.sizes[c] * v * a_number(self, c) for c, v in D._num.items()),
                         D._den)
-
-    def by_id(self, values: list) -> list:
-        """values[c] for the cell c of every fiber id, in id order."""
-        return [v for seq, rep in self.runs for v in [values[c] for c in seq] * rep]
 
 
 def _check_ids(config: FiberConfig, ids) -> None:

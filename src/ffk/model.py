@@ -29,13 +29,13 @@ Ldelta and n_gamma of Lgamma:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 from . import polyarith
 from .errors import MathContractError, ParameterError
 from .fiber import (
     Component,
-    CuspSection,
     FiberConfig,
     Quotient,
     check_component_cap,
@@ -110,19 +110,29 @@ class FermatParams:
 
 @dataclass(frozen=True)
 class FermatModel:
-    """A built configuration plus its label index and cusp sections."""
+    """A built configuration and its parameters; every id is a closed form in (p, m, s).
+
+    Labels are not indexed: cid computes the id from the offsets of the module
+    docstring and accepts it only if the built component there carries the label.
+    """
 
     params: FermatParams
     config: FiberConfig
-    labels: tuple[FermatLabel, ...]
-    by_label: dict = field(repr=False)
-    cusps: tuple[CuspSection, ...]
 
     def cid(self, label: FermatLabel) -> int:
-        try:
-            return self.by_label[label]
-        except KeyError:
-            raise ParameterError(f"no component labelled {label}") from None
+        p, m = self.params.p, self.params.m
+        first = _first_ids(p, m, self.params.s)
+        kind, i = label.kind, label.i
+        if kind == "Chain":
+            cid = ((i - 1) * p + label.k - 1) * (m - 1) + label.j - 1
+        elif kind == "LgammaLeaf":
+            cid = first[kind] + (i - 1) * p + label.j
+        else:
+            cid = first[kind] + i if kind in first else -1
+        comps = self.config.components
+        if 0 <= cid < len(comps) and comps[cid].label == label:
+            return cid
+        raise ParameterError(f"no component labelled {label}")
 
     @property
     def fm(self) -> int:
@@ -156,14 +166,19 @@ class FermatModel:
     def ldelta(self, i: int) -> int:
         return self.cid(FermatLabel("Ldelta", i=i))
 
-    def cusp(self, i: int, k: int) -> CuspSection:
-        """The cusp section meeting Chain(1, k, i)."""
-        return CuspSection(self.chain(1, k, i))
+    @property
+    def cusps(self) -> range:
+        """Ids of the chain ends Chain(1, k, i), one per cusp section, in id order."""
+        return range(0, self.fm, self.params.m - 1)
+
+    def cusp(self, i: int, k: int) -> int:
+        """Id of Chain(1, k, i), the chain end the cusp section (i, k) meets."""
+        return self.chain(1, k, i)
 
     def census(self) -> dict[str, int]:
-        out = {kind: 0 for kind in KINDS}
-        for lab in self.labels:
-            out[lab.kind] += 1
+        out = dict.fromkeys(KINDS, 0)
+        for c in self.config.components:
+            out[c.label.kind] += 1
         return out
 
 
@@ -178,6 +193,21 @@ def expected_census(p: int, m: int, s: int) -> dict[str, int]:
         "LgammaLeaf": p * m * rho,
         "Ldelta": m * m * (p - 3) - 2 * m * rho,
     }
+
+
+@cache
+def _first_ids(p: int, m: int, s: int) -> dict[str, int]:
+    """The offsets of the module docstring, by kind; read-only.
+
+    X(i) has id first[X] + i for X = Fm (i = 0), LXYZ, Ldelta and Lgamma, and
+    LgammaLeaf(j, i) has id first["LgammaLeaf"] + (i-1)p + j.
+    """
+    census = expected_census(p, m, s)
+    fm = census["Chain"]
+    ldelta0 = fm + 3 * m
+    lgamma0 = ldelta0 + census["Ldelta"]
+    return {"Fm": fm, "LXYZ": fm, "Ldelta": ldelta0, "Lgamma": lgamma0,
+            "LgammaLeaf": lgamma0 + census["Lgamma"]}
 
 
 def _shapes(p: int, m: int) -> dict[str, tuple[int, int, int]]:
@@ -206,29 +236,21 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     check_component_cap(sum(census.values()))
     n_gamma, n_delta = census["Lgamma"], census["Ldelta"]
     length = m - 1  # components Chain(1..m-1, k, i) of one chain
+    fm, ldelta0, lgamma0, leaf0 = map(_first_ids(p, m, s).get,
+                                      ("Fm", "Ldelta", "Lgamma", "LgammaLeaf"))
 
-    # ids from the closed-form offsets of the module docstring, in label order
-    fm = 3 * m * p * length
-    ldelta0 = fm + 3 * m
-    lgamma0 = ldelta0 + n_delta
-    leaf0 = lgamma0 + n_gamma
-    labels = [
-        FermatLabel("Chain", i, k, j)
-        for i in range(1, 3 * m + 1)
-        for k in range(1, p + 1)
-        for j in range(1, m)
-    ]
-    labels.append(FermatLabel("Fm"))
-    labels += [FermatLabel("LXYZ", i) for i in range(1, 3 * m + 1)]
-    labels += [FermatLabel("Ldelta", i) for i in range(1, n_delta + 1)]
-    labels += [FermatLabel("Lgamma", i) for i in range(1, n_gamma + 1)]
-    labels += [
-        FermatLabel("LgammaLeaf", i, 0, j) for i in range(1, n_gamma + 1) for j in range(1, p + 1)
-    ]
-
+    # components in id order: Chain(j, k, i) in label order, then the other kinds
+    chains = (FermatLabel("Chain", i, k, j)
+              for i in range(1, 3 * m + 1) for k in range(1, p + 1) for j in range(1, m))
+    comps = [Component(cid, lab, lab.j, 0, -2) for cid, lab in enumerate(chains)]
+    rest = [FermatLabel("Fm")]
+    rest += [FermatLabel("LXYZ", i) for i in range(1, 3 * m + 1)]
+    rest += [FermatLabel("Ldelta", i) for i in range(1, n_delta + 1)]
+    rest += [FermatLabel("Lgamma", i) for i in range(1, n_gamma + 1)]
+    rest += [FermatLabel("LgammaLeaf", i, 0, j)
+             for i in range(1, n_gamma + 1) for j in range(1, p + 1)]
     shape = _shapes(p, m)
-    comps = [Component(cid, lab, lab.j, 0, -2) for cid, lab in enumerate(labels[:fm])]
-    comps += [Component(cid, lab, *shape[lab.kind]) for cid, lab in enumerate(labels[fm:], fm)]
+    comps += [Component(cid, lab, *shape[lab.kind]) for cid, lab in enumerate(rest, fm)]
 
     pairs: dict[tuple[int, int], int] = {}
     for i in range(1, 3 * m + 1):
@@ -246,38 +268,36 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     for i in range(1, n_delta + 1):
         pairs[(ldelta0 + i, fm)] = 1
 
-    config = FiberConfig(comps, pairs, params.genus)
-    cusps = tuple(map(CuspSection, range(0, fm, length)))
-    by_label = dict(zip(labels, range(len(labels))))
-    return FermatModel(params, config, tuple(labels), by_label, cusps)
+    return FermatModel(params, FiberConfig(comps, pairs, params.genus))
 
 
 def cusp_quotient(model: FermatModel, cusp: tuple[int, int]) -> Quotient:
-    """The cells of the fiber under the stabiliser of the cusp chain, from the census alone.
+    """The cells of the fiber under the stabiliser of the cusp chain, from (p, m, s) alone.
 
     For the cusp at Chain(1, k, i) the 3(m-1)+6 cells are ("Fm",), ("LXYZ",
     "cusp") = {LXYZ(i)}, ("LXYZ", "other"), ("Ldelta",), ("Lgamma",),
     ("LgammaLeaf",) and, for each level j, ("Chain", where, j) on the cusp
-    chain (where = "cusp"), on the other p-1 chains of arm i ("arm") and on
-    the other arms ("other"). Empty cells are dropped: Ldelta when 2s = p-3,
-    Lgamma and its leaves when s = 0. Reads model.params, checks the cusp
+    chain (where = "cusp", 1 component), on the other p-1 chains of arm i
+    ("arm") and on the other 3m-1 arms ("other", p(3m-1) components). The
+    sizes do not depend on which cusp is chosen. Empty cells are dropped:
+    Ldelta when 2s = p-3, Lgamma and its leaves when s = 0. Checks the cusp
     through model.cusp and the component count against model.config; never
     reads the graph.
     """
     model.cusp(*cusp)
-    (ci, ck), p, m = cusp, model.params.p, model.params.m
+    p, m = model.params.p, model.params.m
     census, shape = expected_census(p, m, model.params.s), _shapes(p, m)
     cusp_c, arm, other = ([("Chain", w, j) for j in range(1, m)] for w in ("cusp", "arm", "other"))
     fm, lx, lx_other, ld, lg, leaf = [("Fm",), ("LXYZ", "cusp"), ("LXYZ", "other"),
                                       ("Ldelta",), ("Lgamma",), ("LgammaLeaf",)]
-    runs = [(other, p * (ci - 1)), (arm, ck - 1), (cusp_c, 1), (arm, p - ck),
-            (other, p * (3 * m - ci)), ([fm], 1), ([lx_other], ci - 1), ([lx], 1),
-            ([lx_other], 3 * m - ci)] + [([lab], census[lab[0]]) for lab in (ld, lg, leaf)]
+    sizes = {**dict.fromkeys(cusp_c, 1), **dict.fromkeys(arm, p - 1),
+             **dict.fromkeys(other, p * (3 * m - 1)), fm: 1, lx: 1, lx_other: 3 * m - 1}
+    sizes.update((lab, census[lab[0]]) for lab in (ld, lg, leaf))
     meets = [(fm, lx, 1), (fm, lx_other, 3 * m - 1), (fm, ld, census["Ldelta"]),
              (fm, lg, census["Lgamma"]), (lg, leaf, p), (lx, cusp_c[-1], 1),
              (lx, arm[-1], p - 1), (lx_other, other[-1], p)]
     meets += [(a, b, 1) for run in (cusp_c, arm, other) for a, b in zip(run, run[1:])]
-    quotient = Quotient(runs, meets, lambda c: (c[2], 0, -2) if len(c) == 3 else shape[c[0]])
+    quotient = Quotient(sizes, meets, lambda c: (c[2], 0, -2) if len(c) == 3 else shape[c[0]])
     if sum(quotient.sizes) != model.config.n_components:
         raise MathContractError(f"cusp quotient has {sum(quotient.sizes)} components, "
                                 f"the fiber {model.config.n_components}")

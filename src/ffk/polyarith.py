@@ -65,25 +65,6 @@ class IntPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return IntPoly(out)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if not self or not other:
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
-
     def exact_div_scalar(self, k: int) -> "IntPoly":
         if any(v % k for v in self.coeffs):
             raise MathContractError(f"polynomial not divisible by {k}")
@@ -165,22 +146,6 @@ class BiPoly:
     def substitute_powers(self, m: int) -> "BiPoly":
         """Replace (a, b) by (a^m, b^m): scales every exponent by m."""
         return BiPoly({(i * m, j * m): v for (i, j), v in self.terms.items()})
-
-    def substitute_diag(self) -> IntPoly:
-        """Evaluate at b = 1 - a, returning a univariate polynomial."""
-        acc = IntPoly(())
-        one_minus_a = IntPoly((1, -1))
-        pow_cache = {0: IntPoly((1,))}
-
-        def ompow(n: int) -> IntPoly:
-            if n not in pow_cache:
-                pow_cache[n] = ompow(n - 1) * one_minus_a
-            return pow_cache[n]
-
-        for (i, j), c in sorted(self.terms.items()):
-            term = IntPoly([0] * i + [c])
-            acc = acc + term * ompow(j)
-        return acc
 
     def __call__(self, a, b):
         return sum(c * a**i * b**j for (i, j), c in self.terms.items())

@@ -151,14 +151,12 @@ def suite_fiber(models: list[FermatModel] | None = None) -> list[CheckResult]:
         )
         out.append(CheckResult(f"I_C table values {tag}", ic_ok))
 
-        n_l1 = sum(
-            1 for lab in model.labels if lab.kind == "Chain" and lab.j == 1
-        )
+        ends = {c.cid for c in model.config.components
+                if c.label.kind == "Chain" and c.label.j == 1}
         out.append(
             CheckResult(
                 f"cusp sections biject with mult-1 chain ends {tag}",
-                len(model.cusps) == n_l1 == 3 * model.params.n
-                and len({c.target for c in model.cusps}) == len(model.cusps),
+                set(model.cusps) == ends and len(model.cusps) == 3 * model.params.n,
             )
         )
     return out
@@ -285,7 +283,7 @@ def suite_beta(models: list[FermatModel] | None = None) -> list[CheckResult]:
         es_ok = True
         for c, gs in zip(cusps, g_ss):
             prof = pair_profile(config, gs)
-            want = {model.fm: Fraction(1, p), model.cusp(*c).target: Fraction(-1)}
+            want = {model.fm: Fraction(1, p), model.cusp(*c): Fraction(-1)}
             es_ok &= prof == want
         out.append(CheckResult(f"(S + G_S) pairing profile {tag}", es_ok))
     return out
@@ -312,9 +310,9 @@ def suite_cycles(models: list[FermatModel] | None = None) -> list[CheckResult]:
                 z = QDivisor({model.chain(j, k, i): Fraction(1) for j in range(1, m)})
                 if p_a_divisor(config, z) != 0:
                     ok = False
-        for lab in model.labels:
-            if lab.kind == "LgammaLeaf":
-                if p_a_divisor(config, QDivisor.single(model.cid(lab))) != 0:
+        for c in config.components:
+            if c.label.kind == "LgammaLeaf":
+                if p_a_divisor(config, QDivisor.single(c.cid)) != 0:
                     ok = False
         out.append(CheckResult(f"fundamental cycles have p_a = 0 {tag}", ok))
     return out

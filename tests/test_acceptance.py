@@ -99,8 +99,7 @@ def _mutated(model, mode: str) -> FermatModel:
         comps[victim] = Component(c.cid, c.label, c.multiplicity + 1, c.genus,
                                   c.self_int)
     bad_cfg = FiberConfig(comps, edges, cfg.genus)
-    return FermatModel(model.params, bad_cfg, model.labels, model.by_label,
-                       model.cusps)
+    return dataclasses.replace(model, config=bad_cfg)
 
 
 def _divisor_suite_raises(model) -> bool:
@@ -207,7 +206,6 @@ def test_random_mutation_is_caught(models, data):
         low = {"self_int": old - 3, "multiplicity": 1, "genus": 0}[mode]
         new = data.draw(st.integers(low, old + 3).filter(lambda v: v != old), label=mode)
         comps[c.cid] = dataclasses.replace(c, **{mode: new})
-    bad = FermatModel(base.params, FiberConfig(comps, edges, base.config.genus),
-                      base.labels, base.by_label, base.cusps)
+    bad = dataclasses.replace(base, config=FiberConfig(comps, edges, base.config.genus))
     caught = not all(chk.passed for chk in validate(bad.config)) or _divisor_suite_raises(bad)
     assert caught, f"random {mode} defect not caught"

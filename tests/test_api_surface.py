@@ -1,10 +1,13 @@
-"""Every public function of the package has a caller inside the package.
+"""Every public function and method of the package has a caller inside the package.
 
-A public module-level function that only tests call is a second entry point
-to a quantity some other function already computes; it is to be deleted, not
-kept for its test. A reference is an `ast.Name` or `ast.Attribute` in any
-module but `__init__.py` (re-exports do not count, and neither do strings
-such as the JSON key "upper_bound"), outside the function's own body.
+A public module-level function, or a public non-dunder method of a package
+class, that only tests call is a second entry point to a quantity some other
+function already computes; it is to be deleted, not kept for its test. A
+reference is an `ast.Name` or `ast.Attribute` in any module but `__init__.py`
+(re-exports do not count, and neither do strings such as the JSON key
+"upper_bound"), outside the function's own body. Names are matched, not
+resolved, so a method counts as called when any package code reads an
+attribute of that name.
 """
 
 import ast
@@ -24,21 +27,48 @@ def _names(node: ast.AST) -> set[str]:
     return out
 
 
+def _units(package: Path):
+    """(qualified name, node, names it references) for each top-level statement of every
+    module but __init__.py, with each class split into its header and the statements of
+    its body."""
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                header = node.decorator_list + node.bases + node.keywords
+                yield f"{path.stem}.{node.name}", node, set().union(*map(_names, header))
+                for sub in node.body:
+                    yield f"{path.stem}.{node.name}.{getattr(sub, 'name', '')}", sub, _names(sub)
+            else:
+                yield f"{path.stem}.{getattr(node, 'name', '')}", node, _names(node)
+
+
+def _unreferenced(depth: int, package: Path) -> list[str]:
+    """Qualified names with `depth` dots of public functions that no other unit references."""
+    units = list(_units(package))
+    return [
+        qual
+        for qual, node, _ in units
+        if qual.count(".") == depth and isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and not any(node.name in names for _, other, names in units if other is not node)
+    ]
+
+
 def unreferenced_public_functions(package: Path = PACKAGE) -> list[str]:
     """module.name of each public module-level function no other package code references."""
-    tops = [
-        (path.stem, node, _names(node))
-        for path in sorted(package.glob("*.py"))
-        if path.name != "__init__.py"
-        for node in ast.parse(path.read_text(), str(path)).body
-    ]
-    return [
-        f"{mod}.{node.name}"
-        for mod, node, _ in tops
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        and not any(node.name in names for _, other, names in tops if other is not node)
-    ]
+    return _unreferenced(1, package)
+
+
+def unreferenced_public_methods(package: Path = PACKAGE) -> list[str]:
+    """module.Class.name of each public non-dunder method no other package code references."""
+    return _unreferenced(2, package)
 
 
 def test_every_public_function_has_a_package_caller():
     assert unreferenced_public_functions() == []
+
+
+def test_every_public_method_has_a_package_caller():
+    assert unreferenced_public_methods() == []

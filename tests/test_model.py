@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from ffk.errors import CapExceeded, ParameterError
-from ffk.fiber import Component, CuspSection, FiberConfig, QDivisor, pair
+from ffk.fiber import Component, FiberConfig, QDivisor, pair
 from ffk.model import (
     FermatLabel,
     FermatParams,
@@ -101,16 +103,12 @@ def test_transversality(models):
 
 
 def test_transversality_detects_mutation(model53):
-    from ffk.fiber import FiberConfig
-    from ffk.model import FermatModel
-
     cfg = model53.config
     edges = dict(cfg.edges())
     key = (min(model53.fm, model53.ldelta(2)), max(model53.fm, model53.ldelta(2)))
     del edges[key]
     bad_cfg = FiberConfig(cfg.components, edges, cfg.genus)
-    bad = FermatModel(model53.params, bad_cfg, model53.labels, model53.by_label,
-                      model53.cusps)
+    bad = dataclasses.replace(model53, config=bad_cfg)
     assert not transversality_check(bad)
 
 
@@ -136,24 +134,24 @@ def test_cusp_sections(models):
     for model in models.values():
         n = model.params.n
         assert len(model.cusps) == 3 * n
-        targets = [c.target for c in model.cusps]
+        targets = list(model.cusps)
         assert len(set(targets)) == 3 * n
         for t in targets:
             lab = model.config.component(t).label
             assert lab.kind == "Chain" and lab.j == 1
+            assert model.cusp(lab.i, lab.k) == t
         # each multiplicity-one chain end is hit exactly once
-        ends = {model.cid(lab) for lab in model.labels
-                if lab.kind == "Chain" and lab.j == 1}
+        ends = {c.cid for c in model.config.components
+                if c.label.kind == "Chain" and c.label.j == 1}
         assert set(targets) == ends
 
 
 def test_labels_deterministic(model53):
     again = build_config(5, 3, 0)
-    assert again.labels == model53.labels
-    assert [str(c.label) for c in again.config.components] == [
-        str(c.label) for c in model53.config.components
-    ]
-    assert again.labels == tuple(sorted(again.labels))
+    labels = [c.label for c in again.config.components]
+    assert labels == [c.label for c in model53.config.components]
+    assert [str(lab) for lab in labels] == [str(c.label) for c in model53.config.components]
+    assert labels == sorted(labels)
 
 
 def test_label_str():
@@ -189,9 +187,24 @@ def test_fiber_divisor_orthogonal_on_all(models):
         assert all(pair(cfg, fpi, QDivisor.single(c.cid)) == 0 for c in cfg.components)
 
 
-def test_unknown_label_lookup(model53):
-    with pytest.raises(ParameterError):
-        model53.cid(FermatLabel("Ldelta", i=99))
+@pytest.mark.parametrize("pm, label", [
+    pytest.param((5, 3), FermatLabel("Ldelta", i=99), id="ldelta-past-count"),
+    pytest.param((3, 5), FermatLabel("Ldelta", i=1), id="ldelta-at-p3"),
+    pytest.param((5, 3), FermatLabel("Chain", i=1, k=1, j=3), id="chain-j-m"),
+    pytest.param((5, 3), FermatLabel("Chain", i=1, k=1, j=0), id="chain-j-0"),
+    pytest.param((5, 3), FermatLabel("Chain", i=1, k=6, j=1), id="chain-k-p+1"),
+    pytest.param((5, 3), FermatLabel("Chain", i=10, k=1, j=1), id="chain-i-3m+1"),
+    pytest.param((5, 3), FermatLabel("LXYZ", i=0), id="lxyz-0"),
+    pytest.param((5, 3), FermatLabel("LXYZ", i=10), id="lxyz-3m+1"),
+    pytest.param((5, 3), FermatLabel("Lgamma", i=1), id="lgamma-at-s0"),
+    pytest.param((5, 3), FermatLabel("LgammaLeaf", i=1, j=1), id="leaf-at-s0"),
+    pytest.param((7, 3), FermatLabel("LgammaLeaf", i=1, j=8), id="leaf-j-p+1"),
+    pytest.param((5, 3), FermatLabel("Fm", i=1), id="fm-i-1"),
+    pytest.param((5, 3), FermatLabel("Curve"), id="unknown-kind"),
+])
+def test_unknown_label_lookup(models, pm, label):
+    with pytest.raises(ParameterError, match="no component labelled"):
+        models[pm].cid(label)
 
 
 def _build_by_sorted_labels(p, m, s):
@@ -228,7 +241,7 @@ def _build_by_sorted_labels(p, m, s):
             pairs[(cid("LgammaLeaf", i=i, j=j), cid("Lgamma", i=i))] = 1
     for i in range(1, census["Ldelta"] + 1):
         pairs[(cid("Ldelta", i=i), cid("Fm"))] = 1
-    cusps = tuple(CuspSection(cid("Chain", i=i, k=k, j=1))
+    cusps = tuple(cid("Chain", i=i, k=k, j=1)
                   for i in range(1, 3 * m + 1) for k in range(1, p + 1))
     return tuple(labels), by_label, FiberConfig(comps, pairs, genus_formula(p * m)), cusps
 
@@ -238,12 +251,11 @@ def _build_by_sorted_labels(p, m, s):
 def test_closed_form_ids_match_sorted_label_build(p, m, s):
     model = build_config(p, m, s)
     labels, by_label, cfg, cusps = _build_by_sorted_labels(p, m, model.params.s)
-    assert model.labels == labels
-    assert model.by_label == by_label
+    assert [model.cid(lab) for lab in labels] == [by_label[lab] for lab in labels]
     assert model.config.components == cfg.components
     assert sorted(model.config.edges()) == sorted(cfg.edges())
     # the same neighbour order too, so every sparse kernel walks the graph alike
     assert [list(model.config.neighbors(c)) for c in range(len(labels))] == [
         list(cfg.neighbors(c)) for c in range(len(labels))]
-    assert model.cusps == cusps
+    assert tuple(model.cusps) == cusps
     assert model.config.genus == cfg.genus

@@ -8,6 +8,7 @@ quotient's sizes, shapes and neighbour counts b(c, c'), and that every
 quotient value equals its full-graph evaluation.
 """
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from ffk import divisors
 from ffk.errors import MathContractError, ParameterError
 from ffk.fiber import a_number, pair, pairing_divisor
-from ffk.model import FermatModel, FermatParams, build_config, cusp_quotient, expected_census
+from ffk.model import FermatParams, build_config, cusp_quotient, expected_census
 
 QUOTIENT_FUNCTIONS = (divisors.beta_s, divisors.per_prime_geometric, divisors.semipos_check,
                       divisors.cusp_squares)
@@ -39,7 +40,7 @@ def graph_semipositivity(model, cusp) -> list[Fraction]:
     """a_C + 2(S.C) - (U_S.C) for every component, paired on the full graph."""
     config = model.config
     prof = pairing_divisor(config, divisors.u_s(model, cusp))
-    target = model.cusp(*cusp).target
+    target = model.cusp(*cusp)
     return [a_number(config, c.cid) + 2 * (c.cid == target) - prof.coeff(c.cid)
             for c in config.components]
 
@@ -47,12 +48,11 @@ def graph_semipositivity(model, cusp) -> list[Fraction]:
 def assert_quotient_matches_graph(model, cusp):
     config, params = model.config, model.params
     q = cusp_quotient(model, cusp)
-    cells = [cell_of(lab, cusp) for lab in model.labels]
+    cells = [cell_of(c.label, cusp) for c in config.components]
     labels = {c.cid: c.label for c in q.cells}
 
-    # cells, their sizes and the id order of the quotient's runs
+    # cells and their sizes
     assert Counter(cells) == {labels[c]: size for c, size in enumerate(q.sizes)}
-    assert q.by_id([c.label for c in q.cells]) == cells
     assert len(q.cells) <= 3 * (params.m - 1) + 6
     for comp, cell in zip(config.components, cells):
         shape = q.cells[q.ids[cell]]
@@ -83,8 +83,10 @@ def assert_quotient_matches_graph(model, cusp):
     assert divisors.per_prime_geometric(model, cusp) == divisors.geometric_graph(
         params, vs_self, gs_self)
     semis = divisors.semipos_check(model, cusp)
-    assert semis == list(enumerate(graph_semipositivity(model, cusp)))
-    assert min(v for _, v in semis) == semi_min
+    assert [cell for cell, _ in semis] == [c.label for c in q.cells]
+    by_cell = dict(semis)
+    assert [by_cell[cell] for cell in cells] == graph_semipositivity(model, cusp)
+    assert min(by_cell.values()) == semi_min
 
 
 def _cusps(p: int, m: int):
@@ -158,7 +160,6 @@ def test_bad_cusp_raises_parameter_error(model53, fn):
 
 def test_component_count_guard(model53, model35):
     # a model whose config is not the fiber its params describe
-    bad = FermatModel(model53.params, model35.config, model53.labels, model53.by_label,
-                      model53.cusps)
+    bad = dataclasses.replace(model53, config=model35.config)
     with pytest.raises(MathContractError, match="cusp quotient"):
         divisors.beta_s(bad)
