@@ -53,25 +53,23 @@ def q_np(n: int, p: int) -> Fraction:
     return Fraction(*_q_parts(n, p))
 
 
+def _alpha_reduced(m: int, p: int) -> int:
+    """alpha(mp, p) / p^2, in Horner form in m."""
+    return ((p * p * (4 * p * m - 6 * p - 24) * m + (37 * p + 44) * p - 4) * m - 72 * p - 12) * m + 36
+
+
 def alpha(n: int, p: int) -> int:
-    return (
-        4 * n**4 * p
-        - 6 * n**3 * p**2
-        - 24 * n**3 * p
-        + 37 * n**2 * p**2
-        + 44 * n**2 * p
-        - 72 * n * p**2
-        - 4 * n**2
-        - 12 * n * p
-        + 36 * p**2
-    )
+    """alpha(N, p) for a prime p dividing N."""
+    return p * p * _alpha_reduced(n // p, p)
 
 
 def _beta_parts(n: int, p: int) -> tuple[int, int]:
-    """Numerator and denominator of beta_{S,p}, not reduced."""
+    """Numerator and denominator of beta_{S,p}, not reduced. With N = mp,
+    alpha(N, p) = p^2 a(m, p) and Np + 2N - 6p = p(mp + 2m - 6) cancel p^3."""
+    m = n // p
     return (
-        alpha(n, p) * (n * p + 2 * n - 6 * p) * (p - 2),
-        (n - 1) * (n - 2) * (n - 3) ** 3 * p**4,
+        _alpha_reduced(m, p) * (n + 2 * m - 6) * (p - 2),
+        (n - 1) * (n - 2) * (n - 3) ** 3 * p,
     )
 
 
@@ -80,20 +78,23 @@ def beta_sp_closed(n: int, p: int) -> Fraction:
     return Fraction(*_beta_parts(n, p))
 
 
-def _per_prime(n: int, primes: list[int], phi: int) -> tuple[list[tuple[int, Fraction]], float]:
-    """Exact coefficients phi/(p-1) Q(N,p) of log p, and the float64 lower bound
-    phi sum_p beta_{S,p}/(p-1) log p.
+def _per_prime(n: int, primes: list[int], phi: int) -> tuple[list[tuple[int, int, int]], float]:
+    """Exact coefficients phi/(p-1) Q(N,p) of log p, as reduced (p, num, den)
+    triples, and the float64 lower bound phi sum_p beta_{S,p}/(p-1) log p.
 
-    N is squarefree, so k = phi/(p-1) is an integer: each coefficient is one
-    Fraction, and each lower-bound term is the true division k num / den, which
-    rounds correctly, so it is the same float as float(Fraction(k num, den)).
+    N is squarefree, so k = phi/(p-1) is an integer. Int true division rounds
+    correctly whatever the pair's common factors, so each lower-bound term
+    k num / den is the same float as float(Fraction(k num, den)), and num / den
+    of a coefficient is float(Fraction(num, den)).
     """
     terms = []
     lower = []
     for p in primes:
         k = phi // (p - 1)
         num, den = _q_parts(n, p)
-        terms.append((p, Fraction(k * num, den)))
+        num *= k
+        g = math.gcd(num, den)
+        terms.append((p, num // g, den // g))
         num, den = _beta_parts(n, p)
         lower.append(k * num / den * math.log(p))
     return terms, math.fsum(lower)
@@ -153,7 +154,7 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
             PrimeRecord(p, m, s, m * s, q_np(n, p), beta_sp_closed(n, p), alpha(n, p))
         )
     terms, lower = _per_prime(n, primes, phi)
-    geo = math.fsum(float(c) * math.log(p) for p, c in terms)
+    geo = math.fsum(num / den * math.log(p) for p, num, den in terms)
     genus = genus_formula(n)
     upper = None
     conditional = False
@@ -173,7 +174,7 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
         genus=genus,
         phi=phi,
         primes=tuple(records),
-        geometric_terms=tuple(terms),
+        geometric_terms=tuple((p, Fraction(num, den)) for p, num, den in terms),
         geometric_float=geo,
         lower=lower,
         simple=simple,
@@ -188,7 +189,7 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
 # ---------------------------------------------------------------------------
 
 
-#: values of N per `scan_rows` call in `scan`: about 640 rows, under 1 MB
+#: values of N per `scan_rows` call in `scan`: 500 to 700 rows, about 0.6 MB
 SCAN_BLOCK = 1 << 11
 
 

@@ -287,12 +287,11 @@ def cmd_scan(args) -> int:
     rows = 0
     all_strict = True
     with _replaced_on_success(args.out) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["N", "phi", "geometric_coeffs", "lower_bound", "simple_lower", "ratio"])
+        # the lines csv.writer would write: no field can need quoting
+        fh.write("N,phi,geometric_coeffs,lower_bound,simple_lower,ratio\n")
         for r in bounds.scan(args.max_N):
-            coeffs = ";".join(f"{p}:{rat(c)}" for p, c in r["geometric_coeffs"])
-            # csv writes floats with repr
-            w.writerow([r["N"], r["phi"], coeffs, r["lower"], r["simple"], r["ratio"]])
+            coeffs = ";".join(f"{p}:{a}/{b}" for p, a, b in r["geometric_coeffs"])
+            fh.write(f"{r['N']},{r['phi']},{coeffs},{r['lower']!r},{r['simple']!r},{r['ratio']!r}\n")
             rows += 1
             all_strict = all_strict and r["ratio"] > 1
     results = {

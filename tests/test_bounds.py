@@ -1,7 +1,10 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffk import bounds, polyarith
 from ffk.bounds import (
@@ -16,6 +19,29 @@ from ffk.bounds import (
 )
 from ffk.divisors import lambda_nu, per_prime_geometric
 from ffk.errors import ParameterError
+
+
+def alpha_oracle(n: int, p: int) -> int:
+    """alpha(N, p) as the polynomial in N and p, before N = mp was substituted."""
+    return (
+        4 * n**4 * p
+        - 6 * n**3 * p**2
+        - 24 * n**3 * p
+        + 37 * n**2 * p**2
+        + 44 * n**2 * p
+        - 72 * n * p**2
+        - 4 * n**2
+        - 12 * n * p
+        + 36 * p**2
+    )
+
+
+def beta_oracle(n: int, p: int) -> Fraction:
+    """beta_{S,p} as the unreduced quotient over (N-1)(N-2)(N-3)^3 p^4."""
+    return Fraction(
+        alpha_oracle(n, p) * (n * p + 2 * n - 6 * p) * (p - 2),
+        (n - 1) * (n - 2) * (n - 3) ** 3 * p**4,
+    )
 
 
 def test_factorization():
@@ -59,6 +85,20 @@ def test_alpha_positive_scan():
     for n, primes in odd_squarefree_composites(3000):
         for p in primes:
             assert alpha(n, p) > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from(bounds._odd_primes(10**4)), m=st.integers(3, 10**7),
+       k=st.integers(1, 10**15))
+def test_reduced_beta_matches_oracle(p, m, k):
+    """The p^4-free beta_{S,p} is the unreduced quotient, and its float terms
+    k num / den round exactly as the exact rational does."""
+    n = m * p
+    num, den = bounds._beta_parts(n, p)
+    want = beta_oracle(n, p)
+    assert Fraction(num, den) == want
+    assert alpha(n, p) == alpha_oracle(n, p)
+    assert (k * num / den).hex() == float(Fraction(k) * want).hex()
 
 
 def test_beta_closed_values(models):
@@ -144,6 +184,29 @@ def test_bound_report():
         bound_report(15, 1.0, None)
 
 
+#: SHA-256 of "N,geometric_float,lower,upper\n" (floats as float.hex, upper
+#: empty without kappas) over every admissible N <= 3000 and kappas none,
+#: (1.0, 1.0) and (0.75, 2.5), recorded while the coefficients were Fractions
+BOUND_REPORT_3000_SHA256 = "afa23ba452513d29a22a643d524c00593bebf5224c0fa78f24e5263495d330ad"
+
+
+def test_bound_report_boundary():
+    """bound_report returns Fractions and the same floats, bit for bit, as when
+    its kernel computed in Fractions."""
+    digest = hashlib.sha256()
+    for n, primes in odd_squarefree_composites(3000):
+        phi = euler_phi(primes)
+        for kappas in ((), (1.0, 1.0), (0.75, 2.5)):
+            rep = bound_report(n, *kappas)
+            assert [p for p, _ in rep.geometric_terms] == primes
+            for (p, c), r in zip(rep.geometric_terms, rep.primes, strict=True):
+                assert type(c) is Fraction and c == Fraction(phi, p - 1) * q_np(n, p)
+                assert r.alpha == alpha_oracle(n, p) and r.beta_sp == beta_oracle(n, p)
+            upper = "" if rep.upper is None else rep.upper.hex()
+            digest.update(f"{n},{rep.geometric_float.hex()},{rep.lower.hex()},{upper}\n".encode())
+    assert digest.hexdigest() == BOUND_REPORT_3000_SHA256
+
+
 def test_report_rho_field():
     rep = bound_report(21)
     by_p = {r.p: r for r in rep.primes}
@@ -163,7 +226,9 @@ def test_scan_rows():
     assert all(r["ratio"] > 1 for r in rows)
     first = rows[0]
     assert first["N"] == 15 and first["phi"] == 8
-    assert dict(first["geometric_coeffs"]) == {3: Fraction(407, 45), 5: Fraction(133, 30)}
+    coeffs = {3: Fraction(407, 45), 5: Fraction(133, 30)}
+    assert coeffs == {p: Fraction(8, p - 1) * q_np(15, p) for p in (3, 5)}
+    assert first["geometric_coeffs"] == [(p, c.numerator, c.denominator) for p, c in coeffs.items()]
 
 
 def test_sieve_matches_factorize():
@@ -195,13 +260,12 @@ def test_scan_rows_match_fraction_reference():
     assert len(rows) == 5842
     for row, (n, primes) in zip(rows, odd_squarefree_composites(20000), strict=True):
         phi = euler_phi(primes)
-        lower = math.fsum(float(Fraction(phi, p - 1) * beta_sp_closed(n, p)) * math.log(p)
+        lower = math.fsum(float(Fraction(phi, p - 1) * beta_oracle(n, p)) * math.log(p)
                           for p in primes)
         simple = phi * math.log(n) / (5 * n * n)
         assert row["N"] == n and row["phi"] == phi
         assert row["lower"].hex() == lower.hex()
         assert row["simple"].hex() == simple.hex()
         assert row["ratio"].hex() == (lower / simple).hex()
-        assert list(row["geometric_coeffs"]) == [
-            (p, Fraction(phi, p - 1) * q_np(n, p)) for p in primes
-        ]
+        coeffs = [(p, Fraction(phi, p - 1) * q_np(n, p)) for p in primes]
+        assert row["geometric_coeffs"] == [(p, c.numerator, c.denominator) for p, c in coeffs]

@@ -286,6 +286,21 @@ def test_scan_io_error(capsys):
     assert "i/o error" in err
 
 
+@pytest.mark.parametrize("max_n", [5000, 10])
+def test_scan_csv_matches_csv_writer(tmp_path, capsys, max_n):
+    """The lines ffk scan writes are the ones csv.writer makes of scan_rows."""
+    out_file = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, "scan", "--max-N", str(max_n), "--out", str(out_file))
+    assert code == 0
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["N", "phi", "geometric_coeffs", "lower_bound", "simple_lower", "ratio"])
+    for r in bounds.scan_rows(max_n):
+        coeffs = ";".join(f"{p}:{cli.rat(Fraction(a, b))}" for p, a, b in r["geometric_coeffs"])
+        w.writerow([r["N"], r["phi"], coeffs, r["lower"], r["simple"], r["ratio"]])
+    assert out_file.read_bytes() == buf.getvalue().encode()
+
+
 #: SHA-256 of the `ffk scan --max-N 20000` CSV, recorded before the scan rows
 #: were computed in integers and streamed to the file
 SCAN_20000_SHA256 = "cfb8ab91810399885a0d9c9cbd27950be2406bdb9070cbfbf3142618d7d5d0f2"
