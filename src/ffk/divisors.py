@@ -201,17 +201,18 @@ def _on_cells(model: FermatModel, cusp: tuple[int, int]):
     """model.cusp_quotient, with V_Fm, V_S and U_S on its cells.
 
     V_S is v_divisor at the cusp chain end: (p-2)/(2g-2) on Fm, 1/p on
-    LXYZ(i) and mu_chain on the chains of arm i.
+    LXYZ(i) and mu_chain on the chains of arm i. A cell's coefficient is that
+    of each of its components, so the fiber kernels pair these exactly.
     """
     q = cusp_quotient(model, cusp)
-    params, ids = model.params, q.ids
+    params, ids = model.params, {c.label: c.cid for c in q.components}
     fm = ids[("Fm",)]
     v_fm = QDivisor.single(fm, Fraction(params.p - 2, 2 * params.genus - 2))
     vs = {ids[("LXYZ", "cusp")]: Fraction(1, params.p)}
     for where, k in (("cusp", 1), ("arm", 2)):
         vs.update((ids[("Chain", where, j)], mu_chain(params, j, k)) for j in range(1, params.m))
     vs = v_fm + QDivisor(vs)
-    return q, v_fm, vs, _u_of(params, vs, q.cells, fm)
+    return q, v_fm, vs, _u_of(params, vs, q.components, fm)
 
 
 def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
@@ -219,12 +220,13 @@ def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
 
     The value is shared by every component C of the cell (model.cusp_quotient
     lists the cells, at most 3(m-1)+6); reads model.params and the cusp, not
-    the graph. u_s_values evaluates the graph, as suite_beta's oracle.
+    the graph. A cell c pairs as [c], so a_C - (U_S.C) is (K - U_S . [c]) / |c|.
+    u_s_values evaluates the graph, as suite_beta's oracle.
     """
     q, _, _, us = _on_cells(model, cusp)
-    prof, cusp_end = q.profile(us), q.ids[("Chain", "cusp", 1)]
-    return [(c.label, a_number(q, c.cid) + 2 * (c.cid == cusp_end) - prof.coeff(c.cid))
-            for c in q.cells]
+    prof = pairing_divisor(q, us)
+    return [(c.label, (a_number(q, c.cid) - prof.coeff(c.cid)) / k
+             + 2 * (c.label == ("Chain", "cusp", 1))) for c, k in zip(q.components, q.sizes)]
 
 
 def u_s_values(
@@ -278,14 +280,14 @@ def beta_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:
     """
     q, _, vs, us = _on_cells(model, cusp)
     x = vs.scale(2) + us
-    return beta_graph(model.params, q.pair(x, x), q.canonical(us))
+    return beta_graph(model.params, pair(q, x, x), canonical_pair(q, us))
 
 
 def cusp_squares(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> tuple[Fraction, Fraction]:
     """(V_S^2, G_S^2) on the cusp quotient, from model.params and the cusp."""
     q, v_fm, vs, _ = _on_cells(model, cusp)
     gs = vs - v_fm
-    return q.pair(vs, vs), q.pair(gs, gs)
+    return pair(q, vs, vs), pair(q, gs, gs)
 
 
 def per_prime_geometric(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:

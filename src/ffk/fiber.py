@@ -2,7 +2,11 @@
 
 A fiber is a weighted graph: vertices are irreducible components carrying
 multiplicity, genus and self-intersection; off-diagonal pairings count
-transversal intersection points. All arithmetic is exact over Q.
+transversal intersection points. A vertex of size k, a cell of an equitable
+partition, stands for the reduced divisor [c] of k disjoint components of one
+multiplicity and genus: its self_int is [c]^2 and its pairings count points of
+[c] on its neighbours' divisors, so every kernel below is exact on divisors
+constant on cells. All arithmetic is exact over Q.
 """
 
 from __future__ import annotations
@@ -159,10 +163,12 @@ class FiberConfig:
     Self-intersections live on the components. Each edge is stored once per
     endpoint, in the neighbour map of that component. Whole-fiber facts that
     never change, such as the first non-orthogonal component, are computed once.
+    `sizes` holds each vertex's size (module docstring); None, the default, means
+    every vertex is one component. `n_components` counts vertices either way.
     """
 
     def __init__(self, components: Iterable[Component], pairings: Mapping[tuple[int, int], int],
-                 genus: int):
+                 genus: int, sizes: Iterable[int] | None = None):
         comps = tuple(components)
         check_component_cap(len(comps))
         for i, c in enumerate(comps):
@@ -179,6 +185,9 @@ class FiberConfig:
         self.components = comps
         self.genus = genus
         self._nbrs = tuple(nbrs)
+        self.sizes = None if sizes is None else tuple(sizes)
+        if self.sizes is not None and (len(self.sizes) != len(comps) or min(self.sizes) < 1):
+            raise ParameterError("sizes must give every component a size >= 1")
 
     @property
     def n_components(self) -> int:
@@ -204,53 +213,13 @@ class FiberConfig:
 
     @cached_property
     def non_orthogonal(self) -> Component | None:
-        """The first component C with (F . C) = d_C C^2 + I_C != 0, or None; computed once."""
+        """The first C with (F . C) = d_C C^2 + I_C != 0, or None; computed once.
+
+        At a vertex of size k the sum is (F . [c]) = k (F . C), C^2 being [c]^2."""
         return next(
             (c for c in self.components if c.multiplicity * c.self_int + i_c(self, c.cid)),
             None,
         )
-
-
-class Quotient:
-    """An equitable partition of a fiber into cells, pairing divisors constant on cells.
-
-    `sizes` maps each cell label to its number of components; cells of size 0
-    are dropped. A `meets` entry (a, b, ab) says that every component of cell a
-    meets ab components of cell b and every one of b meets one of a;
-    `shape(label)` is (multiplicity, genus, C^2). Cell c is the Component
-    `cells[c]`, with |c| = sizes[c] and b(c, c2) = nbrs[c][c2].
-    For D = sum x_c c, E = sum y_c c, each coefficient spread over its cell,
-    D.E = sum_c |c| x_c (C_c^2 y_c + sum_c2 b(c, c2) y_c2), (K.D) = sum_c |c| x_c a_c.
-    """
-
-    def __init__(self, sizes: Mapping[Any, int], meets, shape):
-        self.ids = {label: c for c, label in enumerate(x for x, n in sizes.items() if n)}
-        self.cells = tuple(Component(c, label, *shape(label)) for label, c in self.ids.items())
-        self.sizes = tuple(map(sizes.get, self.ids))
-        self.nbrs = tuple({} for _ in self.cells)
-        for a, b, ab in meets:
-            if a in self.ids and b in self.ids:
-                self.nbrs[self.ids[a]][self.ids[b]], self.nbrs[self.ids[b]][self.ids[a]] = ab, 1
-
-    def component(self, cid: int) -> Component:
-        return self.cells[cid]
-
-    def profile(self, D: QDivisor) -> QDivisor:
-        """sum_c (D . C) c, with C any one component of cell c."""
-        get = D._num.get
-        return QDivisor.from_numerators(
-            {c.cid: c.self_int * get(c.cid, 0) + sum(b * get(c2, 0) for c2, b in nbrs.items())
-             for c, nbrs in zip(self.cells, self.nbrs)}, D._den)
-
-    def pair(self, D: QDivisor, E: QDivisor) -> Fraction:
-        prof, sizes = self.profile(E), self.sizes
-        get = prof._num.get
-        return Fraction(sum(sizes[c] * v * get(c, 0) for c, v in D._num.items()),
-                        D._den * prof._den)
-
-    def canonical(self, D: QDivisor) -> Fraction:
-        return Fraction(sum(self.sizes[c] * v * a_number(self, c) for c, v in D._num.items()),
-                        D._den)
 
 
 def _check_ids(config: FiberConfig, ids) -> None:
@@ -312,16 +281,17 @@ def pair_profile(config: FiberConfig, D: QDivisor) -> dict[int, Fraction]:
 def i_c(config: FiberConfig, cid: int) -> int:
     """I_C: neighbour multiplicities weighted by intersection points.
 
-    (F . C) = d_C C^2 + I_C, with F = sum d_C C the fiber.
+    (F . C) = d_C C^2 + I_C, with F = sum d_C C the fiber; at size k, I is (F . [c]) - d_C [c]^2.
     """
     comps = config.components
     return sum(comps[nbr].multiplicity * cnt for nbr, cnt in config.neighbors(cid).items())
 
 
 def a_number(config: FiberConfig, cid: int) -> int:
-    """Adjunction number -C^2 + 2 g_C - 2 = (K . C)."""
+    """Adjunction number (K . C) = -C^2 + 2 g_C - 2; at size k, (K . [c]) = -[c]^2 + k(2g_C - 2)."""
     c = config.component(cid)
-    return -c.self_int + 2 * c.genus - 2
+    k = 1 if config.sizes is None else config.sizes[cid]
+    return -c.self_int + k * (2 * c.genus - 2)
 
 
 def canonical_pair(config: FiberConfig, D: QDivisor) -> Fraction:
@@ -352,38 +322,27 @@ def validate(config: FiberConfig) -> list[CheckResult]:
     Failures are reported as data, never raised. The symmetry check passes by
     construction, since `FiberConfig` writes both neighbour maps of an edge
     from one count; it stays so that the list of reported checks is unchanged.
+    The adjunction sum is canonical_pair(config, F), size-weighted like the rest.
     """
-    results = []
-
     sym_ok = all(config._nbrs[b].get(a) == cnt for (a, b), cnt in config.edges())
-    results.append(CheckResult("pairing matrix symmetric", sym_ok))
-
     offender = config.non_orthogonal
-    results.append(
-        CheckResult(
-            "fiber orthogonality (F.C = 0 for all C)",
-            offender is None,
-            "" if offender is None else f"fails at component {offender.label}",
-        )
-    )
+    results = [CheckResult("pairing matrix symmetric", sym_ok),
+               CheckResult("fiber orthogonality (F.C = 0 for all C)", offender is None,
+                           "" if offender is None else f"fails at component {offender.label}")]
 
+    detail = "homogeneous solution is not the multiplicity vector"
     try:
         hom = GaugeSolver(config, 0).solve(QDivisor(), config.component(0).multiplicity)
-        kernel_ok = hom == config.fiber_divisor()
-        detail = "" if kernel_ok else "homogeneous solution is not the multiplicity vector"
     except (NoSolutionError, MathContractError) as exc:
-        kernel_ok, detail = False, str(exc)
-    results.append(CheckResult("kernel spanned by multiplicity vector", kernel_ok, detail))
+        hom, detail = None, str(exc)
+    fiber = config.fiber_divisor()  # made after the solve, so the solver's peak does not hold it
+    kernel_ok = hom == fiber
+    results.append(CheckResult("kernel spanned by multiplicity vector", kernel_ok,
+                               "" if kernel_ok else detail))
 
-    total = sum(c.multiplicity * a_number(config, c.cid) for c in config.components)
-    want = 2 * config.genus - 2
-    results.append(
-        CheckResult(
-            "sum d_C a_C = 2g - 2",
-            total == want,
-            "" if total == want else f"got {total}, want {want}",
-        )
-    )
+    total, want = canonical_pair(config, fiber), 2 * config.genus - 2
+    results.append(CheckResult("sum d_C a_C = 2g - 2", total == want,
+                               "" if total == want else f"got {total}, want {want}"))
     return results
 
 

@@ -37,7 +37,6 @@ from .errors import MathContractError, ParameterError
 from .fiber import (
     Component,
     FiberConfig,
-    Quotient,
     check_component_cap,
     i_c,
     pairing_divisor,
@@ -173,6 +172,9 @@ class FermatModel:
 
     def cusp(self, i: int, k: int) -> int:
         """Id of Chain(1, k, i), the chain end the cusp section (i, k) meets."""
+        if not (1 <= i <= 3 * self.params.m and 1 <= k <= self.params.p):
+            raise ParameterError(f"cusp ({i},{k}) out of range: need 1 <= i <= "
+                                 f"{3 * self.params.m} and 1 <= k <= {self.params.p}")
         return self.chain(1, k, i)
 
     def census(self) -> dict[str, int]:
@@ -271,7 +273,7 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     return FermatModel(params, FiberConfig(comps, pairs, params.genus))
 
 
-def cusp_quotient(model: FermatModel, cusp: tuple[int, int]) -> Quotient:
+def cusp_quotient(model: FermatModel, cusp: tuple[int, int]) -> FiberConfig:
     """The cells of the fiber under the stabiliser of the cusp chain, from (p, m, s) alone.
 
     For the cusp at Chain(1, k, i) the 3(m-1)+6 cells are ("Fm",), ("LXYZ",
@@ -282,7 +284,9 @@ def cusp_quotient(model: FermatModel, cusp: tuple[int, int]) -> Quotient:
     sizes do not depend on which cusp is chosen. Empty cells are dropped:
     Ldelta when 2s = p-3, Lgamma and its leaves when s = 0. Checks the cusp
     through model.cusp and the component count against model.config; never
-    reads the graph.
+    reads the graph. Cell c is a vertex of size |c|: [c]^2 = |c| C_c^2, a cell
+    being an independent set, and [c].[c'] = |c| b(c, c'), with b(c, c') the
+    components of c' one component of c meets; equitable, so it is symmetric.
     """
     model.cusp(*cusp)
     p, m = model.params.p, model.params.m
@@ -293,11 +297,18 @@ def cusp_quotient(model: FermatModel, cusp: tuple[int, int]) -> Quotient:
     sizes = {**dict.fromkeys(cusp_c, 1), **dict.fromkeys(arm, p - 1),
              **dict.fromkeys(other, p * (3 * m - 1)), fm: 1, lx: 1, lx_other: 3 * m - 1}
     sizes.update((lab, census[lab[0]]) for lab in (ld, lg, leaf))
-    meets = [(fm, lx, 1), (fm, lx_other, 3 * m - 1), (fm, ld, census["Ldelta"]),
-             (fm, lg, census["Lgamma"]), (lg, leaf, p), (lx, cusp_c[-1], 1),
-             (lx, arm[-1], p - 1), (lx_other, other[-1], p)]
-    meets += [(a, b, 1) for run in (cusp_c, arm, other) for a, b in zip(run, run[1:])]
-    quotient = Quotient(sizes, meets, lambda c: (c[2], 0, -2) if len(c) == 3 else shape[c[0]])
+    ids = {label: c for c, label in enumerate(x for x, n in sizes.items() if n)}
+    cells = []
+    for label, c in ids.items():
+        d, g, sq = (label[2], 0, -2) if len(label) == 3 else shape[label[0]]
+        cells.append(Component(c, label, d, g, sizes[label] * sq))
+    # each component of b meets one of a, so [a].[b] = |b|
+    meets = [(fm, lx), (fm, lx_other), (fm, ld), (fm, lg), (lg, leaf), (lx, cusp_c[-1]),
+             (lx, arm[-1]), (lx_other, other[-1])]
+    meets += [ab for run in (cusp_c, arm, other) for ab in zip(run, run[1:])]
+    quotient = FiberConfig(cells, {(ids[a], ids[b]): sizes[b] for a, b in meets
+                                   if a in ids and b in ids},
+                           model.params.genus, map(sizes.get, ids))
     if sum(quotient.sizes) != model.config.n_components:
         raise MathContractError(f"cusp quotient has {sum(quotient.sizes)} components, "
                                 f"the fiber {model.config.n_components}")

@@ -160,9 +160,11 @@ def test_divisors_cusp_independence(capsys):
 
 def test_divisors_bad_cusp_exits_2(capsys):
     # (5,3) has cusps (i, k) with 1 <= i <= 9 and 1 <= k <= 5
-    code, out, err = run(capsys, "divisors", "--p", "5", "--m", "3", "--cusp", "10,1")
-    assert code == 2
-    assert out == ""
+    for cusp in ("10,1", "0,1", "1,6"):
+        code, out, err = run(capsys, "divisors", "--p", "5", "--m", "3", "--cusp", cusp)
+        assert code == 2
+        assert out == ""
+        assert f"cusp ({cusp})" in err and "1 <= i <= 9" in err and "1 <= k <= 5" in err
 
 
 def test_divisors_exit_4_on_contract_violation(capsys, monkeypatch):

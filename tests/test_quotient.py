@@ -5,7 +5,9 @@ the cusp quotient (`model.cusp_quotient`). The oracle here assigns every built
 component to its cell from its FermatLabel alone, walks every edge of the
 built fiber once, and checks that the partition is equitable with the
 quotient's sizes, shapes and neighbour counts b(c, c'), and that every
-quotient value equals its full-graph evaluation.
+quotient value equals its full-graph evaluation. The quotient is a FiberConfig
+with one vertex of size |c| per cell, so the fiber kernels, `validate` and
+`GaugeSolver` run on it unchanged; the tests below hold them to the graph too.
 """
 
 import dataclasses
@@ -18,7 +20,16 @@ from hypothesis import strategies as st
 
 from ffk import divisors
 from ffk.errors import MathContractError, ParameterError
-from ffk.fiber import a_number, pair, pairing_divisor
+from ffk.fiber import (
+    FiberConfig,
+    GaugeSolver,
+    QDivisor,
+    a_number,
+    canonical_pair,
+    pair,
+    pairing_divisor,
+    validate,
+)
 from ffk.model import FermatParams, build_config, cusp_quotient, expected_census
 
 QUOTIENT_FUNCTIONS = (divisors.beta_s, divisors.per_prime_geometric, divisors.semipos_check,
@@ -49,23 +60,25 @@ def assert_quotient_matches_graph(model, cusp):
     config, params = model.config, model.params
     q = cusp_quotient(model, cusp)
     cells = [cell_of(c.label, cusp) for c in config.components]
-    labels = {c.cid: c.label for c in q.cells}
+    labels = {c.cid: c.label for c in q.components}
+    ids = {label: c for c, label in labels.items()}
 
-    # cells and their sizes
+    # cells and their sizes; a cell's self_int is [c]^2 = |c| C^2
     assert Counter(cells) == {labels[c]: size for c, size in enumerate(q.sizes)}
-    assert len(q.cells) <= 3 * (params.m - 1) + 6
+    assert len(q.components) <= 3 * (params.m - 1) + 6
     for comp, cell in zip(config.components, cells):
-        shape = q.cells[q.ids[cell]]
-        assert (comp.multiplicity, comp.genus, comp.self_int) == (
+        shape = q.components[ids[cell]]
+        assert (comp.multiplicity, comp.genus, comp.self_int * q.sizes[ids[cell]]) == (
             shape.multiplicity, shape.genus, shape.self_int), comp.label
 
-    # one walk over the edges: every component of a cell meets b(c, c') components of c'
+    # one walk over the edges: every component of a cell c meets w(c, c')/|c| components of c'
     met = [Counter() for _ in config.components]
     for (a, b), cnt in config.edges():
         met[a][cells[b]] += cnt
         met[b][cells[a]] += cnt
     for comp, cell, seen in zip(config.components, cells, met):
-        want = {labels[c2]: b for c2, b in q.nbrs[q.ids[cell]].items()}
+        size = q.sizes[ids[cell]]
+        want = {labels[c2]: Fraction(w, size) for c2, w in q.neighbors(ids[cell]).items()}
         assert dict(seen) == want, (comp.label, cell)
 
     # V_S and U_S are constant on cells
@@ -83,10 +96,31 @@ def assert_quotient_matches_graph(model, cusp):
     assert divisors.per_prime_geometric(model, cusp) == divisors.geometric_graph(
         params, vs_self, gs_self)
     semis = divisors.semipos_check(model, cusp)
-    assert [cell for cell, _ in semis] == [c.label for c in q.cells]
+    assert [cell for cell, _ in semis] == [c.label for c in q.components]
     by_cell = dict(semis)
     assert [by_cell[cell] for cell in cells] == graph_semipositivity(model, cusp)
     assert min(by_cell.values()) == semi_min
+
+
+def assert_cell_divisors_match_the_graph(model, cusp, d, e):
+    """Cell coefficients d, e (0 past the end) pair on the quotient as their lifts on the graph.
+
+    A lift gives every component its cell's coefficient; the quotient's (D . [c])
+    is |c| times the graph's (D . C) on every component C of c.
+    """
+    config, q = model.config, cusp_quotient(model, cusp)
+    ids = {c.label: c.cid for c in q.components}
+    cells = [ids[cell_of(c.label, cusp)] for c in config.components]
+    D, E = (QDivisor(zip(range(len(ids)), x)) for x in (d, e))
+
+    def lift(X):
+        return QDivisor({cid: X.coeff(c) for cid, c in enumerate(cells)})
+
+    assert pair(q, D, E) == pair(config, lift(D), lift(E))
+    assert canonical_pair(q, D) == canonical_pair(config, lift(D))
+    on_q, on_graph = pairing_divisor(q, D), pairing_divisor(config, lift(D))
+    assert [on_q.coeff(c) / q.sizes[c] for c in cells] == [
+        on_graph.coeff(cid) for cid in range(len(cells))]
 
 
 def _cusps(p: int, m: int):
@@ -129,15 +163,49 @@ def synthetic_fibers(draw):
     return p, m, s, cusp
 
 
+#: integer cell coefficients, in cell order; cells past the end of the list get 0
+cell_coefficients = st.lists(st.integers(-9, 9), max_size=3 * (max(m for _, m in SMALL_PM) - 1) + 6)
+
+
 @settings(max_examples=40, deadline=None)
-@given(synthetic_fibers())
-@example((3, 5, 0, (7, 2)))  # p = 3: no Ldelta, no Lgamma
-@example((5, 7, 0, (1, 5)))  # s = 0: no Lgamma, no leaves
-@example((7, 5, 2, (15, 1)))  # 2s = p-3: no Ldelta
-@example((11, 3, 1, (4, 6)))  # every cell present
-def test_synthetic_fibers_match_the_graph(fiber):
+@given(synthetic_fibers(), cell_coefficients, cell_coefficients)
+@example((3, 5, 0, (7, 2)), [1, -2, 3], [])  # p = 3: no Ldelta, no Lgamma
+@example((5, 7, 0, (1, 5)), [0, 4, -1, 2] * 6, [3] * 30)  # s = 0: no Lgamma, no leaves
+@example((7, 5, 2, (15, 1)), [-5, 0, 7] * 6, [2, -9] * 9)  # 2s = p-3: no Ldelta
+@example((11, 3, 1, (4, 6)), list(range(-6, 6)), [1] * 12)  # every cell present
+def test_synthetic_fibers_match_the_graph(fiber, d, e):
     p, m, s, cusp = fiber
-    assert_quotient_matches_graph(build_config(p, m, s), cusp)
+    model = build_config(p, m, s)
+    assert_quotient_matches_graph(model, cusp)
+    assert_cell_divisors_match_the_graph(model, cusp, d, e)
+
+
+def _quotients(models):
+    """(model, cusp, quotient) on the acceptance pairs and on (7,23), at three cusps each."""
+    for (p, m), model in {**models, (7, 23): build_config(7, 23)}.items():
+        for cusp in _cusps(p, m):
+            yield model, cusp, cusp_quotient(model, cusp)
+
+
+def test_validate_passes_on_the_quotient(models):
+    for model, cusp, q in _quotients(models):
+        assert [chk.passed for chk in validate(q)] == [True] * 4, (model.params, cusp)
+        # sizes enter the adjunction sum: one size off by one fails it, unless 2g_C - 2 = 0
+        for c in q.components:
+            sizes = [k + (cid == c.cid) for cid, k in enumerate(q.sizes)]
+            bad = FiberConfig(q.components, dict(q.edges()), q.genus, sizes)
+            assert all(chk.passed for chk in validate(bad)) == (c.genus == 1), (c.label, cusp)
+
+
+def test_gauged_solver_on_the_quotient_reproduces_v_s(models):
+    # (V_S . [c]) = |c| a_C/(2g-2) - [c = cusp cell], pinned at V_S's Fm coefficient (p-2)/(2g-2)
+    for model, cusp, q in _quotients(models):
+        two_g2 = 2 * model.params.genus - 2
+        _, v_fm, vs, _ = divisors._on_cells(model, cusp)
+        targets = QDivisor({c.cid: Fraction(a_number(q, c.cid), two_g2)
+                            - (c.label == ("Chain", "cusp", 1)) for c in q.components})
+        (fm, gauge), = v_fm.items()
+        assert GaugeSolver(q, fm).solve(targets, gauge) == vs, (model.params, cusp)
 
 
 @pytest.mark.parametrize("pms, gone", [((3, 5, 0), {"Ldelta", "Lgamma", "LgammaLeaf"}),
@@ -145,8 +213,8 @@ def test_synthetic_fibers_match_the_graph(fiber):
                                        ((7, 5, 2), {"Ldelta"})])
 def test_empty_cells_are_dropped(pms, gone):
     q = cusp_quotient(build_config(*pms), (1, 1))
-    assert not gone & {c.label[0] for c in q.cells}
-    assert len(q.cells) == 3 * (pms[1] - 1) + 6 - len(gone)
+    assert not gone & {c.label[0] for c in q.components}
+    assert len(q.components) == 3 * (pms[1] - 1) + 6 - len(gone)
     assert 0 not in q.sizes
 
 
