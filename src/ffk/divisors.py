@@ -14,20 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle
+from itertools import cycle, repeat
 from math import lcm
 
 from .bounds import q_np
 from .errors import MathContractError
 from .fiber import (
     CheckResult,
+    FiberConfig,
     QDivisor,
     a_number,
     canonical_pair,
     pair,
     pairing_divisor,
 )
-from .model import FermatLabel, FermatModel, FermatParams, cusp_quotient, expected_census
+from .model import FermatLabel, FermatModel, FermatParams, cusp_quotient
 
 
 @dataclass(frozen=True)
@@ -110,22 +111,25 @@ def v_divisor(model: FermatModel, cid: int) -> QDivisor:
 
 def v_self_closed(model: FermatModel, cid: int) -> Fraction:
     """Closed form for V_D^2, by the kind of D."""
-    params = model.params
+    lab: FermatLabel = model.config.component(cid).label
+    return _v_self(model.params, lab.kind, lab.j)
+
+
+def _v_self(params: FermatParams, kind: str, r: int) -> Fraction:
+    """V_D^2 for a component D of this kind; r is the level of a Chain(r, k, i)."""
     ln = lambda_nu(params)
     p, n = params.p, params.n
-    lab: FermatLabel = model.config.component(cid).label
     base = ln.lam + ln.nu
-    if lab.kind == "Fm":
+    if kind == "Fm":
         return ln.lam
-    if lab.kind == "Ldelta":
+    if kind == "Ldelta":
         return base - Fraction(1, p)
-    if lab.kind == "Lgamma":
+    if kind == "Lgamma":
         return base - Fraction(1, 2 * p)
-    if lab.kind == "LgammaLeaf":
+    if kind == "LgammaLeaf":
         return base - Fraction(1 + p, 2 * p)
-    if lab.kind == "LXYZ":
+    if kind == "LXYZ":
         return base - Fraction(1, n)
-    r = lab.j
     return base - mu_chain(params, r, 1) / r
 
 
@@ -176,7 +180,9 @@ def u_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
     identities at once: (2V_S + U_S)^2 = -(N(lambda+nu))^2, the canonical
     pairing (K . U_S) = (2m-3) N (lambda+nu), and semipositivity
     a_C + 2(S . C) - (U_S . C) >= 0 with equality exactly on the chain and
-    leaf components. See u_s_probe for the printed alternatives.
+    leaf components. Built here on the full graph, the oracle; beta_s,
+    semipos_check and u_s_probe build the same divisor on the cells of the cusp
+    quotient. u_s_probe weighs it against the printed alternatives.
     """
     return _u_of(model.params, v_s(model, cusp), model.config.components, model.fm)
 
@@ -219,44 +225,58 @@ def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
     """(cell label, a_C + 2(S.C) - (U_S.C)) per non-empty cell; every value must be >= 0.
 
     The value is shared by every component C of the cell (model.cusp_quotient
-    lists the cells, at most 3(m-1)+6); reads model.params and the cusp, not
-    the graph. A cell c pairs as [c], so a_C - (U_S.C) is (K - U_S . [c]) / |c|.
-    u_s_values evaluates the graph, as suite_beta's oracle.
+    lists the cells, at most 3(m-1)+6); it is the semipositivity value of
+    u_s_values on the quotient, reading model.params and the cusp, not the
+    graph. suite_beta runs u_s_values on the graph, as the oracle.
     """
     q, _, _, us = _on_cells(model, cusp)
-    prof = pairing_divisor(q, us)
-    return [(c.label, (a_number(q, c.cid) - prof.coeff(c.cid)) / k
-             + 2 * (c.label == ("Chain", "cusp", 1))) for c, k in zip(q.components, q.sizes)]
+    nums, den = _semipositivity(q, us, _cusp_cell(q))
+    return [(c.label, Fraction(v, den)) for c, v in zip(q.components, nums)]
+
+
+def _cusp_cell(q: FiberConfig) -> int:
+    """The vertex of the cusp quotient that the cusp section meets: its chain end."""
+    return [c.label for c in q.components].index(("Chain", "cusp", 1))
 
 
 def u_s_values(
-    model: FermatModel, vs: QDivisor, us: QDivisor, cusp: tuple[int, int]
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(2V_S + U)^2, (K . U) and min_C a_C + 2(S.C) - (U.C) for a divisor U, given V_S.
+    config: FiberConfig, vs: QDivisor, u: QDivisor, target: int
+) -> tuple[Fraction, Fraction, tuple[list[int], int]]:
+    """(2V_S + U)^2, (K . U) and the semipositivity values of a divisor U, given V_S.
 
-    Evaluated on the full graph: the oracle of the cusp-quotient beta_s and semipos_check.
+    Works on any FiberConfig whose vertex `target` the cusp section S meets:
+    the full graph (sizes None, target the cusp chain end) or the cusp
+    quotient (target its cusp cell). The semipositivity value at vertex c is
+    a_C + 2(S.C) - (U.C) = (a_number - (U.[c]))/|c| + 2[c = target], shared by
+    the |c| components C of c. The values come as integer numerators over one
+    denominator, in vertex order, so the minimum is an integer minimum.
     """
-    config = model.config
-    target = model.cusp(*cusp)
-    prof = pairing_divisor(config, us)
+    x = vs.scale(2) + u
+    return pair(config, x, x), canonical_pair(config, u), _semipositivity(config, u, target)
+
+
+def _semipositivity(config: FiberConfig, u: QDivisor, target: int) -> tuple[list[int], int]:
+    """The semipositivity values of u_s_values: numerators over one denominator."""
+    prof = pairing_divisor(config, u)
     den, get = prof.denominator, prof.numerators().get
-    semi = min((a_number(config, c.cid) + 2 * (c.cid == target)) * den - get(c.cid, 0)
-               for c in config.components)
-    x = vs.scale(2) + us
-    return pair(config, x, x), canonical_pair(config, us), Fraction(semi, den)
+    scale = lcm(*config.sizes or (1,))  # clears the 1/|c| of every vertex
+    num = [(a_number(config, c.cid) * den - get(c.cid, 0)) * (scale // k)
+           for c, k in zip(config.components, config.sizes or repeat(1))]
+    num[target] += 2 * den * scale
+    return num, den * scale
 
 
 def u_s_identities(
-    params: FermatParams, values: tuple[Fraction, Fraction, Fraction]
+    params: FermatParams, values: tuple[Fraction, Fraction, tuple[list[int], int]]
 ) -> tuple[bool, bool, Fraction]:
     """Judge u_s_values against the identities stated for U_S.
 
     Returns whether (2V_S + U)^2 = -(N(lambda+nu))^2, whether
     (K . U) = (2m-3) N (lambda+nu), and the semipositivity minimum.
     """
-    square, canonical, semi = values
+    square, canonical, (semis, den) = values
     b = params.n * lambda_nu(params).total
-    return square == -b * b, canonical == (2 * params.m - 3) * b, semi
+    return square == -b * b, canonical == (2 * params.m - 3) * b, Fraction(min(semis), den)
 
 
 def beta_graph(params: FermatParams, square: Fraction, canonical: Fraction) -> Fraction:
@@ -316,71 +336,43 @@ def geometric_graph(params: FermatParams, vs_self: Fraction, gs_self: Fraction) 
 # ---------------------------------------------------------------------------
 
 
-def u_s_candidates(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> dict[str, QDivisor]:
-    """The candidate U_S definitions the source text offers, plus the adopted one.
+def u_s_probe(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> list[CheckResult]:
+    """Evaluate each U_S candidate the source text offers against the stated identities.
 
-    'expansion': the explicit per-family expansion (the printed list, with the
-    chain corrections it carries); 'weighted-vc': sum_C d_C (2(V_C.V_S) - V_C^2) C;
-    'adopted': the definition u_s() uses.
+    Every candidate is constant on cells, so each is built on the cusp quotient
+    (model.cusp_quotient) from the cell label (kind, where, j), never from the
+    graph: 'expansion', the explicit per-family expansion (the printed list,
+    with the chain corrections it carries); 'weighted-vc',
+    sum_C d_C (2(V_C.V_S) - V_C^2) C; 'adopted', the U_S of u_s(). Reports, per
+    candidate: the square identity for 2V_S + U_S, the canonical pairing value,
+    the pairing (U . [Ldelta])/|Ldelta| against one Ldelta (a multiplicity-one
+    self -p component), and semipositivity.
     """
     params = model.params
     p, m, n = params.p, params.m, params.n
-    config = model.config
-    vs = v_s(model, cusp)
-    ci, ck = cusp
-
-    expansion: dict[int, Fraction] = {}
-    for c in config.components:
-        lab: FermatLabel = c.label
-        if lab.kind == "Ldelta" or lab.kind == "Lgamma":
-            expansion[c.cid] = Fraction(1, p)
-        elif lab.kind == "LgammaLeaf":
-            expansion[c.cid] = Fraction(1 + p, p)
-        elif lab.kind == "LXYZ":
-            expansion[c.cid] = Fraction(1, p) - (Fraction(2, p) if lab.i == ci else 0)
-        elif lab.kind == "Chain":
-            j = lab.j
-            val = j * mu_chain(params, j, 1)
-            if lab.i == ci:
-                val -= Fraction(2 * j, n)
-                if lab.k == ck:
-                    val -= Fraction(2 * (m - j), m)
-            expansion[c.cid] = val
-
-    # (V_C . V_S) is a dot product with V_S's pairing profile, taken once; V_C^2
-    # follows from the representative relation (V_C . D) = a_D/(2g-2) - delta_{C,D}/d_C,
-    # which suite_divisor checks for every pair (C, D)
-    vs_profile = pairing_divisor(config, vs)
-    two_g2 = 2 * params.genus - 2
-    weighted: dict[int, Fraction] = {}
-    for c in config.components:
-        vc = v_divisor(model, c.cid)
-        vc_sq = canonical_pair(config, vc) / two_g2 - vc.coeff(c.cid) / c.multiplicity
-        t = 2 * vc.dot(vs_profile) - vc_sq
-        if t:
-            weighted[c.cid] = c.multiplicity * t
-
-    return {
-        "expansion": QDivisor(expansion),
-        "weighted-vc": QDivisor(weighted),
-        "adopted": u_s(model, cusp),
-    }
-
-
-def u_s_probe(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> list[CheckResult]:
-    """Evaluate each U_S candidate against the stated identities.
-
-    Reports, per candidate: the square identity for 2V_S + U_S, the canonical
-    pairing value, the pairing against a multiplicity-one self -p component,
-    and semipositivity.
-    """
-    config, params = model.config, model.params
-    vs = v_s(model, cusp)
-    ldelta = model.ldelta(1) if expected_census(params.p, params.m, params.s)["Ldelta"] else None
+    q, _, vs, us = _on_cells(model, cusp)
+    # (V_C . V_S) = (K . V_S)/(2g-2) - (V_S)_C/d_C is the representative relation,
+    # which suite_divisor checks for every pair; V_C^2 is the closed form by kind
+    vs_k = canonical_pair(q, vs) / (2 * params.genus - 2)
+    expansion, weighted = {}, {}
+    for c in q.components:
+        kind, where, j = c.label + ("", "", 0)[len(c.label):]
+        if kind == "Chain":
+            expansion[c.cid] = (j * mu_chain(params, j, 1) - Fraction(2 * j, n) * (where != "other")
+                                - Fraction(2 * (m - j), m) * (where == "cusp"))
+        elif kind == "LXYZ":
+            expansion[c.cid] = Fraction(1 if where == "other" else -1, p)
+        elif kind != "Fm":
+            expansion[c.cid] = Fraction(1 + p if kind == "LgammaLeaf" else 1, p)
+        weighted[c.cid] = (c.multiplicity * (2 * vs_k - _v_self(params, kind, j))
+                           - 2 * vs.coeff(c.cid))
+    ldelta = next((c.cid for c in q.components if c.label == ("Ldelta",)), None)
+    target = _cusp_cell(q)
     results = []
-    for name, cand in u_s_candidates(model, cusp).items():
-        sq_ok, ku_ok, semi = u_s_identities(model.params, u_s_values(model, vs, cand, cusp))
-        ld = pair(config, cand, QDivisor.single(ldelta)) if ldelta is not None else None
+    for name, cand in (("expansion", QDivisor(expansion)), ("weighted-vc", QDivisor(weighted)),
+                       ("adopted", us)):
+        sq_ok, ku_ok, semi = u_s_identities(params, u_s_values(q, vs, cand, target))
+        ld = None if ldelta is None else pair(q, cand, QDivisor.single(ldelta)) / q.sizes[ldelta]
         results.append(
             CheckResult(
                 f"u_s[{name}]",

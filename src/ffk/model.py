@@ -162,9 +162,6 @@ class FermatModel:
         first = self.leaf(1, i)
         return range(first, first + self.params.p)
 
-    def ldelta(self, i: int) -> int:
-        return self.cid(FermatLabel("Ldelta", i=i))
-
     @property
     def cusps(self) -> range:
         """Ids of the chain ends Chain(1, k, i), one per cusp section, in id order."""

@@ -245,7 +245,8 @@ def suite_beta(models: list[FermatModel] | None = None) -> list[CheckResult]:
 
         # (2V_S+U_S)^2 and (K . U_S) feed both the beta check and the identity checks
         values = [
-            divisors.u_s_values(model, divisors.v_s(model, c), divisors.u_s(model, c), c)
+            divisors.u_s_values(config, divisors.v_s(model, c), divisors.u_s(model, c),
+                                model.cusp(*c))
             for c in cusps
         ]
         try:

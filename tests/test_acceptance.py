@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ffk import divisors, verify
 from ffk.errors import MathContractError
 from ffk.fiber import CheckResult, Component, FiberConfig, pair, validate
-from ffk.model import FermatModel
+from ffk.model import FermatLabel, FermatModel
 from test_fiber import NOT_ORTHOGONAL_TREES
 
 
@@ -86,7 +86,7 @@ def _mutated(model, mode: str) -> FermatModel:
     cfg = model.config
     comps = list(cfg.components)
     edges = dict(cfg.edges())
-    victim = model.ldelta(1)
+    victim = model.cid(FermatLabel("Ldelta", i=1))
     if mode == "self_int":
         c = comps[victim]
         comps[victim] = Component(c.cid, c.label, c.multiplicity, c.genus,
@@ -124,7 +124,7 @@ def _divisor_suite_raises(model) -> bool:
 def _doubled_edge(model) -> FiberConfig:
     # one extra Ldelta-Ldelta edge, listed as both (a, b) and (b, a): its count is 2
     edges = dict(model.config.edges())
-    a, b = model.ldelta(1), model.ldelta(2)
+    a, b = (model.cid(FermatLabel("Ldelta", i=i)) for i in (1, 2))
     edges[(a, b)] = edges[(b, a)] = 1
     return FiberConfig(model.config.components, edges, model.config.genus)
 

@@ -1,4 +1,5 @@
-"""Every public function and method of the package has a caller inside the package.
+"""Every public function and method of the package has a caller inside the package,
+and every name a package module imports is read in that module.
 
 A public module-level function, or a public non-dunder method of a package
 class, that only tests call is a second entry point to a quantity some other
@@ -7,7 +8,8 @@ reference is an `ast.Name` or `ast.Attribute` in any module but `__init__.py`
 (re-exports do not count, and neither do strings such as the JSON key
 "upper_bound"), outside the function's own body. Names are matched, not
 resolved, so a method counts as called when any package code reads an
-attribute of that name.
+attribute of that name. The package has no linter, so the import check stands
+in for its unused-import rule.
 """
 
 import ast
@@ -72,3 +74,25 @@ def test_every_public_function_has_a_package_caller():
 
 def test_every_public_method_has_a_package_caller():
     assert unreferenced_public_methods() == []
+
+
+def unused_imports(package: Path = PACKAGE) -> list[str]:
+    """module.name of each name a top-level import binds in a module but __init__.py that the
+    module never reads as an ast.Name; __future__ imports bind no name."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", "") != "__future__"]
+        aliases = (alias for node in imports for alias in node.names)
+        bound = (alias.asname or alias.name.split(".")[0] for alias in aliases)
+        out += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return out
+
+
+def test_every_module_import_is_used():
+    assert unused_imports() == []

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,7 +19,7 @@ from ffk.divisors import (
     vs_pair_closed,
 )
 from ffk.fiber import QDivisor, a_number, canonical_pair, pair, pair_profile
-from ffk.model import build_config
+from ffk.model import FermatLabel, build_config
 from ffk.verify import gauge_reproduction, representative_relation_full, suite_divisor
 
 
@@ -42,8 +43,9 @@ def test_v_fm(model53):
 
 
 def test_v_ldelta(model53):
-    vd = v_divisor(model53, model53.ldelta(2))
-    want = QDivisor({model53.fm: Fraction(3, 180), model53.ldelta(2): Fraction(1, 5)})
+    ld = model53.cid(FermatLabel("Ldelta", i=2))
+    vd = v_divisor(model53, ld)
+    want = QDivisor({model53.fm: Fraction(3, 180), ld: Fraction(1, 5)})
     assert vd == want
 
 
@@ -112,7 +114,7 @@ def test_suite_divisor_flags_mutated_graph(model53):
     from ffk.fiber import Component, FiberConfig
 
     cfg = model53.config
-    cid = model53.ldelta(1)
+    cid = model53.cid(FermatLabel("Ldelta", i=1))
     comps = [
         Component(c.cid, c.label, c.multiplicity, c.genus,
                   c.self_int - 1 if c.cid == cid else c.self_int)
@@ -241,25 +243,34 @@ def test_u_s_probe_reports(model53):
 
 
 def test_u_s_probe_makes_a_fixed_number_of_pairing_calls(models, monkeypatch):
-    # the weighted-vc candidate pairs through one profile of V_S, not 2 calls per component
+    # every candidate is a cell divisor: each pairing runs on the cusp quotient, never on
+    # the graph, and no representative V_C is built, so the probe is the same at every cusp
     import ffk.divisors
 
     calls = []
-    for name in ("pair", "pair_profile", "pairing_divisor"):
-        orig = getattr(ffk.divisors, name, None)
-        if orig is not None:
-            def counted(*args, _orig=orig, _name=name):
-                calls.append(_name)
-                return _orig(*args)
+    for name in ("pair", "pairing_divisor"):
+        def counted(config, *args, _orig=getattr(ffk.divisors, name), _name=name):
+            calls.append((_name, config.sizes is not None))
+            return _orig(config, *args)
 
-            monkeypatch.setattr(ffk.divisors, name, counted)
+        monkeypatch.setattr(ffk.divisors, name, counted)
+
+    def no_v_divisor(*args):
+        raise AssertionError("u_s_probe built a representative V_C")
+
+    monkeypatch.setattr(ffk.divisors, "v_divisor", no_v_divisor)
     counts = []
     for pm in ((5, 3), (5, 7)):
         calls.clear()
         u_s_probe(models[pm])
         counts.append(len(calls))
+        assert all(on_quotient for _, on_quotient in calls), calls
     assert counts[0] == counts[1] <= 12
     assert counts[0] < models[(5, 3)].config.n_components
+    model = models[(5, 7)]
+    want = u_s_probe(model)
+    for cusp in product(range(1, 3 * 7 + 1), range(1, 5 + 1)):
+        assert u_s_probe(model, cusp) == want, cusp
 
 
 def test_chain_divisor_high_r():

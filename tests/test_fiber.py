@@ -20,7 +20,7 @@ from ffk.fiber import (
     pairing_divisor,
     validate,
 )
-from ffk.model import build_config
+from ffk.model import FermatLabel, build_config
 
 
 def _pair_cc(config, a, b):
@@ -209,7 +209,7 @@ def test_pair_profile_matches_pair(model53):
 
 def test_a_number_values(model53):
     p, m = 5, 3
-    assert a_number(model53.config, model53.ldelta(1)) == p - 2
+    assert a_number(model53.config, model53.cid(FermatLabel("Ldelta", i=1))) == p - 2
     assert a_number(model53.config, model53.chain(1, 2, 3)) == 0
     assert a_number(model53.config, model53.fm) == 2 * m * m - 3 * m
 
@@ -230,7 +230,7 @@ def test_adjunction_sum(models):
 
 def test_p_a_divisor(model53):
     cfg = model53.config
-    assert p_a_divisor(cfg, QDivisor.single(model53.ldelta(3))) == 0
+    assert p_a_divisor(cfg, QDivisor.single(model53.cid(FermatLabel("Ldelta", i=3)))) == 0
     chain = QDivisor({model53.chain(j, 1, 1): Fraction(1) for j in (1, 2)})
     assert p_a_divisor(cfg, chain) == 0
     assert p_a_divisor(cfg, QDivisor.single(model53.fm)) == 1  # (m-1)(m-2)/2 for m=3
@@ -275,7 +275,8 @@ def test_validate_detects_genus_mutation(model53):
 def test_validate_detects_dropped_adjacency(model53):
     cfg = model53.config
     edges = dict(cfg.edges())
-    key = (min(model53.fm, model53.ldelta(1)), max(model53.fm, model53.ldelta(1)))
+    ld = model53.cid(FermatLabel("Ldelta", i=1))
+    key = (min(model53.fm, ld), max(model53.fm, ld))
     del edges[key]
     bad = FiberConfig(cfg.components, edges, cfg.genus)
     results = {c.name: c for c in validate(bad)}

@@ -86,7 +86,7 @@ def test_i_c_values(model53):
         assert i_c(cfg, model53.chain(j, 2, 4)) == 2 * j
     assert i_c(cfg, model53.lxyz(3)) == 5 + 5 * 2
     assert i_c(cfg, model53.fm) == 9 * 5
-    assert i_c(cfg, model53.ldelta(1)) == 5
+    assert i_c(cfg, model53.cid(FermatLabel("Ldelta", i=1))) == 5
 
 
 def test_i_c_gamma(model73):
@@ -105,7 +105,8 @@ def test_transversality(models):
 def test_transversality_detects_mutation(model53):
     cfg = model53.config
     edges = dict(cfg.edges())
-    key = (min(model53.fm, model53.ldelta(2)), max(model53.fm, model53.ldelta(2)))
+    ld = model53.cid(FermatLabel("Ldelta", i=2))
+    key = (min(model53.fm, ld), max(model53.fm, ld))
     del edges[key]
     bad_cfg = FiberConfig(cfg.components, edges, cfg.genus)
     bad = dataclasses.replace(model53, config=bad_cfg)

@@ -1,11 +1,14 @@
 """The cusp quotient against the full graph it stands for.
 
-`beta_s`, `per_prime_geometric`, `semipos_check` and `cusp_squares` read only
-the cusp quotient (`model.cusp_quotient`). The oracle here assigns every built
+`beta_s`, `per_prime_geometric`, `semipos_check`, `cusp_squares` and
+`u_s_probe` read only the cusp quotient (`model.cusp_quotient`). The oracle
+here assigns every built
 component to its cell from its FermatLabel alone, walks every edge of the
 built fiber once, and checks that the partition is equitable with the
 quotient's sizes, shapes and neighbour counts b(c, c'), and that every
-quotient value equals its full-graph evaluation. The quotient is a FiberConfig
+quotient value equals its full-graph evaluation; the U_S candidates of
+`u_s_probe` are built here component by component, as the probe built them
+before it moved to the quotient. The quotient is a FiberConfig
 with one vertex of size |c| per cell, so the fiber kernels, `validate` and
 `GaugeSolver` run on it unchanged; the tests below hold them to the graph too.
 """
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from ffk import divisors
 from ffk.errors import MathContractError, ParameterError
 from ffk.fiber import (
+    CheckResult,
     FiberConfig,
     GaugeSolver,
     QDivisor,
@@ -30,10 +34,10 @@ from ffk.fiber import (
     pairing_divisor,
     validate,
 )
-from ffk.model import FermatParams, build_config, cusp_quotient, expected_census
+from ffk.model import FermatLabel, FermatParams, build_config, cusp_quotient, expected_census
 
 QUOTIENT_FUNCTIONS = (divisors.beta_s, divisors.per_prime_geometric, divisors.semipos_check,
-                      divisors.cusp_squares)
+                      divisors.cusp_squares, divisors.u_s_probe)
 
 
 def cell_of(label, cusp) -> tuple:
@@ -89,17 +93,99 @@ def assert_quotient_matches_graph(model, cusp):
             assert by_cell.setdefault(cell, div.coeff(cid)) == div.coeff(cid), cell
 
     # every quotient value equals its full-graph evaluation
-    square, canonical, semi_min = divisors.u_s_values(model, vs, us, cusp)
+    square, canonical, (semis, den) = divisors.u_s_values(config, vs, us, model.cusp(*cusp))
     vs_self, gs_self = pair(config, vs, vs), pair(config, gs, gs)
     assert divisors.cusp_squares(model, cusp) == (vs_self, gs_self)
     assert divisors.beta_s(model, cusp) == divisors.beta_graph(params, square, canonical)
     assert divisors.per_prime_geometric(model, cusp) == divisors.geometric_graph(
         params, vs_self, gs_self)
-    semis = divisors.semipos_check(model, cusp)
-    assert [cell for cell, _ in semis] == [c.label for c in q.components]
-    by_cell = dict(semis)
-    assert [by_cell[cell] for cell in cells] == graph_semipositivity(model, cusp)
-    assert min(by_cell.values()) == semi_min
+    semis_on_cells = divisors.semipos_check(model, cusp)
+    assert [cell for cell, _ in semis_on_cells] == [c.label for c in q.components]
+    by_cell = dict(semis_on_cells)
+    on_graph = graph_semipositivity(model, cusp)
+    assert [by_cell[cell] for cell in cells] == on_graph
+    assert [Fraction(v, den) for v in semis] == on_graph
+
+
+def graph_candidates(model, cusp) -> dict[str, QDivisor]:
+    """The U_S candidates of u_s_probe, built component by component on the full graph.
+
+    'expansion' from each label; 'weighted-vc' pairs each representative V_C with
+    one pairing profile of V_S and the adjunction numbers; 'adopted' is u_s.
+    """
+    params, config = model.params, model.config
+    p, m, n = params.p, params.m, params.n
+    ci, ck = cusp
+    expansion = {}
+    for c in config.components:
+        lab = c.label
+        if lab.kind in ("Ldelta", "Lgamma"):
+            expansion[c.cid] = Fraction(1, p)
+        elif lab.kind == "LgammaLeaf":
+            expansion[c.cid] = Fraction(1 + p, p)
+        elif lab.kind == "LXYZ":
+            expansion[c.cid] = Fraction(1, p) - (Fraction(2, p) if lab.i == ci else 0)
+        elif lab.kind == "Chain":
+            val = lab.j * divisors.mu_chain(params, lab.j, 1)
+            if lab.i == ci:
+                val -= Fraction(2 * lab.j, n)
+                if lab.k == ck:
+                    val -= Fraction(2 * (m - lab.j), m)
+            expansion[c.cid] = val
+
+    # V_C^2 = (K . V_C)/(2g-2) - (V_C)_C/d_C by the representative relation, so
+    # 2(V_C . V_S) - V_C^2 = (V_C dot w) + (V_C)_C/d_C, w = sum_D (2(V_S . D) - a_D/(2g-2)) D
+    k_div = QDivisor.from_numerators({c.cid: a_number(config, c.cid) for c in config.components},
+                                     2 * params.genus - 2)
+    w = pairing_divisor(config, divisors.v_s(model, cusp)).scale(2) - k_div
+    weighted = {}
+    for c in config.components:
+        vc = divisors.v_divisor(model, c.cid)
+        weighted[c.cid] = c.multiplicity * vc.dot(w) + vc.coeff(c.cid)
+    return {"expansion": QDivisor(expansion), "weighted-vc": QDivisor(weighted),
+            "adopted": divisors.u_s(model, cusp)}
+
+
+def graph_probe(model, cusp, candidates) -> list[CheckResult]:
+    """u_s_probe's report, evaluated on the full graph with Ldelta(1) as the Ldelta."""
+    params, config = model.params, model.config
+    vs, target = divisors.v_s(model, cusp), model.cusp(*cusp)
+    ldelta = model.cid(FermatLabel("Ldelta", i=1)) if model.census()["Ldelta"] else None
+    out = []
+    for name, cand in candidates.items():
+        values = divisors.u_s_values(config, vs, cand, target)
+        sq_ok, ku_ok, semi = divisors.u_s_identities(params, values)
+        ld = None if ldelta is None else pair(config, cand, QDivisor.single(ldelta))
+        out.append(CheckResult(f"u_s[{name}]", sq_ok and ku_ok and semi >= 0,
+                               f"square={'ok' if sq_ok else 'FAIL'} "
+                               f"canonical={'ok' if ku_ok else 'FAIL'} "
+                               f"semipos_min={semi} pair_with_Ldelta={ld}"))
+    return out
+
+
+def assert_probe_matches_graph(model, cusp):
+    """u_s_probe reports what the graph does, and each candidate it builds on the cells
+    lifts to the graph candidate, which is therefore constant on cells."""
+    on_cells = []
+
+    def recording(config, vs, u, target, _values=divisors.u_s_values):
+        on_cells.append(u)
+        return _values(config, vs, u, target)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divisors, "u_s_values", recording)
+        report = divisors.u_s_probe(model, cusp)
+    candidates = graph_candidates(model, cusp)
+    assert report == graph_probe(model, cusp, candidates)
+
+    ids = {c.label: c.cid for c in cusp_quotient(model, cusp).components}
+    cells = [ids[cell_of(c.label, cusp)] for c in model.config.components]
+    assert len(on_cells) == len(candidates)
+    for (name, cand), cell_cand in zip(candidates.items(), on_cells):
+        get = cell_cand.numerators().get
+        lift = QDivisor.from_numerators({cid: get(c, 0) for cid, c in enumerate(cells)},
+                                        cell_cand.denominator)
+        assert cand == lift, name
 
 
 def assert_cell_divisors_match_the_graph(model, cusp, d, e):
@@ -131,6 +217,7 @@ def test_acceptance_pairs_match_the_graph(models):
     for (p, m), model in models.items():
         for cusp in _cusps(p, m):
             assert_quotient_matches_graph(model, cusp)
+            assert_probe_matches_graph(model, cusp)
 
 
 @pytest.mark.parametrize("pm", [(7, 11), (7, 23)])
@@ -138,6 +225,8 @@ def test_large_fibers_match_the_graph(pm):
     model = build_config(*pm)
     for cusp in _cusps(*pm):
         assert_quotient_matches_graph(model, cusp)
+        if pm == (7, 11):  # at (7,23) the 19,160 graph representatives add ~0.8 s per cusp
+            assert_probe_matches_graph(model, cusp)
 
 
 def _valid(p: int, m: int) -> bool:
@@ -177,6 +266,7 @@ def test_synthetic_fibers_match_the_graph(fiber, d, e):
     p, m, s, cusp = fiber
     model = build_config(p, m, s)
     assert_quotient_matches_graph(model, cusp)
+    assert_probe_matches_graph(model, cusp)
     assert_cell_divisors_match_the_graph(model, cusp, d, e)
 
 
