@@ -12,6 +12,7 @@ from .bounds import (
     bound_report,
     euler_phi,
     factor_odd_squarefree,
+    genus_formula,
     q_np,
 )
 from .divisors import (
@@ -50,7 +51,6 @@ from .model import (
     FermatModel,
     FermatParams,
     build_config,
-    genus_formula,
     transversality_check,
 )
 from .polyarith import (

@@ -13,7 +13,13 @@ from fractions import Fraction
 
 from . import polyarith
 from .errors import MathContractError, ParameterError
-from .model import genus_formula
+
+
+def genus_formula(n: int) -> int:
+    """Genus (N-1)(N-2)/2 of the degree-N Fermat curve."""
+    if n < 3:
+        raise ParameterError(f"N must be >= 3, got {n}")
+    return (n - 1) * (n - 2) // 2
 
 
 def factor_odd_squarefree(n: int) -> list[int]:

@@ -109,16 +109,10 @@ def v_divisor(model: FermatModel, cid: int) -> QDivisor:
     return QDivisor.from_numerators(num, den)
 
 
-def v_self_closed(model: FermatModel, cid: int) -> Fraction:
-    """Closed form for V_D^2, by the kind of D."""
-    lab: FermatLabel = model.config.component(cid).label
-    return _v_self(model.params, lab.kind, lab.j)
-
-
-def _v_self(params: FermatParams, kind: str, r: int) -> Fraction:
-    """V_D^2 for a component D of this kind; r is the level of a Chain(r, k, i)."""
+def v_self_closed(params: FermatParams, label: FermatLabel) -> Fraction:
+    """Closed form for V_D^2, D labelled `label`: by its kind, and its level j on a Chain."""
     ln = lambda_nu(params)
-    p, n = params.p, params.n
+    p, n, kind = params.p, params.n, label.kind
     base = ln.lam + ln.nu
     if kind == "Fm":
         return ln.lam
@@ -130,15 +124,14 @@ def _v_self(params: FermatParams, kind: str, r: int) -> Fraction:
         return base - Fraction(1 + p, 2 * p)
     if kind == "LXYZ":
         return base - Fraction(1, n)
-    return base - mu_chain(params, r, 1) / r
+    return base - mu_chain(params, label.j, 1) / label.j
 
 
-def vs_pair_closed(model: FermatModel, cid: int, cusp: tuple[int, int] = (1, 1)) -> Fraction:
-    """Closed form for (V_S . V_D), cusp at Chain(1, k, i)."""
-    params = model.params
+def vs_pair_closed(params: FermatParams, lab: FermatLabel,
+                   cusp: tuple[int, int] = (1, 1)) -> Fraction:
+    """Closed form for (V_S . V_D), D labelled `lab`, cusp at Chain(1, k, i)."""
     ci, ck = cusp
     ln = lambda_nu(params)
-    lab: FermatLabel = model.config.component(cid).label
     if lab.kind == "Fm":
         return ln.lam + ln.nu / 2
     base = ln.lam + ln.nu
@@ -204,19 +197,24 @@ def _u_of(params: FermatParams, vs: QDivisor, comps, fm: int) -> QDivisor:
 
 
 def _on_cells(model: FermatModel, cusp: tuple[int, int]):
-    """model.cusp_quotient, with V_Fm, V_S and U_S on its cells.
+    """cusp_quotient(model.params, cusp), with V_Fm, V_S and U_S on its cells.
 
-    V_S is v_divisor at the cusp chain end: (p-2)/(2g-2) on Fm, 1/p on
-    LXYZ(i) and mu_chain on the chains of arm i. A cell's coefficient is that
-    of each of its components, so the fiber kernels pair these exactly.
+    Raises MathContractError unless the cells hold as many components as
+    model.config. V_S is v_divisor at the cusp chain end: (p-2)/(2g-2) on Fm,
+    1/p on LXYZ(i) and mu_chain on the chains of arm i, the first 2(m-1)
+    cells. A cell's coefficient is that of each of its components, so the
+    fiber kernels pair these exactly.
     """
-    q = cusp_quotient(model, cusp)
-    params, ids = model.params, {c.label: c.cid for c in q.components}
-    fm = ids[("Fm",)]
+    params = model.params
+    q = cusp_quotient(params, cusp)
+    if sum(q.sizes) != model.config.n_components:
+        raise MathContractError(f"cusp quotient has {sum(q.sizes)} components, "
+                                f"the fiber {model.config.n_components}")
+    fm = 3 * (params.m - 1)
     v_fm = QDivisor.single(fm, Fraction(params.p - 2, 2 * params.genus - 2))
-    vs = {ids[("LXYZ", "cusp")]: Fraction(1, params.p)}
-    for where, k in (("cusp", 1), ("arm", 2)):
-        vs.update((ids[("Chain", where, j)], mu_chain(params, j, k)) for j in range(1, params.m))
+    vs = {fm + 1: Fraction(1, params.p)}  # LXYZ(i)
+    vs.update((c.cid, mu_chain(params, c.label.j, 1 if c.label.k == cusp[1] else 2))
+              for c in q.components[:2 * (params.m - 1)])
     vs = v_fm + QDivisor(vs)
     return q, v_fm, vs, _u_of(params, vs, q.components, fm)
 
@@ -224,19 +222,16 @@ def _on_cells(model: FermatModel, cusp: tuple[int, int]):
 def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
     """(cell label, a_C + 2(S.C) - (U_S.C)) per non-empty cell; every value must be >= 0.
 
-    The value is shared by every component C of the cell (model.cusp_quotient
-    lists the cells, at most 3(m-1)+6); it is the semipositivity value of
-    u_s_values on the quotient, reading model.params and the cusp, not the
-    graph. suite_beta runs u_s_values on the graph, as the oracle.
+    Each label is the FermatLabel of one component of its cell, and the value
+    is shared by every component C of the cell (cusp_quotient(model.params,
+    cusp) lists the cells, at most 3(m-1)+6); it is the semipositivity value
+    of u_s_values on the quotient, whose cell 0 the cusp section meets,
+    reading model.params and the cusp, not the graph. suite_beta runs
+    u_s_values on the graph, as the oracle.
     """
     q, _, _, us = _on_cells(model, cusp)
-    nums, den = _semipositivity(q, us, _cusp_cell(q))
+    nums, den = _semipositivity(q, us, 0)
     return [(c.label, Fraction(v, den)) for c, v in zip(q.components, nums)]
-
-
-def _cusp_cell(q: FiberConfig) -> int:
-    """The vertex of the cusp quotient that the cusp section meets: its chain end."""
-    return [c.label for c in q.components].index(("Chain", "cusp", 1))
 
 
 def u_s_values(
@@ -294,9 +289,9 @@ def beta_graph(params: FermatParams, square: Fraction, canonical: Fraction) -> F
 def beta_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:
     """Per-prime lower-bound quantity beta_{S,p}.
 
-    (1-g)/g (2V_S+U_S)^2 + 2 (K . U_S) on the cusp quotient (model.cusp_quotient
-    lists the cells), from model.params and the cusp, not the graph; it must
-    equal beta_closed exactly. suite_beta evaluates the graph, as the oracle.
+    (1-g)/g (2V_S+U_S)^2 + 2 (K . U_S) on the cells of cusp_quotient(model.params,
+    cusp), from model.params and the cusp, not the graph; it must equal
+    beta_closed exactly. suite_beta evaluates the graph, as the oracle.
     """
     q, _, vs, us = _on_cells(model, cusp)
     x = vs.scale(2) + us
@@ -313,8 +308,9 @@ def cusp_squares(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> tuple[Fr
 def per_prime_geometric(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:
     """-2g G_S^2 + (2g-2) V_S^2 on the cusp quotient, asserted equal to Q(N,p).
 
-    Reads model.params and the cusp, not the graph (model.cusp_quotient lists
-    the cells); suite_bounds evaluates the squares on the graph, as the oracle.
+    Reads model.params and the cusp, not the graph (cusp_quotient(model.params,
+    cusp) lists the cells); suite_bounds evaluates the squares on the graph, as
+    the oracle.
     """
     return geometric_graph(model.params, *cusp_squares(model, cusp))
 
@@ -339,10 +335,11 @@ def geometric_graph(params: FermatParams, vs_self: Fraction, gs_self: Fraction) 
 def u_s_probe(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> list[CheckResult]:
     """Evaluate each U_S candidate the source text offers against the stated identities.
 
-    Every candidate is constant on cells, so each is built on the cusp quotient
-    (model.cusp_quotient) from the cell label (kind, where, j), never from the
-    graph: 'expansion', the explicit per-family expansion (the printed list,
-    with the chain corrections it carries); 'weighted-vc',
+    Every candidate is constant on cells, so each is built on the cells of
+    cusp_quotient(model.params, cusp) from each cell's FermatLabel, never from
+    the graph; the cusp chain is the cells with (i, k) = cusp and its arm those
+    with i = cusp[0]. 'expansion' is the explicit per-family expansion (the
+    printed list, with the chain corrections it carries); 'weighted-vc',
     sum_C d_C (2(V_C.V_S) - V_C^2) C; 'adopted', the U_S of u_s(). Reports, per
     candidate: the square identity for 2V_S + U_S, the canonical pairing value,
     the pairing (U . [Ldelta])/|Ldelta| against one Ldelta (a multiplicity-one
@@ -352,33 +349,29 @@ def u_s_probe(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> list[CheckR
     p, m, n = params.p, params.m, params.n
     q, _, vs, us = _on_cells(model, cusp)
     # (V_C . V_S) = (K . V_S)/(2g-2) - (V_S)_C/d_C is the representative relation,
-    # which suite_divisor checks for every pair; V_C^2 is the closed form by kind
+    # which suite_divisor checks for every pair; V_C^2 is the closed form by label
     vs_k = canonical_pair(q, vs) / (2 * params.genus - 2)
     expansion, weighted = {}, {}
     for c in q.components:
-        kind, where, j = c.label + ("", "", 0)[len(c.label):]
-        if kind == "Chain":
-            expansion[c.cid] = (j * mu_chain(params, j, 1) - Fraction(2 * j, n) * (where != "other")
-                                - Fraction(2 * (m - j), m) * (where == "cusp"))
-        elif kind == "LXYZ":
-            expansion[c.cid] = Fraction(1 if where == "other" else -1, p)
-        elif kind != "Fm":
-            expansion[c.cid] = Fraction(1 + p if kind == "LgammaLeaf" else 1, p)
-        weighted[c.cid] = (c.multiplicity * (2 * vs_k - _v_self(params, kind, j))
+        lab = c.label
+        if lab.kind == "Chain":
+            j = lab.j
+            expansion[c.cid] = (j * mu_chain(params, j, 1) - Fraction(2 * j, n) * (lab.i == cusp[0])
+                                - Fraction(2 * (m - j), m) * ((lab.i, lab.k) == cusp))
+        elif lab.kind == "LXYZ":
+            expansion[c.cid] = Fraction(-1 if lab.i == cusp[0] else 1, p)
+        elif lab.kind != "Fm":
+            expansion[c.cid] = Fraction(1 + p if lab.kind == "LgammaLeaf" else 1, p)
+        weighted[c.cid] = (c.multiplicity * (2 * vs_k - v_self_closed(params, lab))
                            - 2 * vs.coeff(c.cid))
-    ldelta = next((c.cid for c in q.components if c.label == ("Ldelta",)), None)
-    target = _cusp_cell(q)
+    ldelta = next((c.cid for c in q.components if c.label.kind == "Ldelta"), None)
     results = []
     for name, cand in (("expansion", QDivisor(expansion)), ("weighted-vc", QDivisor(weighted)),
                        ("adopted", us)):
-        sq_ok, ku_ok, semi = u_s_identities(params, u_s_values(q, vs, cand, target))
+        sq_ok, ku_ok, semi = u_s_identities(params, u_s_values(q, vs, cand, 0))
         ld = None if ldelta is None else pair(q, cand, QDivisor.single(ldelta)) / q.sizes[ldelta]
-        results.append(
-            CheckResult(
-                f"u_s[{name}]",
-                sq_ok and ku_ok and semi >= 0,
-                f"square={'ok' if sq_ok else 'FAIL'} canonical={'ok' if ku_ok else 'FAIL'} "
-                f"semipos_min={semi} pair_with_Ldelta={ld}",
-            )
-        )
+        results.append(CheckResult(f"u_s[{name}]", sq_ok and ku_ok and semi >= 0,
+                                   f"square={'ok' if sq_ok else 'FAIL'} "
+                                   f"canonical={'ok' if ku_ok else 'FAIL'} "
+                                   f"semipos_min={semi} pair_with_Ldelta={ld}"))
     return results

@@ -57,16 +57,10 @@ def suite_polynomial() -> list[CheckResult]:
     )
 
     psi7 = polyarith.FpPoly.from_intpoly(7, polyarith.capital_psi(7))
-    # (a+2)^2 (a+4)^2 over F_7, up to a unit
+    # (a+2)^2 (a+4)^2 over F_7 is monic, so "up to a unit" is equality of monic forms
     factor = polyarith.FpPoly(7, (2, 1)) * polyarith.FpPoly(7, (2, 1))
     factor = factor * polyarith.FpPoly(7, (4, 1)) * polyarith.FpPoly(7, (4, 1))
-    unit_ok = False
-    if psi7.degree == factor.degree and psi7.degree >= 0:
-        u = psi7.coeffs[-1] * pow(factor.coeffs[-1], -1, 7) % 7
-        unit_ok = all(
-            a == u * b % 7 for a, b in zip(psi7.coeffs, factor.coeffs)
-        )
-    out.append(CheckResult("PsiCap(7) mod 7 = unit*(a+2)^2 (a+4)^2", unit_ok))
+    out.append(CheckResult("PsiCap(7) mod 7 = unit*(a+2)^2 (a+4)^2", psi7.monic() == factor))
 
     for p, want in ((3, 0), (5, 0), (7, 2)):
         got = polyarith.double_root_count(p)
@@ -222,10 +216,10 @@ def suite_divisor(models: list[FermatModel] | None = None) -> list[CheckResult]:
         vs_profile = pairing_divisor(config, divisors.v_s(model))
         for c in config.components:
             vc = divisors.v_divisor(model, c.cid)
-            if pair(config, vc, vc) != divisors.v_self_closed(model, c.cid):
+            if pair(config, vc, vc) != divisors.v_self_closed(model.params, c.label):
                 closed_ok, detail = False, f"V_D^2 fails for D={c.label}"
                 break
-            if vc.dot(vs_profile) != divisors.vs_pair_closed(model, c.cid):
+            if vc.dot(vs_profile) != divisors.vs_pair_closed(model.params, c.label):
                 closed_ok, detail = False, f"(V_S.V_D) fails for D={c.label}"
                 break
         out.append(CheckResult(f"self/cross closed forms {tag}", closed_ok, detail))
@@ -359,11 +353,12 @@ def suite_bounds(models: list[FermatModel] | None = None, scan_to: int = 10**4) 
     return out
 
 
+#: each suite, given the acceptance models built once per run_suites call
 SUITES = {
-    "polynomial": lambda: suite_polynomial(),
-    "fiber": lambda: suite_fiber(),
-    "divisor": lambda: suite_divisor() + suite_beta() + suite_cycles(),
-    "bounds": lambda: suite_bounds(),
+    "polynomial": lambda models: suite_polynomial(),
+    "fiber": lambda models: suite_fiber(models),
+    "divisor": lambda models: suite_divisor(models) + suite_beta(models) + suite_cycles(models),
+    "bounds": lambda models: suite_bounds(models),
 }
 
 
@@ -374,7 +369,8 @@ def run_suites(which: str = "all") -> list[CheckResult]:
         names = [which]
     else:
         raise ParameterError(f"unknown suite {which!r}; choose from all, " + ", ".join(SUITES))
+    models = [] if names == ["polynomial"] else _models()
     results = []
     for name in names:
-        results.extend(SUITES[name]())
+        results.extend(SUITES[name](models))
     return results

@@ -111,7 +111,7 @@ def _divisor_suite_raises(model) -> bool:
     try:
         for c in model.config.components[:40]:
             vc = divisors.v_divisor(model, c.cid)
-            if pair(model.config, vc, vc) != divisors.v_self_closed(model, c.cid):
+            if pair(model.config, vc, vc) != divisors.v_self_closed(model.params, c.label):
                 return True
         divisors.beta_s(model)
         divisors.per_prime_geometric(model)

@@ -9,7 +9,7 @@ reference is an `ast.Name` or `ast.Attribute` in any module but `__init__.py`
 "upper_bound"), outside the function's own body. Names are matched, not
 resolved, so a method counts as called when any package code reads an
 attribute of that name. The package has no linter, so the import check stands
-in for its unused-import rule.
+in for its unused-import rule, and the layering check for an import-layer rule.
 """
 
 import ast
@@ -96,3 +96,18 @@ def unused_imports(package: Path = PACKAGE) -> list[str]:
 
 def test_every_module_import_is_used():
     assert unused_imports() == []
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules a module imports at top level: `from . import x` and `from .x import y`."""
+    out = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= {node.module} if node.module else {alias.name for alias in node.names}
+    return out
+
+
+def test_bounds_and_polyarith_sit_below_the_fiber_layers():
+    # `ffk bounds` needs only the closed forms and s(p), not the fiber machinery
+    for name in ("bounds", "polyarith"):
+        assert package_imports(PACKAGE / f"{name}.py") <= {"polyarith", "errors"}, name

@@ -405,6 +405,19 @@ def test_verify_polynomial(capsys):
     assert doc["results"]["failed"] == 0
 
 
+@pytest.mark.parametrize("suite, builds", [("all", 1), ("divisor", 1), ("polynomial", 0)])
+def test_run_suites_builds_the_models_once(monkeypatch, suite, builds):
+    # every suite of one run_suites call reads the same acceptance models
+    built, given = [], []
+    monkeypatch.setattr(verify, "build_config", lambda p, m: built.append((p, m)) or (p, m))
+    monkeypatch.setattr(verify, "suite_polynomial", lambda: [])
+    for name in ("suite_fiber", "suite_divisor", "suite_beta", "suite_cycles", "suite_bounds"):
+        monkeypatch.setattr(verify, name, lambda models=None: given.append(models) or [])
+    verify.run_suites(suite)
+    assert built == builds * list(verify.ACCEPTANCE_PAIRS)
+    assert given == [built] * len(given)
+
+
 def test_json_deterministic(capsys):
     _, out1, _ = run(capsys, "divisors", "--p", "5", "--m", "3")
     _, out2, _ = run(capsys, "divisors", "--p", "5", "--m", "3")

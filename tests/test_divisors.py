@@ -83,7 +83,7 @@ def _v_self(model, cid):
     """V_D^2 from the graph pairing, asserted equal to its closed form."""
     vd = v_divisor(model, cid)
     got = pair(model.config, vd, vd)
-    assert got == v_self_closed(model, cid)
+    assert got == v_self_closed(model.params, model.config.component(cid).label)
     return got
 
 
@@ -106,8 +106,8 @@ def test_closed_forms_match_graph(models):
         vs = v_s(model)
         for c in cfg.components:
             vc = v_divisor(model, c.cid)
-            assert pair(cfg, vc, vc) == v_self_closed(model, c.cid)
-            assert pair(cfg, vs, vc) == vs_pair_closed(model, c.cid)
+            assert pair(cfg, vc, vc) == v_self_closed(model.params, c.label)
+            assert pair(cfg, vs, vc) == vs_pair_closed(model.params, c.label)
 
 
 def test_suite_divisor_flags_mutated_graph(model53):
@@ -175,13 +175,13 @@ def test_semipositivity(models):
         assert min(vals.values()) >= 0
         # equality exactly on the chain and leaf cells, as the u_s docstring states
         for cell, v in vals.items():
-            assert (v == 0) == (cell[0] in ("Chain", "LgammaLeaf")), cell
+            assert (v == 0) == (cell.kind in ("Chain", "LgammaLeaf")), cell
         params = model.params
         ln = lambda_nu(params)
         g = params.genus
         want_delta = (params.p - 2) * Fraction(g, g - 1) - params.p * ln.total
         if model.census()["Ldelta"]:
-            assert vals[("Ldelta",)] == want_delta
+            assert vals[FermatLabel("Ldelta", 1)] == want_delta
 
 
 def test_beta_values(model53, model35):

@@ -1,8 +1,8 @@
 """The cusp quotient against the full graph it stands for.
 
 `beta_s`, `per_prime_geometric`, `semipos_check`, `cusp_squares` and
-`u_s_probe` read only the cusp quotient (`model.cusp_quotient`). The oracle
-here assigns every built
+`u_s_probe` read only the cusp quotient (`model.cusp_quotient`), built from
+(p, m, s) and the cusp alone. The oracle here assigns every built
 component to its cell from its FermatLabel alone, walks every edge of the
 built fiber once, and checks that the partition is equitable with the
 quotient's sizes, shapes and neighbour counts b(c, c'), and that every
@@ -10,7 +10,8 @@ quotient value equals its full-graph evaluation; the U_S candidates of
 `u_s_probe` are built here component by component, as the probe built them
 before it moved to the quotient. The quotient is a FiberConfig
 with one vertex of size |c| per cell, so the fiber kernels, `validate` and
-`GaugeSolver` run on it unchanged; the tests below hold them to the graph too.
+`GaugeSolver` run on it unchanged; the tests below hold them to the graph too,
+and run them on a quotient whose fiber is far over the component cap.
 """
 
 import dataclasses
@@ -22,8 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffk import divisors
-from ffk.errors import MathContractError, ParameterError
+from ffk.bounds import q_np
+from ffk.errors import CapExceeded, MathContractError, ParameterError
 from ffk.fiber import (
+    COMPONENT_CAP_ENV,
     CheckResult,
     FiberConfig,
     GaugeSolver,
@@ -40,15 +43,21 @@ QUOTIENT_FUNCTIONS = (divisors.beta_s, divisors.per_prime_geometric, divisors.se
                       divisors.cusp_squares, divisors.u_s_probe)
 
 
-def cell_of(label, cusp) -> tuple:
-    """The cell of a component under the stabiliser of the cusp chain, from its label alone."""
+def cell_of(label, cusp, params) -> FermatLabel:
+    """The representative label of a component's cell under the stabiliser of the cusp
+    chain, from its label alone: the cusp chain, arm i through k' = k mod p + 1, the other
+    arms through i' = i mod 3m + 1, LXYZ(i) and LXYZ(i'), and the first of every other kind."""
     ci, ck = cusp
+    other_i = ci % (3 * params.m) + 1
     if label.kind == "Chain":
-        where = "cusp" if (label.i, label.k) == (ci, ck) else "arm" if label.i == ci else "other"
-        return ("Chain", where, label.j)
+        if label.i != ci:
+            return FermatLabel("Chain", other_i, ck, label.j)
+        return FermatLabel("Chain", ci, ck if label.k == ck else ck % params.p + 1, label.j)
     if label.kind == "LXYZ":
-        return ("LXYZ", "cusp" if label.i == ci else "other")
-    return (label.kind,)
+        return FermatLabel("LXYZ", ci if label.i == ci else other_i)
+    if label.kind == "Fm":
+        return label
+    return FermatLabel(label.kind, 1, 0, 1 if label.kind == "LgammaLeaf" else 0)
 
 
 def graph_semipositivity(model, cusp) -> list[Fraction]:
@@ -62,10 +71,15 @@ def graph_semipositivity(model, cusp) -> list[Fraction]:
 
 def assert_quotient_matches_graph(model, cusp):
     config, params = model.config, model.params
-    q = cusp_quotient(model, cusp)
-    cells = [cell_of(c.label, cusp) for c in config.components]
+    q = cusp_quotient(params, cusp)
+    cells = [cell_of(c.label, cusp, params) for c in config.components]
     labels = {c.cid: c.label for c in q.components}
     ids = {label: c for c, label in labels.items()}
+
+    # the ids the cell divisors are built on: the cusp chain end, Fm and LXYZ(i)
+    fm = 3 * (params.m - 1)
+    assert [q.components[c].label for c in (0, fm, fm + 1)] == [
+        FermatLabel("Chain", *cusp, 1), FermatLabel("Fm"), FermatLabel("LXYZ", cusp[0])]
 
     # cells and their sizes; a cell's self_int is [c]^2 = |c| C^2
     assert Counter(cells) == {labels[c]: size for c, size in enumerate(q.sizes)}
@@ -178,8 +192,8 @@ def assert_probe_matches_graph(model, cusp):
     candidates = graph_candidates(model, cusp)
     assert report == graph_probe(model, cusp, candidates)
 
-    ids = {c.label: c.cid for c in cusp_quotient(model, cusp).components}
-    cells = [ids[cell_of(c.label, cusp)] for c in model.config.components]
+    ids = {c.label: c.cid for c in cusp_quotient(model.params, cusp).components}
+    cells = [ids[cell_of(c.label, cusp, model.params)] for c in model.config.components]
     assert len(on_cells) == len(candidates)
     for (name, cand), cell_cand in zip(candidates.items(), on_cells):
         get = cell_cand.numerators().get
@@ -194,9 +208,9 @@ def assert_cell_divisors_match_the_graph(model, cusp, d, e):
     A lift gives every component its cell's coefficient; the quotient's (D . [c])
     is |c| times the graph's (D . C) on every component C of c.
     """
-    config, q = model.config, cusp_quotient(model, cusp)
+    config, q = model.config, cusp_quotient(model.params, cusp)
     ids = {c.label: c.cid for c in q.components}
-    cells = [ids[cell_of(c.label, cusp)] for c in config.components]
+    cells = [ids[cell_of(c.label, cusp, model.params)] for c in config.components]
     D, E = (QDivisor(zip(range(len(ids)), x)) for x in (d, e))
 
     def lift(X):
@@ -274,7 +288,7 @@ def _quotients(models):
     """(model, cusp, quotient) on the acceptance pairs and on (7,23), at three cusps each."""
     for (p, m), model in {**models, (7, 23): build_config(7, 23)}.items():
         for cusp in _cusps(p, m):
-            yield model, cusp, cusp_quotient(model, cusp)
+            yield model, cusp, cusp_quotient(model.params, cusp)
 
 
 def test_validate_passes_on_the_quotient(models):
@@ -293,17 +307,39 @@ def test_gauged_solver_on_the_quotient_reproduces_v_s(models):
         two_g2 = 2 * model.params.genus - 2
         _, v_fm, vs, _ = divisors._on_cells(model, cusp)
         targets = QDivisor({c.cid: Fraction(a_number(q, c.cid), two_g2)
-                            - (c.label == ("Chain", "cusp", 1)) for c in q.components})
+                            - (c.cid == 0) for c in q.components})
         (fm, gauge), = v_fm.items()
         assert GaugeSolver(q, fm).solve(targets, gauge) == vs, (model.params, cusp)
+
+
+def test_quotient_past_the_component_cap(monkeypatch):
+    # the (7,401) fiber has 5,942,420 components: no graph, but its quotient of 1,205 cells
+    monkeypatch.delenv(COMPONENT_CAP_ENV, raising=False)
+    params = FermatParams(7, 401, 2)
+    with pytest.raises(CapExceeded):
+        build_config(7, 401, 2)
+    q = cusp_quotient(params, (1, 1))
+    assert len(q.components) == 1205
+    assert sum(q.sizes) == sum(expected_census(7, 401, 2).values())
+    assert [chk.passed for chk in validate(q)] == [True] * 4
+
+    # V_S from its targets |c| a_c/(2g-2) - [c = 0], pinned at (p-2)/(2g-2) on Fm
+    two_g2 = 2 * params.genus - 2
+    fm = [c.label for c in q.components].index(FermatLabel("Fm"))
+    gauge = Fraction(params.p - 2, two_g2)
+    targets = QDivisor({c.cid: Fraction(a_number(q, c.cid), two_g2) - (c.cid == 0)
+                        for c in q.components})
+    vs = GaugeSolver(q, fm).solve(targets, gauge)
+    gs = vs - QDivisor.single(fm, gauge)
+    assert divisors.geometric_graph(params, pair(q, vs, vs), pair(q, gs, gs)) == q_np(2807, 7)
 
 
 @pytest.mark.parametrize("pms, gone", [((3, 5, 0), {"Ldelta", "Lgamma", "LgammaLeaf"}),
                                        ((5, 7, 0), {"Lgamma", "LgammaLeaf"}),
                                        ((7, 5, 2), {"Ldelta"})])
 def test_empty_cells_are_dropped(pms, gone):
-    q = cusp_quotient(build_config(*pms), (1, 1))
-    assert not gone & {c.label[0] for c in q.components}
+    q = cusp_quotient(FermatParams(*pms), (1, 1))
+    assert not gone & {c.label.kind for c in q.components}
     assert len(q.components) == 3 * (pms[1] - 1) + 6 - len(gone)
     assert 0 not in q.sizes
 
