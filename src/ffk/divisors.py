@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import cycle, repeat
 from math import lcm
 
@@ -47,6 +48,7 @@ class LambdaNu:
         return self.lam + self.nu
 
 
+@cache
 def lambda_nu(params: FermatParams) -> LambdaNu:
     p, m, g = params.p, params.m, params.genus
     lam = -Fraction(m * (p - 2), 2 * (g - 1)) ** 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import bounds, divisors, polyarith
-from .errors import MathContractError, ParameterError
+from .errors import MathContractError, NoSolutionError, ParameterError
 from .fiber import (
     CheckResult,
     GaugeSolver,
@@ -161,10 +161,10 @@ def suite_fiber(models: list[FermatModel] | None = None) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _relation_targets(model: FermatModel):
-    """(D, sum_C ((V_D . C) as the relation demands) C) for every component D.
+def _representatives(model: FermatModel):
+    """(D, V_D, targets) for every component D; verify builds a V_D nowhere else.
 
-    The relation is (V_D . C) = a_C/(2g-2) - delta_{D,C}/d_D.
+    targets is sum_C t_C C, t_C = a_C/(2g-2) - delta_{D,C}/d_D as the relation demands.
     """
     config = model.config
     base = QDivisor.from_numerators(
@@ -172,58 +172,55 @@ def _relation_targets(model: FermatModel):
         2 * model.params.genus - 2,
     )
     for d in config.components:
-        yield d, base - QDivisor.single(d.cid, Fraction(1, d.multiplicity))
+        targets = base - QDivisor.from_numerators({d.cid: 1}, d.multiplicity)
+        yield d, divisors.v_divisor(model, d.cid), targets
 
 
-def representative_relation_full(model: FermatModel) -> CheckResult:
-    """(V_D . C) = a_C/(2g-2) - delta_{D,C}/d_D for every ordered pair (D, C)."""
-    config = model.config
-    for d, want in _relation_targets(model):
-        if pairing_divisor(config, divisors.v_divisor(model, d.cid)) != want:
-            return CheckResult(
-                "representative pairing relation (all pairs)",
-                False,
-                f"fails for D={d.label}",
-            )
-    return CheckResult("representative pairing relation (all pairs)", True)
+def representative_relation_full(model: FermatModel) -> tuple[CheckResult, CheckResult]:
+    """The relation for every pair (D, C) and the closed forms, from one profile per V_D.
+
+    prof = sum_C (V_D . C) C must equal targets; V_D^2 = V_D . prof and (V_S . V_D) must
+    equal v_self_closed and vs_pair_closed. Each check keeps its own first failing D.
+    """
+    vs_profile = pairing_divisor(model.config, divisors.v_s(model))
+    relation = closed = ""
+    for d, vd, want in _representatives(model):
+        prof = pairing_divisor(model.config, vd)
+        if not relation and prof != want:
+            relation = f"fails for D={d.label}"
+        if not closed and vd.dot(prof) != divisors.v_self_closed(model.params, d.label):
+            closed = f"V_D^2 fails for D={d.label}"
+        if not closed and vd.dot(vs_profile) != divisors.vs_pair_closed(model.params, d.label):
+            closed = f"(V_S.V_D) fails for D={d.label}"
+        if relation and closed:
+            break
+    return (CheckResult("representative pairing relation (all pairs)", not relation, relation),
+            CheckResult("self/cross closed forms", not closed, closed))
 
 
 def gauge_reproduction(model: FermatModel) -> CheckResult:
-    """GaugeSolver(config, Fm).solve with the relation targets reproduces every representative."""
+    """GaugeSolver(config, Fm).solve of each relation target is its V_D; NoSolutionError fails."""
     name = "gauged solver reproduces representatives"
     gauge_val = Fraction(model.params.p - 2, 2 * model.params.genus - 2)
     try:
         solver = GaugeSolver(model.config, model.fm)
     except MathContractError as exc:
         return CheckResult(name, False, str(exc))
-    for d, targets in _relation_targets(model):
-        if solver.solve(targets, gauge_val) != divisors.v_divisor(model, d.cid):
-            return CheckResult(name, False, f"fails for D={d.label}")
+    for d, vd, targets in _representatives(model):
+        try:
+            if solver.solve(targets, gauge_val) != vd:
+                return CheckResult(name, False, f"fails for D={d.label}")
+        except NoSolutionError as exc:
+            return CheckResult(name, False, f"fails for D={d.label}: {exc}")
     return CheckResult(name, True)
 
 
 def suite_divisor(models: list[FermatModel] | None = None) -> list[CheckResult]:
+    """Two sweeps over the components per model: the relation and closed forms, then the solver."""
     out = []
     for model in models or _models():
-        p, m = model.params.p, model.params.m
-        tag = f"(p={p}, m={m})"
-        config = model.config
-
-        out.append(_retag(representative_relation_full(model), tag))
-
-        closed_ok = True
-        detail = ""
-        vs_profile = pairing_divisor(config, divisors.v_s(model))
-        for c in config.components:
-            vc = divisors.v_divisor(model, c.cid)
-            if pair(config, vc, vc) != divisors.v_self_closed(model.params, c.label):
-                closed_ok, detail = False, f"V_D^2 fails for D={c.label}"
-                break
-            if vc.dot(vs_profile) != divisors.vs_pair_closed(model.params, c.label):
-                closed_ok, detail = False, f"(V_S.V_D) fails for D={c.label}"
-                break
-        out.append(CheckResult(f"self/cross closed forms {tag}", closed_ok, detail))
-
+        tag = f"(p={model.params.p}, m={model.params.m})"
+        out.extend(_retag(chk, tag) for chk in representative_relation_full(model))
         out.append(_retag(gauge_reproduction(model), tag))
     return out
 

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,3 +210,43 @@ def test_random_mutation_is_caught(models, data):
     bad = dataclasses.replace(base, config=FiberConfig(comps, edges, base.config.genus))
     caught = not all(chk.passed for chk in validate(bad.config)) or _divisor_suite_raises(bad)
     assert caught, f"random {mode} defect not caught"
+
+
+MUTATIONS = ("genus+1", "self_int+1", "self_int-1", "multiplicity+1", "drop_edge", "add_edge")
+
+
+def _single_field_mutants(model, mode: str):
+    """`mode` applied, one at a time, at components or edges spread over the fiber."""
+    cfg = model.config
+    comps, edges = list(cfg.components), dict(cfg.edges())
+    n = len(comps)
+    if mode == "drop_edge":
+        keys = sorted(edges)
+        for key in (keys[0], keys[len(keys) // 2], keys[-1]):
+            yield FiberConfig(comps, {k: v for k, v in edges.items() if k != key}, cfg.genus)
+    elif mode == "add_edge":
+        for a, b in ((0, n - 1), (model.fm, n // 2), (model.lxyz(1), model.lxyz(2))):
+            key = (min(a, b), max(a, b))
+            yield FiberConfig(comps, {**edges, key: edges.get(key, 0) + 1}, cfg.genus)
+    else:
+        field, delta = mode[:-2], int(mode[-2:])
+        for cid in (0, model.fm, n // 2, n - 1):
+            bad, c = list(comps), comps[cid]
+            bad[cid] = dataclasses.replace(c, **{field: getattr(c, field) + delta})
+            yield FiberConfig(bad, edges, cfg.genus)
+
+
+@pytest.mark.parametrize("mode", MUTATIONS)
+@pytest.mark.parametrize("pm", [(5, 3), (7, 3), (3, 5)], ids=lambda pm: f"{pm[0]},{pm[1]}")
+def test_every_suite_reports_a_single_field_mutant(models, pm, mode):
+    # checks return data: on a broken fiber every suite reports, none raises, and one fails
+    base = models[pm]
+    for cfg in _single_field_mutants(base, mode):
+        bad = dataclasses.replace(base, config=cfg)
+        checks = []
+        for suite in (verify.suite_fiber, verify.suite_divisor, verify.suite_beta,
+                      verify.suite_cycles):
+            got = suite([bad])
+            assert got and all(isinstance(c, CheckResult) for c in got), suite.__name__
+            checks += got
+        assert not all(c.passed for c in checks), f"{mode} on {pm} not caught"

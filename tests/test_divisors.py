@@ -27,6 +27,7 @@ def test_lambda_nu_values(model53, model35):
     ln = lambda_nu(model53.params)
     assert (ln.lam, ln.nu) == (Fraction(-1, 400), Fraction(1, 150))
     assert ln.total == Fraction(1, 240)
+    assert lambda_nu(dataclasses.replace(model53.params)) is ln  # built once per params
     ln35 = lambda_nu(model35.params)
     assert (ln35.lam, ln35.nu) == (Fraction(-1, 1296), Fraction(1, 270))
 
@@ -63,8 +64,11 @@ def test_v_s_coefficients(model53):
 
 
 def test_representative_relation_full(model53, model73):
-    assert representative_relation_full(model53).passed
-    assert representative_relation_full(model73).passed
+    for model in (model53, model73):
+        relation, closed = representative_relation_full(model)
+        assert relation.name == "representative pairing relation (all pairs)"
+        assert closed.name == "self/cross closed forms"
+        assert relation.passed and closed.passed
 
 
 def test_v_s_property(model53):
@@ -125,12 +129,51 @@ def test_suite_divisor_flags_mutated_graph(model53):
     checks = {c.name: c for c in suite_divisor([bad])}
     closed = checks["self/cross closed forms (p=5, m=3)"]
     assert not closed.passed and closed.detail == f"V_D^2 fails for D={cfg.component(cid).label}"
+    # the relation and the closed forms share one sweep, but each keeps its own first failure
+    relation = checks["representative pairing relation (all pairs) (p=5, m=3)"]
+    assert not relation.passed and relation.detail == "fails for D=Chain(j=1,k=1,i=1)"
     # the solver rejects the non-orthogonal config; the suite reports it, it does not raise
     assert not checks["gauged solver reproduces representatives (p=5, m=3)"].passed
 
 
 def test_gauge_reproduces_representatives(model53):
     assert gauge_reproduction(model53).passed
+
+
+def test_gauge_reproduction_reports_incompatible_targets(model53):
+    # one genus + 1 keeps the fiber orthogonal but breaks adjunction, so no target has a
+    # solution: the check names the first D and the solver's reason, it does not raise
+    from ffk.fiber import FiberConfig
+
+    cfg = model53.config
+    comps = list(cfg.components)
+    comps[model53.fm] = dataclasses.replace(comps[model53.fm], genus=comps[model53.fm].genus + 1)
+    bad = dataclasses.replace(model53, config=FiberConfig(comps, dict(cfg.edges()), cfg.genus))
+    chk = gauge_reproduction(bad)
+    # sum d_C t_C is d_Fm (a_Fm's increase 2)/(2g-2)
+    excess = Fraction(2 * comps[model53.fm].multiplicity, 2 * model53.params.genus - 2)
+    assert not chk.passed
+    assert chk.detail == ("fails for D=Chain(j=1,k=1,i=1): no solution: targets are not "
+                          f"orthogonal to the fiber (sum d_C t_C = {excess})")
+
+
+def test_suite_divisor_builds_each_representative_once_per_sweep(model53, monkeypatch):
+    # the relation and the closed forms read one profile per V_D, the solver a second
+    # sweep: 2n + 1 representatives (the +1 is V_S) and no pair call
+    import ffk.divisors
+    import ffk.verify
+
+    calls = {"v_divisor": 0, "pair": 0}
+    for mod, name in ((ffk.divisors, "v_divisor"), (ffk.verify, "pair")):
+        def counted(*args, _orig=getattr(mod, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    checks = suite_divisor([model53])
+    assert all(c.passed for c in checks)
+    n = model53.config.n_components
+    assert n == 118 and calls == {"v_divisor": 2 * n + 1, "pair": 0}
 
 
 def test_u_s_identities(model53):
