@@ -9,15 +9,12 @@ lowest terms.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import stat
 import sys
 import tempfile
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import bounds, divisors, polyarith, verify
 from .errors import CapExceeded, MathContractError, ParameterError
@@ -32,31 +29,23 @@ def rat(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _jsonify(obj):
-    if isinstance(obj, Fraction):
-        return rat(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
 def envelope(command: str, inputs: dict, results: dict, checks=()) -> dict:
+    """The document every JSON command prints; emit renders its Fractions."""
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "inputs": _jsonify(inputs),
-        "results": _jsonify(results),
+        "inputs": inputs,
+        "results": results,
         "checks": [
             {"name": c.name, "pass": bool(c.passed), "detail": c.detail} for c in checks
         ],
     }
 
 
-def emit(doc: dict, stream=None) -> None:
-    json.dump(doc, stream or sys.stdout, sort_keys=True, indent=2)
-    (stream or sys.stdout).write("\n")
+def emit(doc: dict) -> None:
+    """doc to stdout as sorted, indented JSON, each Fraction as rat(x)."""
+    json.dump(doc, sys.stdout, sort_keys=True, indent=2, default=rat)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -95,35 +84,15 @@ def _fiber_payload(model) -> dict:
 
 
 def _fiber_csv(model) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        [
-            "kind",
-            "i",
-            "k",
-            "j",
-            "multiplicity",
-            "genus",
-            "self_intersection",
-            "i_c",
-        ]
+    """One CSV line per component of the fiber; cmd_fiber writes the header once.
+
+    These are the lines csv.writer would write: no field can need quoting.
+    """
+    return "".join(
+        f"{c.label.kind},{c.label.i},{c.label.k},{c.label.j},{c.multiplicity},{c.genus},"
+        f"{c.self_int},{i_c(model.config, c.cid)}\n"
+        for c in model.config.components
     )
-    for c in model.config.components:
-        lab = c.label
-        w.writerow(
-            [
-                lab.kind,
-                lab.i,
-                lab.k,
-                lab.j,
-                c.multiplicity,
-                c.genus,
-                c.self_int,
-                i_c(model.config, c.cid),
-            ]
-        )
-    return buf.getvalue()
 
 
 def _resolve_pm(args) -> list[tuple[int, int]]:
@@ -141,17 +110,16 @@ def cmd_fiber(args) -> int:
     pairs = _resolve_pm(args)
     subreports = []
     all_checks = []
-    csv_blobs = []
+    rows = ["kind,i,k,j,multiplicity,genus,self_intersection,i_c\n"]
     for p, m in pairs:
         model = build_config(p, m, args.s)
         payload, checks = _fiber_payload(model)
         subreports.append(payload)
         all_checks.extend(checks)
         if args.format == "csv":
-            blob = _fiber_csv(model)
-            csv_blobs.append(blob if not csv_blobs else blob.split("\n", 1)[1])
+            rows.append(_fiber_csv(model))
     if args.format == "csv":
-        sys.stdout.write("".join(csv_blobs))
+        sys.stdout.write("".join(rows))
     else:
         inputs = {"N": args.N, "p": args.p, "m": args.m, "s": args.s}
         emit(envelope("fiber", inputs, {"fibers": subreports}, all_checks))
@@ -224,25 +192,17 @@ def _bounds_payload(report) -> dict:
 
 def cmd_bounds(args) -> int:
     report = bounds.bound_report(args.N, args.kappa1, args.kappa2)
-    payload = _bounds_payload(report)
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
-            ["N", "genus", "phi", "p", "m", "s", "rho", "q_np", "beta_sp", "alpha",
-             "geometric_coeff", "lower_bound", "simple_lower", "mertens_diag",
-             "upper_bound", "upper_is_conditional"]
-        )
+        # the lines csv.writer would write: no field can need quoting
+        sys.stdout.write("N,genus,phi,p,m,s,rho,q_np,beta_sp,alpha,geometric_coeff,lower_bound,"
+                         "simple_lower,mertens_diag,upper_bound,upper_is_conditional\n")
+        upper = "" if report.upper is None else repr(report.upper)
         geo = dict(report.geometric_terms)
         for r in report.primes:
-            w.writerow(
-                [report.n, report.genus, report.phi, r.p, r.m, r.s, r.rho,
-                 rat(r.q), rat(r.beta_sp), r.alpha, rat(geo[r.p]), repr(report.lower),
-                 repr(report.simple), repr(report.mertens),
-                 "" if report.upper is None else repr(report.upper),
-                 report.conditional]
-            )
-        sys.stdout.write(buf.getvalue())
+            sys.stdout.write(f"{report.n},{report.genus},{report.phi},{r.p},{r.m},{r.s},{r.rho},"
+                             f"{rat(r.q)},{rat(r.beta_sp)},{r.alpha},{rat(geo[r.p])},"
+                             f"{report.lower!r},{report.simple!r},{report.mertens!r},{upper},"
+                             f"{report.conditional}\n")
     else:
         checks = [
             verify.CheckResult(
@@ -252,7 +212,7 @@ def cmd_bounds(args) -> int:
             )
         ]
         emit(envelope("bounds", {"N": args.N, "kappa1": args.kappa1, "kappa2": args.kappa2},
-                      payload, checks))
+                      _bounds_payload(report), checks))
     return 0
 
 

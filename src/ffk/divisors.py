@@ -168,8 +168,8 @@ def g_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
     return v_s(model, cusp) - v_divisor(model, model.fm)
 
 
-def u_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
-    """The auxiliary divisor U_S = (lambda+nu)(2 F + p Fm) - 2 V_S.
+def u_s(model: FermatModel, vs: QDivisor) -> QDivisor:
+    """The auxiliary divisor U_S = (lambda+nu)(2 F + p Fm) - 2 V_S, given vs = v_s(model, cusp).
 
     This is the unique natural divisor satisfying all the stated global
     identities at once: (2V_S + U_S)^2 = -(N(lambda+nu))^2, the canonical
@@ -179,7 +179,7 @@ def u_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
     semipos_check and u_s_probe build the same divisor on the cells of the cusp
     quotient. u_s_probe weighs it against the printed alternatives.
     """
-    return _u_of(model.params, v_s(model, cusp), model.config.components, model.fm)
+    return _u_of(model.params, vs, model.config.components, model.fm)
 
 
 def _u_of(params: FermatParams, vs: QDivisor, comps, fm: int) -> QDivisor:

@@ -95,12 +95,6 @@ class IntPoly:
             raise MathContractError("nonzero remainder in exact division")
         return IntPoly(q)
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)})"
 
@@ -116,9 +110,6 @@ class BiPoly:
     @classmethod
     def monomial(cls, i: int, j: int, c: int = 1) -> "BiPoly":
         return cls({(i, j): c})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.terms == other.terms
@@ -146,9 +137,6 @@ class BiPoly:
     def substitute_powers(self, m: int) -> "BiPoly":
         """Replace (a, b) by (a^m, b^m): scales every exponent by m."""
         return BiPoly({(i * m, j * m): v for (i, j), v in self.terms.items()})
-
-    def __call__(self, a, b):
-        return sum(c * a**i * b**j for (i, j), c in self.terms.items())
 
     def __repr__(self) -> str:
         return f"BiPoly({self.terms})"

@@ -35,10 +35,6 @@ from .model import (
 ACCEPTANCE_PAIRS = ((3, 5), (5, 3), (3, 7), (7, 3), (5, 7), (7, 5), (3, 11), (11, 3))
 
 
-def _models(pairs=ACCEPTANCE_PAIRS) -> list[FermatModel]:
-    return [build_config(p, m) for p, m in pairs]
-
-
 # ---------------------------------------------------------------------------
 # polynomial suite
 # ---------------------------------------------------------------------------
@@ -108,9 +104,10 @@ def suite_polynomial() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_fiber(models: list[FermatModel] | None = None) -> list[CheckResult]:
+def suite_fiber(models: list[FermatModel]) -> list[CheckResult]:
+    """Census, validate, transversality, I_C and cusp checks for each given model."""
     out = []
-    for model in models or _models():
+    for model in models:
         p, m, s = model.params.p, model.params.m, model.params.s
         tag = f"(p={p}, m={m})"
 
@@ -215,31 +212,35 @@ def gauge_reproduction(model: FermatModel) -> CheckResult:
     return CheckResult(name, True)
 
 
-def suite_divisor(models: list[FermatModel] | None = None) -> list[CheckResult]:
-    """Two sweeps over the components per model: the relation and closed forms, then the solver."""
+def suite_divisor(models: list[FermatModel]) -> list[CheckResult]:
+    """Two sweeps over each given model's components: relation and closed forms, then solver."""
     out = []
-    for model in models or _models():
+    for model in models:
         tag = f"(p={model.params.p}, m={model.params.m})"
         out.extend(_retag(chk, tag) for chk in representative_relation_full(model))
         out.append(_retag(gauge_reproduction(model), tag))
     return out
 
 
-def suite_beta(models: list[FermatModel] | None = None) -> list[CheckResult]:
+def suite_beta(models: list[FermatModel]) -> list[CheckResult]:
+    """beta, G_S^2 and the U_S identities on the full graph of each given model, at three cusps.
+
+    Builds V_Fm once per model and V_S once per cusp; U_S is u_s of that V_S and
+    G_S = V_S - V_Fm, so each model takes four v_divisor calls.
+    """
     out = []
-    for model in models or _models():
+    for model in models:
         params = model.params
         p, m, n = params.p, params.m, params.n
         tag = f"(p={p}, m={m})"
         config = model.config
         cusps = [(1, 1), (2, 3), (3, p)]
 
+        v_fm = divisors.v_divisor(model, model.fm)
+        v_ss = [divisors.v_s(model, c) for c in cusps]
         # (2V_S+U_S)^2 and (K . U_S) feed both the beta check and the identity checks
-        values = [
-            divisors.u_s_values(config, divisors.v_s(model, c), divisors.u_s(model, c),
-                                model.cusp(*c))
-            for c in cusps
-        ]
+        values = [divisors.u_s_values(config, vs, divisors.u_s(model, vs), model.cusp(*c))
+                  for c, vs in zip(cusps, v_ss)]
         try:
             betas = [divisors.beta_graph(params, sq, canonical) for sq, canonical, _ in values]
             beta_ok = len(set(betas)) == 1
@@ -258,7 +259,7 @@ def suite_beta(models: list[FermatModel] | None = None) -> list[CheckResult]:
                 )
             )
 
-        g_ss = [divisors.g_s(model, c) for c in cusps]
+        g_ss = [vs - v_fm for vs in v_ss]
         want_gs = -Fraction(n - p + 1, n)
         out.append(
             CheckResult(
@@ -290,9 +291,10 @@ def _retag(chk: CheckResult, tag: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_cycles(models: list[FermatModel] | None = None) -> list[CheckResult]:
+def suite_cycles(models: list[FermatModel]) -> list[CheckResult]:
+    """The fundamental cycles of each given model have arithmetic genus 0."""
     out = []
-    for model in models or _models():
+    for model in models:
         p, m = model.params.p, model.params.m
         tag = f"(p={p}, m={m})"
         config = model.config
@@ -315,9 +317,10 @@ def suite_cycles(models: list[FermatModel] | None = None) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_bounds(models: list[FermatModel] | None = None, scan_to: int = 10**4) -> list[CheckResult]:
+def suite_bounds(models: list[FermatModel], scan_to: int = 10**4) -> list[CheckResult]:
+    """Q(N,p) and beta closed forms for each given model, then the scan up to scan_to."""
     out = []
-    for model in models or _models():
+    for model in models:
         params = model.params
         n, p = params.n, params.p
         tag = f"(p={p}, m={params.m})"
@@ -366,7 +369,7 @@ def run_suites(which: str = "all") -> list[CheckResult]:
         names = [which]
     else:
         raise ParameterError(f"unknown suite {which!r}; choose from all, " + ", ".join(SUITES))
-    models = [] if names == ["polynomial"] else _models()
+    models = [] if names == ["polynomial"] else [build_config(p, m) for p, m in ACCEPTANCE_PAIRS]
     results = []
     for name in names:
         results.extend(SUITES[name](models))

@@ -44,6 +44,14 @@ def test_criterion_1_polynomials():
     _criterion(1, "polynomial suite", t0, verify.suite_polynomial(), budget=5.0)
 
 
+def test_suites_check_exactly_the_models_given():
+    # an empty list is no models, not the acceptance set
+    for suite in (verify.suite_fiber, verify.suite_divisor, verify.suite_beta, verify.suite_cycles):
+        assert suite([]) == []
+    assert [c.name for c in verify.suite_bounds([], scan_to=15)] == [
+        "strict lower/simple inequality for all N <= 15"]
+
+
 def test_criterion_2_configuration(models):
     t0 = time.monotonic()
     _criterion(2, "configuration suite", t0, verify.suite_fiber(list(models.values())),

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +16,7 @@ import ffk.cli as cli
 import ffk.divisors
 from ffk import bounds, polyarith, verify
 from ffk.errors import MathContractError
+from ffk.fiber import i_c
 
 
 def run(capsys, *argv):
@@ -121,6 +125,23 @@ def test_fiber_csv_matches_json(capsys):
     chain = next(r for r in rows if r["kind"] == "Chain")
     assert set(chain) == {"kind", "i", "k", "j", "multiplicity", "genus",
                           "self_intersection", "i_c"}
+
+
+@pytest.mark.parametrize("argv, pairs", [(("--p", "5", "--m", "3"), [(5, 3)]),
+                                         (("--N", "15"), [(3, 5), (5, 3)])])
+def test_fiber_csv_matches_csv_writer(capsys, models, argv, pairs):
+    """The lines ffk fiber writes are the ones csv.writer makes of each model.config."""
+    code, out, _ = run(capsys, "fiber", *argv, "--format", "csv")
+    assert code == 0
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["kind", "i", "k", "j", "multiplicity", "genus", "self_intersection", "i_c"])
+    for pm in pairs:
+        config = models[pm].config
+        for c in config.components:
+            w.writerow([c.label.kind, c.label.i, c.label.k, c.label.j, c.multiplicity, c.genus,
+                        c.self_int, i_c(config, c.cid)])
+    assert out == buf.getvalue()
 
 
 def test_fiber_bad_params(capsys):
@@ -257,6 +278,27 @@ def test_bounds_csv_round_trip(capsys):
         assert float(row["lower_bound"]) == jres["lower_bound"]
         assert float(row["simple_lower"]) == jres["simple_lower"]
         assert float(row["mertens_diag"]) == jres["mertens_diag"]
+
+
+@pytest.mark.parametrize("n, kappa", [(15, None), (105, 1.0)])
+def test_bounds_csv_matches_csv_writer(capsys, n, kappa):
+    """The lines ffk bounds writes are the ones csv.writer makes of bound_report."""
+    flags = () if kappa is None else ("--kappa1", f"{kappa:g}", "--kappa2", f"{kappa:g}")
+    code, out, _ = run(capsys, "bounds", "--N", str(n), *flags, "--format", "csv")
+    assert code == 0
+    report = bounds.bound_report(n, kappa, kappa)
+    geo = dict(report.geometric_terms)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["N", "genus", "phi", "p", "m", "s", "rho", "q_np", "beta_sp", "alpha",
+                "geometric_coeff", "lower_bound", "simple_lower", "mertens_diag",
+                "upper_bound", "upper_is_conditional"])
+    for r in report.primes:
+        w.writerow([report.n, report.genus, report.phi, r.p, r.m, r.s, r.rho, cli.rat(r.q),
+                    cli.rat(r.beta_sp), r.alpha, cli.rat(geo[r.p]), report.lower, report.simple,
+                    report.mertens, "" if report.upper is None else report.upper,
+                    report.conditional])
+    assert out == buf.getvalue()
 
 
 def test_scan(tmp_path, capsys):
@@ -424,6 +466,15 @@ def test_json_deterministic(capsys):
     assert out1 == out2
 
 
+def test_cli_import_leaves_csv_unloaded():
+    # every CSV is written as lines, so no ffk process needs the csv module
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", "import sys, ffk.cli; print('csv' in sys.modules)"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_rational_serialization():
     assert cli.rat(Fraction(-6, 8)) == "-3/4"
     assert cli.rat(Fraction(5)) == "5/1"
@@ -431,10 +482,14 @@ def test_rational_serialization():
 
 #: SHA-256 and exit code of stdout for a fixed set of commands. The first six
 #: were recorded before the tree solver replaced the general sparse
-#: elimination, the last four before the duplicated beta closed form, cusp
-#: lookup, semipositivity loop and number-theory helpers were merged. The
+#: elimination, the next four before the duplicated beta closed form, cusp
+#: lookup, semipositivity loop and number-theory helpers were merged, and the
+#: next two before the divisor core moved to integer numerators. The
 #: `fiber --N 15 --format csv` digest was re-recorded when its last column was
-#: renamed from `degree_in_graph` to `i_c`; its rows are unchanged
+#: renamed from `degree_in_graph` to `i_c`; its rows are unchanged. The
+#: `bounds --N 105 --kappa1 1 --kappa2 1 --format csv` digest, the one CSV with
+#: a filled upper_bound column, was recorded while the bounds and fiber CSVs
+#: were still written by csv.writer
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 

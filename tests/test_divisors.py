@@ -20,7 +20,7 @@ from ffk.divisors import (
 )
 from ffk.fiber import QDivisor, a_number, canonical_pair, pair, pair_profile
 from ffk.model import FermatLabel, build_config
-from ffk.verify import gauge_reproduction, representative_relation_full, suite_divisor
+from ffk.verify import gauge_reproduction, representative_relation_full, suite_beta, suite_divisor
 
 
 def test_lambda_nu_values(model53, model35):
@@ -176,11 +176,24 @@ def test_suite_divisor_builds_each_representative_once_per_sweep(model53, monkey
     assert n == 118 and calls == {"v_divisor": 2 * n + 1, "pair": 0}
 
 
+def test_suite_beta_builds_v_fm_once_and_each_v_s_once(model53, monkeypatch):
+    # G_S = V_S - V_Fm and U_S = u_s(model, V_S) reuse one V_Fm and the three cusps' V_S
+    import ffk.divisors
+
+    calls = []
+    v_divisor = ffk.divisors.v_divisor
+    monkeypatch.setattr(ffk.divisors, "v_divisor",
+                        lambda model, cid: calls.append(cid) or v_divisor(model, cid))
+    checks = suite_beta([model53])
+    assert all(c.passed for c in checks)
+    assert len(calls) == len(set(calls)) == 4
+
+
 def test_u_s_identities(model53):
     params = model53.params
     ln = lambda_nu(params)
     b = params.n * ln.total
-    us = u_s(model53)
+    us = u_s(model53, v_s(model53))
     assert canonical_pair(model53.config, us) == (2 * params.m - 3) * b
     assert canonical_pair(model53.config, us) == Fraction(3, 16)
     x = v_s(model53).scale(2) + us
@@ -191,7 +204,7 @@ def test_u_s_identities_all(models):
     for model in models.values():
         params = model.params
         b = params.n * lambda_nu(params).total
-        us = u_s(model)
+        us = u_s(model, v_s(model))
         assert canonical_pair(model.config, us) == (2 * params.m - 3) * b
         x = v_s(model).scale(2) + us
         assert pair(model.config, x, x) == -b * b
@@ -207,7 +220,7 @@ def test_u_s_matches_divisor_algebra(models, pm, cusps):
     x = model.config.fiber_divisor().scale(2) + QDivisor.single(model.fm, model.params.p)
     for cusp in cusps:
         want = x.scale(total) - v_s(model, cusp).scale(2)
-        got = u_s(model, cusp)
+        got = u_s(model, v_s(model, cusp))
         assert got == want
         assert list(got.numerators()) == list(want.numerators())
 

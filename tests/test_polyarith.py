@@ -79,11 +79,11 @@ def test_psi_defining_identity(p):
     tri = slow_trinomial_pow(p)
     lhs = psi_poly(p).scale(p) + BiPoly(tri)
     lhs = lhs - BiPoly.monomial(p, 0) - BiPoly.monomial(0, p) + BiPoly.monomial(0, 0)
-    assert not lhs
+    assert lhs.terms == {}
 
 
 def test_psi_value_at_one_one():
-    assert psi_poly(5)(1, 1) == 0
+    assert sum(psi_poly(5).terms.values()) == 0  # the value at (1, 1) is the coefficient sum
 
 
 @pytest.mark.parametrize("p", [4, 9, 2, 1, 15])
@@ -107,7 +107,7 @@ def test_psi_diag_shape(p):
     f = psi_diag(p)
     assert f.degree == p - 1
     assert f.coeffs[0] == 0  # constant term
-    assert f(1) == 0
+    assert sum(f.coeffs) == 0  # f(1)
 
 
 def test_capital_psi_small_values():

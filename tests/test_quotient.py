@@ -63,7 +63,7 @@ def cell_of(label, cusp, params) -> FermatLabel:
 def graph_semipositivity(model, cusp) -> list[Fraction]:
     """a_C + 2(S.C) - (U_S.C) for every component, paired on the full graph."""
     config = model.config
-    prof = pairing_divisor(config, divisors.u_s(model, cusp))
+    prof = pairing_divisor(config, divisors.u_s(model, divisors.v_s(model, cusp)))
     target = model.cusp(*cusp)
     return [a_number(config, c.cid) + 2 * (c.cid == target) - prof.coeff(c.cid)
             for c in config.components]
@@ -100,7 +100,8 @@ def assert_quotient_matches_graph(model, cusp):
         assert dict(seen) == want, (comp.label, cell)
 
     # V_S and U_S are constant on cells
-    vs, us, gs = divisors.v_s(model, cusp), divisors.u_s(model, cusp), divisors.g_s(model, cusp)
+    vs, gs = divisors.v_s(model, cusp), divisors.g_s(model, cusp)
+    us = divisors.u_s(model, vs)
     for div in (vs, us):
         by_cell = {}
         for cid, cell in enumerate(cells):
@@ -151,13 +152,14 @@ def graph_candidates(model, cusp) -> dict[str, QDivisor]:
     # 2(V_C . V_S) - V_C^2 = (V_C dot w) + (V_C)_C/d_C, w = sum_D (2(V_S . D) - a_D/(2g-2)) D
     k_div = QDivisor.from_numerators({c.cid: a_number(config, c.cid) for c in config.components},
                                      2 * params.genus - 2)
-    w = pairing_divisor(config, divisors.v_s(model, cusp)).scale(2) - k_div
+    vs = divisors.v_s(model, cusp)
+    w = pairing_divisor(config, vs).scale(2) - k_div
     weighted = {}
     for c in config.components:
         vc = divisors.v_divisor(model, c.cid)
         weighted[c.cid] = c.multiplicity * vc.dot(w) + vc.coeff(c.cid)
     return {"expansion": QDivisor(expansion), "weighted-vc": QDivisor(weighted),
-            "adopted": divisors.u_s(model, cusp)}
+            "adopted": divisors.u_s(model, vs)}
 
 
 def graph_probe(model, cusp, candidates) -> list[CheckResult]:
