@@ -90,8 +90,8 @@ def _fiber_csv(model) -> str:
     """
     return "".join(
         f"{c.label.kind},{c.label.i},{c.label.k},{c.label.j},{c.multiplicity},{c.genus},"
-        f"{c.self_int},{i_c(model.config, c.cid)}\n"
-        for c in model.config.components
+        f"{c.self_int},{i_c(model.config, cid)}\n"
+        for cid, c in enumerate(model.config.components)
     )
 
 

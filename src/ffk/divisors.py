@@ -129,10 +129,8 @@ def v_self_closed(params: FermatParams, label: FermatLabel) -> Fraction:
     return base - mu_chain(params, label.j, 1) / label.j
 
 
-def vs_pair_closed(params: FermatParams, lab: FermatLabel,
-                   cusp: tuple[int, int] = (1, 1)) -> Fraction:
-    """Closed form for (V_S . V_D), D labelled `lab`, cusp at Chain(1, k, i)."""
-    ci, ck = cusp
+def vs_pair_closed(params: FermatParams, lab: FermatLabel) -> Fraction:
+    """Closed form for (V_S . V_D), D labelled `lab`, for the cusp (1, 1) of v_s(model)."""
     ln = lambda_nu(params)
     if lab.kind == "Fm":
         return ln.lam + ln.nu / 2
@@ -140,12 +138,12 @@ def vs_pair_closed(params: FermatParams, lab: FermatLabel,
     if lab.kind in ("Ldelta", "Lgamma", "LgammaLeaf"):
         return base
     if lab.kind == "LXYZ":
-        return base - (Fraction(1, params.n) if lab.i == ci else 0)
+        return base - (Fraction(1, params.n) if lab.i == 1 else 0)
     r = lab.j
-    if lab.i != ci:
+    if lab.i != 1:
         return base
     out = base - Fraction(1, params.n)
-    if lab.k == ck:
+    if lab.k == 1:
         out -= Fraction(params.m - r, r * params.m)
     return out
 
@@ -191,7 +189,7 @@ def _u_of(params: FermatParams, vs: QDivisor, comps, fm: int) -> QDivisor:
     total = lambda_nu(params).total
     e = vs.denominator
     ae, b = total.numerator * e, total.denominator
-    num = {c.cid: 2 * ae * c.multiplicity for c in comps}
+    num = {cid: 2 * ae * c.multiplicity for cid, c in enumerate(comps)}
     num[fm] += ae * params.p
     for cid, v in vs.numerators().items():
         num[cid] -= 2 * b * v
@@ -215,8 +213,8 @@ def _on_cells(model: FermatModel, cusp: tuple[int, int]):
     fm = 3 * (params.m - 1)
     v_fm = QDivisor.single(fm, Fraction(params.p - 2, 2 * params.genus - 2))
     vs = {fm + 1: Fraction(1, params.p)}  # LXYZ(i)
-    vs.update((c.cid, mu_chain(params, c.label.j, 1 if c.label.k == cusp[1] else 2))
-              for c in q.components[:2 * (params.m - 1)])
+    vs.update((cid, mu_chain(params, c.label.j, 1 if c.label.k == cusp[1] else 2))
+              for cid, c in enumerate(q.components[:2 * (params.m - 1)]))
     vs = v_fm + QDivisor(vs)
     return q, v_fm, vs, _u_of(params, vs, q.components, fm)
 
@@ -231,8 +229,8 @@ def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
     reading model.params and the cusp, not the graph. suite_beta runs
     u_s_values on the graph, as the oracle.
     """
-    q, _, _, us = _on_cells(model, cusp)
-    nums, den = _semipositivity(q, us, 0)
+    q, _, vs, us = _on_cells(model, cusp)
+    nums, den = u_s_values(q, vs, us, 0)[2]
     return [(c.label, Fraction(v, den)) for c, v in zip(q.components, nums)]
 
 
@@ -246,21 +244,18 @@ def u_s_values(
     quotient (target its cusp cell). The semipositivity value at vertex c is
     a_C + 2(S.C) - (U.C) = (a_number - (U.[c]))/|c| + 2[c = target], shared by
     the |c| components C of c. The values come as integer numerators over one
-    denominator, in vertex order, so the minimum is an integer minimum.
+    denominator, in vertex order, so the minimum is an integer minimum. This is
+    the one evaluator of these identities: beta_s, semipos_check, u_s_probe and
+    suite_beta all read it.
     """
     x = vs.scale(2) + u
-    return pair(config, x, x), canonical_pair(config, u), _semipositivity(config, u, target)
-
-
-def _semipositivity(config: FiberConfig, u: QDivisor, target: int) -> tuple[list[int], int]:
-    """The semipositivity values of u_s_values: numerators over one denominator."""
     prof = pairing_divisor(config, u)
     den, get = prof.denominator, prof.numerators().get
     scale = lcm(*config.sizes or (1,))  # clears the 1/|c| of every vertex
-    num = [(a_number(config, c.cid) * den - get(c.cid, 0)) * (scale // k)
-           for c, k in zip(config.components, config.sizes or repeat(1))]
+    num = [(a_number(config, cid) * den - get(cid, 0)) * (scale // k)
+           for cid, k in enumerate(config.sizes or repeat(1, config.n_components))]
     num[target] += 2 * den * scale
-    return num, den * scale
+    return pair(config, x, x), canonical_pair(config, u), (num, den * scale)
 
 
 def u_s_identities(
@@ -291,13 +286,13 @@ def beta_graph(params: FermatParams, square: Fraction, canonical: Fraction) -> F
 def beta_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> Fraction:
     """Per-prime lower-bound quantity beta_{S,p}.
 
-    (1-g)/g (2V_S+U_S)^2 + 2 (K . U_S) on the cells of cusp_quotient(model.params,
-    cusp), from model.params and the cusp, not the graph; it must equal
-    beta_closed exactly. suite_beta evaluates the graph, as the oracle.
+    beta_graph of the (2V_S+U_S)^2 and (K . U_S) that u_s_values reads on the
+    cells of cusp_quotient(model.params, cusp), from model.params and the cusp,
+    not the graph; it must equal beta_closed exactly. suite_beta evaluates the
+    graph, as the oracle.
     """
     q, _, vs, us = _on_cells(model, cusp)
-    x = vs.scale(2) + us
-    return beta_graph(model.params, pair(q, x, x), canonical_pair(q, us))
+    return beta_graph(model.params, *u_s_values(q, vs, us, 0)[:2])
 
 
 def cusp_squares(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> tuple[Fraction, Fraction]:
@@ -354,19 +349,19 @@ def u_s_probe(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> list[CheckR
     # which suite_divisor checks for every pair; V_C^2 is the closed form by label
     vs_k = canonical_pair(q, vs) / (2 * params.genus - 2)
     expansion, weighted = {}, {}
-    for c in q.components:
+    for cid, c in enumerate(q.components):
         lab = c.label
         if lab.kind == "Chain":
             j = lab.j
-            expansion[c.cid] = (j * mu_chain(params, j, 1) - Fraction(2 * j, n) * (lab.i == cusp[0])
-                                - Fraction(2 * (m - j), m) * ((lab.i, lab.k) == cusp))
+            expansion[cid] = (j * mu_chain(params, j, 1) - Fraction(2 * j, n) * (lab.i == cusp[0])
+                              - Fraction(2 * (m - j), m) * ((lab.i, lab.k) == cusp))
         elif lab.kind == "LXYZ":
-            expansion[c.cid] = Fraction(-1 if lab.i == cusp[0] else 1, p)
+            expansion[cid] = Fraction(-1 if lab.i == cusp[0] else 1, p)
         elif lab.kind != "Fm":
-            expansion[c.cid] = Fraction(1 + p if lab.kind == "LgammaLeaf" else 1, p)
-        weighted[c.cid] = (c.multiplicity * (2 * vs_k - v_self_closed(params, lab))
-                           - 2 * vs.coeff(c.cid))
-    ldelta = next((c.cid for c in q.components if c.label.kind == "Ldelta"), None)
+            expansion[cid] = Fraction(1 + p if lab.kind == "LgammaLeaf" else 1, p)
+        weighted[cid] = (c.multiplicity * (2 * vs_k - v_self_closed(params, lab))
+                         - 2 * vs.coeff(cid))
+    ldelta = next((cid for cid, c in enumerate(q.components) if c.label.kind == "Ldelta"), None)
     results = []
     for name, cand in (("expansion", QDivisor(expansion)), ("weighted-vc", QDivisor(weighted)),
                        ("adopted", us)):

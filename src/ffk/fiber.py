@@ -46,9 +46,8 @@ def check_component_cap(n: int) -> None:
 
 @dataclass(frozen=True, slots=True)
 class Component:
-    """One irreducible component of the special fiber."""
+    """One irreducible component of the special fiber; its id is its position in FiberConfig."""
 
-    cid: int
     label: Any
     multiplicity: int
     genus: int
@@ -165,15 +164,13 @@ class FiberConfig:
     never change, such as the first non-orthogonal component, are computed once.
     `sizes` holds each vertex's size (module docstring); None, the default, means
     every vertex is one component. `n_components` counts vertices either way.
+    A component's id is its position in `components`.
     """
 
     def __init__(self, components: Iterable[Component], pairings: Mapping[tuple[int, int], int],
                  genus: int, sizes: Iterable[int] | None = None):
         comps = tuple(components)
         check_component_cap(len(comps))
-        for i, c in enumerate(comps):
-            if c.cid != i:
-                raise ParameterError("component ids must be 0..n-1 in order")
         nbrs: list[dict[int, int]] = [{} for _ in comps]
         for (a, b), cnt in pairings.items():
             if a == b:
@@ -186,7 +183,8 @@ class FiberConfig:
         self.genus = genus
         self._nbrs = tuple(nbrs)
         self.sizes = None if sizes is None else tuple(sizes)
-        if self.sizes is not None and (len(self.sizes) != len(comps) or min(self.sizes) < 1):
+        if self.sizes is not None and (len(self.sizes) != len(comps)
+                                       or any(k < 1 for k in self.sizes)):
             raise ParameterError("sizes must give every component a size >= 1")
 
     @property
@@ -204,7 +202,8 @@ class FiberConfig:
         raise ParameterError(f"unknown component id {cid}")
 
     def fiber_divisor(self) -> QDivisor:
-        return QDivisor.from_numerators({c.cid: c.multiplicity for c in self.components}, 1)
+        mult = (c.multiplicity for c in self.components)
+        return QDivisor.from_numerators(dict(enumerate(mult)), 1)
 
     def edges(self):
         """Iterate ((a, b), count) over every edge, with a < b."""
@@ -217,7 +216,8 @@ class FiberConfig:
 
         At a vertex of size k the sum is (F . [c]) = k (F . C), C^2 being [c]^2."""
         return next(
-            (c for c in self.components if c.multiplicity * c.self_int + i_c(self, c.cid)),
+            (c for cid, c in enumerate(self.components)
+             if c.multiplicity * c.self_int + i_c(self, cid)),
             None,
         )
 
@@ -254,15 +254,10 @@ def _spread(config: FiberConfig, num: Mapping[int, int]) -> dict[int, int]:
 def pair(config: FiberConfig, D: QDivisor, E: QDivisor) -> Fraction:
     """Bilinear extension of the component pairing; symmetric in D, E.
 
-    Spreads the smaller support, takes its dot product with the other in integers, divides once.
+    Spreads D into its pairing divisor and dots the result with E.
     """
-    if len(D._num) > len(E._num):
-        D, E = E, D
-    e = E._num
-    if E is not D:
-        _check_ids(config, e)
-    total = sum(e[x] * t for x, t in _spread(config, D._num).items() if x in e)
-    return Fraction(total, D._den * E._den)
+    _check_ids(config, E._num)
+    return pairing_divisor(config, D).dot(E)
 
 
 def pairing_divisor(config: FiberConfig, D: QDivisor) -> QDivisor:

@@ -74,8 +74,7 @@ class FermatParams:
     s: int
 
     def __post_init__(self):
-        if not polyarith.is_prime(self.p) or self.p == 2:
-            raise ParameterError(f"p must be an odd prime, got {self.p}")
+        polyarith.require_odd_prime(self.p)
         if self.m == 1:
             raise ParameterError(
                 "m = 1 (prime exponent) uses a different minimal model; not supported"
@@ -239,7 +238,7 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     # components in id order: Chain(j, k, i) in label order, then the other kinds
     chains = (FermatLabel("Chain", i, k, j)
               for i in range(1, 3 * m + 1) for k in range(1, p + 1) for j in range(1, m))
-    comps = [Component(cid, lab, lab.j, 0, -2) for cid, lab in enumerate(chains)]
+    comps = [Component(lab, lab.j, 0, -2) for lab in chains]
     rest = [FermatLabel("Fm")]
     rest += [FermatLabel("LXYZ", i) for i in range(1, 3 * m + 1)]
     rest += [FermatLabel("Ldelta", i) for i in range(1, n_delta + 1)]
@@ -247,7 +246,7 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     rest += [FermatLabel("LgammaLeaf", i, 0, j)
              for i in range(1, n_gamma + 1) for j in range(1, p + 1)]
     shape = _shapes(p, m)
-    comps += [Component(cid, lab, *shape[lab.kind]) for cid, lab in enumerate(rest, fm)]
+    comps += [Component(lab, *shape[lab.kind]) for lab in rest]
 
     pairs: dict[tuple[int, int], int] = {}
     for i in range(1, 3 * m + 1):
@@ -299,9 +298,9 @@ def cusp_quotient(params: FermatParams, cusp: tuple[int, int]) -> FiberConfig:
     sizes.update((lab, census[lab.kind]) for lab in (ld, lg, leaf))
     ids = {label: c for c, label in enumerate(x for x, n in sizes.items() if n)}
     cells = []
-    for label, c in ids.items():
+    for label in ids:
         d, g, sq = (label.j, 0, -2) if label.kind == "Chain" else shape[label.kind]
-        cells.append(Component(c, label, d, g, sizes[label] * sq))
+        cells.append(Component(label, d, g, sizes[label] * sq))
     # each component of b meets one of a, so [a].[b] = |b|
     meets = [(fm, lx), (fm, lx_other), (fm, ld), (fm, lg), (lg, leaf), (lx, cusp_c[-1]),
              (lx, arm[-1]), (lx_other, other[-1])]
@@ -318,7 +317,7 @@ def transversality_check(model: FermatModel) -> bool:
     """
     config = model.config
     p, m = model.params.p, model.params.m
-    total_ic = sum(i_c(config, c.cid) for c in config.components)
+    total_ic = sum(i_c(config, cid) for cid in range(config.n_components))
     total_d = sum(c.multiplicity for c in config.components)
     g_fm = genus_formula(m)
     lhs = 2 * model.params.genus - 2
@@ -339,6 +338,6 @@ def i_c_matches_pairing(model: FermatModel) -> bool:
     config = model.config
     get = pairing_divisor(config, config.fiber_divisor()).numerators().get
     return all(
-        i_c(config, c.cid) == get(c.cid, 0) - c.multiplicity * c.self_int
-        for c in config.components
+        i_c(config, cid) == get(cid, 0) - c.multiplicity * c.self_int
+        for cid, c in enumerate(config.components)
     )

@@ -39,7 +39,7 @@ def is_prime(n: int) -> bool:
     return n > 1 and factorize(n) == [n]
 
 
-def _require_odd_prime(p: int) -> None:
+def require_odd_prime(p: int) -> None:
     if not is_prime(p) or p == 2:
         raise ParameterError(f"p must be an odd prime, got {p}")
 
@@ -156,7 +156,7 @@ def trinomial_pow(n: int) -> BiPoly:
 
 def psi_poly(p: int) -> BiPoly:
     """The splitting polynomial psi(a,b) = (a^p + b^p - 1 - (a+b-1)^p)/p."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     num = (
         BiPoly.monomial(p, 0)
         + BiPoly.monomial(0, p)
@@ -168,7 +168,7 @@ def psi_poly(p: int) -> BiPoly:
 
 def psi_diag(p: int) -> IntPoly:
     """psi(a, 1-a) = (a^p + (1-a)^p - 1)/p, computed by direct expansion."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     coeffs = [0] * (p + 1)
     coeffs[p] += 1
     for k in range(p + 1):  # (1-a)^p
@@ -203,10 +203,6 @@ class FpPoly:
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
-
-    @classmethod
-    def from_intpoly(cls, p: int, f: IntPoly) -> "FpPoly":
-        return cls(p, f.coeffs)
 
     @property
     def degree(self) -> int:
@@ -304,7 +300,7 @@ def double_roots(p: int) -> list[int]:
     gcd(f, f') oracle for this count. The contract 0 <= 2s <= p-3 on
     s = len(roots) is checked here, so every caller gets it.
     """
-    _require_odd_prime(p)
+    require_odd_prime(p)
     p2 = p * p
     prev = 1  # 1^p
     roots = []
@@ -333,8 +329,8 @@ def double_roots_gcd(p: int) -> list[int]:
     factor of f has multiplicity >= 3 or is not a product of F_p-rational
     linear factors.
     """
-    _require_odd_prime(p)
-    f = FpPoly.from_intpoly(p, capital_psi(p))
+    require_odd_prime(p)
+    f = FpPoly(p, capital_psi(p).coeffs)
     # deg f = p-3 < p, so gcd(f, f') = prod q_i^(e_i - 1) classically
     rep = f.gcd(f.derivative())
     if rep.degree <= 0:
@@ -354,7 +350,7 @@ def double_roots_gcd(p: int) -> list[int]:
 
 def fermat_split_check(p: int, m: int) -> bool:
     """Exact check of X^N + Y^N - 1 = (X^m + Y^m - 1)^p + p*psi(X^m, Y^m)."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     if m < 1:
         raise ParameterError(f"m must be positive, got {m}")
     n = p * m

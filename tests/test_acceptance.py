@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ffk import divisors, verify
 from ffk.errors import MathContractError
-from ffk.fiber import CheckResult, Component, FiberConfig, pair, validate
+from ffk.fiber import CheckResult, FiberConfig, pair, validate
 from ffk.model import FermatLabel, FermatModel
 from test_fiber import NOT_ORTHOGONAL_TREES
 
@@ -97,16 +97,13 @@ def _mutated(model, mode: str) -> FermatModel:
     edges = dict(cfg.edges())
     victim = model.cid(FermatLabel("Ldelta", i=1))
     if mode == "self_int":
-        c = comps[victim]
-        comps[victim] = Component(c.cid, c.label, c.multiplicity, c.genus,
-                                  c.self_int + 1)
+        comps[victim] = dataclasses.replace(comps[victim], self_int=comps[victim].self_int + 1)
     elif mode == "adjacency":
         key = (min(model.fm, victim), max(model.fm, victim))
         del edges[key]
     elif mode == "multiplicity":
-        c = comps[victim]
-        comps[victim] = Component(c.cid, c.label, c.multiplicity + 1, c.genus,
-                                  c.self_int)
+        comps[victim] = dataclasses.replace(comps[victim],
+                                            multiplicity=comps[victim].multiplicity + 1)
     bad_cfg = FiberConfig(comps, edges, cfg.genus)
     return dataclasses.replace(model, config=bad_cfg)
 
@@ -118,8 +115,8 @@ def _divisor_suite_raises(model) -> bool:
     a defect in the built graph reaches them only through the oracle suites.
     """
     try:
-        for c in model.config.components[:40]:
-            vc = divisors.v_divisor(model, c.cid)
+        for cid, c in enumerate(model.config.components[:40]):
+            vc = divisors.v_divisor(model, cid)
             if pair(model.config, vc, vc) != divisors.v_self_closed(model.params, c.label):
                 return True
         divisors.beta_s(model)
@@ -210,11 +207,12 @@ def test_random_mutation_is_caught(models, data):
         key = (min(a, b), max(a, b))
         edges[key] = edges.get(key, 0) + 1
     else:
-        c = comps[data.draw(st.integers(0, len(comps) - 1), label="component")]
+        cid = data.draw(st.integers(0, len(comps) - 1), label="component")
+        c = comps[cid]
         old = getattr(c, mode)
         low = {"self_int": old - 3, "multiplicity": 1, "genus": 0}[mode]
         new = data.draw(st.integers(low, old + 3).filter(lambda v: v != old), label=mode)
-        comps[c.cid] = dataclasses.replace(c, **{mode: new})
+        comps[cid] = dataclasses.replace(c, **{mode: new})
     bad = dataclasses.replace(base, config=FiberConfig(comps, edges, base.config.genus))
     caught = not all(chk.passed for chk in validate(bad.config)) or _divisor_suite_raises(bad)
     assert caught, f"random {mode} defect not caught"

@@ -138,9 +138,9 @@ def test_fiber_csv_matches_csv_writer(capsys, models, argv, pairs):
     w.writerow(["kind", "i", "k", "j", "multiplicity", "genus", "self_intersection", "i_c"])
     for pm in pairs:
         config = models[pm].config
-        for c in config.components:
+        for cid, c in enumerate(config.components):
             w.writerow([c.label.kind, c.label.i, c.label.k, c.label.j, c.multiplicity, c.genus,
-                        c.self_int, i_c(config, c.cid)])
+                        c.self_int, i_c(config, cid)])
     assert out == buf.getvalue()
 
 

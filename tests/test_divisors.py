@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from ffk import divisors
 from ffk.divisors import (
     beta_s,
     g_s,
@@ -78,9 +79,9 @@ def test_v_s_property(model53):
     two_g2 = 2 * model53.params.genus - 2
     prof = pair_profile(cfg, vs)
     target = model53.chain(1, 1, 1)
-    for c in cfg.components:
-        sc = 1 if c.cid == target else 0
-        assert prof.get(c.cid, Fraction(0)) + sc == Fraction(a_number(cfg, c.cid), two_g2)
+    for cid in range(cfg.n_components):
+        sc = 1 if cid == target else 0
+        assert prof.get(cid, Fraction(0)) + sc == Fraction(a_number(cfg, cid), two_g2)
 
 
 def _v_self(model, cid):
@@ -108,22 +109,19 @@ def test_closed_forms_match_graph(models):
     for model in models.values():
         cfg = model.config
         vs = v_s(model)
-        for c in cfg.components:
-            vc = v_divisor(model, c.cid)
+        for cid, c in enumerate(cfg.components):
+            vc = v_divisor(model, cid)
             assert pair(cfg, vc, vc) == v_self_closed(model.params, c.label)
             assert pair(cfg, vs, vc) == vs_pair_closed(model.params, c.label)
 
 
 def test_suite_divisor_flags_mutated_graph(model53):
-    from ffk.fiber import Component, FiberConfig
+    from ffk.fiber import FiberConfig
 
     cfg = model53.config
     cid = model53.cid(FermatLabel("Ldelta", i=1))
-    comps = [
-        Component(c.cid, c.label, c.multiplicity, c.genus,
-                  c.self_int - 1 if c.cid == cid else c.self_int)
-        for c in cfg.components
-    ]
+    comps = list(cfg.components)
+    comps[cid] = dataclasses.replace(comps[cid], self_int=comps[cid].self_int - 1)
     bad_cfg = FiberConfig(comps, dict(cfg.edges()), cfg.genus)
     bad = dataclasses.replace(model53, config=bad_cfg)
     checks = {c.name: c for c in suite_divisor([bad])}
@@ -240,6 +238,19 @@ def test_semipositivity(models):
             assert vals[FermatLabel("Ldelta", 1)] == want_delta
 
 
+@pytest.mark.parametrize("quantity", [beta_s, semipos_check])
+def test_cusp_quantities_read_the_one_u_s_evaluator(model53, monkeypatch, quantity):
+    calls = []
+
+    def recording(*args, _values=divisors.u_s_values):
+        calls.append(args)
+        return _values(*args)
+
+    monkeypatch.setattr(divisors, "u_s_values", recording)
+    quantity(model53, (1, 1))
+    assert len(calls) == 1
+
+
 def test_beta_values(model53, model35):
     assert beta_s(model53) == Fraction(4413, 11648)
     # the two closed forms must agree at (p=3, m=5) as well
@@ -336,8 +347,8 @@ def test_chain_divisor_high_r():
     vd = v_divisor(model, cid)
     prof = pair_profile(model.config, vd)
     two_g2 = 2 * model.params.genus - 2
-    for c in model.config.components:
-        want = Fraction(a_number(model.config, c.cid), two_g2)
-        if c.cid == cid:
+    for c in range(model.config.n_components):
+        want = Fraction(a_number(model.config, c), two_g2)
+        if c == cid:
             want -= Fraction(1, 4)
-        assert prof.get(c.cid, Fraction(0)) == want
+        assert prof.get(c, Fraction(0)) == want

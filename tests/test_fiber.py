@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -32,9 +33,9 @@ def dense_solve_oracle(config, targets, gauge):
     """Independent dense Gaussian elimination over Fraction."""
     n = config.n_components
     rows = []
-    for c in config.components:
-        row = [Fraction(_pair_cc(config, c.cid, j)) for j in range(n)]
-        row.append(Fraction(targets.get(c.cid, 0)))
+    for cid in range(n):
+        row = [Fraction(_pair_cc(config, cid, j)) for j in range(n)]
+        row.append(Fraction(targets.get(cid, 0)))
         rows.append(row)
     grow = [Fraction(0)] * (n + 1)
     grow[gauge[0]] = Fraction(1)
@@ -119,7 +120,7 @@ def test_qdivisor_matches_fraction_dict_reference(data):
 def test_pair_fiber_orthogonality(model53):
     cfg = model53.config
     fpi = cfg.fiber_divisor()
-    assert all(pair(cfg, fpi, QDivisor.single(c.cid)) == 0 for c in cfg.components)
+    assert all(pair(cfg, fpi, QDivisor.single(cid)) == 0 for cid in range(cfg.n_components))
 
 
 def test_pair_examples(model53):
@@ -158,7 +159,7 @@ def test_pairing_kernels_reject_unknown_ids(model53, bad):
         pair(cfg, D, cfg.fiber_divisor())
     with pytest.raises(ParameterError):
         pair(cfg, cfg.fiber_divisor(), QDivisor.single(bad))
-    # the unknown id is in the larger operand, the one pair does not spread
+    # pair spreads its first operand; the unknown id is in the second
     with pytest.raises(ParameterError):
         pair(cfg, QDivisor.single(0), QDivisor({bad: 1, 1: 1}))
     with pytest.raises(ParameterError):
@@ -203,8 +204,8 @@ def test_pair_profile_matches_pair(model53):
     cfg = model53.config
     D = QDivisor({model53.fm: Fraction(1, 3), model53.lxyz(1): Fraction(-2)})
     prof = pair_profile(cfg, D)
-    for c in cfg.components:
-        assert prof.get(c.cid, Fraction(0)) == pair(cfg, D, QDivisor.single(c.cid))
+    for cid in range(cfg.n_components):
+        assert prof.get(cid, Fraction(0)) == pair(cfg, D, QDivisor.single(cid))
 
 
 def test_a_number_values(model53):
@@ -224,7 +225,7 @@ def test_canonical_pair_fiber(model53):
 def test_adjunction_sum(models):
     for model in models.values():
         cfg = model.config
-        total = sum(c.multiplicity * a_number(cfg, c.cid) for c in cfg.components)
+        total = sum(c.multiplicity * a_number(cfg, cid) for cid, c in enumerate(cfg.components))
         assert total == 2 * model.params.genus - 2
 
 
@@ -245,11 +246,8 @@ def test_validate_clean(model53):
 
 
 def _mutate_self_int(cfg, cid, delta):
-    comps = [
-        Component(c.cid, c.label, c.multiplicity,
-                  c.genus, c.self_int + (delta if c.cid == cid else 0))
-        for c in cfg.components
-    ]
+    comps = list(cfg.components)
+    comps[cid] = dataclasses.replace(comps[cid], self_int=comps[cid].self_int + delta)
     return FiberConfig(comps, dict(cfg.edges()), cfg.genus)
 
 
@@ -262,11 +260,8 @@ def test_validate_detects_self_int_mutation(model53):
 
 def test_validate_detects_genus_mutation(model53):
     cfg = model53.config
-    comps = [
-        Component(c.cid, c.label, c.multiplicity,
-                  0 if c.cid == model53.fm else c.genus, c.self_int)
-        for c in cfg.components
-    ]
+    comps = list(cfg.components)
+    comps[model53.fm] = dataclasses.replace(comps[model53.fm], genus=0)
     bad = FiberConfig(comps, dict(cfg.edges()), cfg.genus)
     results = {c.name: c for c in validate(bad)}
     assert not results["sum d_C a_C = 2g - 2"].passed
@@ -301,7 +296,7 @@ def test_solve_gauge_matches_dense_oracle(model53):
     cfg = model53.config
     two_g2 = 2 * model53.params.genus - 2
     targets = {
-        c.cid: Fraction(a_number(cfg, c.cid), two_g2) for c in cfg.components
+        cid: Fraction(a_number(cfg, cid), two_g2) for cid in range(cfg.n_components)
     }
     targets[model53.fm] -= Fraction(1, model53.params.p)
     gauge = (model53.fm, Fraction(model53.params.p - 2, two_g2))
@@ -309,8 +304,8 @@ def test_solve_gauge_matches_dense_oracle(model53):
     want = dense_solve_oracle(cfg, targets, gauge)
     assert got == want
     prof = pair_profile(cfg, got)
-    for c in cfg.components:
-        assert prof.get(c.cid, Fraction(0)) == targets.get(c.cid, Fraction(0))
+    for cid in range(cfg.n_components):
+        assert prof.get(cid, Fraction(0)) == targets.get(cid, Fraction(0))
 
 
 def test_solve_gauge_incompatible_targets(model53):
@@ -319,7 +314,7 @@ def test_solve_gauge_incompatible_targets(model53):
 
 
 def test_solve_gauge_extra_rank_deficiency():
-    comps = [Component(0, "A", 1, 0, 0), Component(1, "B", 1, 0, 0)]
+    comps = [Component("A", 1, 0, 0), Component("B", 1, 0, 0)]
     cfg = FiberConfig(comps, {}, genus=2)
     with pytest.raises(MathContractError):
         GaugeSolver(cfg, 0).solve(QDivisor(), Fraction(1))
@@ -342,7 +337,7 @@ def orthogonal_trees(draw):
         edges[(par, cid)] = e
         self_int[par] -= e * mult[cid] // mult[par]
         self_int[cid] -= e * mult[par] // mult[cid]
-    comps = [Component(cid, f"T{cid}", mult[cid], 0, self_int[cid]) for cid in range(n)]
+    comps = [Component(f"T{cid}", mult[cid], 0, self_int[cid]) for cid in range(n)]
     return FiberConfig(comps, edges, genus=1)
 
 
@@ -380,7 +375,7 @@ def test_pairing_kernels_match_dense_pairing_on_random_trees(cfg, data):
 def _small_config(comps, edges):
     """Components given as (multiplicity, self-intersection), all of genus 0."""
     return FiberConfig(
-        [Component(cid, f"C{cid}", d, 0, s) for cid, (d, s) in enumerate(comps)], edges, genus=1
+        [Component(f"C{cid}", d, 0, s) for cid, (d, s) in enumerate(comps)], edges, genus=1
     )
 
 
@@ -405,11 +400,18 @@ def test_solver_rejects_configs_that_are_not_orthogonal_trees(kind):
     assert kernel.detail
 
 
+def test_empty_configs_build_with_or_without_sizes():
+    assert FiberConfig([], {}, 1).n_components == 0
+    assert FiberConfig([], {}, 1, sizes=[]).n_components == 0
+    with pytest.raises(ParameterError):
+        FiberConfig([Component("A", 1, 0, -1)], {}, 1, sizes=[0])
+
+
 def test_component_cap(monkeypatch):
     monkeypatch.setenv("FFK_COMPONENT_CAP", "1")
     from ffk.errors import CapExceeded
 
-    comps = [Component(0, "A", 1, 0, -1), Component(1, "B", 1, 0, -1)]
+    comps = [Component("A", 1, 0, -1), Component("B", 1, 0, -1)]
     with pytest.raises(CapExceeded):
         FiberConfig(comps, {(0, 1): 1}, genus=1)
 
@@ -423,7 +425,7 @@ def test_reduced_genus_zero_tree_has_pa_zero(data):
     edges = {}
     for cid in range(n):
         self_int = data.draw(st.integers(min_value=-9, max_value=-1))
-        comps.append(Component(cid, f"T{cid}", 1, 0, self_int))
+        comps.append(Component(f"T{cid}", 1, 0, self_int))
         if cid:
             parent = data.draw(st.integers(min_value=0, max_value=cid - 1))
             edges[(parent, cid)] = 1

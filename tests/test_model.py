@@ -6,6 +6,7 @@ from ffk.errors import CapExceeded, ParameterError
 from ffk.fiber import Component, FiberConfig, QDivisor, pair
 from ffk.model import (
     FermatLabel,
+    FermatModel,
     FermatParams,
     build_config,
     expected_census,
@@ -14,6 +15,7 @@ from ffk.model import (
     i_c_matches_pairing,
     transversality_check,
 )
+from ffk.verify import suite_cycles
 
 
 def test_census_5_3(model53):
@@ -142,7 +144,7 @@ def test_cusp_sections(models):
             assert lab.kind == "Chain" and lab.j == 1
             assert model.cusp(lab.i, lab.k) == t
         # each multiplicity-one chain end is hit exactly once
-        ends = {c.cid for c in model.config.components
+        ends = {cid for cid, c in enumerate(model.config.components)
                 if c.label.kind == "Chain" and c.label.j == 1}
         assert set(targets) == ends
 
@@ -181,11 +183,30 @@ def test_component_cap_fires_before_any_component_is_built(monkeypatch):
     assert build_config(5, 3).config.n_components == 118
 
 
+def test_suite_cycles_reads_chains_as_id_runs(models, monkeypatch):
+    model = models[(7, 3)]
+    calls = []
+
+    def recording(self, *args, _chain=FermatModel.chain):
+        calls.append(args)
+        return _chain(self, *args)
+
+    monkeypatch.setattr(FermatModel, "chain", recording)
+    assert [chk.passed for chk in suite_cycles([model])] == [True]
+    assert calls == []
+    # a config whose labels do not match the model's ids fails the check, it does not raise
+    comps = list(model.config.components)
+    comps[model.fm] = dataclasses.replace(comps[model.fm], label=FermatLabel("LXYZ", i=99))
+    bad = dataclasses.replace(model, config=FiberConfig(comps, dict(model.config.edges()),
+                                                        model.config.genus))
+    assert [chk.passed for chk in suite_cycles([bad])] == [False]
+
+
 def test_fiber_divisor_orthogonal_on_all(models):
     for model in models.values():
         cfg = model.config
         fpi = cfg.fiber_divisor()
-        assert all(pair(cfg, fpi, QDivisor.single(c.cid)) == 0 for c in cfg.components)
+        assert all(pair(cfg, fpi, QDivisor.single(cid)) == 0 for cid in range(cfg.n_components))
 
 
 @pytest.mark.parametrize("pm, label", [
@@ -223,8 +244,8 @@ def _build_by_sorted_labels(p, m, s):
     by_label = {lab: cid for cid, lab in enumerate(labels)}
     shape = {"Fm": (p, genus_formula(m), -m * m), "LXYZ": (m, 0, -p), "Lgamma": (2, 0, -p),
              "LgammaLeaf": (1, 0, -2), "Ldelta": (1, 0, -p)}
-    comps = tuple(Component(cid, lab, lab.j, 0, -2) if lab.kind == "Chain"
-                  else Component(cid, lab, *shape[lab.kind]) for cid, lab in enumerate(labels))
+    comps = tuple(Component(lab, lab.j, 0, -2) if lab.kind == "Chain"
+                  else Component(lab, *shape[lab.kind]) for lab in labels)
 
     def cid(kind, **kw):
         return by_label[FermatLabel(kind, **kw)]

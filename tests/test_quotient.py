@@ -65,15 +65,15 @@ def graph_semipositivity(model, cusp) -> list[Fraction]:
     config = model.config
     prof = pairing_divisor(config, divisors.u_s(model, divisors.v_s(model, cusp)))
     target = model.cusp(*cusp)
-    return [a_number(config, c.cid) + 2 * (c.cid == target) - prof.coeff(c.cid)
-            for c in config.components]
+    return [a_number(config, cid) + 2 * (cid == target) - prof.coeff(cid)
+            for cid in range(config.n_components)]
 
 
 def assert_quotient_matches_graph(model, cusp):
     config, params = model.config, model.params
     q = cusp_quotient(params, cusp)
     cells = [cell_of(c.label, cusp, params) for c in config.components]
-    labels = {c.cid: c.label for c in q.components}
+    labels = dict(enumerate(c.label for c in q.components))
     ids = {label: c for c, label in labels.items()}
 
     # the ids the cell divisors are built on: the cusp chain end, Fm and LXYZ(i)
@@ -132,32 +132,33 @@ def graph_candidates(model, cusp) -> dict[str, QDivisor]:
     p, m, n = params.p, params.m, params.n
     ci, ck = cusp
     expansion = {}
-    for c in config.components:
+    for cid, c in enumerate(config.components):
         lab = c.label
         if lab.kind in ("Ldelta", "Lgamma"):
-            expansion[c.cid] = Fraction(1, p)
+            expansion[cid] = Fraction(1, p)
         elif lab.kind == "LgammaLeaf":
-            expansion[c.cid] = Fraction(1 + p, p)
+            expansion[cid] = Fraction(1 + p, p)
         elif lab.kind == "LXYZ":
-            expansion[c.cid] = Fraction(1, p) - (Fraction(2, p) if lab.i == ci else 0)
+            expansion[cid] = Fraction(1, p) - (Fraction(2, p) if lab.i == ci else 0)
         elif lab.kind == "Chain":
             val = lab.j * divisors.mu_chain(params, lab.j, 1)
             if lab.i == ci:
                 val -= Fraction(2 * lab.j, n)
                 if lab.k == ck:
                     val -= Fraction(2 * (m - lab.j), m)
-            expansion[c.cid] = val
+            expansion[cid] = val
 
     # V_C^2 = (K . V_C)/(2g-2) - (V_C)_C/d_C by the representative relation, so
     # 2(V_C . V_S) - V_C^2 = (V_C dot w) + (V_C)_C/d_C, w = sum_D (2(V_S . D) - a_D/(2g-2)) D
-    k_div = QDivisor.from_numerators({c.cid: a_number(config, c.cid) for c in config.components},
+    k_div = QDivisor.from_numerators({cid: a_number(config, cid)
+                                      for cid in range(config.n_components)},
                                      2 * params.genus - 2)
     vs = divisors.v_s(model, cusp)
     w = pairing_divisor(config, vs).scale(2) - k_div
     weighted = {}
-    for c in config.components:
-        vc = divisors.v_divisor(model, c.cid)
-        weighted[c.cid] = c.multiplicity * vc.dot(w) + vc.coeff(c.cid)
+    for cid, c in enumerate(config.components):
+        vc = divisors.v_divisor(model, cid)
+        weighted[cid] = c.multiplicity * vc.dot(w) + vc.coeff(cid)
     return {"expansion": QDivisor(expansion), "weighted-vc": QDivisor(weighted),
             "adopted": divisors.u_s(model, vs)}
 
@@ -194,7 +195,7 @@ def assert_probe_matches_graph(model, cusp):
     candidates = graph_candidates(model, cusp)
     assert report == graph_probe(model, cusp, candidates)
 
-    ids = {c.label: c.cid for c in cusp_quotient(model.params, cusp).components}
+    ids = {c.label: cid for cid, c in enumerate(cusp_quotient(model.params, cusp).components)}
     cells = [ids[cell_of(c.label, cusp, model.params)] for c in model.config.components]
     assert len(on_cells) == len(candidates)
     for (name, cand), cell_cand in zip(candidates.items(), on_cells):
@@ -211,7 +212,7 @@ def assert_cell_divisors_match_the_graph(model, cusp, d, e):
     is |c| times the graph's (D . C) on every component C of c.
     """
     config, q = model.config, cusp_quotient(model.params, cusp)
-    ids = {c.label: c.cid for c in q.components}
+    ids = {c.label: cid for cid, c in enumerate(q.components)}
     cells = [ids[cell_of(c.label, cusp, model.params)] for c in config.components]
     D, E = (QDivisor(zip(range(len(ids)), x)) for x in (d, e))
 
@@ -297,8 +298,8 @@ def test_validate_passes_on_the_quotient(models):
     for model, cusp, q in _quotients(models):
         assert [chk.passed for chk in validate(q)] == [True] * 4, (model.params, cusp)
         # sizes enter the adjunction sum: one size off by one fails it, unless 2g_C - 2 = 0
-        for c in q.components:
-            sizes = [k + (cid == c.cid) for cid, k in enumerate(q.sizes)]
+        for i, c in enumerate(q.components):
+            sizes = [k + (cid == i) for cid, k in enumerate(q.sizes)]
             bad = FiberConfig(q.components, dict(q.edges()), q.genus, sizes)
             assert all(chk.passed for chk in validate(bad)) == (c.genus == 1), (c.label, cusp)
 
@@ -308,8 +309,8 @@ def test_gauged_solver_on_the_quotient_reproduces_v_s(models):
     for model, cusp, q in _quotients(models):
         two_g2 = 2 * model.params.genus - 2
         _, v_fm, vs, _ = divisors._on_cells(model, cusp)
-        targets = QDivisor({c.cid: Fraction(a_number(q, c.cid), two_g2)
-                            - (c.cid == 0) for c in q.components})
+        targets = QDivisor({cid: Fraction(a_number(q, cid), two_g2)
+                            - (cid == 0) for cid in range(q.n_components)})
         (fm, gauge), = v_fm.items()
         assert GaugeSolver(q, fm).solve(targets, gauge) == vs, (model.params, cusp)
 
@@ -329,8 +330,8 @@ def test_quotient_past_the_component_cap(monkeypatch):
     two_g2 = 2 * params.genus - 2
     fm = [c.label for c in q.components].index(FermatLabel("Fm"))
     gauge = Fraction(params.p - 2, two_g2)
-    targets = QDivisor({c.cid: Fraction(a_number(q, c.cid), two_g2) - (c.cid == 0)
-                        for c in q.components})
+    targets = QDivisor({cid: Fraction(a_number(q, cid), two_g2) - (cid == 0)
+                        for cid in range(q.n_components)})
     vs = GaugeSolver(q, fm).solve(targets, gauge)
     gs = vs - QDivisor.single(fm, gauge)
     assert divisors.geometric_graph(params, pair(q, vs, vs), pair(q, gs, gs)) == q_np(2807, 7)
