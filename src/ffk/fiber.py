@@ -27,19 +27,13 @@ DEFAULT_COMPONENT_CAP = 10**6
 COMPONENT_CAP_ENV = "FFK_COMPONENT_CAP"
 
 
-def component_cap() -> int:
+def check_component_cap(n: int) -> None:
+    """Raise CapExceeded if n exceeds the component cap: FFK_COMPONENT_CAP if set, else the default."""
     raw = os.environ.get(COMPONENT_CAP_ENV)
-    if raw is None:
-        return DEFAULT_COMPONENT_CAP
     try:
-        return int(raw)
+        limit = DEFAULT_COMPONENT_CAP if raw is None else int(raw)
     except ValueError as exc:
         raise ParameterError(f"bad {COMPONENT_CAP_ENV} value: {raw!r}") from exc
-
-
-def check_component_cap(n: int) -> None:
-    """Raise CapExceeded if n components exceed component_cap()."""
-    limit = component_cap()
     if n > limit:
         raise CapExceeded(f"{n} components exceed the component cap {limit}")
 
@@ -79,7 +73,11 @@ class QDivisor:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
-        vals = {cid: Fraction(v) for cid, v in dict(coeffs).items() if v != 0}
+        coeffs = dict(coeffs)
+        for cid, v in coeffs.items():
+            if not isinstance(v, (int, Fraction)):
+                raise ParameterError(f"coefficient of {cid} must be an int or a Fraction, got {v!r}")
+        vals = {cid: Fraction(v) for cid, v in coeffs.items() if v != 0}
         den = lcm(*(v.denominator for v in vals.values()))
         self._num = {cid: v.numerator * (den // v.denominator) for cid, v in vals.items()}
         self._den = den
@@ -177,14 +175,18 @@ class FiberConfig:
                 raise ParameterError("diagonal entries belong to Component.self_int")
             if not (0 <= a < len(comps) and 0 <= b < len(comps)):
                 raise ParameterError(f"unknown component id in pairing ({a}, {b})")
+            if not isinstance(cnt, int) or cnt < 0:
+                raise ParameterError(f"pairing ({a}, {b}): count must be an int >= 0, got {cnt!r}")
             if cnt:
                 nbrs[a][b] = nbrs[b][a] = nbrs[a].get(b, 0) + cnt
         self.components = comps
         self.genus = genus
         self._nbrs = tuple(nbrs)
         self.sizes = None if sizes is None else tuple(sizes)
-        if self.sizes is not None and (len(self.sizes) != len(comps)
-                                       or any(k < 1 for k in self.sizes)):
+        if self.sizes is not None and (
+            len(self.sizes) != len(comps)
+            or any(not isinstance(k, int) or k < 1 for k in self.sizes)
+        ):
             raise ParameterError("sizes must give every component a size >= 1")
 
     @property

@@ -9,6 +9,7 @@ the special fiber.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb, factorial
 
 from .errors import CapExceeded, MathContractError, ParameterError
@@ -44,61 +45,6 @@ def require_odd_prime(p: int) -> None:
         raise ParameterError(f"p must be an odd prime, got {p}")
 
 
-class IntPoly:
-    """Dense univariate polynomial with arbitrary-precision integer coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def exact_div_scalar(self, k: int) -> "IntPoly":
-        if any(v % k for v in self.coeffs):
-            raise MathContractError(f"polynomial not divisible by {k}")
-        return IntPoly(v // k for v in self.coeffs)
-
-    def exact_div(self, divisor: "IntPoly") -> "IntPoly":
-        """Exact polynomial division; raises if the remainder is nonzero."""
-        if not divisor:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dc = divisor.coeffs
-        lead = dc[-1]
-        qdeg = len(rem) - len(dc)
-        if qdeg < 0:
-            if any(rem):
-                raise MathContractError("nonzero remainder in exact division")
-            return IntPoly(())
-        q = [0] * (qdeg + 1)
-        for i in range(qdeg, -1, -1):
-            head = rem[i + len(dc) - 1]
-            if head % lead:
-                raise MathContractError("nonzero remainder in exact division")
-            q[i] = head // lead
-            if q[i]:
-                for j, d in enumerate(dc):
-                    rem[i + j] -= q[i] * d
-        if any(rem):
-            raise MathContractError("nonzero remainder in exact division")
-        return IntPoly(q)
-
-    def __repr__(self) -> str:
-        return f"IntPoly({list(self.coeffs)})"
-
-
 class BiPoly:
     """Sparse bivariate polynomial over Z, stored as {(i, j): coeff}."""
 
@@ -120,11 +66,8 @@ class BiPoly:
             out[k] = out.get(k, 0) + v
         return BiPoly(out)
 
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -v for k, v in self.terms.items()})
-
     def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
+        return self + other.scale(-1)
 
     def scale(self, k: int) -> "BiPoly":
         return BiPoly({key: k * v for key, v in self.terms.items()})
@@ -166,25 +109,35 @@ def psi_poly(p: int) -> BiPoly:
     return num.exact_div_scalar(p)
 
 
-def psi_diag(p: int) -> IntPoly:
-    """psi(a, 1-a) = (a^p + (1-a)^p - 1)/p, computed by direct expansion."""
+def psi_diag(p: int) -> tuple[int, ...]:
+    """psi(a, 1-a) = (a^p + (1-a)^p - 1)/p by direct expansion, coefficients from a^0 up."""
     require_odd_prime(p)
-    coeffs = [0] * (p + 1)
-    coeffs[p] += 1
-    for k in range(p + 1):  # (1-a)^p
-        coeffs[k] += comb(p, k) * (-1) ** k
-    coeffs[0] -= 1
-    return IntPoly(coeffs).exact_div_scalar(p)
+    num = [comb(p, k) * (-1) ** k for k in range(p + 1)]  # (1-a)^p
+    num[p] += 1
+    num[0] -= 1
+    if any(v % p for v in num):
+        raise MathContractError(f"polynomial not divisible by {p}")
+    while num and num[-1] == 0:
+        num.pop()
+    return tuple(v // p for v in num)
 
 
-def capital_psi(p: int) -> IntPoly:
-    """PsiCap with psi(a, 1-a) = a(a-1)*PsiCap(a); monic of degree p-3."""
-    quotient = psi_diag(p).exact_div(IntPoly((0, -1, 1)))
-    if quotient.degree != p - 3:
+def capital_psi(p: int) -> tuple[int, ...]:
+    """PsiCap with psi(a, 1-a) = a(a-1)*PsiCap(a); monic of degree p-3.
+
+    Drops the factor a, then divides by a - 1 synthetically: the running sums
+    of the coefficients from the top are the quotient's, and the last one is
+    the remainder psi_diag(1).
+    """
+    f = psi_diag(p)
+    *sums, rem = accumulate(reversed(f[1:]))
+    if f[0] or rem:
+        raise MathContractError("nonzero remainder in exact division")
+    if len(sums) - 1 != p - 3:
         raise MathContractError(
-            f"PsiCap for p={p} has degree {quotient.degree}, expected {p - 3}"
+            f"PsiCap for p={p} has degree {len(sums) - 1}, expected {p - 3}"
         )
-    return quotient
+    return tuple(reversed(sums))
 
 
 # ---------------------------------------------------------------------------
@@ -234,27 +187,19 @@ class FpPoly:
                     out[i + j] = (out[i + j] + a * b) % self.p
         return FpPoly(self.p, out)
 
-    def divmod(self, other: "FpPoly"):
+    def __mod__(self, other: "FpPoly") -> "FpPoly":
         if not other:
             raise ZeroDivisionError
         p = self.p
         rem = list(self.coeffs)
         dc = other.coeffs
         inv = pow(dc[-1], -1, p)
-        qdeg = len(rem) - len(dc)
-        if qdeg < 0:
-            return FpPoly(p, ()), FpPoly(p, rem)
-        q = [0] * (qdeg + 1)
-        for i in range(qdeg, -1, -1):
+        for i in range(len(rem) - len(dc), -1, -1):
             factor = rem[i + len(dc) - 1] * inv % p
-            q[i] = factor
             if factor:
                 for j, d in enumerate(dc):
                     rem[i + j] = (rem[i + j] - factor * d) % p
-        return FpPoly(p, q), FpPoly(p, rem)
-
-    def __mod__(self, other: "FpPoly") -> "FpPoly":
-        return self.divmod(other)[1]
+        return FpPoly(p, rem)
 
     def gcd(self, other: "FpPoly") -> "FpPoly":
         a, b = self, other
@@ -330,7 +275,7 @@ def double_roots_gcd(p: int) -> list[int]:
     linear factors.
     """
     require_odd_prime(p)
-    f = FpPoly(p, capital_psi(p).coeffs)
+    f = FpPoly(p, capital_psi(p))
     # deg f = p-3 < p, so gcd(f, f') = prod q_i^(e_i - 1) classically
     rep = f.gcd(f.derivative())
     if rep.degree <= 0:
@@ -349,7 +294,11 @@ def double_roots_gcd(p: int) -> list[int]:
 
 
 def fermat_split_check(p: int, m: int) -> bool:
-    """Exact check of X^N + Y^N - 1 = (X^m + Y^m - 1)^p + p*psi(X^m, Y^m)."""
+    """Exact check of X^N + Y^N - 1 = (X^m + Y^m - 1)^p + p*psi(X^m, Y^m).
+
+    (X^m + Y^m - 1)^p is expanded here by binomials, apart from psi_poly's
+    trinomial_pow, so the check fails unless the two expansions agree.
+    """
     require_odd_prime(p)
     if m < 1:
         raise ParameterError(f"m must be positive, got {m}")
@@ -361,5 +310,13 @@ def fermat_split_check(p: int, m: int) -> bool:
         + BiPoly.monomial(0, n)
         + BiPoly.monomial(0, 0, -1)
     )
-    rhs = trinomial_pow(p).substitute_powers(m) + psi_poly(p).substitute_powers(m).scale(p)
-    return lhs == rhs
+    try:
+        psi = psi_poly(p)
+    except MathContractError:
+        return False
+    power = BiPoly({
+        (i * m, j * m): comb(p, i + j) * comb(i + j, i) * (-1) ** (p - i - j)
+        for i in range(p + 1)
+        for j in range(p + 1 - i)
+    })
+    return lhs == power + psi.substitute_powers(m).scale(p)

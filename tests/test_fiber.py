@@ -407,12 +407,36 @@ def test_empty_configs_build_with_or_without_sizes():
         FiberConfig([Component("A", 1, 0, -1)], {}, 1, sizes=[0])
 
 
+@pytest.mark.parametrize("pairings,sizes", [
+    ({(0, 1): 1, (1, 0): -1}, None),
+    ({(0, 1): 0.5}, None),
+    ({(0, 1): Fraction(1)}, None),
+    ({(0, 1): 1}, [1, 1.0]),
+    ({(0, 1): 1}, [1, Fraction(2)]),
+], ids=["negative-count", "float-count", "fraction-count", "float-size", "fraction-size"])
+def test_fiber_config_takes_only_int_counts_and_sizes(pairings, sizes):
+    comps = [Component("A", 1, 0, -1), Component("B", 1, 0, -1)]
+    with pytest.raises(ParameterError):
+        FiberConfig(comps, pairings, 0, sizes=sizes)
+    zero = FiberConfig(comps, {(0, 1): 0}, 0)
+    assert list(zero.edges()) == [] and zero.neighbors(0) == {}
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.0, "1/2"])
+def test_qdivisor_takes_only_exact_coefficients(coeff):
+    with pytest.raises(ParameterError, match="must be an int or a Fraction"):
+        QDivisor({0: coeff})
+
+
 def test_component_cap(monkeypatch):
     monkeypatch.setenv("FFK_COMPONENT_CAP", "1")
     from ffk.errors import CapExceeded
 
     comps = [Component("A", 1, 0, -1), Component("B", 1, 0, -1)]
     with pytest.raises(CapExceeded):
+        FiberConfig(comps, {(0, 1): 1}, genus=1)
+    monkeypatch.setenv("FFK_COMPONENT_CAP", "one")
+    with pytest.raises(ParameterError, match="bad FFK_COMPONENT_CAP value: 'one'"):
         FiberConfig(comps, {(0, 1): 1}, genus=1)
 
 

@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from ffk.errors import CapExceeded, ParameterError
+from ffk import polyarith, verify
+from ffk.errors import CapExceeded, MathContractError, ParameterError
 from ffk.polyarith import (
     ORACLE_BOUND,
     BiPoly,
     FpPoly,
-    IntPoly,
     capital_psi,
     double_root_count,
     double_roots,
@@ -56,14 +56,16 @@ def _poly_mul(a, b):
     return out
 
 
-def substitute_diag(f: BiPoly) -> IntPoly:
+def substitute_diag(f: BiPoly) -> tuple[int, ...]:
     """Independent oracle for psi_diag: f(a, 1-a), with (1-a)^j by repeated multiplication."""
     acc, powers = [], [[1]]
     for (i, j), c in sorted(f.terms.items()):
         while len(powers) <= j:
             powers.append(_poly_mul(powers[-1], [1, -1]))
         acc = _poly_add(acc, _poly_mul([0] * i + [c], powers[j]))
-    return IntPoly(acc)
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return tuple(acc)
 
 
 def test_psi_poly_p3_explicit():
@@ -93,8 +95,8 @@ def test_psi_rejects_non_odd_primes(p):
 
 
 def test_psi_diag_explicit():
-    assert psi_diag(3) == IntPoly((0, -1, 1))  # a^2 - a
-    assert psi_diag(5) == IntPoly((0, -1, 2, -2, 1))  # a^4 - 2a^3 + 2a^2 - a
+    assert psi_diag(3) == (0, -1, 1)  # a^2 - a
+    assert psi_diag(5) == (0, -1, 2, -2, 1)  # a^4 - 2a^3 + 2a^2 - a
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_101)
@@ -105,19 +107,19 @@ def test_psi_diag_two_paths_agree(p):
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_psi_diag_shape(p):
     f = psi_diag(p)
-    assert f.degree == p - 1
-    assert f.coeffs[0] == 0  # constant term
-    assert sum(f.coeffs) == 0  # f(1)
+    assert len(f) - 1 == p - 1
+    assert f[0] == 0  # constant term
+    assert sum(f) == 0  # f(1)
 
 
 def test_capital_psi_small_values():
-    assert capital_psi(3) == IntPoly((1,))
-    assert capital_psi(5) == IntPoly((1, -1, 1))  # a^2 - a + 1
-    assert FpPoly(5, capital_psi(5).coeffs).coeffs == (1, 4, 1)
+    assert capital_psi(3) == (1,)
+    assert capital_psi(5) == (1, -1, 1)  # a^2 - a + 1
+    assert FpPoly(5, capital_psi(5)).coeffs == (1, 4, 1)
 
 
 def test_capital_psi_7_factors_mod_7():
-    got = FpPoly(7, capital_psi(7).coeffs)
+    got = FpPoly(7, capital_psi(7))
     want = FpPoly(7, (2, 1)) * FpPoly(7, (2, 1)) * FpPoly(7, (4, 1)) * FpPoly(7, (4, 1))
     # equality up to a unit of F_7
     u = got.coeffs[-1] * pow(want.coeffs[-1], -1, 7) % 7
@@ -126,7 +128,23 @@ def test_capital_psi_7_factors_mod_7():
 
 @pytest.mark.parametrize("p", PRIMES_TO_101)
 def test_capital_psi_degree(p):
-    assert capital_psi(p).degree == p - 3
+    assert len(capital_psi(p)) - 1 == p - 3
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_101)
+def test_capital_psi_times_a_a_minus_1_is_psi_diag(p):
+    assert tuple(_poly_mul([0, -1, 1], capital_psi(p))) == psi_diag(p)
+
+
+@pytest.mark.parametrize("diag,match", [
+    ((1, -1, 1), "nonzero remainder"),  # constant term 1
+    ((0, -1, 2), "nonzero remainder"),  # psi_diag(1) = 1
+    ((0, -1, 1), "has degree 0, expected 2"),  # a^2 - a: PsiCap = 1
+], ids=["constant-term", "remainder", "degree"])
+def test_capital_psi_contracts(monkeypatch, diag, match):
+    monkeypatch.setattr(polyarith, "psi_diag", lambda p: diag)
+    with pytest.raises(MathContractError, match=match):
+        capital_psi(5)
 
 
 def test_double_root_counts():
@@ -145,12 +163,11 @@ def test_double_root_count_bound(p):
 @pytest.mark.parametrize("p", PRIMES_TO_101)
 def test_repeated_part_is_exactly_squared(p):
     # gcd(Psi, Psi') is squarefree, splits over F_p, and its square divides Psi
-    f = FpPoly(p, capital_psi(p).coeffs)
+    f = FpPoly(p, capital_psi(p))
     rep = f.gcd(f.derivative())
     if rep.degree > 0:
         assert rep.gcd(rep.derivative()).degree == 0
-        _, r = f.divmod(rep * rep)
-        assert not r
+        assert not f % (rep * rep)
         assert len(rep.roots_in_fp()) == rep.degree
 
 
@@ -158,6 +175,27 @@ def test_repeated_part_is_exactly_squared(p):
                                  (3, 11), (11, 3)])
 def test_fermat_split(p, m):
     assert fermat_split_check(p, m)
+
+
+def _add_to_trinomial_pow(monkeypatch, extra):
+    right = polyarith.trinomial_pow
+    monkeypatch.setattr(polyarith, "trinomial_pow", lambda n: right(n) + extra(n))
+
+
+@pytest.mark.parametrize("p,m", [(7, 3), (7, 5)])
+def test_fermat_split_fails_on_a_wrong_power(monkeypatch, p, m):
+    # 7n ab is a multiple of p, so psi_poly still divides exactly
+    _add_to_trinomial_pow(monkeypatch, lambda n: BiPoly.monomial(1, 1, 7 * n))
+    assert not fermat_split_check(p, m)
+
+
+def test_split_check_reports_a_psi_that_p_does_not_divide(monkeypatch):
+    _add_to_trinomial_pow(monkeypatch, lambda n: BiPoly.monomial(1, 1))
+    results = verify.suite_polynomial()
+    split = [r for r in results if r.name.startswith("splitting identity")]
+    assert len(split) == len(verify.ACCEPTANCE_PAIRS)
+    assert not any(r.passed for r in split)
+    assert all(r.passed for r in results if r not in split)
 
 
 def test_fermat_split_cap():
