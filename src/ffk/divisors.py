@@ -158,12 +158,15 @@ def v_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
     return v_divisor(model, model.cusp(*cusp))
 
 
-def g_s(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> QDivisor:
+def g_s(model: FermatModel, cusp: tuple[int, int] = (1, 1), vs: QDivisor | None = None) -> QDivisor:
     """G_S = V_S - V_Fm: the vertical shadow of the cusp section.
 
-    (S + G_S . C) = 0 for every C except Fm, where it is 1/p.
+    (S + G_S . C) = 0 for every C except Fm, where it is 1/p. A caller that
+    holds vs = v_s(model, cusp) passes it, and it is not built again.
     """
-    return v_s(model, cusp) - v_divisor(model, model.fm)
+    if vs is None:
+        vs = v_s(model, cusp)
+    return vs - v_divisor(model, model.fm)
 
 
 def u_s(model: FermatModel, vs: QDivisor) -> QDivisor:

@@ -132,7 +132,9 @@ class QDivisor:
     def __sub__(self, other: "QDivisor") -> "QDivisor":
         return self._combine(other, -1)
 
-    def scale(self, k) -> "QDivisor":
+    def scale(self, k: int | Fraction) -> "QDivisor":
+        if not isinstance(k, (int, Fraction)):
+            raise ParameterError(f"scale factor must be an int or a Fraction, got {k!r}")
         k = Fraction(k)
         return QDivisor.from_numerators(
             {cid: v * k.numerator for cid, v in self._num.items()}, self._den * k.denominator

@@ -223,9 +223,13 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     s (the double-root count) is an explicit parameter so synthetic
     configurations can be exercised; pass None to derive it from the
     polynomial arithmetic. The component cap is checked against the census
-    before any component is created.
+    before any component is created; when s is derived, it is first checked
+    against the s = 0 census, a lower bound (each unit of s adds m^2 (p-1)
+    components), so an over-cap (p, m) never computes s.
     """
     if s is None:
+        FermatParams(p, m, 0)  # validates (p, m)
+        check_component_cap(sum(expected_census(p, m, 0).values()))
         s = polyarith.double_root_count(p)
     params = FermatParams(p, m, s)
     census = expected_census(p, m, s)

@@ -9,6 +9,7 @@ the special fiber.
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate
 from math import comb, factorial
 
@@ -20,6 +21,10 @@ SPLIT_CAP = 2000
 #: verify checks double_roots against its O(p^2) oracle double_roots_gcd for
 #: every prime below this bound
 ORACLE_BOUND = 500
+
+#: largest p for double_roots, whose two C int tables take 8 bytes per residue
+#: (80 MB at the cap)
+DOUBLE_ROOT_CAP = 10**7
 
 
 def factorize(n: int) -> list[int]:
@@ -226,9 +231,9 @@ class FpPoly:
 def double_roots(p: int) -> list[int]:
     """The multiplicity-2 roots of PsiCap mod p, as elements of [2, p).
 
-    They are the a in [2, p-1] with a^p + (1-a)^p = 1 (mod p^2), found with
-    one modular power per residue. This is exact for every odd prime p.
-    Work mod p with psi_diag(a) = (a^p + (1-a)^p - 1)/p = a(a-1) PsiCap(a):
+    They are the a in [2, p-1] with a^p + (1-a)^p = 1 (mod p^2). This is
+    exact for every odd prime p. Work mod p with
+    psi_diag(a) = (a^p + (1-a)^p - 1)/p = a(a-1) PsiCap(a):
 
     * psi_diag'(a) = a^(p-1) - (1-a)^(p-1). A root of it over the algebraic
       closure is neither 0 nor 1 and has (a/(1-a))^(p-1) = 1, so a/(1-a) and
@@ -240,18 +245,47 @@ def double_roots(p: int) -> list[int]:
     * PsiCap(0) = PsiCap(1) = 1, so a = 0, 1 never count.
 
     So the F_p-roots a of PsiCap are exactly the double roots, and a is one
-    iff p^2 divides a^p + (1-a)^p - 1. As (1-a)^p = -(a-1)^p, the test
-    compares a^p and (a-1)^p mod p^2. double_roots_gcd is the independent
-    gcd(f, f') oracle for this count. The contract 0 <= 2s <= p-3 on
-    s = len(roots) is checked here, so every caller gets it.
+    iff p^2 divides a^p + (1-a)^p - 1, i.e. a^p - (a-1)^p = 1 (mod p^2).
+
+    The test runs on Fermat quotients q(a) = (a^(p-1) - 1)/p mod p. As
+    a^p = a(1 + p q(a)) (mod p^2), a^p - (a-1)^p = 1 + p(a q(a) - (a-1) q(a-1))
+    (mod p^2), so a is a double root iff a q(a) = (a-1) q(a-1) (mod p), with
+    q(1) = 0. q is completely additive, q(bc) = q(b) + q(c) (mod p) (E. Lehmer,
+    Ann. of Math. 39 (1938)), so one walk up a = 2..p-1 calls pow only at
+    the primes and takes q(d) + q(a/d) at a composite a from a prime factor
+    d < a read off a sieve. The sieve and the q table are C int tables, 8
+    bytes per residue together; p above DOUBLE_ROOT_CAP raises CapExceeded before they
+    are allocated. double_roots_gcd is the independent gcd(f, f') oracle for
+    this count. The contract 0 <= 2s <= p-3 on s = len(roots) is checked
+    here, so every caller gets it.
     """
     require_odd_prime(p)
-    p2 = p * p
-    prev = 1  # 1^p
+    if p > DOUBLE_ROOT_CAP:
+        raise CapExceeded(f"p = {p} exceeds the double-root cap {DOUBLE_ROOT_CAP}")
+    # factor[a] is a prime factor d < a of a, else 0, and q[a] is q(a): C int
+    # tables, bytearrays viewed as "i", 4 bytes an entry
+    factor = memoryview(bytearray(4 * p)).cast("i")
+    d = 2
+    while d * d < p:
+        if not factor[d]:
+            count = len(range(d * d, p, d))
+            factor[d * d::d] = memoryview(d.to_bytes(4, sys.byteorder) * count).cast("i")
+        d += 1
+    q = memoryview(bytearray(4 * p)).cast("i")
+    p2, e = p * p, p - 1
+    prev = 0  # 1 * q(1)
     roots = []
     for a in range(2, p):
-        cur = pow(a, p, p2)
-        if (cur - prev) % p2 == 1:
+        d = factor[a]
+        if d:
+            qa = q[d] + q[a // d]
+            if qa >= p:
+                qa -= p
+        else:  # a is prime: a^(p-1) = 1 + p q(a) (mod p^2)
+            qa = pow(a, e, p2) // p
+        q[a] = qa
+        cur = a * qa % p
+        if cur == prev:
             roots.append(a)
         prev = cur
     s = len(roots)

@@ -322,13 +322,18 @@ def suite_cycles(models: list[FermatModel]) -> list[CheckResult]:
 
 
 def suite_bounds(models: list[FermatModel], scan_to: int = 10**4) -> list[CheckResult]:
-    """Q(N,p) and beta closed forms for each given model, then the scan up to scan_to."""
+    """Q(N,p) and beta closed forms for each given model, then the scan up to scan_to.
+
+    G_S = V_S - V_Fm is formed from the one V_S, so each model takes two
+    v_divisor calls.
+    """
     out = []
     for model in models:
         params = model.params
         n, p = params.n, params.p
         tag = f"(p={p}, m={params.m})"
-        vs, gs = divisors.v_s(model), divisors.g_s(model)
+        vs = divisors.v_s(model)
+        gs = divisors.g_s(model, vs=vs)
         try:
             graph = divisors.geometric_graph(params, pair(model.config, vs, vs),
                                              pair(model.config, gs, gs))

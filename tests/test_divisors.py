@@ -21,7 +21,13 @@ from ffk.divisors import (
 )
 from ffk.fiber import QDivisor, a_number, canonical_pair, pair, pair_profile
 from ffk.model import FermatLabel, build_config
-from ffk.verify import gauge_reproduction, representative_relation_full, suite_beta, suite_divisor
+from ffk.verify import (
+    gauge_reproduction,
+    representative_relation_full,
+    suite_beta,
+    suite_bounds,
+    suite_divisor,
+)
 
 
 def test_lambda_nu_values(model53, model35):
@@ -185,6 +191,19 @@ def test_suite_beta_builds_v_fm_once_and_each_v_s_once(model53, monkeypatch):
     checks = suite_beta([model53])
     assert all(c.passed for c in checks)
     assert len(calls) == len(set(calls)) == 4
+
+
+def test_suite_bounds_builds_v_s_once(model53, model73, monkeypatch):
+    # G_S = V_S - V_Fm reuses the one V_S: two v_divisor calls per model
+    import ffk.divisors
+
+    calls = []
+    v_divisor = ffk.divisors.v_divisor
+    monkeypatch.setattr(ffk.divisors, "v_divisor",
+                        lambda model, cid: calls.append(cid) or v_divisor(model, cid))
+    checks = suite_bounds([model53, model73], scan_to=200)
+    assert all(c.passed for c in checks)
+    assert calls == [model53.cusp(1, 1), model53.fm, model73.cusp(1, 1), model73.fm]
 
 
 def test_u_s_identities(model53):

@@ -428,6 +428,13 @@ def test_qdivisor_takes_only_exact_coefficients(coeff):
         QDivisor({0: coeff})
 
 
+@pytest.mark.parametrize("k", [0.1, 1.0, "1/2"])
+def test_qdivisor_scales_only_by_exact_factors(k):
+    with pytest.raises(ParameterError, match="scale factor must be an int or a Fraction"):
+        QDivisor({0: 1}).scale(k)
+    assert QDivisor({0: 1}).scale(Fraction(1, 10)) == QDivisor({0: Fraction(1, 10)})
+
+
 def test_component_cap(monkeypatch):
     monkeypatch.setenv("FFK_COMPONENT_CAP", "1")
     from ffk.errors import CapExceeded

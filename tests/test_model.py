@@ -183,6 +183,26 @@ def test_component_cap_fires_before_any_component_is_built(monkeypatch):
     assert build_config(5, 3).config.n_components == 118
 
 
+def _no_double_roots(p):
+    raise AssertionError("s(p) was computed")
+
+
+def test_component_cap_fires_before_s_is_computed(monkeypatch):
+    monkeypatch.setattr("ffk.polyarith.double_root_count", _no_double_roots)
+    monkeypatch.setenv("FFK_COMPONENT_CAP", "50")
+    with pytest.raises(CapExceeded, match="component cap 50"):
+        build_config(7, 3)
+    monkeypatch.delenv("FFK_COMPONENT_CAP")
+    with pytest.raises(CapExceeded):
+        build_config(99991, 3)  # the s = 0 census alone is 2.7e6 components
+
+
+def test_bad_parameters_fail_before_s_is_computed(monkeypatch):
+    monkeypatch.setattr("ffk.polyarith.double_root_count", _no_double_roots)
+    with pytest.raises(ParameterError, match="m must be odd"):
+        build_config(99991, 4)
+
+
 def test_suite_cycles_reads_chains_as_id_runs(models, monkeypatch):
     model = models[(7, 3)]
     calls = []

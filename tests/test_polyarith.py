@@ -1,10 +1,15 @@
 import math
+import tracemalloc
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffk import polyarith, verify
+from ffk import cli, polyarith, verify
 from ffk.errors import CapExceeded, MathContractError, ParameterError
 from ffk.polyarith import (
+    DOUBLE_ROOT_CAP,
     ORACLE_BOUND,
     BiPoly,
     FpPoly,
@@ -147,6 +152,23 @@ def test_capital_psi_contracts(monkeypatch, diag, match):
         capital_psi(5)
 
 
+def double_roots_pow(p):
+    """Reference for double_roots: a^p - (a-1)^p = 1 (mod p^2), one modular power per residue."""
+    p2 = p * p
+    prev = 1  # 1^p
+    roots = []
+    for a in range(2, p):
+        cur = pow(a, p, p2)
+        if (cur - prev) % p2 == 1:
+            roots.append(a)
+        prev = cur
+    return roots
+
+
+def fermat_quotient(a, p):
+    return (pow(a, p - 1, p * p) - 1) // p
+
+
 def test_double_root_counts():
     assert double_root_count(3) == 0
     assert double_root_count(5) == 0
@@ -234,3 +256,53 @@ def test_double_roots_include_sixth_roots_of_unity():
             assert double_root_count(p) == len(roots) >= 2, p
             sixth = [a for a in range(p) if (a * a - a + 1) % p == 0]
             assert len(sixth) == 2 and set(sixth) <= set(roots), p
+
+
+def test_double_roots_match_the_pow_reference():
+    # the Fermat-quotient walk against one modular power per residue
+    for p in [*range(3, 5000), 99991]:
+        if is_prime(p):
+            assert double_roots(p) == double_roots_pow(p), p
+
+
+odd_primes = st.integers(3, 10**7).map(lambda n: next(q for q in count(n) if is_prime(q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_primes, st.integers(1, 10**7), st.integers(1, 10**7))
+def test_fermat_quotient_is_additive(p, a, b):
+    # Lehmer's q(ab) = q(a) + q(b) (mod p), the premise of the walk
+    a, b = a % (p - 1) + 1, b % (p - 1) + 1
+    assert fermat_quotient(a * b, p) % p == (fermat_quotient(a, p) + fermat_quotient(b, p)) % p
+
+
+def test_double_root_cap_fires_before_the_tables_exist():
+    p = 10000019  # the least prime above the cap
+    assert DOUBLE_ROOT_CAP == 10**7 and is_prime(p)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=f"p = {p} exceeds the double-root cap {DOUBLE_ROOT_CAP}"):
+            double_roots(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_double_root_tables_take_8_bytes_per_residue():
+    p = 20011
+    tracemalloc.start()
+    try:
+        assert double_roots(p) == [9472, 10540]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two tables; the sieve's fill at d = 2 (2 bytes per residue) is freed before q is made
+    assert 8 * p <= peak < 10 * p
+
+
+@pytest.mark.parametrize("argv", [["rho", "--p", "10000019"], ["bounds", "--N", str(3 * 10000019)]],
+                         ids=["rho", "bounds"])
+def test_cli_exits_3_over_the_double_root_cap(capsys, argv):
+    assert cli.main(argv) == 3
+    assert "exceeds the double-root cap" in capsys.readouterr().err
