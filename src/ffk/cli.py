@@ -15,6 +15,7 @@ import stat
 import sys
 import tempfile
 from contextlib import contextmanager
+from functools import cache
 
 from . import bounds, divisors, polyarith, verify
 from .errors import CapExceeded, MathContractError, ParameterError
@@ -291,7 +292,9 @@ def _cusp_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("cusp must be 'i,k'") from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ffk parser, built on the first call and shared by every later one."""
     ap = argparse.ArgumentParser(
         prog="ffk",
         description="Special fibers of minimal regular Fermat models: exact "
@@ -335,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParameterError as exc:

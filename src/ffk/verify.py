@@ -8,6 +8,7 @@ do not raise, so a single run reports every failure at once.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import bounds, divisors, polyarith
 from .errors import MathContractError, NoSolutionError, ParameterError
@@ -158,36 +159,55 @@ def suite_fiber(models: list[FermatModel]) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _representatives(model: FermatModel):
-    """(D, V_D, targets) for every component D; verify builds a V_D nowhere else.
+def _fm_targets(model: FermatModel) -> QDivisor:
+    """t_Fm = sum_C (a_C/(2g-2) - delta_{Fm,C}/d_Fm) C, the relation's targets for D = Fm."""
+    config = model.config
+    two_g2 = 2 * model.params.genus - 2
+    d_fm = config.components[model.fm].multiplicity
+    den = lcm(two_g2, d_fm)
+    num = {cid: a_number(config, cid) * (den // two_g2) for cid in range(config.n_components)}
+    num[model.fm] -= den // d_fm
+    return QDivisor.from_numerators(num, den)
 
-    targets is sum_C t_C C, t_C = a_C/(2g-2) - delta_{D,C}/d_D as the relation demands.
+
+def _representatives(model: FermatModel, v_fm: QDivisor):
+    """(D, V_D, t_D - t_Fm) for every component D; verify builds a V_D nowhere else.
+
+    t_D = sum_C (a_C/(2g-2) - delta_{D,C}/d_D) C are the relation's targets, so
+    t_D - t_Fm = Fm/d_Fm - D/d_D. V_Fm is the given v_fm, not built again.
     """
     config = model.config
-    base = QDivisor.from_numerators(
-        {cid: a_number(config, cid) for cid in range(config.n_components)},
-        2 * model.params.genus - 2,
-    )
+    fm = model.fm
+    unit_fm = QDivisor.from_numerators({fm: 1}, config.components[fm].multiplicity)
     for cid, d in enumerate(config.components):
-        targets = base - QDivisor.from_numerators({cid: 1}, d.multiplicity)
-        yield d, divisors.v_divisor(model, cid), targets
+        vd = v_fm if cid == fm else divisors.v_divisor(model, cid)
+        yield d, vd, unit_fm - QDivisor.from_numerators({cid: 1}, d.multiplicity)
 
 
 def representative_relation_full(model: FermatModel) -> tuple[CheckResult, CheckResult]:
-    """The relation for every pair (D, C) and the closed forms, from one profile per V_D.
+    """The relation for every pair (D, C) and the closed forms, through linearity against V_Fm.
 
-    prof = sum_C (V_D . C) C must equal targets; V_D^2 = V_D . prof and (V_S . V_D) must
-    equal v_self_closed and vs_pair_closed. Each check keeps its own first failing D.
+    With prof(V) = sum_C (V . C) C, V_Fm is paired once against its dense
+    targets, leaving miss = t_Fm - prof(V_Fm), empty on a good fiber. Each D
+    then pairs only G = V_D - V_Fm, which avoids Fm: prof(V_D) = t_D iff
+    prof(G) - (t_D - t_Fm) = miss. V_D^2 and (V_S . V_D) are V_D . prof(V_Fm)
+    plus V_D . prof(G) and V_D . prof(V_S - V_Fm), and must equal v_self_closed
+    and vs_pair_closed. Each check keeps its own first failing D.
     """
-    vs_profile = pairing_divisor(model.config, divisors.v_s(model))
+    config, params = model.config, model.params
+    v_fm = divisors.v_divisor(model, model.fm)
+    fm_profile = pairing_divisor(config, v_fm)
+    miss = _fm_targets(model) - fm_profile
+    gs_profile = pairing_divisor(config, divisors.v_s(model) - v_fm)
     relation = closed = ""
-    for d, vd, want in _representatives(model):
-        prof = pairing_divisor(model.config, vd)
-        if not relation and prof != want:
+    for d, vd, step in _representatives(model, v_fm):
+        prof = pairing_divisor(config, vd - v_fm)
+        if not relation and prof - step != miss:
             relation = f"fails for D={d.label}"
-        if not closed and vd.dot(prof) != divisors.v_self_closed(model.params, d.label):
+        on_fm = vd.dot(fm_profile)
+        if not closed and on_fm + vd.dot(prof) != divisors.v_self_closed(params, d.label):
             closed = f"V_D^2 fails for D={d.label}"
-        if not closed and vd.dot(vs_profile) != divisors.vs_pair_closed(model.params, d.label):
+        if not closed and on_fm + vd.dot(gs_profile) != divisors.vs_pair_closed(params, d.label):
             closed = f"(V_S.V_D) fails for D={d.label}"
         if relation and closed:
             break
@@ -196,19 +216,27 @@ def representative_relation_full(model: FermatModel) -> tuple[CheckResult, Check
 
 
 def gauge_reproduction(model: FermatModel) -> CheckResult:
-    """GaugeSolver(config, Fm).solve of each relation target is its V_D; NoSolutionError fails."""
+    """GaugeSolver(config, Fm) reproduces every V_D, through linearity against V_Fm.
+
+    t_Fm is solved once at the gauge value (p-2)/(2g-2); each D then needs only
+    the solve of t_D - t_Fm = Fm/d_Fm - D/d_D at gauge value 0, which walks the
+    one branch under Fm that holds D. Every t_D - t_Fm is orthogonal to the
+    fiber, so a NoSolutionError on t_Fm is the one every t_D raises: it fails
+    the check at component 0, with the same sum d_C t_C.
+    """
     name = "gauged solver reproduces representatives"
     gauge_val = Fraction(model.params.p - 2, 2 * model.params.genus - 2)
     try:
         solver = GaugeSolver(model.config, model.fm)
     except MathContractError as exc:
         return CheckResult(name, False, str(exc))
-    for d, vd, targets in _representatives(model):
-        try:
-            if solver.solve(targets, gauge_val) != vd:
-                return CheckResult(name, False, f"fails for D={d.label}")
-        except NoSolutionError as exc:
-            return CheckResult(name, False, f"fails for D={d.label}: {exc}")
+    try:
+        w_fm = solver.solve(_fm_targets(model), gauge_val)
+    except NoSolutionError as exc:
+        return CheckResult(name, False, f"fails for D={model.config.component(0).label}: {exc}")
+    for d, vd, step in _representatives(model, divisors.v_divisor(model, model.fm)):
+        if solver.solve(step, 0) + w_fm != vd:
+            return CheckResult(name, False, f"fails for D={d.label}")
     return CheckResult(name, True)
 
 

@@ -179,6 +179,28 @@ def test_divisors_cusp_independence(capsys):
     assert a["g_s_self"] == b["g_s_self"]
 
 
+def test_one_parser_serves_every_call_without_leaking_options(capsys):
+    # the parser is built once per process; each call still starts from the defaults
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "fiber", "--p", "7", "--m", "3", "--s", "0", "--format", "csv")
+    assert code == 0 and not out.startswith("{")
+    code, doc, _ = run_json(capsys, "fiber", "--p", "7", "--m", "3")
+    assert code == 0 and doc["results"]["fibers"][0]["s"] == 2
+    code, doc, _ = run_json(capsys, "divisors", "--p", "5", "--m", "3", "--cusp", "2,3")
+    assert code == 0 and doc["results"]["fibers"][0]["cusp"] == [2, 3]
+    code, doc, _ = run_json(capsys, "divisors", "--p", "5", "--m", "3")
+    assert code == 0 and doc["results"]["fibers"][0]["cusp"] == [1, 1]
+
+
+def test_parser_is_built_on_the_first_call_not_at_import():
+    src = str(Path(cli.__file__).parents[1])
+    code = ("import ffk.cli as c; n = c.build_parser.cache_info().currsize; "
+            "c.main(['rho', '--p', '5']); print(n, c.build_parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 1"
+
+
 def test_divisors_bad_cusp_exits_2(capsys):
     # (5,3) has cusps (i, k) with 1 <= i <= 9 and 1 <= k <= 5
     for cusp in ("10,1", "0,1", "1,6"):
@@ -489,7 +511,9 @@ def test_rational_serialization():
 #: renamed from `degree_in_graph` to `i_c`; its rows are unchanged. The
 #: `bounds --N 105 --kappa1 1 --kappa2 1 --format csv` digest, the one CSV with
 #: a filled upper_bound column, was recorded while the bounds and fiber CSVs
-#: were still written by csv.writer
+#: were still written by csv.writer. The `divisors --p 7 --m 11` digest (4,280
+#: components) was recorded while `suite_divisor` paired and solved every V_D
+#: against the whole fiber
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 

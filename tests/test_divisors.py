@@ -19,7 +19,17 @@ from ffk.divisors import (
     v_self_closed,
     vs_pair_closed,
 )
-from ffk.fiber import QDivisor, a_number, canonical_pair, pair, pair_profile
+from ffk.errors import MathContractError, NoSolutionError
+from ffk.fiber import (
+    FiberConfig,
+    GaugeSolver,
+    QDivisor,
+    a_number,
+    canonical_pair,
+    pair,
+    pair_profile,
+    pairing_divisor,
+)
 from ffk.model import FermatLabel, build_config
 from ffk.verify import (
     gauge_reproduction,
@@ -28,6 +38,7 @@ from ffk.verify import (
     suite_bounds,
     suite_divisor,
 )
+from test_acceptance import MUTATIONS, _single_field_mutants
 
 
 def test_lambda_nu_values(model53, model35):
@@ -159,6 +170,105 @@ def test_gauge_reproduction_reports_incompatible_targets(model53):
     assert not chk.passed
     assert chk.detail == ("fails for D=Chain(j=1,k=1,i=1): no solution: targets are not "
                           f"orthogonal to the fiber (sum d_C t_C = {excess})")
+
+
+def _whole_fiber_representatives(model):
+    """(D, V_D, t_D) for every D, t_D = sum_C (a_C/(2g-2) - delta_{D,C}/d_D) C, dense."""
+    cfg = model.config
+    base = QDivisor.from_numerators(
+        {cid: a_number(cfg, cid) for cid in range(cfg.n_components)}, 2 * model.params.genus - 2)
+    for cid, d in enumerate(cfg.components):
+        yield d, v_divisor(model, cid), base - QDivisor.from_numerators({cid: 1}, d.multiplicity)
+
+
+def suite_divisor_reference(model):
+    """The divisor suite as a whole-fiber sweep: the reference for `suite_divisor`.
+
+    Each V_D is paired in full against its dense t_D, V_D^2 and (V_S . V_D) are
+    read off that full profile and V_S's, and each t_D is solved in full at the
+    gauge. Returns (name, passed, detail) for each check, in suite order.
+    """
+    cfg, params = model.config, model.params
+    vs_profile = pairing_divisor(cfg, v_s(model))
+    relation = closed = ""
+    for d, vd, want in _whole_fiber_representatives(model):
+        prof = pairing_divisor(cfg, vd)
+        if not relation and prof != want:
+            relation = f"fails for D={d.label}"
+        if not closed and vd.dot(prof) != v_self_closed(params, d.label):
+            closed = f"V_D^2 fails for D={d.label}"
+        if not closed and vd.dot(vs_profile) != vs_pair_closed(params, d.label):
+            closed = f"(V_S.V_D) fails for D={d.label}"
+        if relation and closed:
+            break
+    solved = ""
+    try:
+        solver = GaugeSolver(cfg, model.fm)
+    except MathContractError as exc:
+        solved = str(exc)
+    else:
+        gauge_val = Fraction(params.p - 2, 2 * params.genus - 2)
+        for d, vd, targets in _whole_fiber_representatives(model):
+            try:
+                if solver.solve(targets, gauge_val) != vd:
+                    solved = f"fails for D={d.label}"
+                    break
+            except NoSolutionError as exc:
+                solved = f"fails for D={d.label}: {exc}"
+                break
+    tag = f"(p={params.p}, m={params.m})"
+    return [(f"representative pairing relation (all pairs) {tag}", not relation, relation),
+            (f"self/cross closed forms {tag}", not closed, closed),
+            (f"gauged solver reproduces representatives {tag}", not solved, solved)]
+
+
+def _suite_divisor_triples(model):
+    return [(c.name, c.passed, c.detail) for c in suite_divisor([model])]
+
+
+def test_suite_divisor_matches_the_whole_fiber_reference(models):
+    for model in models.values():
+        want = suite_divisor_reference(model)
+        assert all(passed for _, passed, _ in want)
+        assert _suite_divisor_triples(model) == want, model.params
+
+
+@pytest.mark.parametrize("mode", MUTATIONS)
+@pytest.mark.parametrize("pm", [(5, 3), (7, 3), (3, 5)], ids=lambda pm: f"{pm[0]},{pm[1]}")
+def test_suite_divisor_matches_the_reference_on_single_field_mutants(models, pm, mode):
+    base = models[pm]
+    for cfg in _single_field_mutants(base, mode):
+        bad = dataclasses.replace(base, config=cfg)
+        assert _suite_divisor_triples(bad) == suite_divisor_reference(bad), (pm, mode)
+
+
+def _mutant(model, changes):
+    """model with dataclasses.replace(component, **change) for each (cid, change) given."""
+    cfg = model.config
+    comps = list(cfg.components)
+    for cid, change in changes:
+        comps[cid] = dataclasses.replace(comps[cid], **change)
+    return dataclasses.replace(model, config=FiberConfig(comps, dict(cfg.edges()), cfg.genus))
+
+
+def test_suite_divisor_matches_the_reference_on_self_int_and_genus_mutants(model53):
+    comps = model53.config.components
+    fm = model53.fm
+    ldeltas = [model53.cid(FermatLabel("Ldelta", i=i)) for i in range(1, 6)]
+    mutants = (
+        # the two mutants the tests above pin: a non-orthogonal fiber and an unsolvable one
+        [(ldeltas[0], {"self_int": comps[ldeltas[0]].self_int - 1})],
+        [(fm, {"genus": comps[fm].genus + 1})],
+        # genus moved from Fm (d = 5) to five Ldelta (d = 1): sum d_C a_C is unchanged, so
+        # every t_D stays solvable, but t_Fm changes and V_Fm no longer solves it
+        [(fm, {"genus": comps[fm].genus - 1})]
+        + [(cid, {"genus": comps[cid].genus + 1}) for cid in ldeltas],
+    )
+    for changes in mutants:
+        bad = _mutant(model53, changes)
+        want = suite_divisor_reference(bad)
+        assert not all(passed for _, passed, _ in want)
+        assert _suite_divisor_triples(bad) == want
 
 
 def test_suite_divisor_builds_each_representative_once_per_sweep(model53, monkeypatch):

@@ -355,6 +355,42 @@ def test_solve_gauge_matches_dense_oracle_on_random_trees(cfg, data):
     assert got == dense_solve_oracle(cfg, targets, gauge)
 
 
+def _branch_tops(cfg, root):
+    """{C: the neighbour of root whose side of the tree holds C}, for every C but root."""
+    top = {nbr: nbr for nbr in cfg.neighbors(root)}
+    queue = list(top)
+    for cid in queue:
+        for nbr in cfg.neighbors(cid):
+            if nbr != root and nbr not in top:
+                top[nbr] = top[cid]
+                queue.append(nbr)
+    return top
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthogonal_trees(), st.data())
+def test_solve_sparse_targets_matches_dense_oracle_at_every_root(cfg, data):
+    n = cfg.n_components
+    mult = [c.multiplicity for c in cfg.components]
+    node = st.integers(min_value=0, max_value=n - 1)
+    a, b = data.draw(node, label="a"), data.draw(node, label="b")
+    two_point = QDivisor.single(a, Fraction(1, mult[a])) - QDivisor.single(b, Fraction(1, mult[b]))
+    sparse = data.draw(st.dictionaries(node, COEFFS, max_size=3), label="sparse")
+    fix = data.draw(node, label="fix")
+    sparse[fix] = -Fraction(sum(mult[cid] * v for cid, v in sparse.items() if cid != fix)) / mult[fix]
+    gauge = data.draw(COEFFS.filter(bool), label="gauge")
+    for root in range(n):
+        solver = GaugeSolver(cfg, root)
+        for targets in (dict(two_point.items()), sparse):
+            for value in (Fraction(0), gauge):
+                got = solver.solve(QDivisor(targets), value)
+                assert got == dense_solve_oracle(cfg, targets, (root, value)), (root, targets, value)
+        # at gauge 0 the solution stays inside the branches that hold a and b
+        top = _branch_tops(cfg, root)
+        reached = {top[cid] for cid in (a, b) if cid != root}
+        assert {top.get(cid) for cid, _ in solver.solve(two_point, 0).items()} <= reached
+
+
 @settings(max_examples=60, deadline=None)
 @given(orthogonal_trees(), st.data())
 def test_pairing_kernels_match_dense_pairing_on_random_trees(cfg, data):
