@@ -19,7 +19,7 @@ from functools import cache
 
 from . import bounds, divisors, polyarith, verify
 from .errors import CapExceeded, MathContractError, ParameterError
-from .fiber import i_c
+from .fiber import CheckResult, i_c_values
 from .model import build_config
 
 SCHEMA_VERSION = "1"
@@ -89,10 +89,11 @@ def _fiber_csv(model) -> str:
 
     These are the lines csv.writer would write: no field can need quoting.
     """
+    config = model.config
     return "".join(
         f"{c.label.kind},{c.label.i},{c.label.k},{c.label.j},{c.multiplicity},{c.genus},"
-        f"{c.self_int},{i_c(model.config, cid)}\n"
-        for cid, c in enumerate(model.config.components)
+        f"{c.self_int},{ic}\n"
+        for c, ic in zip(config.components, i_c_values(config))
     )
 
 
@@ -206,7 +207,7 @@ def cmd_bounds(args) -> int:
                              f"{report.conditional}\n")
     else:
         checks = [
-            verify.CheckResult(
+            CheckResult(
                 "lower bound exceeds simplified lower bound",
                 report.lower > report.simple,
                 f"{report.lower} vs {report.simple}",

@@ -12,14 +12,15 @@ constant on cells. All arithmetic is exact over Q.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import repeat
 from math import gcd, lcm
-from operator import floordiv, itemgetter, mul
+from operator import attrgetter, floordiv, itemgetter, mul
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from .errors import CapExceeded, MathContractError, NoSolutionError, ParameterError
 
@@ -48,6 +49,12 @@ class Component:
     self_int: int
 
     def __post_init__(self):
+        if not (isinstance(self.multiplicity, int) and isinstance(self.genus, int)
+                and isinstance(self.self_int, int)):
+            bad = next(f for f in ("multiplicity", "genus", "self_int")
+                       if not isinstance(getattr(self, f), int))
+            raise ParameterError(f"component {self.label}: {bad} must be an int, "
+                                 f"got {getattr(self, bad)!r}")
         if self.multiplicity < 1:
             raise ParameterError(f"component {self.label}: multiplicity must be >= 1")
         if self.genus < 0:
@@ -160,7 +167,9 @@ class FiberConfig:
     """Immutable weighted intersection graph of one special fiber.
 
     `pairings` holds the off-diagonal entries: (i, j) -> number of transversal
-    intersection points; counts given as both (i, j) and (j, i) are summed.
+    intersection points, as a mapping or, as `dict()` takes them, an iterable
+    of ((i, j), count) pairs; counts given as both (i, j) and (j, i), or for
+    one pair more than once, are summed.
     Self-intersections live on the components. Each edge is stored once per
     endpoint, in the neighbour map of that component. Whole-fiber facts that
     never change, such as the first non-orthogonal component, are computed once.
@@ -169,20 +178,25 @@ class FiberConfig:
     A component's id is its position in `components`.
     """
 
-    def __init__(self, components: Iterable[Component], pairings: Mapping[tuple[int, int], int],
+    def __init__(self, components: Iterable[Component],
+                 pairings: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]],
                  genus: int, sizes: Iterable[int] | None = None):
         comps = tuple(components)
-        check_component_cap(len(comps))
+        n = len(comps)
+        check_component_cap(n)
+        if not isinstance(genus, int):
+            raise ParameterError(f"genus must be an int, got {genus!r}")
         nbrs: list[dict[int, int]] = [{} for _ in comps]
-        for (a, b), cnt in pairings.items():
+        for (a, b), cnt in pairings.items() if isinstance(pairings, Mapping) else pairings:
             if a == b:
                 raise ParameterError("diagonal entries belong to Component.self_int")
-            if not (0 <= a < len(comps) and 0 <= b < len(comps)):
+            if not (0 <= a < n and 0 <= b < n):
                 raise ParameterError(f"unknown component id in pairing ({a}, {b})")
             if not isinstance(cnt, int) or cnt < 0:
                 raise ParameterError(f"pairing ({a}, {b}): count must be an int >= 0, got {cnt!r}")
             if cnt:
-                nbrs[a][b] = nbrs[b][a] = nbrs[a].get(b, 0) + cnt
+                na, nb = nbrs[a], nbrs[b]
+                na[b] = nb[a] = na.get(b, 0) + cnt
         self.components = comps
         self.genus = genus
         self._nbrs = tuple(nbrs)
@@ -221,11 +235,8 @@ class FiberConfig:
         """The first C with (F . C) = d_C C^2 + I_C != 0, or None; computed once.
 
         At a vertex of size k the sum is (F . [c]) = k (F . C), C^2 being [c]^2."""
-        return next(
-            (c for cid, c in enumerate(self.components)
-             if c.multiplicity * c.self_int + i_c(self, cid)),
-            None,
-        )
+        return next((c for c, ic in zip(self.components, i_c_values(self))
+                     if c.multiplicity * c.self_int + ic), None)
 
 
 def _check_ids(config: FiberConfig, ids) -> None:
@@ -283,31 +294,59 @@ def i_c(config: FiberConfig, cid: int) -> int:
     """I_C: neighbour multiplicities weighted by intersection points.
 
     (F . C) = d_C C^2 + I_C, with F = sum d_C C the fiber; at size k, I is (F . [c]) - d_C [c]^2.
+    One component's value; i_c_values gives every component's in one pass.
     """
     comps = config.components
     return sum(comps[nbr].multiplicity * cnt for nbr, cnt in config.neighbors(cid).items())
 
 
+def i_c_values(config: FiberConfig) -> list[int]:
+    """[I_C for every C], in id order: one pass over the neighbour maps."""
+    mult = list(map(attrgetter("multiplicity"), config.components))
+    out = []
+    for nbrs in config._nbrs:
+        total = 0
+        for nbr, cnt in nbrs.items():
+            total += mult[nbr] * cnt
+        out.append(total)
+    return out
+
+
+def _a_values(config: FiberConfig, ids) -> list[int]:
+    """[(K . C) for C in ids], each by adjunction: -C^2 + 2 g_C - 2, and at size k
+    (K . [c]) = -[c]^2 + k(2g_C - 2). The ids must be valid."""
+    comps, sizes = config.components, config.sizes
+    ks = repeat(1) if sizes is None else map(sizes.__getitem__, ids)
+    return [k * (2 * c.genus - 2) - c.self_int for c, k in zip(map(comps.__getitem__, ids), ks)]
+
+
 def a_number(config: FiberConfig, cid: int) -> int:
-    """Adjunction number (K . C) = -C^2 + 2 g_C - 2; at size k, (K . [c]) = -[c]^2 + k(2g_C - 2)."""
-    c = config.component(cid)
-    k = 1 if config.sizes is None else config.sizes[cid]
-    return -c.self_int + k * (2 * c.genus - 2)
+    """Adjunction number (K . C) of one component, by the formula of _a_values."""
+    config.component(cid)  # ParameterError on an unknown id
+    return _a_values(config, (cid,))[0]
 
 
 def canonical_pair(config: FiberConfig, D: QDivisor) -> Fraction:
     """(K . D) via adjunction, without constructing a canonical divisor."""
-    total = sum(v * a_number(config, cid) for cid, v in D._num.items())
-    return Fraction(total, D._den)
+    num = D._num
+    _check_ids(config, num)
+    return Fraction(sum(map(mul, num.values(), _a_values(config, num))), D._den)
 
 
 def p_a_divisor(config: FiberConfig, D: QDivisor) -> Fraction:
-    """Arithmetic genus 1 + (D^2 + K.D)/2 of an effective nonzero divisor."""
+    """Arithmetic genus 1 + (D^2 + K.D)/2 of an effective nonzero divisor.
+
+    D is integral, so D^2 (D's coefficients dotted with its pairing profile) and
+    K.D are integer sums; the one Fraction is the final halving.
+    """
     if not D:
         raise ParameterError("p_a is undefined for the zero divisor")
     if not D.is_effective_integral():
         raise ParameterError("p_a requires integral coefficients >= 1")
-    return 1 + Fraction(pair(config, D, D) + canonical_pair(config, D), 2)
+    num = D._num
+    prof = _spread(config, num)
+    d2 = sum(map(mul, num.values(), map(prof.__getitem__, num)))
+    return Fraction(2 + d2 + sum(map(mul, num.values(), _a_values(config, num))), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +364,11 @@ def validate(config: FiberConfig) -> list[CheckResult]:
     from one count; it stays so that the list of reported checks is unchanged.
     The adjunction sum is canonical_pair(config, F), size-weighted like the rest.
     """
-    sym_ok = all(config._nbrs[b].get(a) == cnt for (a, b), cnt in config.edges())
+    nbrs, sym_ok = config._nbrs, True
+    for (a, b), cnt in config.edges():
+        if nbrs[b].get(a) != cnt:
+            sym_ok = False
+            break
     offender = config.non_orthogonal
     results = [CheckResult("pairing matrix symmetric", sym_ok),
                CheckResult("fiber orthogonality (F.C = 0 for all C)", offender is None,
@@ -383,7 +426,7 @@ class GaugeSolver:
         self.gauge_cid = gauge_cid
         comps = config.components
         n = len(comps)
-        mult = [c.multiplicity for c in comps]
+        mult = list(map(attrgetter("multiplicity"), comps))
 
         parent = [-1] * n
         parent[gauge_cid] = gauge_cid
@@ -409,17 +452,18 @@ class GaugeSolver:
         if offender is not None:
             raise MathContractError(f"fiber orthogonality fails at component {offender.label}")
 
-        weights = [nbrs[cid][parent[cid]] * mult[cid] * mult[parent[cid]]
-                   for cid in order[1:]]
+        # component, parent and K // (e d_C d_P), in depth-first order, root excluded
+        below = order[1:]
+        parents = [parent[cid] for cid in below]
+        weights = [nbrs[cid][par] * mult[cid] * mult[par] for cid, par in zip(below, parents)]
         scale = lcm(root.multiplicity, *weights)
         self._mult = mult
         self._scale = scale
         self._root_step = scale // root.multiplicity
-        # component, parent and K // (e d_C d_P), in depth-first order, root excluded
-        self._below = order[1:]
-        self._parents = [parent[cid] for cid in order[1:]]
+        self._below = below
+        self._parents = parents
         self._steps = [scale // w for w in weights]
-        starts = [i for i, par in enumerate(self._parents) if par == gauge_cid]
+        starts = [i for i, par in enumerate(parents) if par == gauge_cid]
         # (start, stop) in _below of each branch
         self._branches = list(zip(starts, starts[1:] + [n - 1]))
 

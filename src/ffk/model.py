@@ -39,7 +39,7 @@ from .fiber import (
     Component,
     FiberConfig,
     check_component_cap,
-    i_c,
+    i_c_values,
     pairing_divisor,
 )
 
@@ -235,9 +235,6 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     census = expected_census(p, m, s)
     check_component_cap(sum(census.values()))
     n_gamma, n_delta = census["Lgamma"], census["Ldelta"]
-    length = m - 1  # components Chain(1..m-1, k, i) of one chain
-    fm, ldelta0, lgamma0, leaf0 = map(_first_ids(p, m, s).get,
-                                      ("Fm", "Ldelta", "Lgamma", "LgammaLeaf"))
 
     # components in id order: Chain(j, k, i) in label order, then the other kinds
     chains = (FermatLabel("Chain", i, k, j)
@@ -251,24 +248,34 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
              for i in range(1, n_gamma + 1) for j in range(1, p + 1)]
     shape = _shapes(p, m)
     comps += [Component(lab, *shape[lab.kind]) for lab in rest]
+    return FermatModel(params, FiberConfig(comps, _edges(p, m, s), params.genus))
 
-    pairs: dict[tuple[int, int], int] = {}
+
+def _edges(p: int, m: int, s: int):
+    """Every edge ((a, b), 1) of the (p, m, s) fiber, ids from the module docstring.
+
+    Arm by arm, then each Lgamma with its leaves, then the Ldelta; each hub's
+    id is one int, shared by all of its edges. FiberConfig consumes the stream
+    as it comes, so no edge table exists beside the neighbour maps.
+    """
+    census = expected_census(p, m, s)
+    fm, ldelta0, lgamma0, leaf0 = map(_first_ids(p, m, s).get,
+                                      ("Fm", "Ldelta", "Lgamma", "LgammaLeaf"))
+    length = m - 1  # components Chain(1..m-1, k, i) of one chain
     for i in range(1, 3 * m + 1):
         lx = fm + i
-        pairs[(lx, fm)] = 1
+        yield (lx, fm), 1
         for first in range((i - 1) * p * length, i * p * length, length):  # Chain(1, k, i)
             for c in range(first, first + length - 1):
-                pairs[(c, c + 1)] = 1
-            pairs[(first + length - 1, lx)] = 1
-    for i in range(1, n_gamma + 1):
+                yield (c, c + 1), 1
+            yield (first + length - 1, lx), 1
+    for i in range(1, census["Lgamma"] + 1):
         lg = lgamma0 + i
-        pairs[(lg, fm)] = 1
+        yield (lg, fm), 1
         for leaf in range(leaf0 + (i - 1) * p + 1, leaf0 + i * p + 1):
-            pairs[(leaf, lg)] = 1
-    for i in range(1, n_delta + 1):
-        pairs[(ldelta0 + i, fm)] = 1
-
-    return FermatModel(params, FiberConfig(comps, pairs, params.genus))
+            yield (leaf, lg), 1
+    for i in range(1, census["Ldelta"] + 1):
+        yield (ldelta0 + i, fm), 1
 
 
 def cusp_quotient(params: FermatParams, cusp: tuple[int, int]) -> FiberConfig:
@@ -321,7 +328,7 @@ def transversality_check(model: FermatModel) -> bool:
     """
     config = model.config
     p, m = model.params.p, model.params.m
-    total_ic = sum(i_c(config, cid) for cid in range(config.n_components))
+    total_ic = sum(i_c_values(config))
     total_d = sum(c.multiplicity for c in config.components)
     g_fm = genus_formula(m)
     lhs = 2 * model.params.genus - 2
@@ -335,13 +342,14 @@ def i_c_matches_pairing(model: FermatModel) -> bool:
 
     By bilinearity (C . F - d_C C) = (C . F) - d_C C^2, and one pairing pass
     gives every (F . C); F is integral, so each (F . C) is a numerator over 1.
-    It passes by construction on every FiberConfig: the pairing kernel sums at C
-    the neighbour counts times multiplicities that i_c sums, plus d_C C^2. It
-    stays so that the list of reported checks is unchanged.
+    The I_C come from one i_c_values pass. It passes by construction on every
+    FiberConfig: the pairing kernel sums at C the neighbour counts times
+    multiplicities that i_c_values sums, plus d_C C^2. It stays so that the list
+    of reported checks is unchanged.
     """
     config = model.config
     get = pairing_divisor(config, config.fiber_divisor()).numerators().get
     return all(
-        i_c(config, cid) == get(cid, 0) - c.multiplicity * c.self_int
-        for cid, c in enumerate(config.components)
+        ic == get(cid, 0) - c.multiplicity * c.self_int
+        for cid, (c, ic) in enumerate(zip(config.components, i_c_values(config)))
     )

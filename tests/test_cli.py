@@ -513,7 +513,9 @@ def test_rational_serialization():
 #: a filled upper_bound column, was recorded while the bounds and fiber CSVs
 #: were still written by csv.writer. The `divisors --p 7 --m 11` digest (4,280
 #: components) was recorded while `suite_divisor` paired and solved every V_D
-#: against the whole fiber
+#: against the whole fiber. The two `fiber --p 7 --m 23` digests (19,160
+#: components, JSON and CSV) were recorded while `build_config` filled a pairs
+#: dict and every whole-fiber check called `i_c` once per component
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 

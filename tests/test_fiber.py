@@ -15,6 +15,7 @@ from ffk.fiber import (
     a_number,
     canonical_pair,
     i_c,
+    i_c_values,
     p_a_divisor,
     pair,
     pair_profile,
@@ -169,20 +170,28 @@ def test_pairing_kernels_reject_unknown_ids(model53, bad):
 
 
 def test_orthogonality_is_computed_once_per_config(monkeypatch):
+    # one whole-fiber I_C pass serves validate and the solver's factor; a second
+    # pass, or a per-component i_c sweep, in either of them fails this
     import ffk.fiber
 
-    calls = []
-    kernel = ffk.fiber.i_c
+    passes, single = [], []
+    kernel, single_kernel = ffk.fiber.i_c_values, ffk.fiber.i_c
 
-    def counted(config, cid):
-        calls.append(cid)
-        return kernel(config, cid)
+    def counted(config):
+        passes.append(config)
+        return kernel(config)
+
+    def counted_single(config, cid):
+        single.append(cid)
+        return single_kernel(config, cid)
 
     cfg = build_config(7, 3).config
-    monkeypatch.setattr(ffk.fiber, "i_c", counted)
+    monkeypatch.setattr(ffk.fiber, "i_c_values", counted)
+    monkeypatch.setattr(ffk.fiber, "i_c", counted_single)
     assert all(c.passed for c in validate(cfg))
     GaugeSolver(cfg, 0)
-    assert len(calls) == cfg.n_components
+    GaugeSolver(cfg, 5)
+    assert passes == [cfg] and single == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -499,3 +508,97 @@ def test_reduced_genus_zero_tree_has_pa_zero(data):
     cfg = FiberConfig(comps, edges, genus=0)
     z = QDivisor({cid: Fraction(1) for cid in range(n)})
     assert p_a_divisor(cfg, z) == 0
+
+
+@pytest.mark.parametrize("fields", [
+    ("A", 1.5, 0, -1.25), ("A", 1, 0, -1.25), ("A", 1, 0.5, -2), ("A", Fraction(2), 0, -2),
+], ids=["float-multiplicity", "float-self-int", "float-genus", "fraction-multiplicity"])
+def test_component_takes_only_int_fields(fields):
+    with pytest.raises(ParameterError, match="must be an int"):
+        Component(*fields)
+
+
+def test_fiber_config_takes_only_an_int_genus():
+    c = Component("A", 1, 0, 0)
+    with pytest.raises(ParameterError, match="genus must be an int, got 0.5"):
+        FiberConfig([c], {}, 0.5)
+    assert FiberConfig([c], {}, 0).genus == 0
+
+
+def _maps(cfg):
+    """Every neighbour map, in id order and in its own insertion order."""
+    return [list(cfg.neighbors(cid).items()) for cid in range(cfg.n_components)]
+
+
+def test_fiber_config_takes_pairings_as_a_stream(model73):
+    cfg = model73.config
+    edges = list(cfg.edges())
+    from_dict = FiberConfig(cfg.components, dict(edges), cfg.genus)
+    from_stream = FiberConfig(cfg.components, iter(edges), cfg.genus)
+    assert _maps(from_stream) == _maps(from_dict)
+    assert [sorted(row) for row in _maps(from_stream)] == [sorted(row) for row in _maps(cfg)]
+    # mirrored and repeated pairs are summed, and zero counts make no edge
+    comps = [Component(x, 1, 0, -1) for x in "ABC"]
+    stream = [((0, 1), 1), ((1, 0), 2), ((0, 1), 3), ((1, 2), 0)]
+    assert _maps(FiberConfig(comps, stream, 0)) == _maps(FiberConfig(comps, {(0, 1): 6}, 0))
+    assert _maps(FiberConfig(comps, stream, 0)) == [[(1, 6)], [(0, 6)], []]
+
+
+@pytest.mark.parametrize("pairings", [
+    {(1, 1): 1}, {(0, 3): 1}, {(-1, 0): 1}, {(0, 1): -1}, {(0, 1): 0.5}, {(0, 1): Fraction(1)},
+], ids=["diagonal", "id-too-large", "negative-id", "negative-count", "float-count",
+        "fraction-count"])
+def test_fiber_config_stream_raises_as_the_mapping_does(pairings):
+    comps = [Component(x, 1, 0, -1) for x in "ABC"]
+    with pytest.raises(ParameterError) as from_dict:
+        FiberConfig(comps, pairings, 0)
+    with pytest.raises(ParameterError) as from_stream:
+        FiberConfig(comps, iter(pairings.items()), 0)
+    assert str(from_stream.value) == str(from_dict.value)
+
+
+def _first_offender(cfg):
+    """The first C with d_C C^2 + I_C != 0, from one i_c look-up per component."""
+    return next((c for cid, c in enumerate(cfg.components)
+                 if c.multiplicity * c.self_int + i_c(cfg, cid)), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthogonal_trees(), st.data())
+def test_i_c_pass_matches_single_look_ups(cfg, data):
+    n = cfg.n_components
+    assert i_c_values(cfg) == [i_c(cfg, cid) for cid in range(n)]
+    assert cfg.non_orthogonal is None
+    # a mutant with one self-intersection, multiplicity or edge count changed
+    comps, edges = list(cfg.components), dict(cfg.edges())
+    kinds = ["self_int", "multiplicity"] + (["edge"] if edges else [])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    delta = data.draw(st.integers(min_value=1, max_value=3), label="delta")
+    if kind == "edge":
+        key = data.draw(st.sampled_from(sorted(edges)), label="edge")
+        edges[key] += delta
+    else:
+        cid = data.draw(st.integers(min_value=0, max_value=n - 1), label="cid")
+        comps[cid] = dataclasses.replace(comps[cid], **{kind: getattr(comps[cid], kind) + delta})
+    bad = FiberConfig(comps, edges.items(), cfg.genus)
+    assert i_c_values(bad) == [i_c(bad, cid) for cid in range(n)]
+    assert bad.non_orthogonal is _first_offender(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthogonal_trees(), st.data())
+def test_p_a_divisor_is_the_adjunction_formula(cfg, data):
+    n = cfg.n_components
+    node = st.integers(min_value=0, max_value=n - 1)
+    sized = data.draw(st.booleans(), label="sized")
+    if sized:
+        sizes = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n))
+        cfg = FiberConfig(cfg.components, cfg.edges(), cfg.genus, sizes)
+    D = QDivisor(data.draw(st.dictionaries(node, st.integers(min_value=1, max_value=5),
+                                           min_size=1), label="D"))
+    assert p_a_divisor(cfg, D) == 1 + (pair(cfg, D, D) + canonical_pair(cfg, D)) / 2
+    cid = data.draw(node, label="cid")
+    for bad in (QDivisor(), D + QDivisor.single(cid, Fraction(1, 2)),
+                D - QDivisor.single(cid, D.coeff(cid) + 1)):
+        with pytest.raises(ParameterError):
+            p_a_divisor(cfg, bad)

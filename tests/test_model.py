@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
+from ffk import polyarith
 from ffk.errors import CapExceeded, ParameterError
-from ffk.fiber import Component, FiberConfig, QDivisor, pair
+from ffk.fiber import Component, FiberConfig, QDivisor, i_c, pair
 from ffk.model import (
     FermatLabel,
     FermatModel,
@@ -11,7 +13,6 @@ from ffk.model import (
     build_config,
     expected_census,
     genus_formula,
-    i_c,
     i_c_matches_pairing,
     transversality_check,
 )
@@ -301,3 +302,19 @@ def test_closed_form_ids_match_sorted_label_build(p, m, s):
         list(cfg.neighbors(c)) for c in range(len(labels))]
     assert tuple(model.cusps) == cusps
     assert model.config.genus == cfg.genus
+
+
+def test_build_memory_per_component():
+    # the edges stream into the neighbour maps, so no edge table lives beside
+    # them at the peak; 19,160 components
+    s = polyarith.double_root_count(7)
+    build_config(7, 3, s)
+    tracemalloc.start()
+    try:
+        model = build_config(7, 23, s)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = model.config.n_components
+    assert peak <= 480 * n, peak / n
+    assert retained <= 433 * n, retained / n
