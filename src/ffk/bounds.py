@@ -45,18 +45,23 @@ def euler_phi(primes: list[int]) -> int:
     return out
 
 
-def _q_parts(n: int, p: int) -> tuple[int, int]:
-    """Numerator and denominator of Q(N, p), not reduced."""
-    m = n // p
-    return (
-        3 * n * n - 2 * n * p - 10 * n + 6 * p - 6 - 4 * m * m + 12 * m,
-        n * (n - 3),
-    )
+def _n_parts(n: int) -> tuple[int, int, int]:
+    """The parts of Q(N, p) and beta_{S,p} that do not depend on p: the
+    p-free part 3N^2 - 10N - 6 of Q's numerator, Q's denominator N(N-3), and
+    beta's denominator over p, (N-1)(N-2)(N-3)^3."""
+    return n * (3 * n - 10) - 6, n * (n - 3), (n - 1) * (n - 2) * (n - 3) ** 3
+
+
+def _q_num(n: int, q0: int, p: int, m: int) -> int:
+    """Numerator of Q(N, p) over N(N-3), with N = mp and q0 from _n_parts:
+    3N^2 - 2Np - 10N + 6p - 6 - 4m^2 + 12m."""
+    return q0 + 2 * p * (3 - n) + 4 * m * (3 - m)
 
 
 def q_np(n: int, p: int) -> Fraction:
     """Exact per-prime geometric coefficient Q(N, p)."""
-    return Fraction(*_q_parts(n, p))
+    q0, q_den, _ = _n_parts(n)
+    return Fraction(_q_num(n, q0, p, n // p), q_den)
 
 
 def _alpha_reduced(m: int, p: int) -> int:
@@ -69,40 +74,38 @@ def alpha(n: int, p: int) -> int:
     return p * p * _alpha_reduced(n // p, p)
 
 
-def _beta_parts(n: int, p: int) -> tuple[int, int]:
-    """Numerator and denominator of beta_{S,p}, not reduced. With N = mp,
+def _beta_num(n: int, p: int, m: int) -> int:
+    """Numerator of beta_{S,p} over p (N-1)(N-2)(N-3)^3, with N = mp.
     alpha(N, p) = p^2 a(m, p) and Np + 2N - 6p = p(mp + 2m - 6) cancel p^3."""
-    m = n // p
-    return (
-        _alpha_reduced(m, p) * (n + 2 * m - 6) * (p - 2),
-        (n - 1) * (n - 2) * (n - 3) ** 3 * p,
-    )
+    return _alpha_reduced(m, p) * (n + 2 * m - 6) * (p - 2)
 
 
 def beta_sp_closed(n: int, p: int) -> Fraction:
     """Per-prime lower-bound quantity in closed form."""
-    return Fraction(*_beta_parts(n, p))
+    return Fraction(_beta_num(n, p, n // p), _n_parts(n)[2] * p)
 
 
 def _per_prime(n: int, primes: list[int], phi: int) -> tuple[list[tuple[int, int, int]], float]:
     """Exact coefficients phi/(p-1) Q(N,p) of log p, as reduced (p, num, den)
     triples, and the float64 lower bound phi sum_p beta_{S,p}/(p-1) log p.
 
-    N is squarefree, so k = phi/(p-1) is an integer. Int true division rounds
-    correctly whatever the pair's common factors, so each lower-bound term
-    k num / den is the same float as float(Fraction(k num, den)), and num / den
-    of a coefficient is float(Fraction(num, den)).
+    The parts of both closed forms that do not depend on p are computed once
+    per N (_n_parts); each prime adds only its own factors. N is squarefree,
+    so k = phi/(p-1) is an integer. Int true division rounds correctly
+    whatever the pair's common factors, so each lower-bound term k num / den
+    is the same float as float(Fraction(k num, den)), and num / den of a
+    coefficient is float(Fraction(num, den)).
     """
+    q0, q_den, b_den = _n_parts(n)
     terms = []
     lower = []
     for p in primes:
+        m = n // p
         k = phi // (p - 1)
-        num, den = _q_parts(n, p)
-        num *= k
-        g = math.gcd(num, den)
-        terms.append((p, num // g, den // g))
-        num, den = _beta_parts(n, p)
-        lower.append(k * num / den * math.log(p))
+        num = k * _q_num(n, q0, p, m)
+        g = math.gcd(num, q_den)
+        terms.append((p, num // g, q_den // g))
+        lower.append(k * _beta_num(n, p, m) / (b_den * p) * math.log(p))
     return terms, math.fsum(lower)
 
 
@@ -195,7 +198,7 @@ def bound_report(n: int, kappa1: float | None = None, kappa2: float | None = Non
 # ---------------------------------------------------------------------------
 
 
-#: values of N per `scan_rows` call in `scan`: 500 to 700 rows, about 0.6 MB
+#: values of N per `scan_rows` call in `scan`: 500 to 700 rows, about 0.55 MB
 SCAN_BLOCK = 1 << 11
 
 
@@ -238,28 +241,24 @@ def odd_squarefree_composites(max_n: int, start: int = 3):
                 yield lo + 2 * i, primes
 
 
-def scan_rows(max_n: int, start: int = 15) -> list[dict]:
-    """One row per odd squarefree composite N with start <= N <= max_n, in
-    increasing N, with the strict lower/simple inequality asserted per row."""
+def scan_rows(max_n: int, start: int = 15) -> list[tuple]:
+    """One row (N, phi, coeffs, lower, simple, ratio) per odd squarefree
+    composite N with start <= N <= max_n, in increasing N, with the strict
+    lower/simple inequality asserted per row; coeffs are _per_prime's
+    reduced (p, num, den) triples."""
     rows = []
     for n, primes in odd_squarefree_composites(max_n, start):
         phi = euler_phi(primes)
         terms, lower = _per_prime(n, primes, phi)
         simple = _simple(n, phi)
         _check_strict(n, lower, simple)
-        rows.append({
-            "N": n,
-            "phi": phi,
-            "geometric_coeffs": terms,
-            "lower": lower,
-            "simple": simple,
-            "ratio": lower / simple,
-        })
+        rows.append((n, phi, terms, lower, simple, lower / simple))
     return rows
 
 
 def scan(max_n: int):
-    """Yield the rows of scan_rows(max_n), computed SCAN_BLOCK values of N at a
-    time, so memory stays flat in max_n."""
+    """Yield the rows of scan_rows(max_n), one scan_rows call per SCAN_BLOCK
+    values of N; `yield from` drops each block before the next is computed,
+    so memory stays flat in max_n."""
     for lo in range(15, max_n + 1, SCAN_BLOCK):
         yield from scan_rows(min(lo + SCAN_BLOCK - 1, max_n), lo)

@@ -251,11 +251,11 @@ def cmd_scan(args) -> int:
     with _replaced_on_success(args.out) as fh:
         # the lines csv.writer would write: no field can need quoting
         fh.write("N,phi,geometric_coeffs,lower_bound,simple_lower,ratio\n")
-        for r in bounds.scan(args.max_N):
-            coeffs = ";".join(f"{p}:{a}/{b}" for p, a, b in r["geometric_coeffs"])
-            fh.write(f"{r['N']},{r['phi']},{coeffs},{r['lower']!r},{r['simple']!r},{r['ratio']!r}\n")
+        for n, phi, terms, lower, simple, ratio in bounds.scan(args.max_N):
+            coeffs = ";".join([f"{p}:{a}/{b}" for p, a, b in terms])
+            fh.write(f"{n},{phi},{coeffs},{lower!r},{simple!r},{ratio!r}\n")
             rows += 1
-            all_strict = all_strict and r["ratio"] > 1
+            all_strict = all_strict and ratio > 1
     results = {
         "rows": rows,
         "max_N": args.max_N,

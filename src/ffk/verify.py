@@ -350,7 +350,8 @@ def suite_cycles(models: list[FermatModel]) -> list[CheckResult]:
 
 
 def suite_bounds(models: list[FermatModel], scan_to: int = 10**4) -> list[CheckResult]:
-    """Q(N,p) and beta closed forms for each given model, then the scan up to scan_to.
+    """Q(N,p) and beta closed forms for each given model, then the scan up to
+    scan_to, streamed through bounds.scan so that one block of rows is held.
 
     G_S = V_S - V_Fm is formed from the one V_S, so each model takes two
     v_divisor calls.
@@ -376,17 +377,16 @@ def suite_bounds(models: list[FermatModel], scan_to: int = 10**4) -> list[CheckR
                 bounds.beta_sp_closed(n, p) == divisors.beta_closed(params),
             )
         )
+    name = f"strict lower/simple inequality for all N <= {scan_to}"
+    rows = 0
+    strict = True
     try:
-        rows = bounds.scan_rows(scan_to)
-        out.append(
-            CheckResult(
-                f"strict lower/simple inequality for all N <= {scan_to}",
-                all(r["ratio"] > 1 for r in rows),
-                f"{len(rows)} values of N",
-            )
-        )
+        for *_, ratio in bounds.scan(scan_to):
+            rows += 1
+            strict = strict and ratio > 1
+        out.append(CheckResult(name, strict, f"{rows} values of N"))
     except MathContractError as exc:
-        out.append(CheckResult(f"strict lower/simple inequality for all N <= {scan_to}", False, str(exc)))
+        out.append(CheckResult(name, False, str(exc)))
     return out
 
 

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ffk import bounds, polyarith
@@ -33,6 +33,15 @@ def alpha_oracle(n: int, p: int) -> int:
         - 4 * n**2
         - 12 * n * p
         + 36 * p**2
+    )
+
+
+def q_oracle(n: int, p: int) -> Fraction:
+    """Q(N, p) as the polynomial in N and p over N(N-3)p^2, before N = mp was
+    substituted."""
+    return Fraction(
+        3 * n**2 * p**2 - 2 * n * p**3 - 10 * n * p**2 + 6 * p**3 - 6 * p**2 - 4 * n**2 + 12 * n * p,
+        n * (n - 3) * p**2,
     )
 
 
@@ -94,7 +103,7 @@ def test_reduced_beta_matches_oracle(p, m, k):
     """The p^4-free beta_{S,p} is the unreduced quotient, and its float terms
     k num / den round exactly as the exact rational does."""
     n = m * p
-    num, den = bounds._beta_parts(n, p)
+    num, den = bounds._beta_num(n, p, m), bounds._n_parts(n)[2] * p
     want = beta_oracle(n, p)
     assert Fraction(num, den) == want
     assert alpha(n, p) == alpha_oracle(n, p)
@@ -223,12 +232,12 @@ def test_scan_list():
 def test_scan_rows():
     rows = scan_rows(100)
     assert len(rows) == 16
-    assert all(r["ratio"] > 1 for r in rows)
-    first = rows[0]
-    assert first["N"] == 15 and first["phi"] == 8
+    assert all(ratio > 1 for *_, ratio in rows)
+    n, phi, first_coeffs, *_ = rows[0]
+    assert n == 15 and phi == 8
     coeffs = {3: Fraction(407, 45), 5: Fraction(133, 30)}
     assert coeffs == {p: Fraction(8, p - 1) * q_np(15, p) for p in (3, 5)}
-    assert first["geometric_coeffs"] == [(p, c.numerator, c.denominator) for p, c in coeffs.items()]
+    assert first_coeffs == [(p, c.numerator, c.denominator) for p, c in coeffs.items()]
 
 
 def test_sieve_matches_factorize():
@@ -251,21 +260,60 @@ def test_scan_blocks_match_scan_rows(monkeypatch, block):
     want = scan_rows(5000)
     monkeypatch.setattr(bounds, "SCAN_BLOCK", block)
     assert list(bounds.scan(5000)) == want
-    assert scan_rows(5000, 2001) == [r for r in want if r["N"] >= 2001]
+    assert scan_rows(5000, 2001) == [r for r in want if r[0] >= 2001]
 
 
 def test_scan_rows_match_fraction_reference():
     """Every scan row to 20,000, bit for bit against an all-Fraction evaluation."""
     rows = scan_rows(20000)
     assert len(rows) == 5842
-    for row, (n, primes) in zip(rows, odd_squarefree_composites(20000), strict=True):
+    for (row_n, row_phi, row_coeffs, row_lower, row_simple, row_ratio), (n, primes) in zip(
+            rows, odd_squarefree_composites(20000), strict=True):
         phi = euler_phi(primes)
         lower = math.fsum(float(Fraction(phi, p - 1) * beta_oracle(n, p)) * math.log(p)
                           for p in primes)
         simple = phi * math.log(n) / (5 * n * n)
-        assert row["N"] == n and row["phi"] == phi
-        assert row["lower"].hex() == lower.hex()
-        assert row["simple"].hex() == simple.hex()
-        assert row["ratio"].hex() == (lower / simple).hex()
+        assert row_n == n and row_phi == phi
+        assert row_lower.hex() == lower.hex()
+        assert row_simple.hex() == simple.hex()
+        assert row_ratio.hex() == (lower / simple).hex()
         coeffs = [(p, Fraction(phi, p - 1) * q_np(n, p)) for p in primes]
-        assert row["geometric_coeffs"] == [(p, c.numerator, c.denominator) for p, c in coeffs]
+        assert row_coeffs == [(p, c.numerator, c.denominator) for p, c in coeffs]
+
+
+def reference_row(n: int, primes: list[int]) -> tuple:
+    """A scan row from the oracles, every exact quantity a Fraction."""
+    phi = math.prod(p - 1 for p in primes)
+    coeffs = [Fraction(phi, p - 1) * q_oracle(n, p) for p in primes]
+    lower = math.fsum(float(Fraction(phi, p - 1) * beta_oracle(n, p)) * math.log(p)
+                      for p in primes)
+    simple = phi * math.log(n) / (5 * n * n)
+    return (n, phi, [(p, c.numerator, c.denominator) for p, c in zip(primes, coeffs)],
+            lower.hex(), simple.hex(), (lower / simple).hex())
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.integers(15, 10**7))
+@example(lo=3 * 5 * 7 * 11 * 13 * 17 - 200)
+def test_scan_rows_match_fraction_reference_large_n(lo):
+    """Every row of a 400-wide window up to 10^7 (N with up to 6 primes,
+    coefficient denominators near 2^46) against the oracles, with its N found
+    by trial division; bound_report on the window's N with the smallest
+    largest prime (so that s(p) stays cheap) against the same oracles."""
+    window = []
+    for n in range(lo | 1, lo + 401, 2):
+        primes = polyarith.factorize(n)
+        if len(primes) >= 2 and len(set(primes)) == len(primes):
+            window.append((n, primes))
+    rows = scan_rows(lo + 400, lo)
+    assert [(n, phi, coeffs, lower.hex(), simple.hex(), ratio.hex())
+            for n, phi, coeffs, lower, simple, ratio in rows] == [
+        reference_row(n, primes) for n, primes in window]
+    n, primes = min(window, key=lambda w: w[1][-1])
+    rep = bound_report(n)
+    want = reference_row(n, primes)
+    assert (rep.lower.hex(), rep.simple.hex()) == want[3:5]
+    assert [(p, c.numerator, c.denominator) for p, c in rep.geometric_terms] == want[2]
+    for r in rep.primes:
+        assert (r.q, r.beta_sp, r.alpha) == (q_oracle(n, r.p), beta_oracle(n, r.p),
+                                             alpha_oracle(n, r.p))

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -361,9 +362,9 @@ def test_scan_csv_matches_csv_writer(tmp_path, capsys, max_n):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["N", "phi", "geometric_coeffs", "lower_bound", "simple_lower", "ratio"])
-    for r in bounds.scan_rows(max_n):
-        coeffs = ";".join(f"{p}:{cli.rat(Fraction(a, b))}" for p, a, b in r["geometric_coeffs"])
-        w.writerow([r["N"], r["phi"], coeffs, r["lower"], r["simple"], r["ratio"]])
+    for n, phi, terms, lower, simple, ratio in bounds.scan_rows(max_n):
+        coeffs = ";".join(f"{p}:{cli.rat(Fraction(a, b))}" for p, a, b in terms)
+        w.writerow([n, phi, coeffs, lower, simple, ratio])
     assert out_file.read_bytes() == buf.getvalue().encode()
 
 
@@ -379,6 +380,20 @@ def test_scan_csv_pinned(tmp_path, capsys):
     assert doc["results"] == {"all_strict": True, "max_N": 20000, "out": str(out_file),
                               "rows": 5842}
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SCAN_20000_SHA256
+
+
+#: SHA-256 of the `ffk scan --max-N 150000` CSV (46,945 rows, the benchmark's
+#: range), recorded from the dict-row scan before the per-N closed-form parts
+#: were hoisted out of the per-prime loop and the rows became tuples
+SCAN_150000_SHA256 = "de5c99938e27975b7ccbbe61fd3b68429a912a035c991a3fef9a122f39f0da6c"
+
+
+def test_scan_csv_pinned_bench_range(tmp_path, capsys):
+    out_file = tmp_path / "scan.csv"
+    code, doc, _ = run_json(capsys, "scan", "--max-N", "150000", "--out", str(out_file))
+    assert code == 0
+    assert doc["results"]["rows"] == 46945 and doc["results"]["all_strict"]
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == SCAN_150000_SHA256
 
 
 def test_scan_contract_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
@@ -461,6 +476,33 @@ def test_scan_memory_flat(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert peak < 2 * 2**20
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak of fn(), from a full collection, which also empties
+    the interpreter's free lists so that every measurement starts alike."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_holds_one_block(tmp_path, capsys):
+    """The traced peak of a 150,000 scan stays within 256 KiB of the peak of
+    its largest scan_rows block call (about 0.55 MB): the rows of one block
+    are dropped before the next block is computed. A loop that keeps the
+    previous block while the next is computed peaks about one block higher."""
+    max_n, width = 150000, bounds.SCAN_BLOCK
+    last = 15 + (max_n - 15) // width * width
+    block = max(traced_peak(lambda lo=lo: bounds.scan_rows(min(lo + width - 1, max_n), lo))
+                for lo in (last - width, last))
+    out = str(tmp_path / "scan.csv")
+    peak = traced_peak(lambda: cli.main(["scan", "--max-N", str(max_n), "--out", out]))
+    capsys.readouterr()
+    assert peak < block + 256 * 2**10
 
 
 def test_verify_polynomial(capsys):
