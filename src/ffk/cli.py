@@ -20,7 +20,7 @@ from functools import cache
 from . import bounds, divisors, polyarith, verify
 from .errors import CapExceeded, MathContractError, ParameterError
 from .fiber import CheckResult, i_c_values
-from .model import build_config
+from .model import FermatParams, build_config
 
 SCHEMA_VERSION = "1"
 
@@ -131,6 +131,8 @@ def cmd_fiber(args) -> int:
 def cmd_divisors(args) -> int:
     pairs = _resolve_pm(args)
     cusp = tuple(args.cusp) if args.cusp else (1, 1)
+    for p, m in pairs:  # a cusp out of range exits before any fiber is built
+        FermatParams(p, m, 0).cusp_end(*cusp)
     subreports = []
     all_checks = []
     identity_checks = []

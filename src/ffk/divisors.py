@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import cycle, repeat
 from math import lcm
 
@@ -24,6 +24,7 @@ from .fiber import (
     CheckResult,
     FiberConfig,
     QDivisor,
+    _dot,
     a_number,
     canonical_pair,
     pair,
@@ -43,7 +44,7 @@ class LambdaNu:
         if not self.lam < 0 < self.nu:
             raise MathContractError(f"expected lambda < 0 < nu, got {self}")
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
         return self.lam + self.nu
 
@@ -111,6 +112,11 @@ def v_divisor(model: FermatModel, cid: int) -> QDivisor:
     return QDivisor.from_numerators(num, den)
 
 
+def closed_form_class(label: FermatLabel) -> tuple:
+    """All that v_self_closed and vs_pair_closed read of a label: one class, one value each."""
+    return label.kind, label.j, label.i == 1, label.k == 1
+
+
 def v_self_closed(params: FermatParams, label: FermatLabel) -> Fraction:
     """Closed form for V_D^2, D labelled `label`: by its kind, and its level j on a Chain."""
     ln = lambda_nu(params)
@@ -146,6 +152,28 @@ def vs_pair_closed(params: FermatParams, lab: FermatLabel) -> Fraction:
     if lab.k == 1:
         out -= Fraction(params.m - r, r * params.m)
     return out
+
+
+def closed_form_miss(params: FermatParams, label: FermatLabel, vd, fm_prof, prof, vs,
+                     forms: dict) -> str:
+    """"V_D^2" or "(V_S.V_D)", whichever misses its closed form first for D = `label`, or "".
+
+    Each divisor comes as (integer numerators, den): V_D, and with
+    prof(V) = sum_C (V . C) C, prof(V_Fm), prof(G) for G = V_D - V_Fm and
+    prof(V_S - V_Fm). V_D^2 is V_D . prof(V_Fm) + V_D . prof(G), and (V_S . V_D)
+    is V_D . prof(V_Fm) + V_D . prof(V_S - V_Fm); each is cross-multiplied with its
+    closed form. `forms` keeps the closed forms evaluated so far, by closed_form_class.
+    """
+    key = closed_form_class(label)
+    if key not in forms:
+        forms[key] = v_self_closed(params, label), vs_pair_closed(params, label)
+    (num, vden), (fm_num, fm_den) = vd, fm_prof
+    on_fm = _dot(num, fm_num)
+    for what, (pnum, pden), want in zip(("V_D^2", "(V_S.V_D)"), (prof, vs), forms[key]):
+        top = (on_fm * pden + _dot(num, pnum) * fm_den) * want.denominator
+        if top != want.numerator * vden * fm_den * pden:
+            return what
+    return ""
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import attrgetter, floordiv, itemgetter, mul
 from types import MappingProxyType
 from typing import Any
@@ -59,6 +59,18 @@ class Component:
             raise ParameterError(f"component {self.label}: multiplicity must be >= 1")
         if self.genus < 0:
             raise ParameterError(f"component {self.label}: genus must be >= 0")
+
+
+def _combined(a: Mapping[int, int], aden: int, b: Mapping[int, int], bden: int,
+              sign: int = 1) -> tuple[dict[int, int], int]:
+    """a/aden + sign * b/bden as (integer numerators, lcm(aden, bden)), not normalised."""
+    den = lcm(aden, bden)
+    ka, kb = den // aden, sign * (den // bden)
+    out = dict(zip(a, map(mul, a.values(), repeat(ka))))
+    get = out.get
+    for cid, v in b.items():
+        out[cid] = get(cid, 0) + v * kb
+    return out, den
 
 
 @dataclass(frozen=True)
@@ -127,13 +139,8 @@ class QDivisor:
         return isinstance(other, QDivisor) and self._den == other._den and self._num == other._num
 
     def _combine(self, other: "QDivisor", sign: int) -> "QDivisor":
-        den = lcm(self._den, other._den)
-        a, b = den // self._den, sign * (den // other._den)
-        out = dict(zip(self._num, map(mul, self._num.values(), repeat(a))))
-        get = out.get
-        for cid, v in other._num.items():
-            out[cid] = get(cid, 0) + v * b
-        return QDivisor.from_numerators(out, den)
+        return QDivisor.from_numerators(*_combined(self._num, self._den, other._num, other._den,
+                                                   sign))
 
     def __add__(self, other: "QDivisor") -> "QDivisor":
         return self._combine(other, 1)
@@ -151,9 +158,7 @@ class QDivisor:
 
     def dot(self, other: "QDivisor") -> Fraction:
         """sum_C (coefficient in self) (coefficient in other), over the support of self."""
-        b = other._num
-        return Fraction(sum(v * b[cid] for cid, v in self._num.items() if cid in b),
-                        self._den * other._den)
+        return Fraction(_dot(self._num, other._num), self._den * other._den)
 
     def is_effective_integral(self) -> bool:
         return self._den == 1 and all(v > 0 for v in self._num.values())
@@ -266,6 +271,23 @@ def _spread(config: FiberConfig, num: Mapping[int, int]) -> dict[int, int]:
             out[x] = get(x, 0) + v * cnt
         out[c] = get(c, 0) + v * comps[c].self_int
     return out
+
+
+def _dot(num: Mapping[int, int], other: Mapping[int, int]) -> int:
+    """sum_C num[C] other[C], over the keys of num: the integer core of QDivisor.dot."""
+    return sum(map(mul, num.values(), map(other.get, num, repeat(0))))
+
+
+def _is_sum(whole: tuple[Mapping[int, int], int], *parts: tuple[Mapping[int, int], int]) -> bool:
+    """Whether `whole` is the sum of `parts`, each (integer numerators, den): cross-multiplied."""
+    num, den = whole
+    scale = prod(pden for _, pden in parts)
+    acc = dict(zip(num, map(mul, num.values(), repeat(scale))))
+    for pnum, pden in parts:
+        k = den * scale // pden
+        for cid, v in pnum.items():
+            acc[cid] = acc.get(cid, 0) - v * k
+    return not any(acc.values())
 
 
 def pair(config: FiberConfig, D: QDivisor, E: QDivisor) -> Fraction:

@@ -30,7 +30,7 @@ Ldelta and n_gamma of Lgamma:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from . import polyarith
 from .bounds import genus_formula
@@ -133,7 +133,7 @@ class FermatModel:
             return cid
         raise ParameterError(f"no component labelled {label}")
 
-    @property
+    @cached_property
     def fm(self) -> int:
         return self.cid(FermatLabel("Fm"))
 

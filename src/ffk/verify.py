@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from . import bounds, divisors, polyarith
 from .errors import MathContractError, NoSolutionError, ParameterError
@@ -16,6 +17,9 @@ from .fiber import (
     CheckResult,
     GaugeSolver,
     QDivisor,
+    _combined,
+    _is_sum,
+    _spread,
     a_number,
     i_c,
     p_a_divisor,
@@ -170,84 +174,78 @@ def _fm_targets(model: FermatModel) -> QDivisor:
     return QDivisor.from_numerators(num, den)
 
 
-def _representatives(model: FermatModel, v_fm: QDivisor):
-    """(D, V_D, t_D - t_Fm) for every component D; verify builds a V_D nowhere else.
+def gauge_reproduction(model: FermatModel, v_fm: QDivisor):
+    """(GaugeSolver(config, Fm), w_Fm - V_Fm, ""), w_Fm the solve of t_Fm at the gauge value.
 
-    t_D = sum_C (a_C/(2g-2) - delta_{D,C}/d_D) C are the relation's targets, so
-    t_D - t_Fm = Fm/d_Fm - D/d_D. V_Fm is the given v_fm, not built again.
+    The gauge value is (p-2)/(2g-2). The solver reproduces V_D iff solve(t_D - t_Fm, 0),
+    which walks D's branch under Fm, is V_D - w_Fm = (V_D - V_Fm) - (w_Fm - V_Fm).
+    Returns (None, None, detail) instead on a fiber the solver cannot factor, or on
+    a NoSolutionError for t_Fm: every t_D - t_Fm is orthogonal to the fiber, so
+    every t_D raises it, and the check fails at component 0 with the same sum d_C t_C.
     """
-    config = model.config
-    fm = model.fm
-    unit_fm = QDivisor.from_numerators({fm: 1}, config.components[fm].multiplicity)
-    for cid, d in enumerate(config.components):
-        vd = v_fm if cid == fm else divisors.v_divisor(model, cid)
-        yield d, vd, unit_fm - QDivisor.from_numerators({cid: 1}, d.multiplicity)
-
-
-def representative_relation_full(model: FermatModel) -> tuple[CheckResult, CheckResult]:
-    """The relation for every pair (D, C) and the closed forms, through linearity against V_Fm.
-
-    With prof(V) = sum_C (V . C) C, V_Fm is paired once against its dense
-    targets, leaving miss = t_Fm - prof(V_Fm), empty on a good fiber. Each D
-    then pairs only G = V_D - V_Fm, which avoids Fm: prof(V_D) = t_D iff
-    prof(G) - (t_D - t_Fm) = miss. V_D^2 and (V_S . V_D) are V_D . prof(V_Fm)
-    plus V_D . prof(G) and V_D . prof(V_S - V_Fm), and must equal v_self_closed
-    and vs_pair_closed. Each check keeps its own first failing D.
-    """
-    config, params = model.config, model.params
-    v_fm = divisors.v_divisor(model, model.fm)
-    fm_profile = pairing_divisor(config, v_fm)
-    miss = _fm_targets(model) - fm_profile
-    gs_profile = pairing_divisor(config, divisors.v_s(model) - v_fm)
-    relation = closed = ""
-    for d, vd, step in _representatives(model, v_fm):
-        prof = pairing_divisor(config, vd - v_fm)
-        if not relation and prof - step != miss:
-            relation = f"fails for D={d.label}"
-        on_fm = vd.dot(fm_profile)
-        if not closed and on_fm + vd.dot(prof) != divisors.v_self_closed(params, d.label):
-            closed = f"V_D^2 fails for D={d.label}"
-        if not closed and on_fm + vd.dot(gs_profile) != divisors.vs_pair_closed(params, d.label):
-            closed = f"(V_S.V_D) fails for D={d.label}"
-        if relation and closed:
-            break
-    return (CheckResult("representative pairing relation (all pairs)", not relation, relation),
-            CheckResult("self/cross closed forms", not closed, closed))
-
-
-def gauge_reproduction(model: FermatModel) -> CheckResult:
-    """GaugeSolver(config, Fm) reproduces every V_D, through linearity against V_Fm.
-
-    t_Fm is solved once at the gauge value (p-2)/(2g-2); each D then needs only
-    the solve of t_D - t_Fm = Fm/d_Fm - D/d_D at gauge value 0, which walks the
-    one branch under Fm that holds D. Every t_D - t_Fm is orthogonal to the
-    fiber, so a NoSolutionError on t_Fm is the one every t_D raises: it fails
-    the check at component 0, with the same sum d_C t_C.
-    """
-    name = "gauged solver reproduces representatives"
     gauge_val = Fraction(model.params.p - 2, 2 * model.params.genus - 2)
     try:
         solver = GaugeSolver(model.config, model.fm)
     except MathContractError as exc:
-        return CheckResult(name, False, str(exc))
+        return None, None, str(exc)
     try:
         w_fm = solver.solve(_fm_targets(model), gauge_val)
     except NoSolutionError as exc:
-        return CheckResult(name, False, f"fails for D={model.config.component(0).label}: {exc}")
-    for d, vd, step in _representatives(model, divisors.v_divisor(model, model.fm)):
-        if solver.solve(step, 0) + w_fm != vd:
-            return CheckResult(name, False, f"fails for D={d.label}")
-    return CheckResult(name, True)
+        return None, None, f"fails for D={model.config.component(0).label}: {exc}"
+    return solver, w_fm - v_fm, ""
+
+
+def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
+    """The relation for every pair (D, C), the closed forms and the solver, in one sweep.
+
+    With prof(V) = sum_C (V . C) C, miss = t_Fm - prof(V_Fm) is empty on a good
+    fiber. Each D builds V_D, G = V_D - V_Fm (which avoids Fm) and the step
+    t_D - t_Fm = Fm/d_Fm - D/d_D once, as integer numerators, and pairs only G:
+    prof(V_D) = t_D iff prof(G) = step + miss. divisors.closed_form_miss reads
+    V_D^2 and (V_S . V_D) off prof(G). The solver reproduces V_D iff
+    G = solve(step, 0) + rest, rest = w_Fm - V_Fm from gauge_reproduction.
+    Each check keeps the detail of its own first failing D, None while it
+    passes; the sweep stops when all three have failed.
+    """
+    config, fm = model.config, model.fm
+    v_fm = divisors.v_divisor(model, fm)
+    fm_prof = pairing_divisor(config, v_fm)
+    miss = _fm_targets(model) - fm_prof
+    vs = pairing_divisor(config, divisors.v_s(model) - v_fm)  # prof(V_S - V_Fm)
+    solver, rest, solved = gauge_reproduction(model, v_fm)
+    if solver is not None:
+        rest, solved = (rest.numerators(), rest.denominator), None
+    fm_prof, miss, vs, (vfm, vfm_den) = ((q.numerators(), q.denominator)
+                                         for q in (fm_prof, miss, vs, v_fm))
+    d_fm, forms, relation, closed = config.components[fm].multiplicity, {}, None, None
+    for cid, d in enumerate(config.components):
+        vd = v_fm if cid == fm else divisors.v_divisor(model, cid)
+        vd = vd.numerators(), vd.denominator
+        g, gden = _combined(*vd, vfm, vfm_den, -1)
+        g = dict(filter(itemgetter(1), g.items()))  # G, without Fm
+        step = _combined({fm: 1}, d_fm, {cid: 1}, d.multiplicity, -1)
+        prof = _spread(config, g), gden
+        if relation is None and not _is_sum(prof, step, miss):
+            relation = f"fails for D={d.label}"
+        if closed is None:
+            what = divisors.closed_form_miss(model.params, d.label, vd, fm_prof, prof, vs, forms)
+            closed = f"{what} fails for D={d.label}" if what else None
+        if solved is None:
+            w = solver.solve(QDivisor.from_numerators(*step), 0)
+            if not _is_sum((g, gden), (w.numerators(), w.denominator), rest):
+                solved = f"fails for D={d.label}"
+        if None not in (relation, closed, solved):
+            break
+    names = ("representative pairing relation (all pairs)", "self/cross closed forms",
+             "gauged solver reproduces representatives")
+    return tuple(CheckResult(name, fail is None, fail or "")
+                 for name, fail in zip(names, (relation, closed, solved)))
 
 
 def suite_divisor(models: list[FermatModel]) -> list[CheckResult]:
-    """Two sweeps over each given model's components: relation and closed forms, then solver."""
-    out = []
-    for model in models:
-        tag = f"(p={model.params.p}, m={model.params.m})"
-        out.extend(_retag(chk, tag) for chk in representative_relation_full(model))
-        out.append(_retag(gauge_reproduction(model), tag))
-    return out
+    """One sweep over each given model's components: relation, closed forms and solver."""
+    return [_retag(chk, f"(p={model.params.p}, m={model.params.m})")
+            for model in models for chk in representative_relation_full(model)]
 
 
 def suite_beta(models: list[FermatModel]) -> list[CheckResult]:

@@ -211,6 +211,19 @@ def test_divisors_bad_cusp_exits_2(capsys):
         assert f"cusp ({cusp})" in err and "1 <= i <= 9" in err and "1 <= k <= 5" in err
 
 
+def test_divisors_rejects_a_bad_cusp_before_building_the_fiber(capsys, monkeypatch):
+    # the range check needs only (p, m), so an over-range cusp never pays for a large fiber
+    def boom(*args):
+        raise AssertionError("build_config called for a bad cusp")
+
+    monkeypatch.setattr(cli, "build_config", boom)
+    code, out, err = run(capsys, "divisors", "--p", "3", "--m", "331", "--cusp", "9999,1")
+    assert (code, out) == (2, "")
+    assert "cusp (9999,1) out of range: need 1 <= i <= 993 and 1 <= k <= 3" in err
+    code, out, err = run(capsys, "divisors", "--N", "15", "--cusp", "1,6")
+    assert (code, out) == (2, "") and "cusp (1,6)" in err
+
+
 def test_divisors_exit_4_on_contract_violation(capsys, monkeypatch):
     def boom(model, cusp=(1, 1)):
         raise MathContractError("beta_S mismatch (seeded)")

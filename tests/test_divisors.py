@@ -83,10 +83,11 @@ def test_v_s_coefficients(model53):
 
 def test_representative_relation_full(model53, model73):
     for model in (model53, model73):
-        relation, closed = representative_relation_full(model)
+        relation, closed, solved = representative_relation_full(model)
         assert relation.name == "representative pairing relation (all pairs)"
         assert closed.name == "self/cross closed forms"
-        assert relation.passed and closed.passed
+        assert solved.name == "gauged solver reproduces representatives"
+        assert relation.passed and closed.passed and solved.passed
 
 
 def test_v_s_property(model53):
@@ -132,6 +133,15 @@ def test_closed_forms_match_graph(models):
             assert pair(cfg, vs, vc) == vs_pair_closed(model.params, c.label)
 
 
+def test_closed_forms_are_constant_on_each_closed_form_class(models):
+    # the divisor sweep evaluates the closed forms once per class, so a class fixes both
+    for model in models.values():
+        seen = {}
+        for c in model.config.components:
+            forms = v_self_closed(model.params, c.label), vs_pair_closed(model.params, c.label)
+            assert seen.setdefault(divisors.closed_form_class(c.label), forms) == forms
+
+
 def test_suite_divisor_flags_mutated_graph(model53):
     from ffk.fiber import FiberConfig
 
@@ -152,7 +162,15 @@ def test_suite_divisor_flags_mutated_graph(model53):
 
 
 def test_gauge_reproduces_representatives(model53):
-    assert gauge_reproduction(model53).passed
+    # the solver factors and solves t_Fm at the gauge: w_Fm is V_Fm, so w_Fm - V_Fm is empty
+    v_fm = v_divisor(model53, model53.fm)
+    solver, rest, detail = gauge_reproduction(model53, v_fm)
+    assert solver.gauge_cid == model53.fm and rest == QDivisor() and detail == ""
+    # V_D = solve(t_D - t_Fm, 0) + w_Fm, with t_D - t_Fm = Fm/d_Fm - D/d_D (d_Fm = p = 5)
+    for cid in (0, model53.lxyz(2), model53.cid(FermatLabel("Ldelta", i=3))):
+        d = model53.config.component(cid).multiplicity
+        step = QDivisor({model53.fm: Fraction(1, 5), cid: Fraction(-1, d)})
+        assert solver.solve(step, 0) + v_fm == v_divisor(model53, cid)
 
 
 def test_gauge_reproduction_reports_incompatible_targets(model53):
@@ -164,12 +182,12 @@ def test_gauge_reproduction_reports_incompatible_targets(model53):
     comps = list(cfg.components)
     comps[model53.fm] = dataclasses.replace(comps[model53.fm], genus=comps[model53.fm].genus + 1)
     bad = dataclasses.replace(model53, config=FiberConfig(comps, dict(cfg.edges()), cfg.genus))
-    chk = gauge_reproduction(bad)
+    solver, rest, detail = gauge_reproduction(bad, v_divisor(bad, bad.fm))
     # sum d_C t_C is d_Fm (a_Fm's increase 2)/(2g-2)
     excess = Fraction(2 * comps[model53.fm].multiplicity, 2 * model53.params.genus - 2)
-    assert not chk.passed
-    assert chk.detail == ("fails for D=Chain(j=1,k=1,i=1): no solution: targets are not "
-                          f"orthogonal to the fiber (sum d_C t_C = {excess})")
+    assert solver is None and rest is None
+    assert detail == ("fails for D=Chain(j=1,k=1,i=1): no solution: targets are not "
+                      f"orthogonal to the fiber (sum d_C t_C = {excess})")
 
 
 def _whole_fiber_representatives(model):
@@ -272,22 +290,77 @@ def test_suite_divisor_matches_the_reference_on_self_int_and_genus_mutants(model
 
 
 def test_suite_divisor_builds_each_representative_once_per_sweep(model53, monkeypatch):
-    # the relation and the closed forms read one profile per V_D, the solver a second
-    # sweep: 2n + 1 representatives (the +1 is V_S) and no pair call
+    # one sweep reads the relation, the closed forms and the solver off each V_D:
+    # n + 1 representatives (the +1 is V_S), one factorization and no pair call
     import ffk.divisors
     import ffk.verify
 
-    calls = {"v_divisor": 0, "pair": 0}
+    calls = {"v_divisor": 0, "pair": 0, "factor": 0}
     for mod, name in ((ffk.divisors, "v_divisor"), (ffk.verify, "pair")):
         def counted(*args, _orig=getattr(mod, name), _name=name):
             calls[_name] += 1
             return _orig(*args)
 
         monkeypatch.setattr(mod, name, counted)
+    factor = GaugeSolver.__init__
+
+    def counted_factor(self, *args):
+        calls["factor"] += 1
+        factor(self, *args)
+
+    monkeypatch.setattr(GaugeSolver, "__init__", counted_factor)
     checks = suite_divisor([model53])
     assert all(c.passed for c in checks)
     n = model53.config.n_components
-    assert n == 118 and calls == {"v_divisor": 2 * n + 1, "pair": 0}
+    assert n == 118 and calls == {"v_divisor": n + 1, "pair": 0, "factor": 1}
+
+
+PM_MUTANTS = [(5, 3), (7, 3), (3, 5)]
+
+
+@pytest.mark.parametrize("pm", PM_MUTANTS, ids=lambda pm: f"{pm[0]},{pm[1]}")
+@pytest.mark.parametrize("every_solve", [False, True], ids=["one_branch", "every_solve"])
+def test_suite_divisor_matches_the_reference_when_only_the_solver_fails(models, pm, every_solve,
+                                                                        monkeypatch):
+    # one_branch: a solver that is off on one branch whenever the targets ask for a negative
+    # value at LXYZ(2); only t_D for D = LXYZ(2) does, in the step t_D - t_Fm as in the dense
+    # t_D. every_solve: the same divisor added to every solve, t_Fm's at the gauge included,
+    # as a stale buffer would; w_Fm - V_Fm then holds it too, and the check fails at D = 0
+    model = models[pm]
+    lxyz = model.lxyz(2)
+    solve = GaugeSolver.solve
+
+    def off(self, targets, gauge_val):
+        out = solve(self, targets, gauge_val)
+        return out + QDivisor.single(lxyz) if every_solve or targets.coeff(lxyz) < 0 else out
+
+    monkeypatch.setattr(GaugeSolver, "solve", off)
+    first = model.config.component(0).label if every_solve else "LXYZ(2)"
+    want = suite_divisor_reference(model)
+    assert [(passed, detail) for _, passed, detail in want] == [
+        (True, ""), (True, ""), (False, f"fails for D={first}")]
+    assert _suite_divisor_triples(model) == want
+
+
+@pytest.mark.parametrize("pm", PM_MUTANTS, ids=lambda pm: f"{pm[0]},{pm[1]}")
+@pytest.mark.parametrize("kind", ["Chain", "Fm", "LXYZ"])
+def test_suite_divisor_matches_the_reference_when_only_a_closed_form_fails(models, pm, kind,
+                                                                           monkeypatch):
+    # (V_S . V_D) off by 1/N for every D of one kind: the relation and the solver still pass,
+    # and the closed-form check names the first D of that kind
+    model = models[pm]
+    closed = divisors.vs_pair_closed
+
+    def off_for_one_kind(params, lab):
+        return closed(params, lab) + Fraction(lab.kind == kind, params.n)
+
+    monkeypatch.setattr(divisors, "vs_pair_closed", off_for_one_kind)
+    monkeypatch.setitem(globals(), "vs_pair_closed", off_for_one_kind)
+    first = next(c.label for c in model.config.components if c.label.kind == kind)
+    want = suite_divisor_reference(model)
+    assert [(passed, detail) for _, passed, detail in want] == [
+        (True, ""), (False, f"(V_S.V_D) fails for D={first}"), (True, "")]
+    assert _suite_divisor_triples(model) == want
 
 
 def test_suite_beta_builds_v_fm_once_and_each_v_s_once(model53, monkeypatch):

@@ -36,3 +36,28 @@ def test_traced_methods_resolve(monkeypatch):
     for span, (cls_name, meth) in tracing.METHODS.items():
         cls = getattr(fiber, cls_name, None)
         assert cls is not None and callable(vars(cls).get(meth)), span
+
+
+def test_every_traced_verify_layer_is_reached(monkeypatch, capsys):
+    # a layer that is no longer called reads 0 in the per-layer metrics and fails nothing
+    # there, so `ffk fiber` and `ffk divisors` must reach every traced verify function
+    tracing = _tracing(monkeypatch)
+    import ffk.cli
+
+    calls = dict.fromkeys(tracing.FUNCTIONS["verify"], 0)
+    mods = [mod for name, mod in sys.modules.items() if name == "ffk" or name.startswith("ffk.")]
+    for name in calls:
+        orig = getattr(importlib.import_module("ffk.verify"), name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in mods:
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    for command in ("fiber", "divisors"):
+        assert ffk.cli.main([command, "--p", "5", "--m", "3"]) == 0
+    capsys.readouterr()
+    assert all(calls.values()), calls
