@@ -39,10 +39,7 @@ from .fiber import (
     Component,
     FiberConfig,
     QDivisor,
-    a_number,
     canonical_pair,
-    i_c,
-    p_a_divisor,
     pair,
     validate,
 )

@@ -24,8 +24,8 @@ from .fiber import (
     CheckResult,
     FiberConfig,
     QDivisor,
+    _a_values,
     _dot,
-    a_number,
     canonical_pair,
     pair,
     pairing_divisor,
@@ -273,7 +273,7 @@ def u_s_values(
     Works on any FiberConfig whose vertex `target` the cusp section S meets:
     the full graph (sizes None, target the cusp chain end) or the cusp
     quotient (target its cusp cell). The semipositivity value at vertex c is
-    a_C + 2(S.C) - (U.C) = (a_number - (U.[c]))/|c| + 2[c = target], shared by
+    a_C + 2(S.C) - (U.C) = ((K.[c]) - (U.[c]))/|c| + 2[c = target], shared by
     the |c| components C of c. The values come as integer numerators over one
     denominator, in vertex order, so the minimum is an integer minimum. This is
     the one evaluator of these identities: beta_s, semipos_check, u_s_probe and
@@ -283,8 +283,9 @@ def u_s_values(
     prof = pairing_divisor(config, u)
     den, get = prof.denominator, prof.numerators().get
     scale = lcm(*config.sizes or (1,))  # clears the 1/|c| of every vertex
-    num = [(a_number(config, cid) * den - get(cid, 0)) * (scale // k)
-           for cid, k in enumerate(config.sizes or repeat(1, config.n_components))]
+    a_vals = _a_values(config, range(config.n_components))
+    num = [(a * den - get(cid, 0)) * (scale // k)
+           for cid, (a, k) in enumerate(zip(a_vals, config.sizes or repeat(1)))]
     num[target] += 2 * den * scale
     return pair(config, x, x), canonical_pair(config, u), (num, den * scale)
 

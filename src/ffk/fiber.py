@@ -160,9 +160,6 @@ class QDivisor:
         """sum_C (coefficient in self) (coefficient in other), over the support of self."""
         return Fraction(_dot(self._num, other._num), self._den * other._den)
 
-    def is_effective_integral(self) -> bool:
-        return self._den == 1 and all(v > 0 for v in self._num.values())
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{cid}: {v}" for cid, v in sorted(self.items()))
         return f"QDivisor({{{inner}}})"
@@ -219,11 +216,6 @@ class FiberConfig:
     def component(self, cid: int) -> Component:
         if 0 <= cid < len(self.components):
             return self.components[cid]
-        raise ParameterError(f"unknown component id {cid}")
-
-    def neighbors(self, cid: int) -> Mapping[int, int]:
-        if 0 <= cid < len(self._nbrs):
-            return self._nbrs[cid]
         raise ParameterError(f"unknown component id {cid}")
 
     def fiber_divisor(self) -> QDivisor:
@@ -312,18 +304,9 @@ def pair_profile(config: FiberConfig, D: QDivisor) -> dict[int, Fraction]:
     return dict(pairing_divisor(config, D).items())
 
 
-def i_c(config: FiberConfig, cid: int) -> int:
-    """I_C: neighbour multiplicities weighted by intersection points.
-
-    (F . C) = d_C C^2 + I_C, with F = sum d_C C the fiber; at size k, I is (F . [c]) - d_C [c]^2.
-    One component's value; i_c_values gives every component's in one pass.
-    """
-    comps = config.components
-    return sum(comps[nbr].multiplicity * cnt for nbr, cnt in config.neighbors(cid).items())
-
-
 def i_c_values(config: FiberConfig) -> list[int]:
-    """[I_C for every C], in id order: one pass over the neighbour maps."""
+    """[I_C for every C] in id order, one pass: neighbour multiplicities weighted by points,
+    so that (F . C) = d_C C^2 + I_C; at size k, I = (F . [c]) - d_C [c]^2."""
     mult = list(map(attrgetter("multiplicity"), config.components))
     out = []
     for nbrs in config._nbrs:
@@ -342,33 +325,11 @@ def _a_values(config: FiberConfig, ids) -> list[int]:
     return [k * (2 * c.genus - 2) - c.self_int for c, k in zip(map(comps.__getitem__, ids), ks)]
 
 
-def a_number(config: FiberConfig, cid: int) -> int:
-    """Adjunction number (K . C) of one component, by the formula of _a_values."""
-    config.component(cid)  # ParameterError on an unknown id
-    return _a_values(config, (cid,))[0]
-
-
 def canonical_pair(config: FiberConfig, D: QDivisor) -> Fraction:
     """(K . D) via adjunction, without constructing a canonical divisor."""
     num = D._num
     _check_ids(config, num)
     return Fraction(sum(map(mul, num.values(), _a_values(config, num))), D._den)
-
-
-def p_a_divisor(config: FiberConfig, D: QDivisor) -> Fraction:
-    """Arithmetic genus 1 + (D^2 + K.D)/2 of an effective nonzero divisor.
-
-    D is integral, so D^2 (D's coefficients dotted with its pairing profile) and
-    K.D are integer sums; the one Fraction is the final halving.
-    """
-    if not D:
-        raise ParameterError("p_a is undefined for the zero divisor")
-    if not D.is_effective_integral():
-        raise ParameterError("p_a requires integral coefficients >= 1")
-    num = D._num
-    prof = _spread(config, num)
-    d2 = sum(map(mul, num.values(), map(prof.__getitem__, num)))
-    return Fraction(2 + d2 + sum(map(mul, num.values(), _a_values(config, num))), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +396,9 @@ class GaugeSolver:
     child of the gauge component) is one run of that order, and both passes
     go branch by branch. A branch without targets has F_C = 0 throughout,
     so its y_C all equal the gauge's; at gauge value 0 a solve walks only
-    the branches its targets reach.
+    the branches its targets reach. Solves reuse two lists made by the first,
+    so a solver runs one solve at a time; y_C is written before it is read, and
+    the pre-order pass zeroes each F_C it reads (the root's sums to 0).
 
     Factoring checks, in integers, that the graph is connected, has n - 1
     edges and satisfies fiber orthogonality; a config that fails any of the
@@ -503,6 +466,11 @@ class GaugeSolver:
                 out[cid] = run
         return out
 
+    @cached_property
+    def _scratch(self) -> tuple[list[int], list[int]]:
+        """The lists every solve reuses: den * F_C, all 0 between solves, and den * K * y_C."""
+        return [0] * len(self._mult), [0] * len(self._mult)
+
     def solve(self, targets: QDivisor, gauge_val) -> QDivisor:
         """The V with (V . C) = targets.coeff(C) for every C and gauge coefficient gauge_val.
 
@@ -517,17 +485,15 @@ class GaugeSolver:
         k = den // targets._den
         num = targets._num
         _check_ids(config, num)
-        sub = [0] * len(mult)  # den * d_C t_C, then den * F_C
-        for cid, v in num.items():
-            sub[cid] = mult[cid] * v * k
-        compat = sum(map(sub.__getitem__, num))
+        compat = sum(map(mul, map(mult.__getitem__, num), num.values())) * k
         if compat:
             raise NoSolutionError(
                 "no solution: targets are not orthogonal to the fiber "
                 f"(sum d_C t_C = {Fraction(compat, den)})"
             )
-        root = self.gauge_cid
-        y = [0] * len(mult)  # den * K * y_C
+        (sub, y), root = self._scratch, self.gauge_cid
+        for cid, v in num.items():
+            sub[cid] = mult[cid] * v * k  # den * d_C t_C, then den * F_C
         y[root] = y_root = gauge.numerator * (den // gauge.denominator) * self._root_step
         coeffs = {root: mult[root] * y_root} if y_root else {}
         below, parents, steps = self._below, self._parents, self._steps
@@ -538,6 +504,7 @@ class GaugeSolver:
                 sub[par] += sub[cid]
             for cid, par, step in zip(ids, pars, steps[start:stop]):
                 y[cid] = v = y[par] - sub[cid] * step
+                sub[cid] = 0
                 if v:
                     coeffs[cid] = mult[cid] * v
         return QDivisor.from_numerators(coeffs, den * self._scale)

@@ -17,12 +17,11 @@ from .fiber import (
     CheckResult,
     GaugeSolver,
     QDivisor,
+    _a_values,
     _combined,
     _is_sum,
     _spread,
-    a_number,
-    i_c,
-    p_a_divisor,
+    i_c_values,
     pair,
     pair_profile,
     pairing_divisor,
@@ -137,13 +136,11 @@ def suite_fiber(models: list[FermatModel]) -> list[CheckResult]:
             CheckResult(f"I_C = (C . F - d_C C) for all C {tag}", i_c_matches_pairing(model))
         )
 
+        ics = i_c_values(model.config)
         ic_ok = (
-            all(
-                i_c(model.config, model.chain(j, 1, 1)) == 2 * j
-                for j in range(1, m)
-            )
-            and i_c(model.config, model.lxyz(1)) == p + p * (m - 1)
-            and i_c(model.config, model.fm) == m * m * p
+            all(ics[model.chain(j, 1, 1)] == 2 * j for j in range(1, m))
+            and ics[model.lxyz(1)] == p + p * (m - 1)
+            and ics[model.fm] == m * m * p
         )
         out.append(CheckResult(f"I_C table values {tag}", ic_ok))
 
@@ -169,7 +166,8 @@ def _fm_targets(model: FermatModel) -> QDivisor:
     two_g2 = 2 * model.params.genus - 2
     d_fm = config.components[model.fm].multiplicity
     den = lcm(two_g2, d_fm)
-    num = {cid: a_number(config, cid) * (den // two_g2) for cid in range(config.n_components)}
+    k = den // two_g2
+    num = dict(enumerate(a * k for a in _a_values(config, range(config.n_components))))
     num[model.fm] -= den // d_fm
     return QDivisor.from_numerators(num, den)
 
@@ -322,22 +320,28 @@ def suite_cycles(models: list[FermatModel]) -> list[CheckResult]:
 
     Each chain Chain(1..m-1, k, i) is the id run from its end in model.cusps
     (the model docstring); each leaf is found by its label. A model whose
-    config does not carry the docstring's labels fails the check.
+    config does not carry the docstring's labels fails the check. A cycle D, the
+    sum of its run, has p_a = 1 + (D^2 + K.D)/2, with D^2 = sum C^2 plus twice the
+    intersection points inside the run and K.D from one _a_values pass.
     """
     out = []
     for model in models:
         p, m = model.params.p, model.params.m
         config = model.config
+        comps, nbrs = config.components, config._nbrs
         try:
             cycles = [range(end, end + m - 1) for end in model.cusps]
         except ParameterError:
             cycles = None
         else:
-            cycles += [(cid,) for cid, c in enumerate(config.components)
+            cycles += [range(cid, cid + 1) for cid, c in enumerate(comps)
                        if c.label.kind == "LgammaLeaf"]
+            a_vals = _a_values(config, range(config.n_components))
         ok = cycles is not None and all(
-            p_a_divisor(config, QDivisor.from_numerators(dict.fromkeys(z, 1), 1)) == 0
-            for z in cycles)
+            sum(a_vals[cid] + comps[cid].self_int
+                + sum(cnt for x, cnt in nbrs[cid].items() if run.start <= x < run.stop)
+                for cid in run) == -2
+            for run in cycles)
         out.append(CheckResult(f"fundamental cycles have p_a = 0 (p={p}, m={m})", ok))
     return out
 

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from ffk import divisors, verify
 from ffk.errors import MathContractError
-from ffk.fiber import CheckResult, FiberConfig, pair, validate
+from ffk.fiber import CheckResult, FiberConfig, QDivisor, pair, validate
 from ffk.model import FermatLabel, FermatModel
-from test_fiber import NOT_ORTHOGONAL_TREES
+from test_fiber import NOT_ORTHOGONAL_TREES, p_a_divisor
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, detail: str = ""):
@@ -256,3 +256,28 @@ def test_every_suite_reports_a_single_field_mutant(models, pm, mode):
             assert got and all(isinstance(c, CheckResult) for c in got), suite.__name__
             checks += got
         assert not all(c.passed for c in checks), f"{mode} on {pm} not caught"
+
+
+def _cycles_reference(model):
+    """suite_cycles' verdict from one QDivisor and one p_a_divisor per fundamental cycle."""
+    config, m = model.config, model.params.m
+    cycles = [range(end, end + m - 1) for end in model.cusps]
+    cycles += [(cid,) for cid, c in enumerate(config.components) if c.label.kind == "LgammaLeaf"]
+    return all(p_a_divisor(config, QDivisor.from_numerators(dict.fromkeys(z, 1), 1)) == 0
+               for z in cycles)
+
+
+@pytest.mark.parametrize("mode", [None, *MUTATIONS])
+def test_suite_cycles_matches_the_p_a_reference(models, mode):
+    verdicts = []
+    for base in models.values():
+        cfgs = [base.config] if mode is None else _single_field_mutants(base, mode)
+        for cfg in cfgs:
+            model = dataclasses.replace(base, config=cfg)
+            [chk] = verify.suite_cycles([model])
+            assert chk.passed == _cycles_reference(model), (model.params, mode)
+            verdicts.append(chk.passed)
+    if mode is None:
+        assert all(verdicts)
+    elif mode in ("genus+1", "drop_edge"):  # at chain end 0 or its edge (0, 1): p_a moves
+        assert not all(verdicts)

@@ -1,12 +1,14 @@
-"""Every public function and method of the package has a caller inside the package,
-and every name a package module imports is read in that module.
+"""Every public function and method of the package, and every private module-level
+function and class, has a caller inside the package, and every name a package module
+imports is read in that module.
 
 A public module-level function, or a public non-dunder method of a package
 class, that only tests call is a second entry point to a quantity some other
 function already computes; it is to be deleted, not kept for its test. A
+private helper that nothing references is what a deletion orphans. A
 reference is an `ast.Name` or `ast.Attribute` in any module but `__init__.py`
 (re-exports do not count, and neither do strings such as the JSON key
-"upper_bound"), outside the function's own body. Names are matched, not
+"upper_bound"), outside the definition's own body. Names are matched, not
 resolved, so a method counts as called when any package code reads an
 attribute of that name. The package has no linter, so the import check stands
 in for its unused-import rule, and the layering check for an import-layer rule.
@@ -46,15 +48,18 @@ def _units(package: Path):
                 yield f"{path.stem}.{getattr(node, 'name', '')}", node, _names(node)
 
 
-def _unreferenced(depth: int, package: Path) -> list[str]:
-    """Qualified names with `depth` dots of public functions that no other unit references."""
+def _unreferenced(depth: int, package: Path, private: bool = False,
+                  kinds: tuple[type, ...] = (ast.FunctionDef,)) -> list[str]:
+    """Qualified names with `depth` dots of public (or private) definitions of `kinds`
+    that no unit outside their own references."""
     units = list(_units(package))
     return [
         qual
         for qual, node, _ in units
-        if qual.count(".") == depth and isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("_")
-        and not any(node.name in names for _, other, names in units if other is not node)
+        if qual.count(".") == depth and isinstance(node, kinds)
+        and node.name.startswith("_") == private
+        and not any(node.name in names for other, _, names in units
+                    if other != qual and not other.startswith(qual + "."))
     ]
 
 
@@ -74,6 +79,16 @@ def test_every_public_function_has_a_package_caller():
 
 def test_every_public_method_has_a_package_caller():
     assert unreferenced_public_methods() == []
+
+
+def unreferenced_private_definitions(package: Path = PACKAGE) -> list[str]:
+    """module.name of each private module-level function or class no other package code
+    references."""
+    return _unreferenced(1, package, private=True, kinds=(ast.FunctionDef, ast.ClassDef))
+
+
+def test_every_private_helper_has_a_package_caller():
+    assert unreferenced_private_definitions() == []
 
 
 def unused_imports(package: Path = PACKAGE) -> list[str]:

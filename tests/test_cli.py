@@ -17,7 +17,7 @@ import ffk.cli as cli
 import ffk.divisors
 from ffk import bounds, polyarith, verify
 from ffk.errors import MathContractError
-from ffk.fiber import i_c
+from ffk.fiber import i_c_values
 
 
 def run(capsys, *argv):
@@ -139,9 +139,9 @@ def test_fiber_csv_matches_csv_writer(capsys, models, argv, pairs):
     w.writerow(["kind", "i", "k", "j", "multiplicity", "genus", "self_intersection", "i_c"])
     for pm in pairs:
         config = models[pm].config
-        for cid, c in enumerate(config.components):
+        for c, ic in zip(config.components, i_c_values(config)):
             w.writerow([c.label.kind, c.label.i, c.label.k, c.label.j, c.multiplicity, c.genus,
-                        c.self_int, i_c(config, cid)])
+                        c.self_int, ic])
     assert out == buf.getvalue()
 
 

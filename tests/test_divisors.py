@@ -24,7 +24,7 @@ from ffk.fiber import (
     FiberConfig,
     GaugeSolver,
     QDivisor,
-    a_number,
+    _a_values,
     canonical_pair,
     pair,
     pair_profile,
@@ -97,9 +97,9 @@ def test_v_s_property(model53):
     two_g2 = 2 * model53.params.genus - 2
     prof = pair_profile(cfg, vs)
     target = model53.chain(1, 1, 1)
-    for cid in range(cfg.n_components):
+    for cid, a in enumerate(_a_values(cfg, range(cfg.n_components))):
         sc = 1 if cid == target else 0
-        assert prof.get(cid, Fraction(0)) + sc == Fraction(a_number(cfg, cid), two_g2)
+        assert prof.get(cid, Fraction(0)) + sc == Fraction(a, two_g2)
 
 
 def _v_self(model, cid):
@@ -194,7 +194,7 @@ def _whole_fiber_representatives(model):
     """(D, V_D, t_D) for every D, t_D = sum_C (a_C/(2g-2) - delta_{D,C}/d_D) C, dense."""
     cfg = model.config
     base = QDivisor.from_numerators(
-        {cid: a_number(cfg, cid) for cid in range(cfg.n_components)}, 2 * model.params.genus - 2)
+        dict(enumerate(_a_values(cfg, range(cfg.n_components)))), 2 * model.params.genus - 2)
     for cid, d in enumerate(cfg.components):
         yield d, v_divisor(model, cid), base - QDivisor.from_numerators({cid: 1}, d.multiplicity)
 
@@ -549,8 +549,8 @@ def test_chain_divisor_high_r():
     vd = v_divisor(model, cid)
     prof = pair_profile(model.config, vd)
     two_g2 = 2 * model.params.genus - 2
-    for c in range(model.config.n_components):
-        want = Fraction(a_number(model.config, c), two_g2)
+    for c, a in enumerate(_a_values(model.config, range(model.config.n_components))):
+        want = Fraction(a, two_g2)
         if c == cid:
             want -= Fraction(1, 4)
         assert prof.get(c, Fraction(0)) == want

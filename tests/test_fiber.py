@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,10 @@ from ffk.fiber import (
     FiberConfig,
     GaugeSolver,
     QDivisor,
-    a_number,
+    _a_values,
+    _spread,
     canonical_pair,
-    i_c,
     i_c_values,
-    p_a_divisor,
     pair,
     pair_profile,
     pairing_divisor,
@@ -27,7 +27,23 @@ from ffk.model import FermatLabel, build_config
 
 def _pair_cc(config, a, b):
     """Intersection number of two components, read from the component and its neighbour map."""
-    return config.component(a).self_int if a == b else config.neighbors(a).get(b, 0)
+    return config.component(a).self_int if a == b else config._nbrs[a].get(b, 0)
+
+
+def p_a_divisor(config, D):
+    """Arithmetic genus 1 + (D^2 + K.D)/2 of an effective nonzero integral divisor D.
+
+    The reference for suite_cycles' one pass per cycle: D^2 is D's coefficients
+    dotted with its pairing profile, and K.D sums adjunction numbers.
+    """
+    if not D:
+        raise ParameterError("p_a is undefined for the zero divisor")
+    num = D.numerators()
+    if D.denominator != 1 or min(num.values()) < 1:
+        raise ParameterError("p_a requires integral coefficients >= 1")
+    prof = _spread(config, num)
+    d2 = sum(v * prof[cid] for cid, v in num.items())
+    return Fraction(2 + d2 + sum(map(mul, num.values(), _a_values(config, num))), 2)
 
 
 def dense_solve_oracle(config, targets, gauge):
@@ -140,15 +156,6 @@ def test_pair_unknown_component(model53):
         pair(model53.config, QDivisor.single(-1), QDivisor.single(0))
 
 
-def test_neighbors_reject_out_of_range_ids(model53):
-    cfg = model53.config
-    for cid in (-1, cfg.n_components):
-        with pytest.raises(ParameterError):
-            cfg.neighbors(cid)
-        with pytest.raises(ParameterError):
-            i_c(cfg, cid)
-
-
 @pytest.mark.parametrize("bad", [-1, "n"])
 def test_pairing_kernels_reject_unknown_ids(model53, bad):
     cfg = model53.config
@@ -171,27 +178,22 @@ def test_pairing_kernels_reject_unknown_ids(model53, bad):
 
 def test_orthogonality_is_computed_once_per_config(monkeypatch):
     # one whole-fiber I_C pass serves validate and the solver's factor; a second
-    # pass, or a per-component i_c sweep, in either of them fails this
+    # pass in either of them fails this
     import ffk.fiber
 
-    passes, single = [], []
-    kernel, single_kernel = ffk.fiber.i_c_values, ffk.fiber.i_c
+    passes = []
+    kernel = ffk.fiber.i_c_values
 
     def counted(config):
         passes.append(config)
         return kernel(config)
 
-    def counted_single(config, cid):
-        single.append(cid)
-        return single_kernel(config, cid)
-
     cfg = build_config(7, 3).config
     monkeypatch.setattr(ffk.fiber, "i_c_values", counted)
-    monkeypatch.setattr(ffk.fiber, "i_c", counted_single)
     assert all(c.passed for c in validate(cfg))
     GaugeSolver(cfg, 0)
     GaugeSolver(cfg, 5)
-    assert passes == [cfg] and single == []
+    assert passes == [cfg]
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,9 +221,10 @@ def test_pair_profile_matches_pair(model53):
 
 def test_a_number_values(model53):
     p, m = 5, 3
-    assert a_number(model53.config, model53.cid(FermatLabel("Ldelta", i=1))) == p - 2
-    assert a_number(model53.config, model53.chain(1, 2, 3)) == 0
-    assert a_number(model53.config, model53.fm) == 2 * m * m - 3 * m
+    a = _a_values(model53.config, range(model53.config.n_components))
+    assert a[model53.cid(FermatLabel("Ldelta", i=1))] == p - 2
+    assert a[model53.chain(1, 2, 3)] == 0
+    assert a[model53.fm] == 2 * m * m - 3 * m
 
 
 def test_canonical_pair_fiber(model53):
@@ -234,7 +237,8 @@ def test_canonical_pair_fiber(model53):
 def test_adjunction_sum(models):
     for model in models.values():
         cfg = model.config
-        total = sum(c.multiplicity * a_number(cfg, cid) for cid, c in enumerate(cfg.components))
+        a = _a_values(cfg, range(cfg.n_components))
+        total = sum(c.multiplicity * a_c for c, a_c in zip(cfg.components, a))
         assert total == 2 * model.params.genus - 2
 
 
@@ -305,7 +309,7 @@ def test_solve_gauge_matches_dense_oracle(model53):
     cfg = model53.config
     two_g2 = 2 * model53.params.genus - 2
     targets = {
-        cid: Fraction(a_number(cfg, cid), two_g2) for cid in range(cfg.n_components)
+        cid: Fraction(a, two_g2) for cid, a in enumerate(_a_values(cfg, range(cfg.n_components)))
     }
     targets[model53.fm] -= Fraction(1, model53.params.p)
     gauge = (model53.fm, Fraction(model53.params.p - 2, two_g2))
@@ -320,6 +324,21 @@ def test_solve_gauge_matches_dense_oracle(model53):
 def test_solve_gauge_incompatible_targets(model53):
     with pytest.raises(NoSolutionError):
         GaugeSolver(model53.config, model53.fm).solve(QDivisor.single(model53.fm), Fraction(0))
+
+
+def test_solves_on_one_solver_do_not_depend_on_earlier_solves(model53):
+    # every solve reuses the solver's two lists, after a refused, a full or a branch solve
+    cfg, fm = model53.config, model53.fm
+    ldelta = model53.cid(FermatLabel("Ldelta", i=1))
+    steps = [QDivisor.single(fm, Fraction(1, cfg.component(fm).multiplicity))
+             - QDivisor.single(cid, Fraction(1, cfg.component(cid).multiplicity))
+             for cid in (0, model53.lxyz(2), ldelta)]
+    solver = GaugeSolver(cfg, fm)
+    for step in steps + steps[::-1]:
+        with pytest.raises(NoSolutionError):
+            solver.solve(QDivisor.single(0), 0)
+        assert solver.solve(step, 0) == GaugeSolver(cfg, fm).solve(step, 0)
+        assert solver.solve(step, Fraction(3, 7)) == GaugeSolver(cfg, fm).solve(step, Fraction(3, 7))
 
 
 def test_solve_gauge_extra_rank_deficiency():
@@ -366,10 +385,10 @@ def test_solve_gauge_matches_dense_oracle_on_random_trees(cfg, data):
 
 def _branch_tops(cfg, root):
     """{C: the neighbour of root whose side of the tree holds C}, for every C but root."""
-    top = {nbr: nbr for nbr in cfg.neighbors(root)}
+    top = {nbr: nbr for nbr in cfg._nbrs[root]}
     queue = list(top)
     for cid in queue:
-        for nbr in cfg.neighbors(cid):
+        for nbr in cfg._nbrs[cid]:
             if nbr != root and nbr not in top:
                 top[nbr] = top[cid]
                 queue.append(nbr)
@@ -464,7 +483,7 @@ def test_fiber_config_takes_only_int_counts_and_sizes(pairings, sizes):
     with pytest.raises(ParameterError):
         FiberConfig(comps, pairings, 0, sizes=sizes)
     zero = FiberConfig(comps, {(0, 1): 0}, 0)
-    assert list(zero.edges()) == [] and zero.neighbors(0) == {}
+    assert list(zero.edges()) == [] and zero._nbrs[0] == {}
 
 
 @pytest.mark.parametrize("coeff", [0.1, 1.0, "1/2"])
@@ -527,7 +546,7 @@ def test_fiber_config_takes_only_an_int_genus():
 
 def _maps(cfg):
     """Every neighbour map, in id order and in its own insertion order."""
-    return [list(cfg.neighbors(cid).items()) for cid in range(cfg.n_components)]
+    return [list(nbrs.items()) for nbrs in cfg._nbrs]
 
 
 def test_fiber_config_takes_pairings_as_a_stream(model73):
@@ -557,17 +576,22 @@ def test_fiber_config_stream_raises_as_the_mapping_does(pairings):
     assert str(from_stream.value) == str(from_dict.value)
 
 
+def _i_c(cfg, cid):
+    """I_C of one component, looked up in its own neighbour map."""
+    return sum(cfg.components[nbr].multiplicity * cnt for nbr, cnt in cfg._nbrs[cid].items())
+
+
 def _first_offender(cfg):
-    """The first C with d_C C^2 + I_C != 0, from one i_c look-up per component."""
+    """The first C with d_C C^2 + I_C != 0, from one _i_c look-up per component."""
     return next((c for cid, c in enumerate(cfg.components)
-                 if c.multiplicity * c.self_int + i_c(cfg, cid)), None)
+                 if c.multiplicity * c.self_int + _i_c(cfg, cid)), None)
 
 
 @settings(max_examples=60, deadline=None)
 @given(orthogonal_trees(), st.data())
 def test_i_c_pass_matches_single_look_ups(cfg, data):
     n = cfg.n_components
-    assert i_c_values(cfg) == [i_c(cfg, cid) for cid in range(n)]
+    assert i_c_values(cfg) == [_i_c(cfg, cid) for cid in range(n)]
     assert cfg.non_orthogonal is None
     # a mutant with one self-intersection, multiplicity or edge count changed
     comps, edges = list(cfg.components), dict(cfg.edges())
@@ -581,7 +605,7 @@ def test_i_c_pass_matches_single_look_ups(cfg, data):
         cid = data.draw(st.integers(min_value=0, max_value=n - 1), label="cid")
         comps[cid] = dataclasses.replace(comps[cid], **{kind: getattr(comps[cid], kind) + delta})
     bad = FiberConfig(comps, edges.items(), cfg.genus)
-    assert i_c_values(bad) == [i_c(bad, cid) for cid in range(n)]
+    assert i_c_values(bad) == [_i_c(bad, cid) for cid in range(n)]
     assert bad.non_orthogonal is _first_offender(bad)
 
 
@@ -602,3 +626,4 @@ def test_p_a_divisor_is_the_adjunction_formula(cfg, data):
                 D - QDivisor.single(cid, D.coeff(cid) + 1)):
         with pytest.raises(ParameterError):
             p_a_divisor(cfg, bad)
+

@@ -31,7 +31,7 @@ from ffk.fiber import (
     FiberConfig,
     GaugeSolver,
     QDivisor,
-    a_number,
+    _a_values,
     canonical_pair,
     pair,
     pairing_divisor,
@@ -65,8 +65,8 @@ def graph_semipositivity(model, cusp) -> list[Fraction]:
     config = model.config
     prof = pairing_divisor(config, divisors.u_s(model, divisors.v_s(model, cusp)))
     target = model.cusp(*cusp)
-    return [a_number(config, cid) + 2 * (cid == target) - prof.coeff(cid)
-            for cid in range(config.n_components)]
+    return [a + 2 * (cid == target) - prof.coeff(cid)
+            for cid, a in enumerate(_a_values(config, range(config.n_components)))]
 
 
 def assert_quotient_matches_graph(model, cusp):
@@ -96,7 +96,7 @@ def assert_quotient_matches_graph(model, cusp):
         met[b][cells[a]] += cnt
     for comp, cell, seen in zip(config.components, cells, met):
         size = q.sizes[ids[cell]]
-        want = {labels[c2]: Fraction(w, size) for c2, w in q.neighbors(ids[cell]).items()}
+        want = {labels[c2]: Fraction(w, size) for c2, w in q._nbrs[ids[cell]].items()}
         assert dict(seen) == want, (comp.label, cell)
 
     # V_S and U_S are constant on cells
@@ -150,8 +150,7 @@ def graph_candidates(model, cusp) -> dict[str, QDivisor]:
 
     # V_C^2 = (K . V_C)/(2g-2) - (V_C)_C/d_C by the representative relation, so
     # 2(V_C . V_S) - V_C^2 = (V_C dot w) + (V_C)_C/d_C, w = sum_D (2(V_S . D) - a_D/(2g-2)) D
-    k_div = QDivisor.from_numerators({cid: a_number(config, cid)
-                                      for cid in range(config.n_components)},
+    k_div = QDivisor.from_numerators(dict(enumerate(_a_values(config, range(config.n_components)))),
                                      2 * params.genus - 2)
     vs = divisors.v_s(model, cusp)
     w = pairing_divisor(config, vs).scale(2) - k_div
@@ -309,8 +308,8 @@ def test_gauged_solver_on_the_quotient_reproduces_v_s(models):
     for model, cusp, q in _quotients(models):
         two_g2 = 2 * model.params.genus - 2
         _, v_fm, vs, _ = divisors._on_cells(model, cusp)
-        targets = QDivisor({cid: Fraction(a_number(q, cid), two_g2)
-                            - (cid == 0) for cid in range(q.n_components)})
+        targets = QDivisor({cid: Fraction(a, two_g2) - (cid == 0)
+                            for cid, a in enumerate(_a_values(q, range(q.n_components)))})
         (fm, gauge), = v_fm.items()
         assert GaugeSolver(q, fm).solve(targets, gauge) == vs, (model.params, cusp)
 
@@ -330,8 +329,8 @@ def test_quotient_past_the_component_cap(monkeypatch):
     two_g2 = 2 * params.genus - 2
     fm = [c.label for c in q.components].index(FermatLabel("Fm"))
     gauge = Fraction(params.p - 2, two_g2)
-    targets = QDivisor({cid: Fraction(a_number(q, cid), two_g2) - (cid == 0)
-                        for cid in range(q.n_components)})
+    targets = QDivisor({cid: Fraction(a, two_g2) - (cid == 0)
+                        for cid, a in enumerate(_a_values(q, range(q.n_components)))})
     vs = GaugeSolver(q, fm).solve(targets, gauge)
     gs = vs - QDivisor.single(fm, gauge)
     assert divisors.geometric_graph(params, pair(q, vs, vs), pair(q, gs, gs)) == q_np(2807, 7)
