@@ -25,7 +25,6 @@ from .fiber import (
     FiberConfig,
     QDivisor,
     _a_values,
-    _dot,
     canonical_pair,
     pair,
     pairing_divisor,
@@ -77,39 +76,42 @@ def mu_chain(params: FermatParams, j: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def v_divisor(model: FermatModel, cid: int) -> QDivisor:
-    """The representative V_D for component D, gauged by its Fm coefficient.
-
-    Satisfies (V_D . C) = a_C/(2g-2) - delta_{D,C}/d_D exactly, for every C.
-    Built as integer numerators over lcm(2g-2, 2N, r m), r = j for Chain(j,k,i).
-    """
-    params = model.params
-    p, m, n = params.p, params.m, params.n
-    lab: FermatLabel = model.config.component(cid).label
-    two_g2 = 2 * params.genus - 2
-    r = lab.j if lab.kind == "Chain" else 1
-    den = lcm(two_g2, 2 * n, r * m)
+def v_base(model: FermatModel, bid: int) -> QDivisor:
+    """V_B for a base B = Fm, Lgamma(i) or LXYZ(i): (p-2)/(2g-2) on Fm and, unless B is
+    Fm, 1/p on B and 1/(2p) on each leaf of Lgamma(i) or j/N on each Chain(j,k,i)."""
+    params, lab = model.params, model.config.component(bid).label
+    p, m, n, two_g2 = params.p, params.m, params.n, 2 * params.genus - 2
+    den = lcm(two_g2, 2 * n)
     num = {model.fm: (p - 2) * (den // two_g2)}
-    if lab.kind == "Fm":
-        pass
-    elif lab.kind == "Ldelta":
-        num[cid] = den // p
-    elif lab.kind in ("Lgamma", "LgammaLeaf"):
-        num[model.lgamma(lab.i)] = den // p
-        num.update(dict.fromkeys(model.leaves(lab.i), den // (2 * p)))
-        if lab.kind == "LgammaLeaf":
-            num[cid] += den // 2
-    elif lab.kind in ("LXYZ", "Chain"):
-        num[model.lxyz(lab.i)] = den // p
-        arm = model.chain_arm(lab.i)
-        num.update(zip(arm, cycle([j * (den // n) for j in range(1, m)])))  # Chain(j,k,i): j/N
-        if lab.kind == "Chain":
-            kk = lab.k
-            for j, c in enumerate(arm[(kk - 1) * (m - 1):kk * (m - 1)], 1):
-                num[c] += j * (m - r) * (den // (r * m)) if j < r else (m - j) * (den // m)
-    else:  # pragma: no cover
-        raise MathContractError(f"unknown component kind {lab.kind}")
+    if lab.kind != "Fm":
+        num[bid] = den // p
+        num.update(dict.fromkeys(model.leaves(lab.i), den // (2 * p)) if lab.kind == "Lgamma"
+                   else zip(model.chain_arm(lab.i), cycle([j * (den // n) for j in range(1, m)])))
     return QDivisor.from_numerators(num, den)
+
+
+def v_own(model: FermatModel, cid: int) -> tuple[int, dict[int, int], int]:
+    """(B, numerators, den) of H_D = V_D - V_B, D = cid: Fm, Lgamma(i) and LXYZ(i) are bases,
+    each its own with H_D empty; an Ldelta has the base Fm and H_D 1/p on itself, a leaf of
+    Lgamma(i) that base and 1/2 on itself, and Chain(r,k,i) the base LXYZ(i) and j(m-r)/(rm)
+    at level j < r and (m-j)/m at j >= r on chain k."""
+    lab = model.config.component(cid).label
+    if lab.kind == "Ldelta":
+        return model.fm, {cid: 1}, model.params.p
+    if lab.kind == "LgammaLeaf":
+        return model.lgamma(lab.i), {cid: 1}, 2
+    if lab.kind != "Chain":
+        return cid, {}, 1
+    m, r, first = model.params.m, lab.j, model.chain(1, lab.k, lab.i)
+    return model.lxyz(lab.i), {c: j * (m - r) if j < r else (m - j) * r
+                               for j, c in enumerate(range(first, first + m - 1), 1)}, r * m
+
+
+def v_divisor(model: FermatModel, cid: int) -> QDivisor:
+    """The representative V_D = V_B + H_D, from v_own(D), for component D: it satisfies
+    (V_D . C) = a_C/(2g-2) - delta_{D,C}/d_D exactly, for every C."""
+    bid, own, den = v_own(model, cid)
+    return v_base(model, bid) + QDivisor.from_numerators(own, den)
 
 
 def closed_form_class(label: FermatLabel) -> tuple:
@@ -152,28 +154,6 @@ def vs_pair_closed(params: FermatParams, lab: FermatLabel) -> Fraction:
     if lab.k == 1:
         out -= Fraction(params.m - r, r * params.m)
     return out
-
-
-def closed_form_miss(params: FermatParams, label: FermatLabel, vd, fm_prof, prof, vs,
-                     forms: dict) -> str:
-    """"V_D^2" or "(V_S.V_D)", whichever misses its closed form first for D = `label`, or "".
-
-    Each divisor comes as (integer numerators, den): V_D, and with
-    prof(V) = sum_C (V . C) C, prof(V_Fm), prof(G) for G = V_D - V_Fm and
-    prof(V_S - V_Fm). V_D^2 is V_D . prof(V_Fm) + V_D . prof(G), and (V_S . V_D)
-    is V_D . prof(V_Fm) + V_D . prof(V_S - V_Fm); each is cross-multiplied with its
-    closed form. `forms` keeps the closed forms evaluated so far, by closed_form_class.
-    """
-    key = closed_form_class(label)
-    if key not in forms:
-        forms[key] = v_self_closed(params, label), vs_pair_closed(params, label)
-    (num, vden), (fm_num, fm_den) = vd, fm_prof
-    on_fm = _dot(num, fm_num)
-    for what, (pnum, pden), want in zip(("V_D^2", "(V_S.V_D)"), (prof, vs), forms[key]):
-        top = (on_fm * pden + _dot(num, pnum) * fm_den) * want.denominator
-        if top != want.numerator * vden * fm_den * pden:
-            return what
-    return ""
 
 
 # ---------------------------------------------------------------------------

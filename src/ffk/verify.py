@@ -19,12 +19,12 @@ from .fiber import (
     QDivisor,
     _a_values,
     _combined,
+    _dot,
     _is_sum,
     _spread,
     i_c_values,
     pair,
     pair_profile,
-    pairing_divisor,
     validate,
 )
 from .model import (
@@ -172,7 +172,7 @@ def _fm_targets(model: FermatModel) -> QDivisor:
     return QDivisor.from_numerators(num, den)
 
 
-def gauge_reproduction(model: FermatModel, v_fm: QDivisor):
+def gauge_reproduction(model: FermatModel, v_fm: QDivisor, t_fm: QDivisor):
     """(GaugeSolver(config, Fm), w_Fm - V_Fm, ""), w_Fm the solve of t_Fm at the gauge value.
 
     The gauge value is (p-2)/(2g-2). The solver reproduces V_D iff solve(t_D - t_Fm, 0),
@@ -187,7 +187,7 @@ def gauge_reproduction(model: FermatModel, v_fm: QDivisor):
     except MathContractError as exc:
         return None, None, str(exc)
     try:
-        w_fm = solver.solve(_fm_targets(model), gauge_val)
+        w_fm = solver.solve(t_fm, gauge_val)
     except NoSolutionError as exc:
         return None, None, f"fails for D={model.config.component(0).label}: {exc}"
     return solver, w_fm - v_fm, ""
@@ -196,41 +196,60 @@ def gauge_reproduction(model: FermatModel, v_fm: QDivisor):
 def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
     """The relation for every pair (D, C), the closed forms and the solver, in one sweep.
 
-    With prof(V) = sum_C (V . C) C, miss = t_Fm - prof(V_Fm) is empty on a good
-    fiber. Each D builds V_D, G = V_D - V_Fm (which avoids Fm) and the step
-    t_D - t_Fm = Fm/d_Fm - D/d_D once, as integer numerators, and pairs only G:
-    prof(V_D) = t_D iff prof(G) = step + miss. divisors.closed_form_miss reads
-    V_D^2 and (V_S . V_D) off prof(G). The solver reproduces V_D iff
-    G = solve(step, 0) + rest, rest = w_Fm - V_Fm from gauge_reproduction.
-    Each check keeps the detail of its own first failing D, None while it
-    passes; the sweep stops when all three have failed.
+    V_D = V_B + H_D (divisors.v_own), and with prof(V) = sum_C (V . C) C the sweep pairs
+    G_B = V_B - V_Fm once per base and only H_D per D, in integers. With step = t_D - t_Fm
+    = Fm/d_Fm - D/d_D, prof(V_D) = t_D iff prof(H_D) = step + S_B, S_B = t_Fm - prof(V_Fm)
+    - prof(G_B); V_D^2 = B.prof(B) + 2 H_D.prof(B) + H_D.prof(H_D), the pairing being
+    symmetric; (V_S.V_D) = V_S.prof(B) + V_S.prof(H_D); the solver reproduces V_D iff
+    solve(step, 0) = (G_B - rest) + H_D, rest = w_Fm - V_Fm. Each check keeps the detail
+    of its own first failing D, None while it passes; it stops when all three have failed.
     """
-    config, fm = model.config, model.fm
-    v_fm = divisors.v_divisor(model, fm)
-    fm_prof = pairing_divisor(config, v_fm)
-    miss = _fm_targets(model) - fm_prof
-    vs = pairing_divisor(config, divisors.v_s(model) - v_fm)  # prof(V_S - V_Fm)
-    solver, rest, solved = gauge_reproduction(model, v_fm)
-    if solver is not None:
-        rest, solved = (rest.numerators(), rest.denominator), None
-    fm_prof, miss, vs, (vfm, vfm_den) = ((q.numerators(), q.denominator)
-                                         for q in (fm_prof, miss, vs, v_fm))
-    d_fm, forms, relation, closed = config.components[fm].multiplicity, {}, None, None
+    config, fm, params = model.config, model.fm, model.params
+    v_fm, t_fm, vs = divisors.v_base(model, fm), _fm_targets(model), divisors.v_s(model)
+    solver, rest, solved = gauge_reproduction(model, v_fm, t_fm)
+    rest, solved = ((rest.numerators(), rest.denominator), None) if solver else (rest, solved)
+    vfm, fm_den, d_fm = v_fm.numerators(), v_fm.denominator, config.components[fm].multiplicity
+    fm_prof = _spread(config, vfm)
+    miss = t_fm - QDivisor.from_numerators(fm_prof, fm_den)  # empty on a good fiber
+    miss, vs, vs_den = (miss.numerators(), miss.denominator), vs.numerators(), vs.denominator
+    fm_self, vs_fm = _dot(vfm, fm_prof), _dot(vs, fm_prof)
+
+    def base(vb):
+        """G_B and prof(G_B) over one den, S_B, B . prof(B), V_S . prof(B) and G_B - rest."""
+        g, den = _combined(vb.numerators(), vb.denominator, vfm, fm_den, -1)
+        g = dict(filter(itemgetter(1), g.items()))  # without Fm
+        prof, k = _spread(config, g), den // fm_den  # k prof(V_Fm) is over den
+        s, sden = _combined(*miss, prof, den, -1)
+        return (g, den, prof, k, (dict(filter(itemgetter(1), s.items())), sden),
+                fm_self * k * k + 2 * _dot(g, fm_prof) * k + _dot(g, prof),  # over den^2
+                vs_fm * k + _dot(prof, vs), solver and _combined(g, den, *rest, -1))
+
+    bases, forms, relation, closed = {fm: base(v_fm)}, {}, None, None
     for cid, d in enumerate(config.components):
-        vd = v_fm if cid == fm else divisors.v_divisor(model, cid)
-        vd = vd.numerators(), vd.denominator
-        g, gden = _combined(*vd, vfm, vfm_den, -1)
-        g = dict(filter(itemgetter(1), g.items()))  # G, without Fm
+        bid, h, hden = divisors.v_own(model, cid)
+        if bid not in bases:
+            bases[bid] = base(divisors.v_base(model, bid))
+        g, den, prof, k, s_b, b_sq, b_vs, g_rest = bases[bid]
+        h_prof = _spread(config, h)
         step = _combined({fm: 1}, d_fm, {cid: 1}, d.multiplicity, -1)
-        prof = _spread(config, g), gden
-        if relation is None and not _is_sum(prof, step, miss):
+        if relation is None and not _is_sum((h_prof, hden), step, s_b):
             relation = f"fails for D={d.label}"
         if closed is None:
-            what = divisors.closed_form_miss(model.params, d.label, vd, fm_prof, prof, vs, forms)
-            closed = f"{what} fails for D={d.label}" if what else None
+            key = divisors.closed_form_class(d.label)
+            if key not in forms:
+                forms[key] = (divisors.v_self_closed(params, d.label),
+                              divisors.vs_pair_closed(params, d.label))
+            (want_sq, want_vs), bh = forms[key], den * hden
+            h_b = _dot(h, fm_prof) * k + _dot(h, prof)  # H_D . prof(B), over bh
+            sq = b_sq * hden * hden + 2 * h_b * bh + _dot(h, h_prof) * den * den
+            if sq * want_sq.denominator != want_sq.numerator * bh * bh:
+                closed = f"V_D^2 fails for D={d.label}"
+            elif ((b_vs * hden + _dot(h_prof, vs) * den) * want_vs.denominator
+                  != want_vs.numerator * vs_den * bh):
+                closed = f"(V_S.V_D) fails for D={d.label}"
         if solved is None:
             w = solver.solve(QDivisor.from_numerators(*step), 0)
-            if not _is_sum((g, gden), (w.numerators(), w.denominator), rest):
+            if not _is_sum((w.numerators(), w.denominator), g_rest, (h, hden)):
                 solved = f"fails for D={d.label}"
         if None not in (relation, closed, solved):
             break

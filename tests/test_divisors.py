@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
-from itertools import product
+from itertools import cycle, product
+from math import lcm
 
 import pytest
 
@@ -32,6 +33,7 @@ from ffk.fiber import (
 )
 from ffk.model import FermatLabel, build_config
 from ffk.verify import (
+    _fm_targets,
     gauge_reproduction,
     representative_relation_full,
     suite_beta,
@@ -59,6 +61,44 @@ def test_lambda_nu_signs(models):
 def test_v_fm(model53):
     vd = v_divisor(model53, model53.fm)
     assert vd == QDivisor.single(model53.fm, Fraction(3, 180))
+
+
+def v_divisor_reference(model, cid):
+    """V_D built whole, as v_divisor built it before the base and own-part split."""
+    params = model.params
+    p, m, n = params.p, params.m, params.n
+    lab = model.config.component(cid).label
+    two_g2 = 2 * params.genus - 2
+    r = lab.j if lab.kind == "Chain" else 1
+    den = lcm(two_g2, 2 * n, r * m)
+    num = {model.fm: (p - 2) * (den // two_g2)}
+    if lab.kind == "Fm":
+        pass
+    elif lab.kind == "Ldelta":
+        num[cid] = den // p
+    elif lab.kind in ("Lgamma", "LgammaLeaf"):
+        num[model.lgamma(lab.i)] = den // p
+        num.update(dict.fromkeys(model.leaves(lab.i), den // (2 * p)))
+        if lab.kind == "LgammaLeaf":
+            num[cid] += den // 2
+    elif lab.kind in ("LXYZ", "Chain"):
+        num[model.lxyz(lab.i)] = den // p
+        arm = model.chain_arm(lab.i)
+        num.update(zip(arm, cycle([j * (den // n) for j in range(1, m)])))  # Chain(j,k,i): j/N
+        if lab.kind == "Chain":
+            kk = lab.k
+            for j, c in enumerate(arm[(kk - 1) * (m - 1):kk * (m - 1)], 1):
+                num[c] += j * (m - r) * (den // (r * m)) if j < r else (m - j) * (den // m)
+    else:  # pragma: no cover
+        raise MathContractError(f"unknown component kind {lab.kind}")
+    return QDivisor.from_numerators(num, den)
+
+
+def test_v_divisor_matches_the_whole_divisor_reference(models):
+    # V_B + H_D is the V_D the closed form builds whole, for every D
+    for model in [*models.values(), build_config(7, 11)]:
+        for cid in range(model.config.n_components):
+            assert v_divisor(model, cid) == v_divisor_reference(model, cid), (model.params, cid)
 
 
 def test_v_ldelta(model53):
@@ -164,7 +204,7 @@ def test_suite_divisor_flags_mutated_graph(model53):
 def test_gauge_reproduces_representatives(model53):
     # the solver factors and solves t_Fm at the gauge: w_Fm is V_Fm, so w_Fm - V_Fm is empty
     v_fm = v_divisor(model53, model53.fm)
-    solver, rest, detail = gauge_reproduction(model53, v_fm)
+    solver, rest, detail = gauge_reproduction(model53, v_fm, _fm_targets(model53))
     assert solver.gauge_cid == model53.fm and rest == QDivisor() and detail == ""
     # V_D = solve(t_D - t_Fm, 0) + w_Fm, with t_D - t_Fm = Fm/d_Fm - D/d_D (d_Fm = p = 5)
     for cid in (0, model53.lxyz(2), model53.cid(FermatLabel("Ldelta", i=3))):
@@ -182,7 +222,7 @@ def test_gauge_reproduction_reports_incompatible_targets(model53):
     comps = list(cfg.components)
     comps[model53.fm] = dataclasses.replace(comps[model53.fm], genus=comps[model53.fm].genus + 1)
     bad = dataclasses.replace(model53, config=FiberConfig(comps, dict(cfg.edges()), cfg.genus))
-    solver, rest, detail = gauge_reproduction(bad, v_divisor(bad, bad.fm))
+    solver, rest, detail = gauge_reproduction(bad, v_divisor(bad, bad.fm), _fm_targets(bad))
     # sum d_C t_C is d_Fm (a_Fm's increase 2)/(2g-2)
     excess = Fraction(2 * comps[model53.fm].multiplicity, 2 * model53.params.genus - 2)
     assert solver is None and rest is None
@@ -289,14 +329,17 @@ def test_suite_divisor_matches_the_reference_on_self_int_and_genus_mutants(model
         assert _suite_divisor_triples(bad) == want
 
 
-def test_suite_divisor_builds_each_representative_once_per_sweep(model53, monkeypatch):
-    # one sweep reads the relation, the closed forms and the solver off each V_D:
-    # n + 1 representatives (the +1 is V_S), one factorization and no pair call
+def test_suite_divisor_builds_each_base_once_and_each_own_part_once(model73, monkeypatch):
+    # one sweep builds each base once, 1 + 3m + n_gamma of them, and each D's own part once;
+    # V_S is one v_divisor call, which builds one more of each; one factorization, no pair
     import ffk.divisors
     import ffk.verify
 
-    calls = {"v_divisor": 0, "pair": 0, "factor": 0}
-    for mod, name in ((ffk.divisors, "v_divisor"), (ffk.verify, "pair")):
+    n, m, n_gamma = model73.config.n_components, model73.params.m, model73.census()["Lgamma"]
+    assert len({divisors.v_own(model73, cid)[0] for cid in range(n)}) == 1 + 3 * m + n_gamma
+    calls = dict.fromkeys(("v_divisor", "v_base", "v_own", "pair", "factor"), 0)
+    for mod, name in ((ffk.divisors, "v_divisor"), (ffk.divisors, "v_base"),
+                      (ffk.divisors, "v_own"), (ffk.verify, "pair")):
         def counted(*args, _orig=getattr(mod, name), _name=name):
             calls[_name] += 1
             return _orig(*args)
@@ -309,10 +352,31 @@ def test_suite_divisor_builds_each_representative_once_per_sweep(model53, monkey
         factor(self, *args)
 
     monkeypatch.setattr(GaugeSolver, "__init__", counted_factor)
-    checks = suite_divisor([model53])
+    checks = suite_divisor([model73])
     assert all(c.passed for c in checks)
-    n = model53.config.n_components
-    assert n == 118 and calls == {"v_divisor": n + 1, "pair": 0, "factor": 1}
+    assert n == 280 and n_gamma == 18
+    assert calls == {"v_divisor": 1, "v_base": 1 + 3 * m + n_gamma + 1, "v_own": n + 1,
+                     "pair": 0, "factor": 1}
+
+
+def test_suite_divisor_spreads_each_base_and_own_part_once(monkeypatch):
+    # the support one sweep hands to _spread is V_Fm's one entry, each G_B = V_B - V_Fm
+    # once and each H_D once, under n m; pairing a whole arm per D would be about n p m
+    import ffk.fiber
+    import ffk.verify
+
+    model = build_config(7, 11)
+    n = model.config.n_components
+    v_fm = divisors.v_base(model, model.fm)
+    bases, owns, _ = zip(*(divisors.v_own(model, cid) for cid in range(n)))
+    sum_g = sum(len((divisors.v_base(model, b) - v_fm).numerators()) for b in set(bases))
+    sum_h = sum(map(len, owns))
+    spread, orig = [], ffk.fiber._spread
+    for mod in (ffk.fiber, ffk.verify):
+        monkeypatch.setattr(mod, "_spread",
+                            lambda config, num: spread.append(len(num)) or orig(config, num))
+    assert all(c.passed for c in representative_relation_full(model))
+    assert n == 4280 and sum(spread) <= 1 + sum_g + sum_h < n * model.params.m
 
 
 PM_MUTANTS = [(5, 3), (7, 3), (3, 5)]
@@ -360,6 +424,33 @@ def test_suite_divisor_matches_the_reference_when_only_a_closed_form_fails(model
     want = suite_divisor_reference(model)
     assert [(passed, detail) for _, passed, detail in want] == [
         (True, ""), (False, f"(V_S.V_D) fails for D={first}"), (True, "")]
+    assert _suite_divisor_triples(model) == want
+
+
+@pytest.mark.parametrize("pm", PM_MUTANTS, ids=lambda pm: f"{pm[0]},{pm[1]}")
+@pytest.mark.parametrize("part", ["own", "base"])
+def test_suite_divisor_matches_the_reference_when_one_part_is_off(models, pm, part, monkeypatch):
+    # own: the correction at j = r of D = Chain(r, 2, 2), r = m - 1, is off by 1/N; base:
+    # V_LXYZ(2)'s j/N at Chain(1, 1, 2) is, so every D of that base is off. v_divisor adds
+    # the two parts, so the reference sees the same V_D, and the relation names the first D
+    model = models[pm]
+    m, n = model.params.m, model.params.n
+    name, key, first = {"own": ("v_own", model.chain(m - 1, 2, 2), model.chain(m - 1, 2, 2)),
+                        "base": ("v_base", model.lxyz(2), model.chain(1, 1, 2))}[part]
+    part_of = getattr(divisors, name)
+
+    def off(model_, cid):
+        out, what = part_of(model_, cid), QDivisor.from_numerators({first: 1}, n)
+        if cid != key:
+            return out
+        if name == "v_base":
+            return out + what
+        own = QDivisor.from_numerators(*out[1:]) + what
+        return out[0], own.numerators(), own.denominator
+
+    monkeypatch.setattr(divisors, name, off)
+    want = suite_divisor_reference(model)
+    assert want[0][1:] == (False, f"fails for D={model.config.component(first).label}")
     assert _suite_divisor_triples(model) == want
 
 
