@@ -340,8 +340,10 @@ def canonical_pair(config: FiberConfig, D: QDivisor) -> Fraction:
 def validate(config: FiberConfig) -> list[CheckResult]:
     """Structural checks: symmetry, fiber orthogonality, kernel, adjunction sum.
 
-    The kernel check pins component 0 to d_0 in `GaugeSolver(config, 0).solve`
-    and demands the multiplicity vector back as the homogeneous solution.
+    The kernel check is that `GaugeSolver(config, 0)` factors, with the factor's
+    reason as its detail: factoring proves the graph a connected tree orthogonal to
+    F, whose pairing in y_C = x_C / d_C is minus a weighted Laplacian with the
+    constants, Q F, as kernel (a cyclic fiber fails, though its kernel is Q F too).
     Failures are reported as data, never raised. The symmetry check passes by
     construction, since `FiberConfig` writes both neighbour maps of an edge
     from one count; it stays so that the list of reported checks is unchanged.
@@ -357,17 +359,14 @@ def validate(config: FiberConfig) -> list[CheckResult]:
                CheckResult("fiber orthogonality (F.C = 0 for all C)", offender is None,
                            "" if offender is None else f"fails at component {offender.label}")]
 
-    detail = "homogeneous solution is not the multiplicity vector"
+    detail = ""
     try:
-        hom = GaugeSolver(config, 0).solve(QDivisor(), config.component(0).multiplicity)
-    except (NoSolutionError, MathContractError) as exc:
-        hom, detail = None, str(exc)
-    fiber = config.fiber_divisor()  # made after the solve, so the solver's peak does not hold it
-    kernel_ok = hom == fiber
-    results.append(CheckResult("kernel spanned by multiplicity vector", kernel_ok,
-                               "" if kernel_ok else detail))
+        GaugeSolver(config, 0)
+    except MathContractError as exc:
+        detail = str(exc)
+    results.append(CheckResult("kernel spanned by multiplicity vector", not detail, detail))
 
-    total, want = canonical_pair(config, fiber), 2 * config.genus - 2
+    total, want = canonical_pair(config, config.fiber_divisor()), 2 * config.genus - 2
     results.append(CheckResult("sum d_C a_C = 2g - 2", total == want,
                                "" if total == want else f"got {total}, want {want}"))
     return results
@@ -379,26 +378,26 @@ def validate(config: FiberConfig) -> list[CheckResult]:
 
 
 class GaugeSolver:
-    """Factor-once solver for (V . C) = t_C with one pinned coefficient.
+    """Factor-once solver for (V . C) = t_C with the gauge coefficient pinned to 0.
 
     Every fiber `model` builds is a tree, and fiber orthogonality turns the
     pairing system into a weighted graph Laplacian: with y_C = x_C / d_C,
-    d_C t_C = sum over neighbours P of e d_C d_P (y_P - y_C). Rooted at the
-    gauge component, the equations of the subtree below C sum to one edge
-    term, so y_C = y_P - F_C / (e d_C d_P) with F_C = sum of d_v t_v over
-    that subtree. A solve is one post-order pass for the F_C and one
-    pre-order pass for the y_C, both in integers scaled by den * K, where
-    den clears the denominators of the targets and the gauge value and K is
-    the lcm of d_gauge and the edge weights e d_C d_P. The scaled vector
-    d_C y_C becomes the returned QDivisor's numerators over den * K.
+    d_C t_C = sum over neighbours P of e d_C d_P (y_P - y_C), whose kernel is Q F:
+    the solution with gauge coefficient g is the returned V plus (g / d_gauge) F.
+    Rooted at the gauge component, the equations of the subtree below C sum to
+    one edge term, so y_C = y_P - F_C / (e d_C d_P) with F_C = sum of d_v t_v
+    over that subtree. A solve is one post-order pass for the F_C and one
+    pre-order pass for the y_C, both in integers scaled by den * K, where den is
+    the targets' denominator and K the lcm of the edge weights e d_C d_P. The
+    scaled vector d_C y_C becomes the returned QDivisor's numerators over den * K.
 
     The tree is ordered depth-first, so each branch (the subtree under one
     child of the gauge component) is one run of that order, and both passes
-    go branch by branch. A branch without targets has F_C = 0 throughout,
-    so its y_C all equal the gauge's; at gauge value 0 a solve walks only
-    the branches its targets reach. Solves reuse two lists made by the first,
-    so a solver runs one solve at a time; y_C is written before it is read, and
-    the pre-order pass zeroes each F_C it reads (the root's sums to 0).
+    go branch by branch. A branch without targets has F_C = 0 throughout, so
+    its y_C all equal the gauge's, 0, and a solve walks only the branches its
+    targets reach. Solves reuse two lists made by the first, so a solver runs
+    one solve at a time; y_C is written before it is read, and the pre-order
+    pass zeroes each F_C it reads (the root's sums to 0).
 
     Factoring checks, in integers, that the graph is connected, has n - 1
     edges and satisfies fiber orthogonality; a config that fails any of the
@@ -441,27 +440,22 @@ class GaugeSolver:
         below = order[1:]
         parents = [parent[cid] for cid in below]
         weights = [nbrs[cid][par] * mult[cid] * mult[par] for cid, par in zip(below, parents)]
-        scale = lcm(root.multiplicity, *weights)
+        scale = lcm(*weights)
         self._mult = mult
         self._scale = scale
-        self._root_step = scale // root.multiplicity
         self._below = below
         self._parents = parents
         self._steps = [scale // w for w in weights]
-        starts = [i for i, par in enumerate(parents) if par == gauge_cid]
-        # (start, stop) in _below of each branch
-        self._branches = list(zip(starts, starts[1:] + [n - 1]))
 
     @cached_property
     def _branch_of(self) -> list[tuple[int, int]]:
-        """The branch of each component, by id; the gauge component's is the empty run.
-
-        Built by the first solve at gauge value 0; `validate`'s one solve walks every
-        branch and never builds it.
-        """
+        """The (start, stop) run in `_below` of each component's branch, by id, each child
+        of the gauge component starting one; the gauge component's is the empty run.
+        Built by the first solve, so a factor alone, as in `validate`, never builds it."""
+        root, below = self.gauge_cid, self._below
+        starts = [i for i, par in enumerate(self._parents) if par == root]
         out = [(0, 0)] * len(self._mult)
-        below = self._below
-        for run in self._branches:
+        for run in zip(starts, starts[1:] + [len(below)]):
             for cid in below[run[0]:run[1]]:
                 out[cid] = run
         return out
@@ -471,34 +465,26 @@ class GaugeSolver:
         """The lists every solve reuses: den * F_C, all 0 between solves, and den * K * y_C."""
         return [0] * len(self._mult), [0] * len(self._mult)
 
-    def solve(self, targets: QDivisor, gauge_val) -> QDivisor:
-        """The V with (V . C) = targets.coeff(C) for every C and gauge coefficient gauge_val.
+    def solve(self, targets: QDivisor) -> QDivisor:
+        """The V with (V . C) = targets.coeff(C) for every C and gauge coefficient 0.
 
-        Targets must be orthogonal to the kernel: sum d_C t_C = 0. At gauge
-        value 0 the passes walk only the branches that hold a target, and V
-        is supported there; any other gauge value walks every branch.
+        Targets must be orthogonal to the kernel: sum d_C t_C = 0. The passes walk
+        only the branches that hold a target, and V is supported there.
         """
-        config = self.config
-        mult = self._mult
-        gauge = Fraction(gauge_val)
-        den = lcm(gauge.denominator, targets._den)
-        k = den // targets._den
-        num = targets._num
-        _check_ids(config, num)
-        compat = sum(map(mul, map(mult.__getitem__, num), num.values())) * k
+        mult, num, den = self._mult, targets._num, targets._den
+        _check_ids(self.config, num)
+        compat = sum(map(mul, map(mult.__getitem__, num), num.values()))
         if compat:
             raise NoSolutionError(
                 "no solution: targets are not orthogonal to the fiber "
                 f"(sum d_C t_C = {Fraction(compat, den)})"
             )
-        (sub, y), root = self._scratch, self.gauge_cid
+        sub, y = self._scratch  # y at the gauge component stays 0
         for cid, v in num.items():
-            sub[cid] = mult[cid] * v * k  # den * d_C t_C, then den * F_C
-        y[root] = y_root = gauge.numerator * (den // gauge.denominator) * self._root_step
-        coeffs = {root: mult[root] * y_root} if y_root else {}
+            sub[cid] = mult[cid] * v  # den * d_C t_C, then den * F_C
+        coeffs = {}
         below, parents, steps = self._below, self._parents, self._steps
-        runs = self._branches if y_root else {self._branch_of[cid] for cid in num}
-        for start, stop in runs:
+        for start, stop in {self._branch_of[cid] for cid in num}:
             ids, pars = below[start:stop], parents[start:stop]
             for cid, par in zip(reversed(ids), reversed(pars)):
                 sub[par] += sub[cid]

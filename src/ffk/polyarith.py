@@ -199,11 +199,12 @@ class FpPoly:
         rem = list(self.coeffs)
         dc = other.coeffs
         inv = pow(dc[-1], -1, p)
+        # the leading entry is reduced where it is read, the rest once by FpPoly
         for i in range(len(rem) - len(dc), -1, -1):
             factor = rem[i + len(dc) - 1] * inv % p
             if factor:
                 for j, d in enumerate(dc):
-                    rem[i + j] = (rem[i + j] - factor * d) % p
+                    rem[i + j] -= factor * d
         return FpPoly(p, rem)
 
     def gcd(self, other: "FpPoly") -> "FpPoly":

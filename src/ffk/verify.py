@@ -173,24 +173,26 @@ def _fm_targets(model: FermatModel) -> QDivisor:
 
 
 def gauge_reproduction(model: FermatModel, v_fm: QDivisor, t_fm: QDivisor):
-    """(GaugeSolver(config, Fm), w_Fm - V_Fm, ""), w_Fm the solve of t_Fm at the gauge value.
+    """(GaugeSolver(config, Fm), w_Fm - V_Fm, ""), w_Fm = solve(t_Fm) + (c/d_Fm) F.
 
-    The gauge value is (p-2)/(2g-2). The solver reproduces V_D iff solve(t_D - t_Fm, 0),
-    which walks D's branch under Fm, is V_D - w_Fm = (V_D - V_Fm) - (w_Fm - V_Fm).
+    w_Fm solves t_Fm with Fm coefficient c = (p-2)/(2g-2), V_Fm's. The solver reproduces
+    V_D iff solve(t_D - t_Fm), which walks D's branch under Fm, is V_D - w_Fm.
     Returns (None, None, detail) instead on a fiber the solver cannot factor, or on
     a NoSolutionError for t_Fm: every t_D - t_Fm is orthogonal to the fiber, so
     every t_D raises it, and the check fails at component 0 with the same sum d_C t_C.
     """
-    gauge_val = Fraction(model.params.p - 2, 2 * model.params.genus - 2)
+    config, params = model.config, model.params
     try:
-        solver = GaugeSolver(model.config, model.fm)
+        solver = GaugeSolver(config, model.fm)
     except MathContractError as exc:
         return None, None, str(exc)
     try:
-        w_fm = solver.solve(t_fm, gauge_val)
+        w_fm = solver.solve(t_fm)
     except NoSolutionError as exc:
-        return None, None, f"fails for D={model.config.component(0).label}: {exc}"
-    return solver, w_fm - v_fm, ""
+        return None, None, f"fails for D={config.component(0).label}: {exc}"
+    d_fm = config.components[model.fm].multiplicity
+    shift = config.fiber_divisor().scale(Fraction(params.p - 2, (2 * params.genus - 2) * d_fm))
+    return solver, w_fm + shift - v_fm, ""
 
 
 def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
@@ -201,7 +203,7 @@ def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
     = Fm/d_Fm - D/d_D, prof(V_D) = t_D iff prof(H_D) = step + S_B, S_B = t_Fm - prof(V_Fm)
     - prof(G_B); V_D^2 = B.prof(B) + 2 H_D.prof(B) + H_D.prof(H_D), the pairing being
     symmetric; (V_S.V_D) = V_S.prof(B) + V_S.prof(H_D); the solver reproduces V_D iff
-    solve(step, 0) = (G_B - rest) + H_D, rest = w_Fm - V_Fm. Each check keeps the detail
+    solve(step) = (G_B - rest) + H_D, rest = w_Fm - V_Fm. Each check keeps the detail
     of its own first failing D, None while it passes; it stops when all three have failed.
     """
     config, fm, params = model.config, model.fm, model.params
@@ -248,7 +250,7 @@ def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
                   != want_vs.numerator * vs_den * bh):
                 closed = f"(V_S.V_D) fails for D={d.label}"
         if solved is None:
-            w = solver.solve(QDivisor.from_numerators(*step), 0)
+            w = solver.solve(QDivisor.from_numerators(*step))
             if not _is_sum((w.numerators(), w.denominator), g_rest, (h, hden)):
                 solved = f"fails for D={d.label}"
         if None not in (relation, closed, solved):
@@ -341,7 +343,8 @@ def suite_cycles(models: list[FermatModel]) -> list[CheckResult]:
     (the model docstring); each leaf is found by its label. A model whose
     config does not carry the docstring's labels fails the check. A cycle D, the
     sum of its run, has p_a = 1 + (D^2 + K.D)/2, with D^2 = sum C^2 plus twice the
-    intersection points inside the run and K.D from one _a_values pass.
+    intersection points inside the run and K.D from one _a_values pass. C^2 cancels against
+    K.C's -C^2, so a wrong self-intersection passes here; fiber orthogonality sees it.
     """
     out = []
     for model in models:

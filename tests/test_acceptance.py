@@ -281,3 +281,16 @@ def test_suite_cycles_matches_the_p_a_reference(models, mode):
         assert all(verdicts)
     elif mode in ("genus+1", "drop_edge"):  # at chain end 0 or its edge (0, 1): p_a moves
         assert not all(verdicts)
+
+
+@pytest.mark.parametrize("mode", ["self_int+1", "self_int-1"])
+@pytest.mark.parametrize("pm", [(5, 3), (7, 3), (3, 5)], ids=lambda pm: f"{pm[0]},{pm[1]}")
+def test_a_wrong_self_intersection_fails_orthogonality_not_suite_cycles(models, pm, mode):
+    # C^2 cancels in D^2 + K.D, as K.C = -C^2 + 2g_C - 2, so p_a cannot see it;
+    # orthogonality, d_C C^2 + I_C = 0, is the check that does
+    base = models[pm]
+    name = f"fiber orthogonality (F.C = 0 for all C) (p={pm[0]}, m={pm[1]})"
+    for cfg in _single_field_mutants(base, mode):
+        bad = dataclasses.replace(base, config=cfg)
+        assert not {c.name: c.passed for c in verify.suite_fiber([bad])}[name]
+        assert [c.passed for c in verify.suite_cycles([bad])] == [True]

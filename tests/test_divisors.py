@@ -41,6 +41,7 @@ from ffk.verify import (
     suite_divisor,
 )
 from test_acceptance import MUTATIONS, _single_field_mutants
+from test_fiber import solve_at
 
 
 def test_lambda_nu_values(model53, model35):
@@ -206,11 +207,11 @@ def test_gauge_reproduces_representatives(model53):
     v_fm = v_divisor(model53, model53.fm)
     solver, rest, detail = gauge_reproduction(model53, v_fm, _fm_targets(model53))
     assert solver.gauge_cid == model53.fm and rest == QDivisor() and detail == ""
-    # V_D = solve(t_D - t_Fm, 0) + w_Fm, with t_D - t_Fm = Fm/d_Fm - D/d_D (d_Fm = p = 5)
+    # V_D = solve(t_D - t_Fm) + w_Fm, with t_D - t_Fm = Fm/d_Fm - D/d_D (d_Fm = p = 5)
     for cid in (0, model53.lxyz(2), model53.cid(FermatLabel("Ldelta", i=3))):
         d = model53.config.component(cid).multiplicity
         step = QDivisor({model53.fm: Fraction(1, 5), cid: Fraction(-1, d)})
-        assert solver.solve(step, 0) + v_fm == v_divisor(model53, cid)
+        assert solver.solve(step) + v_fm == v_divisor(model53, cid)
 
 
 def test_gauge_reproduction_reports_incompatible_targets(model53):
@@ -268,7 +269,7 @@ def suite_divisor_reference(model):
         gauge_val = Fraction(params.p - 2, 2 * params.genus - 2)
         for d, vd, targets in _whole_fiber_representatives(model):
             try:
-                if solver.solve(targets, gauge_val) != vd:
+                if solve_at(solver, targets, gauge_val) != vd:
                     solved = f"fails for D={d.label}"
                     break
             except NoSolutionError as exc:
@@ -388,14 +389,14 @@ def test_suite_divisor_matches_the_reference_when_only_the_solver_fails(models, 
                                                                         monkeypatch):
     # one_branch: a solver that is off on one branch whenever the targets ask for a negative
     # value at LXYZ(2); only t_D for D = LXYZ(2) does, in the step t_D - t_Fm as in the dense
-    # t_D. every_solve: the same divisor added to every solve, t_Fm's at the gauge included,
+    # t_D. every_solve: the same divisor added to every solve, t_Fm's included,
     # as a stale buffer would; w_Fm - V_Fm then holds it too, and the check fails at D = 0
     model = models[pm]
     lxyz = model.lxyz(2)
     solve = GaugeSolver.solve
 
-    def off(self, targets, gauge_val):
-        out = solve(self, targets, gauge_val)
+    def off(self, targets):
+        out = solve(self, targets)
         return out + QDivisor.single(lxyz) if every_solve or targets.coeff(lxyz) < 0 else out
 
     monkeypatch.setattr(GaugeSolver, "solve", off)

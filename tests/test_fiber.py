@@ -23,6 +23,7 @@ from ffk.fiber import (
     validate,
 )
 from ffk.model import FermatLabel, build_config
+from ffk.verify import _fm_targets
 
 
 def _pair_cc(config, a, b):
@@ -78,6 +79,13 @@ def dense_solve_oracle(config, targets, gauge):
     for i, col in enumerate(piv):
         out[col] = rows[i][n] / rows[i][col]
     return QDivisor(out)
+
+
+def solve_at(solver, targets, value):
+    """The solution whose gauge coefficient is `value`: solve(targets) + (value/d_gauge) F."""
+    cfg = solver.config
+    shift = Fraction(value) / cfg.component(solver.gauge_cid).multiplicity
+    return solver.solve(targets) + cfg.fiber_divisor().scale(shift)
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +204,28 @@ def test_orthogonality_is_computed_once_per_config(monkeypatch):
     assert passes == [cfg]
 
 
+def test_validate_factors_once_and_never_solves(model53, monkeypatch):
+    # the kernel check is the factor: one GaugeSolver at component 0, no solve
+    factors, solves = [], []
+    factor, solve = GaugeSolver.__init__, GaugeSolver.solve
+
+    def counted_factor(self, config, gauge_cid):
+        factors.append(gauge_cid)
+        factor(self, config, gauge_cid)
+
+    def counted_solve(self, targets):
+        solves.append(targets)
+        return solve(self, targets)
+
+    monkeypatch.setattr(GaugeSolver, "__init__", counted_factor)
+    monkeypatch.setattr(GaugeSolver, "solve", counted_solve)
+    assert all(c.passed for c in validate(model53.config))
+    assert factors == [0] and solves == []
+    bad = NOT_ORTHOGONAL_TREES["cycle"]
+    assert not {c.name: c.passed for c in validate(bad)}["kernel spanned by multiplicity vector"]
+    assert factors == [0, 0] and solves == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_pair_symmetric_bilinear(model53, data):
@@ -292,7 +322,7 @@ def test_validate_detects_dropped_adjacency(model53):
 
 
 def test_solve_gauge_zero(model53):
-    got = GaugeSolver(model53.config, model53.fm).solve(QDivisor(), Fraction(0))
+    got = GaugeSolver(model53.config, model53.fm).solve(QDivisor())
     assert got == QDivisor()
 
 
@@ -300,8 +330,8 @@ def test_solve_gauge_kernel_multiple(model53):
     cfg = model53.config
     p = model53.params.p
     q = Fraction(7, 11)
-    got = GaugeSolver(cfg, model53.fm).solve(QDivisor(), q * p)
-    assert got == cfg.fiber_divisor().scale(q)
+    got = solve_at(GaugeSolver(cfg, model53.fm), QDivisor(), q * p)
+    assert got == cfg.fiber_divisor().scale(q) == dense_solve_oracle(cfg, {}, (model53.fm, q * p))
 
 
 def test_solve_gauge_matches_dense_oracle(model53):
@@ -313,7 +343,7 @@ def test_solve_gauge_matches_dense_oracle(model53):
     }
     targets[model53.fm] -= Fraction(1, model53.params.p)
     gauge = (model53.fm, Fraction(model53.params.p - 2, two_g2))
-    got = GaugeSolver(cfg, gauge[0]).solve(QDivisor(targets), gauge[1])
+    got = solve_at(GaugeSolver(cfg, gauge[0]), QDivisor(targets), gauge[1])
     want = dense_solve_oracle(cfg, targets, gauge)
     assert got == want
     prof = pair_profile(cfg, got)
@@ -323,29 +353,32 @@ def test_solve_gauge_matches_dense_oracle(model53):
 
 def test_solve_gauge_incompatible_targets(model53):
     with pytest.raises(NoSolutionError):
-        GaugeSolver(model53.config, model53.fm).solve(QDivisor.single(model53.fm), Fraction(0))
+        GaugeSolver(model53.config, model53.fm).solve(QDivisor.single(model53.fm))
 
 
 def test_solves_on_one_solver_do_not_depend_on_earlier_solves(model53):
-    # every solve reuses the solver's two lists, after a refused, a full or a branch solve
+    # every solve reuses the solver's two lists, after a refused, a full or a branch solve;
+    # a full one solves t_D = t_Fm + step, with a target in every branch under Fm
     cfg, fm = model53.config, model53.fm
     ldelta = model53.cid(FermatLabel("Ldelta", i=1))
     steps = [QDivisor.single(fm, Fraction(1, cfg.component(fm).multiplicity))
              - QDivisor.single(cid, Fraction(1, cfg.component(cid).multiplicity))
              for cid in (0, model53.lxyz(2), ldelta)]
+    t_fm = _fm_targets(model53)
     solver = GaugeSolver(cfg, fm)
+    assert len(solver.solve(t_fm).numerators()) == cfg.n_components - 1
     for step in steps + steps[::-1]:
         with pytest.raises(NoSolutionError):
-            solver.solve(QDivisor.single(0), 0)
-        assert solver.solve(step, 0) == GaugeSolver(cfg, fm).solve(step, 0)
-        assert solver.solve(step, Fraction(3, 7)) == GaugeSolver(cfg, fm).solve(step, Fraction(3, 7))
+            solver.solve(QDivisor.single(0))
+        assert solver.solve(step) == GaugeSolver(cfg, fm).solve(step)
+        assert solver.solve(t_fm + step) == GaugeSolver(cfg, fm).solve(t_fm + step)
 
 
 def test_solve_gauge_extra_rank_deficiency():
     comps = [Component("A", 1, 0, 0), Component("B", 1, 0, 0)]
     cfg = FiberConfig(comps, {}, genus=2)
     with pytest.raises(MathContractError):
-        GaugeSolver(cfg, 0).solve(QDivisor(), Fraction(1))
+        GaugeSolver(cfg, 0).solve(QDivisor())
 
 
 @st.composite
@@ -379,7 +412,7 @@ def test_solve_gauge_matches_dense_oracle_on_random_trees(cfg, data):
     rest = sum(cfg.component(cid).multiplicity * v for cid, v in targets.items() if cid != fix)
     targets[fix] = -Fraction(rest) / cfg.component(fix).multiplicity
     gauge = (data.draw(st.integers(min_value=0, max_value=n - 1)), data.draw(coeff))
-    got = GaugeSolver(cfg, gauge[0]).solve(QDivisor(targets), gauge[1])
+    got = solve_at(GaugeSolver(cfg, gauge[0]), QDivisor(targets), gauge[1])
     assert got == dense_solve_oracle(cfg, targets, gauge)
 
 
@@ -411,12 +444,31 @@ def test_solve_sparse_targets_matches_dense_oracle_at_every_root(cfg, data):
         solver = GaugeSolver(cfg, root)
         for targets in (dict(two_point.items()), sparse):
             for value in (Fraction(0), gauge):
-                got = solver.solve(QDivisor(targets), value)
+                got = solve_at(solver, QDivisor(targets), value)
                 assert got == dense_solve_oracle(cfg, targets, (root, value)), (root, targets, value)
-        # at gauge 0 the solution stays inside the branches that hold a and b
+        # the solution stays inside the branches that hold a and b
         top = _branch_tops(cfg, root)
         reached = {top[cid] for cid in (a, b) if cid != root}
-        assert {top.get(cid) for cid, _ in solver.solve(two_point, 0).items()} <= reached
+        assert {top.get(cid) for cid, _ in solver.solve(two_point).items()} <= reached
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthogonal_trees(), st.data())
+def test_factor_implies_the_kernel_is_the_fiber_divisor(cfg, data):
+    # validate's kernel check is the factor: wherever GaugeSolver(cfg, r) factors, the
+    # homogeneous system pinned to d_r at r has F as its one solution
+    root = data.draw(st.integers(min_value=0, max_value=cfg.n_components - 1))
+    GaugeSolver(cfg, root)
+    want = dense_solve_oracle(cfg, {}, (root, cfg.component(root).multiplicity))
+    assert want == cfg.fiber_divisor()
+
+
+def test_factor_implies_the_kernel_is_the_fiber_divisor_on_a_built_fiber(model53):
+    cfg = model53.config
+    for root in (0, model53.fm):
+        GaugeSolver(cfg, root)
+        want = dense_solve_oracle(cfg, {}, (root, cfg.component(root).multiplicity))
+        assert want == cfg.fiber_divisor()
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,7 +509,7 @@ NOT_ORTHOGONAL_TREES = {
 def test_solver_rejects_configs_that_are_not_orthogonal_trees(kind):
     cfg = NOT_ORTHOGONAL_TREES[kind]
     with pytest.raises(MathContractError):
-        GaugeSolver(cfg, 0).solve(QDivisor(), Fraction(1))
+        GaugeSolver(cfg, 0)
     results = {c.name: c for c in validate(cfg)}
     kernel = results["kernel spanned by multiplicity vector"]
     assert not kernel.passed

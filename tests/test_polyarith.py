@@ -240,6 +240,32 @@ def test_fppoly_gcd_monic():
     assert f.gcd(g).coeffs == (3, 1)
 
 
+def fppoly_mod_reference(f, g):
+    """Reference for FpPoly.__mod__: long division reducing every entry at each step."""
+    p, rem, dc = f.p, list(f.coeffs), g.coeffs
+    inv = pow(dc[-1], -1, p)
+    for i in range(len(rem) - len(dc), -1, -1):
+        factor = rem[i + len(dc) - 1] * inv % p
+        if factor:
+            for j, d in enumerate(dc):
+                rem[i + j] = (rem[i + j] - factor * d) % p
+    return FpPoly(p, rem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES_TO_101), st.lists(st.integers(-10**4, 10**4), max_size=40),
+       st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=40))
+def test_fppoly_mod_matches_the_reference(p, f, g):
+    f, g = FpPoly(p, f), FpPoly(p, g)
+    if not g:
+        with pytest.raises(ZeroDivisionError):
+            f % g
+        return
+    got = f % g
+    assert got == fppoly_mod_reference(f, g)
+    assert got.degree < g.degree and all(0 <= c < p for c in got.coeffs)
+
+
 def test_double_roots_match_gcd_oracle():
     # the fast Fermat-quotient count against the gcd(f, f') oracle, as root lists
     for p in range(3, ORACLE_BOUND):

@@ -38,6 +38,7 @@ from ffk.fiber import (
     validate,
 )
 from ffk.model import FermatLabel, FermatParams, build_config, cusp_quotient, expected_census
+from test_fiber import solve_at
 
 QUOTIENT_FUNCTIONS = (divisors.beta_s, divisors.per_prime_geometric, divisors.semipos_check,
                       divisors.cusp_squares, divisors.u_s_probe)
@@ -311,7 +312,7 @@ def test_gauged_solver_on_the_quotient_reproduces_v_s(models):
         targets = QDivisor({cid: Fraction(a, two_g2) - (cid == 0)
                             for cid, a in enumerate(_a_values(q, range(q.n_components)))})
         (fm, gauge), = v_fm.items()
-        assert GaugeSolver(q, fm).solve(targets, gauge) == vs, (model.params, cusp)
+        assert solve_at(GaugeSolver(q, fm), targets, gauge) == vs, (model.params, cusp)
 
 
 def test_quotient_past_the_component_cap(monkeypatch):
@@ -331,7 +332,7 @@ def test_quotient_past_the_component_cap(monkeypatch):
     gauge = Fraction(params.p - 2, two_g2)
     targets = QDivisor({cid: Fraction(a, two_g2) - (cid == 0)
                         for cid, a in enumerate(_a_values(q, range(q.n_components)))})
-    vs = GaugeSolver(q, fm).solve(targets, gauge)
+    vs = solve_at(GaugeSolver(q, fm), targets, gauge)
     gs = vs - QDivisor.single(fm, gauge)
     assert divisors.geometric_graph(params, pair(q, vs, vs), pair(q, gs, gs)) == q_np(2807, 7)
 
