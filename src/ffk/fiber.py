@@ -337,17 +337,48 @@ def canonical_pair(config: FiberConfig, D: QDivisor) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _tree(config: FiberConfig, root: int) -> tuple[list[int], list[int]]:
+    """The depth-first pre-order from `root`, each subtree one run of it, and every
+    component's parent, `root` its own. Raises MathContractError unless the fiber is
+    nonempty, connected, of n - 1 edges and orthogonal to F, checked in that order."""
+    nbrs = config._nbrs
+    n = len(nbrs)
+    if not n:
+        raise MathContractError("fiber has no components")
+    label = config.component(root).label
+    parent = [-1] * n
+    parent[root] = root
+    order, stack = [], [root]
+    while stack:
+        cid = stack.pop()
+        order.append(cid)
+        for nbr in nbrs[cid]:
+            if parent[nbr] < 0:
+                parent[nbr] = cid
+                stack.append(nbr)
+    if len(order) < n:
+        raise MathContractError(f"fiber graph is disconnected: {n - len(order)} of {n} "
+                                f"components are unreachable from {label}")
+    n_edges = sum(map(len, nbrs)) // 2
+    if n_edges != n - 1:
+        raise MathContractError(f"fiber graph is not a tree: {n_edges} edges on {n} components")
+    offender = config.non_orthogonal
+    if offender is not None:
+        raise MathContractError(f"fiber orthogonality fails at component {offender.label}")
+    return order, parent
+
+
 def validate(config: FiberConfig) -> list[CheckResult]:
     """Structural checks: symmetry, fiber orthogonality, kernel, adjunction sum.
 
-    The kernel check is that `GaugeSolver(config, 0)` factors, with the factor's
-    reason as its detail: factoring proves the graph a connected tree orthogonal to
-    F, whose pairing in y_C = x_C / d_C is minus a weighted Laplacian with the
-    constants, Q F, as kernel (a cyclic fiber fails, though its kernel is Q F too).
-    Failures are reported as data, never raised. The symmetry check passes by
-    construction, since `FiberConfig` writes both neighbour maps of an edge
-    from one count; it stays so that the list of reported checks is unchanged.
-    The adjunction sum is canonical_pair(config, F), size-weighted like the rest.
+    The kernel check is `_tree(config, 0)`, with its refusal as the detail; it
+    builds no solver. A connected tree orthogonal to F has, in y_C = x_C / d_C,
+    minus a weighted Laplacian as pairing, whose kernel is the constants, Q F (a
+    cyclic fiber fails, though its kernel is Q F too). Failures are reported as
+    data, never raised. The symmetry check passes by construction, since
+    `FiberConfig` writes both neighbour maps of an edge from one count; it stays
+    so that the list of reported checks is unchanged. The adjunction sum is
+    canonical_pair(config, F), size-weighted like the rest.
     """
     nbrs, sym_ok = config._nbrs, True
     for (a, b), cnt in config.edges():
@@ -361,7 +392,7 @@ def validate(config: FiberConfig) -> list[CheckResult]:
 
     detail = ""
     try:
-        GaugeSolver(config, 0)
+        _tree(config, 0)
     except MathContractError as exc:
         detail = str(exc)
     results.append(CheckResult("kernel spanned by multiplicity vector", not detail, detail))
@@ -395,75 +426,41 @@ class GaugeSolver:
     child of the gauge component) is one run of that order, and both passes
     go branch by branch. A branch without targets has F_C = 0 throughout, so
     its y_C all equal the gauge's, 0, and a solve walks only the branches its
-    targets reach. Solves reuse two lists made by the first, so a solver runs
+    targets reach. Every solve reuses the two scratch lists, so a solver runs
     one solve at a time; y_C is written before it is read, and the pre-order
     pass zeroes each F_C it reads (the root's sums to 0).
 
-    Factoring checks, in integers, that the graph is connected, has n - 1
-    edges and satisfies fiber orthogonality; a config that fails any of the
-    three raises MathContractError.
+    `_tree` checks and orders the tree, refusing with MathContractError a
+    config that is empty, disconnected, not n - 1 edges or not orthogonal to
+    F. The constructor then builds everything a solve reads, so a solver is
+    complete when it is constructed.
     """
 
     def __init__(self, config: FiberConfig, gauge_cid: int):
-        root = config.component(gauge_cid)
+        order, parent = _tree(config, gauge_cid)
         self.config = config
         self.gauge_cid = gauge_cid
-        comps = config.components
-        n = len(comps)
-        mult = list(map(attrgetter("multiplicity"), comps))
-
-        parent = [-1] * n
-        parent[gauge_cid] = gauge_cid
-        order = []
-        stack = [gauge_cid]
-        nbrs = config._nbrs
-        while stack:  # depth-first pre-order: each subtree is one run of `order`
-            cid = stack.pop()
-            order.append(cid)
-            for nbr in nbrs[cid]:
-                if parent[nbr] < 0:
-                    parent[nbr] = cid
-                    stack.append(nbr)
-        if len(order) < n:
-            raise MathContractError(
-                f"fiber graph is disconnected: {n - len(order)} of {n} components "
-                f"are unreachable from {root.label}"
-            )
-        n_edges = sum(map(len, nbrs)) // 2
-        if n_edges != n - 1:
-            raise MathContractError(f"fiber graph is not a tree: {n_edges} edges on {n} components")
-        offender = config.non_orthogonal
-        if offender is not None:
-            raise MathContractError(f"fiber orthogonality fails at component {offender.label}")
+        mult = list(map(attrgetter("multiplicity"), config.components))
+        n, nbrs = len(mult), config._nbrs
 
         # component, parent and K // (e d_C d_P), in depth-first order, root excluded
         below = order[1:]
         parents = [parent[cid] for cid in below]
         weights = [nbrs[cid][par] * mult[cid] * mult[par] for cid, par in zip(below, parents)]
         scale = lcm(*weights)
+        # the (start, stop) run in `below` of each component's branch, by id, each child
+        # of the gauge component starting one; the gauge component's is the empty run
+        starts = [i for i, par in enumerate(parents) if par == gauge_cid]
+        self._branch_of = branch_of = [(0, 0)] * n
+        for run in zip(starts, starts[1:] + [len(below)]):
+            for cid in below[run[0]:run[1]]:
+                branch_of[cid] = run
         self._mult = mult
         self._scale = scale
         self._below = below
         self._parents = parents
         self._steps = [scale // w for w in weights]
-
-    @cached_property
-    def _branch_of(self) -> list[tuple[int, int]]:
-        """The (start, stop) run in `_below` of each component's branch, by id, each child
-        of the gauge component starting one; the gauge component's is the empty run.
-        Built by the first solve, so a factor alone, as in `validate`, never builds it."""
-        root, below = self.gauge_cid, self._below
-        starts = [i for i, par in enumerate(self._parents) if par == root]
-        out = [(0, 0)] * len(self._mult)
-        for run in zip(starts, starts[1:] + [len(below)]):
-            for cid in below[run[0]:run[1]]:
-                out[cid] = run
-        return out
-
-    @cached_property
-    def _scratch(self) -> tuple[list[int], list[int]]:
-        """The lists every solve reuses: den * F_C, all 0 between solves, and den * K * y_C."""
-        return [0] * len(self._mult), [0] * len(self._mult)
+        self._scratch = [0] * n, [0] * n  # den * F_C, all 0 between solves; den * K * y_C
 
     def solve(self, targets: QDivisor) -> QDivisor:
         """The V with (V . C) = targets.coeff(C) for every C and gauge coefficient 0.

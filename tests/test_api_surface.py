@@ -126,3 +126,8 @@ def test_bounds_and_polyarith_sit_below_the_fiber_layers():
     # `ffk bounds` needs only the closed forms and s(p), not the fiber machinery
     for name in ("bounds", "polyarith"):
         assert package_imports(PACKAGE / f"{name}.py") <= {"polyarith", "errors"}, name
+
+
+def test_fiber_imports_no_package_layer_but_errors():
+    # the tree walk reads only the FiberConfig it is given, never model's id layout
+    assert package_imports(PACKAGE / "fiber.py") <= {"errors"}

@@ -15,6 +15,7 @@ from ffk.fiber import (
     QDivisor,
     _a_values,
     _spread,
+    _tree,
     canonical_pair,
     i_c_values,
     pair,
@@ -204,10 +205,16 @@ def test_orthogonality_is_computed_once_per_config(monkeypatch):
     assert passes == [cfg]
 
 
-def test_validate_factors_once_and_never_solves(model53, monkeypatch):
-    # the kernel check is the factor: one GaugeSolver at component 0, no solve
-    factors, solves = [], []
-    factor, solve = GaugeSolver.__init__, GaugeSolver.solve
+def test_validate_walks_the_tree_once_and_builds_no_solver(model53, monkeypatch):
+    # the kernel check is one `_tree` walk at component 0: no GaugeSolver, no solve
+    import ffk.fiber
+
+    walks, factors, solves = [], [], []
+    tree, factor, solve = ffk.fiber._tree, GaugeSolver.__init__, GaugeSolver.solve
+
+    def counted_tree(config, root):
+        walks.append(root)
+        return tree(config, root)
 
     def counted_factor(self, config, gauge_cid):
         factors.append(gauge_cid)
@@ -217,13 +224,14 @@ def test_validate_factors_once_and_never_solves(model53, monkeypatch):
         solves.append(targets)
         return solve(self, targets)
 
+    monkeypatch.setattr(ffk.fiber, "_tree", counted_tree)
     monkeypatch.setattr(GaugeSolver, "__init__", counted_factor)
     monkeypatch.setattr(GaugeSolver, "solve", counted_solve)
     assert all(c.passed for c in validate(model53.config))
-    assert factors == [0] and solves == []
+    assert walks == [0] and factors == [] and solves == []
     bad = NOT_ORTHOGONAL_TREES["cycle"]
     assert not {c.name: c.passed for c in validate(bad)}["kernel spanned by multiplicity vector"]
-    assert factors == [0, 0] and solves == []
+    assert walks == [0, 0] and factors == [] and solves == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -452,12 +460,30 @@ def test_solve_sparse_targets_matches_dense_oracle_at_every_root(cfg, data):
         assert {top.get(cid) for cid, _ in solver.solve(two_point).items()} <= reached
 
 
+def check_tree(cfg, root):
+    """`_tree(cfg, root)` is a depth-first order of every component from root, with parents."""
+    order, parent = _tree(cfg, root)
+    assert sorted(order) == list(range(cfg.n_components)) and order[0] == root
+    assert parent[root] == root
+    position = {cid: i for i, cid in enumerate(order)}
+    for i, cid in enumerate(order[1:], 1):
+        assert parent[cid] in cfg._nbrs[cid] and position[parent[cid]] < i
+        # depth-first: cid comes right after its parent or after a subtree under an
+        # earlier sibling, so the component before it descends from its parent
+        up = order[i - 1]
+        while up != parent[cid]:
+            assert up != root, (order, cid)
+            up = parent[up]
+
+
 @settings(max_examples=60, deadline=None)
 @given(orthogonal_trees(), st.data())
 def test_factor_implies_the_kernel_is_the_fiber_divisor(cfg, data):
-    # validate's kernel check is the factor: wherever GaugeSolver(cfg, r) factors, the
-    # homogeneous system pinned to d_r at r has F as its one solution
+    # validate's kernel check is the solver's tree walk: wherever `_tree(cfg, r)` and
+    # GaugeSolver(cfg, r) accept, the homogeneous system pinned to d_r at r has F as its
+    # one solution
     root = data.draw(st.integers(min_value=0, max_value=cfg.n_components - 1))
+    check_tree(cfg, root)
     GaugeSolver(cfg, root)
     want = dense_solve_oracle(cfg, {}, (root, cfg.component(root).multiplicity))
     assert want == cfg.fiber_divisor()
@@ -466,6 +492,7 @@ def test_factor_implies_the_kernel_is_the_fiber_divisor(cfg, data):
 def test_factor_implies_the_kernel_is_the_fiber_divisor_on_a_built_fiber(model53):
     cfg = model53.config
     for root in (0, model53.fm):
+        check_tree(cfg, root)
         GaugeSolver(cfg, root)
         want = dense_solve_oracle(cfg, {}, (root, cfg.component(root).multiplicity))
         assert want == cfg.fiber_divisor()
@@ -508,12 +535,12 @@ NOT_ORTHOGONAL_TREES = {
 @pytest.mark.parametrize("kind", sorted(NOT_ORTHOGONAL_TREES))
 def test_solver_rejects_configs_that_are_not_orthogonal_trees(kind):
     cfg = NOT_ORTHOGONAL_TREES[kind]
-    with pytest.raises(MathContractError):
+    with pytest.raises(MathContractError) as refused:
         GaugeSolver(cfg, 0)
     results = {c.name: c for c in validate(cfg)}
     kernel = results["kernel spanned by multiplicity vector"]
     assert not kernel.passed
-    assert kernel.detail
+    assert kernel.detail == str(refused.value) != ""
 
 
 def test_empty_configs_build_with_or_without_sizes():
@@ -521,6 +548,18 @@ def test_empty_configs_build_with_or_without_sizes():
     assert FiberConfig([], {}, 1, sizes=[]).n_components == 0
     with pytest.raises(ParameterError):
         FiberConfig([Component("A", 1, 0, -1)], {}, 1, sizes=[0])
+
+
+@pytest.mark.parametrize("sizes", [None, []], ids=["no-sizes", "empty-sizes"])
+def test_validate_reports_an_empty_fiber_and_raises_nothing(sizes):
+    cfg = FiberConfig([], {}, 1, sizes=sizes)
+    results = validate(cfg)
+    assert len(results) == 4
+    failed = [c for c in results if not c.passed]
+    assert [c.name for c in failed] == ["kernel spanned by multiplicity vector"]
+    with pytest.raises(MathContractError) as refused:
+        GaugeSolver(cfg, 0)
+    assert failed[0].detail == str(refused.value) == "fiber has no components"
 
 
 @pytest.mark.parametrize("pairings,sizes", [

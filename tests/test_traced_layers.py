@@ -1,8 +1,8 @@
-"""The layers the benchmark traces (bench/tracing.py) must exist in ffk.
+"""The layers the benchmark traces (bench/tracing.py) must exist in ffk and be called.
 
 The tracer wraps each listed function in its ffk module and each listed
-method on its fiber class; a renamed or moved layer would otherwise only
-show up when the benchmark runs.
+method on its fiber class; a renamed, moved or no longer called layer would
+otherwise only show up when the benchmark runs.
 """
 
 import importlib
@@ -38,26 +38,42 @@ def test_traced_methods_resolve(monkeypatch):
         assert cls is not None and callable(vars(cls).get(meth)), span
 
 
-def test_every_traced_verify_layer_is_reached(monkeypatch, capsys):
+def _fiber_large_pass():
+    """The API sequence of the fiber-large workload, on a small fiber."""
+    from ffk import divisors, fiber, model
+
+    built = model.build_config(5, 3)
+    assert all(c.passed for c in fiber.validate(built.config))
+    divisors.semipos_check(built, (2, 3))
+    gs = divisors.g_s(built, (2, 3))
+    divisors.beta_s(built, (2, 3))
+    divisors.per_prime_geometric(built, (2, 3))
+    fiber.pair(built.config, gs, gs)
+
+
+def test_every_traced_layer_is_reached(monkeypatch, capsys, tmp_path):
     # a layer that is no longer called reads 0 in the per-layer metrics and fails nothing
-    # there, so `ffk fiber` and `ffk divisors` must reach every traced verify function
+    # there, so the calls the four workloads make, on small inputs, must reach every
+    # traced function and method; the solver's factor is reached through `ffk divisors`
     tracing = _tracing(monkeypatch)
     import ffk.cli
 
-    calls = dict.fromkeys(tracing.FUNCTIONS["verify"], 0)
-    mods = [mod for name, mod in sys.modules.items() if name == "ffk" or name.startswith("ffk.")]
-    for name in calls:
-        orig = getattr(importlib.import_module("ffk.verify"), name)
-
-        def counted(*args, _orig=orig, _name=name, **kwargs):
-            calls[_name] += 1
-            return _orig(*args, **kwargs)
-
-        for mod in mods:
-            for attr, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, attr, counted)
-    for command in ("fiber", "divisors"):
-        assert ffk.cli.main([command, "--p", "5", "--m", "3"]) == 0
+    calls = {
+        "fiber": lambda: ffk.cli.main(["fiber", "--p", "5", "--m", "3"]),
+        "divisors": lambda: ffk.cli.main(["divisors", "--p", "5", "--m", "3"]),
+        "bounds": lambda: ffk.cli.main(["bounds", "--N", "15"]),
+        "scan": lambda: ffk.cli.main(["scan", "--max-N", "200", "--out",
+                                      str(tmp_path / "scan.csv")]),
+        "fiber-large": _fiber_large_pass,
+    }
+    tracer = tracing.Tracer()
+    for run, call in enumerate(calls.values()):
+        with tracer.installed(run):
+            assert call() in (0, None)
     capsys.readouterr()
-    assert all(calls.values()), calls
+    reached = {name: {s.name for s in tracer.spans if s.run == run}
+               for run, name in enumerate(calls)}
+    layers = {f"{mod}.{fn}" for mod, names in tracing.FUNCTIONS.items() for fn in names}
+    layers |= set(tracing.METHODS)
+    assert layers - set().union(*reached.values()) == set()
+    assert "fiber.GaugeSolver.factor" in reached["divisors"]
