@@ -371,10 +371,11 @@ def _tree(config: FiberConfig, root: int) -> tuple[list[int], list[int]]:
 def validate(config: FiberConfig) -> list[CheckResult]:
     """Structural checks: symmetry, fiber orthogonality, kernel, adjunction sum.
 
-    The kernel check is `_tree(config, 0)`, with its refusal as the detail; it
-    builds no solver. A connected tree orthogonal to F has, in y_C = x_C / d_C,
-    minus a weighted Laplacian as pairing, whose kernel is the constants, Q F (a
-    cyclic fiber fails, though its kernel is Q F too). Failures are reported as
+    The kernel check is the factor GaugeSolver(config, 0), with no solve: its
+    `_tree` walk refuses, and gives the detail for, a fiber that is not a
+    connected tree orthogonal to F. Such a tree has, in y_C = x_C / d_C, minus a
+    weighted Laplacian as pairing, whose kernel is the constants, Q F (a cyclic
+    fiber fails, though its kernel is Q F too). Failures are reported as
     data, never raised. The symmetry check passes by construction, since
     `FiberConfig` writes both neighbour maps of an edge from one count; it stays
     so that the list of reported checks is unchanged. The adjunction sum is
@@ -392,7 +393,7 @@ def validate(config: FiberConfig) -> list[CheckResult]:
 
     detail = ""
     try:
-        _tree(config, 0)
+        GaugeSolver(config, 0)
     except MathContractError as exc:
         detail = str(exc)
     results.append(CheckResult("kernel spanned by multiplicity vector", not detail, detail))
@@ -447,7 +448,7 @@ class GaugeSolver:
         below = order[1:]
         parents = [parent[cid] for cid in below]
         weights = [nbrs[cid][par] * mult[cid] * mult[par] for cid, par in zip(below, parents)]
-        scale = lcm(*weights)
+        scale = lcm(*set(weights))
         # the (start, stop) run in `below` of each component's branch, by id, each child
         # of the gauge component starting one; the gauge component's is the empty run
         starts = [i for i, par in enumerate(parents) if par == gauge_cid]

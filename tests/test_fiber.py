@@ -205,8 +205,9 @@ def test_orthogonality_is_computed_once_per_config(monkeypatch):
     assert passes == [cfg]
 
 
-def test_validate_walks_the_tree_once_and_builds_no_solver(model53, monkeypatch):
-    # the kernel check is one `_tree` walk at component 0: no GaugeSolver, no solve
+def test_validate_factors_once_and_never_solves(model53, monkeypatch):
+    # the kernel check is the factor at component 0, whose one `_tree` walk does the
+    # refusing: one GaugeSolver, one walk, no solve
     import ffk.fiber
 
     walks, factors, solves = [], [], []
@@ -228,10 +229,10 @@ def test_validate_walks_the_tree_once_and_builds_no_solver(model53, monkeypatch)
     monkeypatch.setattr(GaugeSolver, "__init__", counted_factor)
     monkeypatch.setattr(GaugeSolver, "solve", counted_solve)
     assert all(c.passed for c in validate(model53.config))
-    assert walks == [0] and factors == [] and solves == []
+    assert walks == factors == [0] and solves == []
     bad = NOT_ORTHOGONAL_TREES["cycle"]
     assert not {c.name: c.passed for c in validate(bad)}["kernel spanned by multiplicity vector"]
-    assert walks == [0, 0] and factors == [] and solves == []
+    assert walks == factors == [0, 0] and solves == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -479,9 +480,9 @@ def check_tree(cfg, root):
 @settings(max_examples=60, deadline=None)
 @given(orthogonal_trees(), st.data())
 def test_factor_implies_the_kernel_is_the_fiber_divisor(cfg, data):
-    # validate's kernel check is the solver's tree walk: wherever `_tree(cfg, r)` and
-    # GaugeSolver(cfg, r) accept, the homogeneous system pinned to d_r at r has F as its
-    # one solution
+    # validate's kernel check is the factor, whose refusals are `_tree`'s: wherever
+    # `_tree(cfg, r)` and GaugeSolver(cfg, r) accept, the homogeneous system pinned to d_r
+    # at r has F as its one solution
     root = data.draw(st.integers(min_value=0, max_value=cfg.n_components - 1))
     check_tree(cfg, root)
     GaugeSolver(cfg, root)
