@@ -270,8 +270,10 @@ def _dot(num: Mapping[int, int], other: Mapping[int, int]) -> int:
     return sum(map(mul, num.values(), map(other.get, num, repeat(0))))
 
 
-def _is_sum(whole: tuple[Mapping[int, int], int], *parts: tuple[Mapping[int, int], int]) -> bool:
-    """Whether `whole` is the sum of `parts`, each (integer numerators, den): cross-multiplied."""
+def _residual(whole: tuple[Mapping[int, int], int],
+              *parts: tuple[Mapping[int, int], int]) -> tuple[dict[int, int], int]:
+    """`whole` minus the sum of `parts`, each (integer numerators, den), cross-multiplied:
+    (the nonzero numerators, den), empty iff `whole` is that sum. Not normalised."""
     num, den = whole
     scale = prod(pden for _, pden in parts)
     acc = dict(zip(num, map(mul, num.values(), repeat(scale))))
@@ -279,7 +281,22 @@ def _is_sum(whole: tuple[Mapping[int, int], int], *parts: tuple[Mapping[int, int
         k = den * scale // pden
         for cid, v in pnum.items():
             acc[cid] = acc.get(cid, 0) - v * k
-    return not any(acc.values())
+    return dict(filter(itemgetter(1), acc.items())), den * scale
+
+
+def _branch_steps(solver: "GaugeSolver"):
+    """(C, P, {A: d_A K // w}) for every C, in the solver's depth-first order: P is C's
+    parent, A runs over C's subtree, w = e d_C d_P and K is the solver's scale, so the
+    dict is F|_A / w over K, the gauge-0 solution of P/d_P - C/d_C (GaugeSolver). The
+    gauge component comes first, as (gauge, None, {}). Made per sweep, not per factor."""
+    below, parents, mult = solver._below, solver._parents, solver._mult
+    size = [1] * len(mult)  # of each subtree, summed up the tree
+    for cid, par in zip(reversed(below), reversed(parents)):
+        size[par] += size[cid]
+    yield solver.gauge_cid, None, {}
+    for i, (cid, par, step) in enumerate(zip(below, parents, solver._steps)):
+        ids = below[i:i + size[cid]]
+        yield cid, par, dict(zip(ids, map(mul, map(mult.__getitem__, ids), repeat(step))))
 
 
 def pair(config: FiberConfig, D: QDivisor, E: QDivisor) -> Fraction:
@@ -422,6 +439,10 @@ class GaugeSolver:
     pre-order pass for the y_C, both in integers scaled by den * K, where den is
     the targets' denominator and K the lcm of the edge weights e d_C d_P. The
     scaled vector d_C y_C becomes the returned QDivisor's numerators over den * K.
+    For the targets P/d_P - C/d_C of one edge, F_v is -1 at C and 0 elsewhere, so
+    y is 1/(e d_C d_P) on C's subtree and 0 off it: the solution is F restricted to
+    that subtree over e d_C d_P. `_branch_steps` lists it for every edge without a
+    solve, so the divisor sweep checks every V_D with one solve, t_Fm's.
 
     The tree is ordered depth-first, so each branch (the subtree under one
     child of the gauge component) is one run of that order, and both passes

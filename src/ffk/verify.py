@@ -18,9 +18,10 @@ from .fiber import (
     GaugeSolver,
     QDivisor,
     _a_values,
+    _branch_steps,
     _combined,
     _dot,
-    _is_sum,
+    _residual,
     _spread,
     i_c_values,
     pair,
@@ -48,13 +49,8 @@ def suite_polynomial() -> list[CheckResult]:
     out = []
 
     psi5 = polyarith.capital_psi(5)
-    out.append(
-        CheckResult(
-            "PsiCap(5) = a^2 - a + 1, also mod 5",
-            psi5 == (1, -1, 1)
-            and polyarith.FpPoly(5, psi5).coeffs == (1, 4, 1),
-        )
-    )
+    out.append(CheckResult("PsiCap(5) = a^2 - a + 1, also mod 5",
+                           psi5 == (1, -1, 1) and polyarith.FpPoly(5, psi5).coeffs == (1, 4, 1)))
 
     psi7 = polyarith.FpPoly(7, polyarith.capital_psi(7))
     # (a+2)^2 (a+4)^2 over F_7 is monic, so "up to a unit" is equality of monic forms
@@ -64,13 +60,8 @@ def suite_polynomial() -> list[CheckResult]:
 
     for p, want in ((3, 0), (5, 0), (7, 2)):
         got = polyarith.double_root_count(p)
-        out.append(
-            CheckResult(
-                f"double_root_count({p}) = {want}",
-                got == want,
-                "" if got == want else f"got {got}",
-            )
-        )
+        out.append(CheckResult(f"double_root_count({p}) = {want}", got == want,
+                               "" if got == want else f"got {got}"))
 
     mismatch = ""
     for p in range(3, polyarith.ORACLE_BOUND, 2):
@@ -85,21 +76,11 @@ def suite_polynomial() -> list[CheckResult]:
         if got != want:
             mismatch = f"p={p}: fast path {got}, gcd oracle {want}"
             break
-    out.append(
-        CheckResult(
-            f"double_roots == gcd oracle for p < {polyarith.ORACLE_BOUND}",
-            not mismatch,
-            mismatch,
-        )
-    )
+    out.append(CheckResult(f"double_roots == gcd oracle for p < {polyarith.ORACLE_BOUND}",
+                           not mismatch, mismatch))
 
-    for p, m in ACCEPTANCE_PAIRS:
-        out.append(
-            CheckResult(
-                f"splitting identity for (p, m) = ({p}, {m})",
-                polyarith.fermat_split_check(p, m),
-            )
-        )
+    out.extend(CheckResult(f"splitting identity for (p, m) = ({p}, {m})",
+                           polyarith.fermat_split_check(p, m)) for p, m in ACCEPTANCE_PAIRS)
     return out
 
 
@@ -176,9 +157,9 @@ def gauge_reproduction(model: FermatModel, v_fm: QDivisor, t_fm: QDivisor):
     """(GaugeSolver(config, Fm), w_Fm - V_Fm, ""), w_Fm = solve(t_Fm) + (c/d_Fm) F.
 
     w_Fm solves t_Fm with Fm coefficient c = (p-2)/(2g-2), V_Fm's. The solver reproduces
-    V_D iff solve(t_D - t_Fm), which walks D's branch under Fm, is V_D - w_Fm.
-    Returns (None, None, detail) instead on a fiber the solver cannot factor, or on
-    a NoSolutionError for t_Fm: every t_D - t_Fm is orthogonal to the fiber, so
+    V_D iff solve(t_D - t_Fm) is V_D - w_Fm; the sweep checks that edge by edge, solving
+    t_Fm alone. Returns (None, None, detail) instead on a fiber the solver cannot factor,
+    or on a NoSolutionError for t_Fm: every t_D - t_Fm is orthogonal to the fiber, so
     every t_D raises it, and the check fails at component 0 with the same sum d_C t_C.
     """
     config, params = model.config, model.params
@@ -202,41 +183,46 @@ def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
     G_B = V_B - V_Fm once per base and only H_D per D, in integers. With step = t_D - t_Fm
     = Fm/d_Fm - D/d_D, prof(V_D) = t_D iff prof(H_D) = step + S_B, S_B = t_Fm - prof(V_Fm)
     - prof(G_B); V_D^2 = B.prof(B) + 2 H_D.prof(B) + H_D.prof(H_D), the pairing being
-    symmetric; (V_S.V_D) = V_S.prof(B) + V_S.prof(H_D); the solver reproduces V_D iff
-    solve(step) = (G_B - rest) + H_D, rest = w_Fm - V_Fm. Each check keeps the detail
-    of its own first failing D, None while it passes; it stops when all three have failed.
+    symmetric; (V_S.V_D) = V_S.prof(B) + V_S.prof(H_D). The solver check is the factor,
+    the t_Fm solve and, on each edge P -> D of the tree under Fm, solve(t_D - t_P) = F|_A/w
+    (fiber._branch_steps), so E_D = V_D - w_Fm - solve(step) is E_P + (V_D - V_P) - F|_A/w
+    from E_Fm = V_Fm - w_Fm; the solver reproduces V_D iff E_D = 0. The sweep follows the
+    solver's depth-first order, holding B, H and E of D's ancestors on a stack, or id order
+    if the factor fails. Each check keeps its least failing D, n while none fails.
     """
-    config, fm, params = model.config, model.fm, model.params
+    config, fm, params, n = model.config, model.fm, model.params, model.config.n_components
+    comps = config.components
     v_fm, t_fm, vs = divisors.v_base(model, fm), _fm_targets(model), divisors.v_s(model)
     solver, rest, solved = gauge_reproduction(model, v_fm, t_fm)
-    rest, solved = ((rest.numerators(), rest.denominator), None) if solver else (rest, solved)
-    vfm, fm_den, d_fm = v_fm.numerators(), v_fm.denominator, config.components[fm].multiplicity
+    vfm, fm_den, d_fm = v_fm.numerators(), v_fm.denominator, comps[fm].multiplicity
     fm_prof = _spread(config, vfm)
     miss = t_fm - QDivisor.from_numerators(fm_prof, fm_den)  # empty on a good fiber
     miss, vs, vs_den = (miss.numerators(), miss.denominator), vs.numerators(), vs.denominator
     fm_self, vs_fm = _dot(vfm, fm_prof), _dot(vs, fm_prof)
 
     def base(vb):
-        """G_B and prof(G_B) over one den, S_B, B . prof(B), V_S . prof(B) and G_B - rest."""
+        """G_B and prof(G_B) over one den, S_B, B . prof(B) and V_S . prof(B)."""
         g, den = _combined(vb.numerators(), vb.denominator, vfm, fm_den, -1)
         g = dict(filter(itemgetter(1), g.items()))  # without Fm
         prof, k = _spread(config, g), den // fm_den  # k prof(V_Fm) is over den
         s, sden = _combined(*miss, prof, den, -1)
         return (g, den, prof, k, (dict(filter(itemgetter(1), s.items())), sden),
                 fm_self * k * k + 2 * _dot(g, fm_prof) * k + _dot(g, prof),  # over den^2
-                vs_fm * k + _dot(prof, vs), solver and _combined(g, den, *rest, -1))
+                vs_fm * k + _dot(prof, vs))
 
-    bases, forms, relation, closed = {fm: base(v_fm)}, {}, None, None
-    for cid, d in enumerate(config.components):
+    bases, forms, relation, closed, solved_at = {fm: base(v_fm)}, {}, n, (n, ""), n
+    stack = solver and [(None, fm, ({}, 1), QDivisor() - rest)]  # (D, B, H_D, E_D), D's parent
+    for cid, par, f_a in _branch_steps(solver) if solver else ((c, 0, 0) for c in range(n)):
+        d = comps[cid]
         bid, h, hden = divisors.v_own(model, cid)
         if bid not in bases:
             bases[bid] = base(divisors.v_base(model, bid))
-        g, den, prof, k, s_b, b_sq, b_vs, g_rest = bases[bid]
+        g, den, prof, k, s_b, b_sq, b_vs = bases[bid]
         h_prof = _spread(config, h)
         step = _combined({fm: 1}, d_fm, {cid: 1}, d.multiplicity, -1)
-        if relation is None and not _is_sum((h_prof, hden), step, s_b):
-            relation = f"fails for D={d.label}"
-        if closed is None:
+        if cid < relation and _residual((h_prof, hden), step, s_b)[0]:
+            relation = cid
+        if cid < closed[0]:
             key = divisors.closed_form_class(d.label)
             if key not in forms:
                 forms[key] = (divisors.v_self_closed(params, d.label),
@@ -245,20 +231,29 @@ def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
             h_b = _dot(h, fm_prof) * k + _dot(h, prof)  # H_D . prof(B), over bh
             sq = b_sq * hden * hden + 2 * h_b * bh + _dot(h, h_prof) * den * den
             if sq * want_sq.denominator != want_sq.numerator * bh * bh:
-                closed = f"V_D^2 fails for D={d.label}"
+                closed = cid, "V_D^2"
             elif ((b_vs * hden + _dot(h_prof, vs) * den) * want_vs.denominator
                   != want_vs.numerator * vs_den * bh):
-                closed = f"(V_S.V_D) fails for D={d.label}"
-        if solved is None:
-            w = solver.solve(QDivisor.from_numerators(*step))
-            if not _is_sum((w.numerators(), w.denominator), g_rest, (h, hden)):
-                solved = f"fails for D={d.label}"
-        if None not in (relation, closed, solved):
+                closed = cid, "(V_S.V_D)"
+        if solver:
+            while stack[-1][0] != par:
+                stack.pop()
+            _, pbid, p_own, e = stack[-1]
+            whole, parts = (h, hden), [p_own, (f_a, solver._scale)]
+            if bid != pbid:  # V_D - V_P holds G_D - G_P too
+                whole, parts = _combined(h, hden, g, den), parts + [bases[pbid][:2]]
+            delta = _residual(whole, *parts)  # empty on a good fiber
+            e = e + QDivisor.from_numerators(*delta) if delta[0] else e
+            stack.append((cid, bid, (h, hden), e))
+            solved_at = cid if e and cid < solved_at else solved_at
+        elif relation < n and closed[0] < n:
             break
     names = ("representative pairing relation (all pairs)", "self/cross closed forms",
              "gauged solver reproduces representatives")
-    return tuple(CheckResult(name, fail is None, fail or "")
-                 for name, fail in zip(names, (relation, closed, solved)))
+    fails = (relation < n and f"fails for D={comps[relation].label}",
+             closed[0] < n and f"{closed[1]} fails for D={comps[closed[0]].label}",
+             solved or solved_at < n and f"fails for D={comps[solved_at].label}")
+    return tuple(CheckResult(name, not fail, fail or "") for name, fail in zip(names, fails))
 
 
 def suite_divisor(models: list[FermatModel]) -> list[CheckResult]:

@@ -570,7 +570,9 @@ def test_rational_serialization():
 #: components) was recorded while `suite_divisor` paired and solved every V_D
 #: against the whole fiber. The two `fiber --p 7 --m 23` digests (19,160
 #: components, JSON and CSV) were recorded while `build_config` filled a pairs
-#: dict and every whole-fiber check called `i_c` once per component
+#: dict and every whole-fiber check called `i_c` once per component. The
+#: `divisors --p 11 --m 13` digest (6,540 components, arms of p = 11 chains) was
+#: recorded while the divisor sweep still solved every t_D - t_Fm
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 

@@ -330,15 +330,27 @@ def test_suite_divisor_matches_the_reference_on_self_int_and_genus_mutants(model
         assert _suite_divisor_triples(bad) == want
 
 
+def count_solves(monkeypatch, calls):
+    """Count GaugeSolver.solve calls in calls["solve"]."""
+    solve = GaugeSolver.solve
+
+    def counted(self, targets):
+        calls["solve"] += 1
+        return solve(self, targets)
+
+    monkeypatch.setattr(GaugeSolver, "solve", counted)
+
+
 def test_suite_divisor_builds_each_base_once_and_each_own_part_once(model73, monkeypatch):
     # one sweep builds each base once, 1 + 3m + n_gamma of them, and each D's own part once;
-    # V_S is one v_divisor call, which builds one more of each; one factorization, no pair
+    # V_S is one v_divisor call, which builds one more of each; one factorization, one
+    # solve (t_Fm's: every other solution comes from the tree), no pair
     import ffk.divisors
     import ffk.verify
 
     n, m, n_gamma = model73.config.n_components, model73.params.m, model73.census()["Lgamma"]
     assert len({divisors.v_own(model73, cid)[0] for cid in range(n)}) == 1 + 3 * m + n_gamma
-    calls = dict.fromkeys(("v_divisor", "v_base", "v_own", "pair", "factor"), 0)
+    calls = dict.fromkeys(("v_divisor", "v_base", "v_own", "pair", "factor", "solve"), 0)
     for mod, name in ((ffk.divisors, "v_divisor"), (ffk.divisors, "v_base"),
                       (ffk.divisors, "v_own"), (ffk.verify, "pair")):
         def counted(*args, _orig=getattr(mod, name), _name=name):
@@ -353,16 +365,18 @@ def test_suite_divisor_builds_each_base_once_and_each_own_part_once(model73, mon
         factor(self, *args)
 
     monkeypatch.setattr(GaugeSolver, "__init__", counted_factor)
+    count_solves(monkeypatch, calls)
     checks = suite_divisor([model73])
     assert all(c.passed for c in checks)
     assert n == 280 and n_gamma == 18
     assert calls == {"v_divisor": 1, "v_base": 1 + 3 * m + n_gamma + 1, "v_own": n + 1,
-                     "pair": 0, "factor": 1}
+                     "pair": 0, "factor": 1, "solve": 1}
 
 
 def test_suite_divisor_spreads_each_base_and_own_part_once(monkeypatch):
     # the support one sweep hands to _spread is V_Fm's one entry, each G_B = V_B - V_Fm
-    # once and each H_D once, under n m; pairing a whole arm per D would be about n p m
+    # once and each H_D once, under n m; pairing a whole arm per D would be about n p m.
+    # It solves t_Fm alone: a solve per D would walk a whole arm for each chain D
     import ffk.fiber
     import ffk.verify
 
@@ -376,35 +390,64 @@ def test_suite_divisor_spreads_each_base_and_own_part_once(monkeypatch):
     for mod in (ffk.fiber, ffk.verify):
         monkeypatch.setattr(mod, "_spread",
                             lambda config, num: spread.append(len(num)) or orig(config, num))
+    calls = {"solve": 0}
+    count_solves(monkeypatch, calls)
     assert all(c.passed for c in representative_relation_full(model))
     assert n == 4280 and sum(spread) <= 1 + sum_g + sum_h < n * model.params.m
+    assert calls == {"solve": 1}
 
 
 PM_MUTANTS = [(5, 3), (7, 3), (3, 5)]
 
 
 @pytest.mark.parametrize("pm", PM_MUTANTS, ids=lambda pm: f"{pm[0]},{pm[1]}")
-@pytest.mark.parametrize("every_solve", [False, True], ids=["one_branch", "every_solve"])
-def test_suite_divisor_matches_the_reference_when_only_the_solver_fails(models, pm, every_solve,
+@pytest.mark.parametrize("mutant", ["one_edge", "every_solve"])
+def test_suite_divisor_matches_the_reference_when_only_the_solver_fails(models, pm, mutant,
                                                                         monkeypatch):
-    # one_branch: a solver that is off on one branch whenever the targets ask for a negative
-    # value at LXYZ(2); only t_D for D = LXYZ(2) does, in the step t_D - t_Fm as in the dense
-    # t_D. every_solve: the same divisor added to every solve, t_Fm's included,
-    # as a stale buffer would; w_Fm - V_Fm then holds it too, and the check fails at D = 0
+    # one_edge: the factor's step on the edge from LXYZ(2) down to Chain(m-1,1,2) is off by
+    # one, as a wrong edge weight would make it, so the solver is wrong for every t_D with D
+    # on that chain, whose least id is its end Chain(1,1,2). every_solve: the divisor LXYZ(2)
+    # added to every solve, t_Fm's included, as a stale buffer would; w_Fm - V_Fm then holds
+    # it too, and the check fails at D = 0
+    model = models[pm]
+    lxyz, top = model.lxyz(2), model.chain(model.params.m - 1, 1, 2)
+    factor, solve = GaugeSolver.__init__, GaugeSolver.solve
+
+    def off_edge(self, *args):
+        factor(self, *args)
+        i = self._below.index(top)
+        assert self._parents[i] == lxyz
+        self._steps[i] += 1
+
+    if mutant == "one_edge":
+        monkeypatch.setattr(GaugeSolver, "__init__", off_edge)
+        first = model.config.component(model.chain(1, 1, 2)).label
+    else:
+        monkeypatch.setattr(GaugeSolver, "solve",
+                            lambda self, targets: solve(self, targets) + QDivisor.single(lxyz))
+        first = model.config.component(0).label
+    want = suite_divisor_reference(model)
+    assert [(passed, detail) for _, passed, detail in want] == [
+        (True, ""), (True, ""), (False, f"fails for D={first}")]
+    assert _suite_divisor_triples(model) == want
+
+
+@pytest.mark.parametrize("pm", PM_MUTANTS, ids=lambda pm: f"{pm[0]},{pm[1]}")
+def test_suite_divisor_reference_catches_a_solver_off_on_one_branch(models, pm, monkeypatch):
+    # a solver that is off on one branch whenever the targets ask for a negative value at
+    # LXYZ(2): of the dense t_D only D = LXYZ(2)'s does. suite_divisor solves t_Fm alone and
+    # takes every other solution from the tree (fiber._branch_steps), so this wrong solve is
+    # the reference's to catch, solving every t_D through the production solver
     model = models[pm]
     lxyz = model.lxyz(2)
     solve = GaugeSolver.solve
 
     def off(self, targets):
         out = solve(self, targets)
-        return out + QDivisor.single(lxyz) if every_solve or targets.coeff(lxyz) < 0 else out
+        return out + QDivisor.single(lxyz) if targets.coeff(lxyz) < 0 else out
 
     monkeypatch.setattr(GaugeSolver, "solve", off)
-    first = model.config.component(0).label if every_solve else "LXYZ(2)"
-    want = suite_divisor_reference(model)
-    assert [(passed, detail) for _, passed, detail in want] == [
-        (True, ""), (True, ""), (False, f"fails for D={first}")]
-    assert _suite_divisor_triples(model) == want
+    assert suite_divisor_reference(model)[2][1:] == (False, "fails for D=LXYZ(2)")
 
 
 @pytest.mark.parametrize("pm", PM_MUTANTS, ids=lambda pm: f"{pm[0]},{pm[1]}")

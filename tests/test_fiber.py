@@ -14,6 +14,7 @@ from ffk.fiber import (
     GaugeSolver,
     QDivisor,
     _a_values,
+    _branch_steps,
     _spread,
     _tree,
     canonical_pair,
@@ -459,6 +460,41 @@ def test_solve_sparse_targets_matches_dense_oracle_at_every_root(cfg, data):
         top = _branch_tops(cfg, root)
         reached = {top[cid] for cid in (a, b) if cid != root}
         assert {top.get(cid) for cid, _ in solver.solve(two_point).items()} <= reached
+
+
+def _below_edge(cfg, par, cid):
+    """The components on cid's side of the edge (par, cid)."""
+    side, queue = {cid}, [cid]
+    for c in queue:
+        for nbr in cfg._nbrs[c]:
+            if nbr != par and nbr not in side:
+                side.add(nbr)
+                queue.append(nbr)
+    return side
+
+
+@settings(max_examples=40, deadline=None)
+@given(orthogonal_trees())
+def test_an_edge_solves_to_the_fiber_below_it_at_every_root(cfg):
+    # rooted at r, the gauge-0 solution of P/d_P - D/d_D for a tree edge (P, D), D the end
+    # away from r, is F restricted to D's side A over w = e d_D d_P; the divisor sweep walks
+    # this identity, so the dense oracle checks it first, and then _branch_steps' listing
+    mult = [c.multiplicity for c in cfg.components]
+    for root in range(cfg.n_components):
+        want = {}
+        for (a, b), e in cfg.edges():
+            par, cid = (a, b) if root not in _below_edge(cfg, a, b) else (b, a)
+            side = _below_edge(cfg, par, cid)
+            fa = QDivisor({c: Fraction(mult[c], e * mult[cid] * mult[par]) for c in side})
+            targets = {par: Fraction(1, mult[par]), cid: Fraction(-1, mult[cid])}
+            assert dense_solve_oracle(cfg, targets, (root, 0)) == fa, (root, par, cid)
+            want[cid] = par, fa
+        solver = GaugeSolver(cfg, root)
+        steps = _branch_steps(solver)
+        assert next(steps) == (root, None, {})
+        got = {cid: (par, QDivisor.from_numerators(f_a, solver._scale))
+               for cid, par, f_a in steps}
+        assert got == want
 
 
 def check_tree(cfg, root):
