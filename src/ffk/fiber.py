@@ -285,18 +285,20 @@ def _residual(whole: tuple[Mapping[int, int], int],
 
 
 def _branch_steps(solver: "GaugeSolver"):
-    """(C, P, {A: d_A K // w}) for every C, in the solver's depth-first order: P is C's
-    parent, A runs over C's subtree, w = e d_C d_P and K is the solver's scale, so the
-    dict is F|_A / w over K, the gauge-0 solution of P/d_P - C/d_C (GaugeSolver). The
-    gauge component comes first, as (gauge, None, {}). Made per sweep, not per factor."""
-    below, parents, mult = solver._below, solver._parents, solver._mult
+    """(C, P, F|_A / w) for every C, in the solver's depth-first order, where P is C's
+    parent, A C's subtree and w = e d_C d_P: the gauge-0 solution of P/d_P - C/d_C
+    (GaugeSolver), as the pair ({A: d_A K // w}, K) that `_residual` takes, K the
+    solver's scale. The gauge component comes first, as (gauge, None, ({}, K)). Read
+    from the solver's own steps, so a wrong factor shows in the listing too."""
+    below, parents, mult, scale = solver._below, solver._parents, solver._mult, solver._scale
     size = [1] * len(mult)  # of each subtree, summed up the tree
     for cid, par in zip(reversed(below), reversed(parents)):
         size[par] += size[cid]
-    yield solver.gauge_cid, None, {}
+    yield solver.gauge_cid, None, ({}, scale)
     for i, (cid, par, step) in enumerate(zip(below, parents, solver._steps)):
         ids = below[i:i + size[cid]]
-        yield cid, par, dict(zip(ids, map(mul, map(mult.__getitem__, ids), repeat(step))))
+        yield cid, par, (dict(zip(ids, map(mul, map(mult.__getitem__, ids), repeat(step)))),
+                         scale)
 
 
 def pair(config: FiberConfig, D: QDivisor, E: QDivisor) -> Fraction:
@@ -444,13 +446,11 @@ class GaugeSolver:
     that subtree over e d_C d_P. `_branch_steps` lists it for every edge without a
     solve, so the divisor sweep checks every V_D with one solve, t_Fm's.
 
-    The tree is ordered depth-first, so each branch (the subtree under one
-    child of the gauge component) is one run of that order, and both passes
-    go branch by branch. A branch without targets has F_C = 0 throughout, so
-    its y_C all equal the gauge's, 0, and a solve walks only the branches its
-    targets reach. Every solve reuses the two scratch lists, so a solver runs
-    one solve at a time; y_C is written before it is read, and the pre-order
-    pass zeroes each F_C it reads (the root's sums to 0).
+    Each pass runs over the whole tree, in one length-n list that a solve
+    allocates: the d_C t_C are summed into the F_C in post-order, and each F_C is
+    overwritten by y_C in pre-order, a parent's y before its children read it.
+    The gauge component's sum is sum d_C t_C, which the compatibility check
+    makes 0, so its y is 0 as the gauge asks.
 
     `_tree` checks and orders the tree, refusing with MathContractError a
     config that is empty, disconnected, not n - 1 edges or not orthogonal to
@@ -463,32 +463,23 @@ class GaugeSolver:
         self.config = config
         self.gauge_cid = gauge_cid
         mult = list(map(attrgetter("multiplicity"), config.components))
-        n, nbrs = len(mult), config._nbrs
+        nbrs = config._nbrs
 
         # component, parent and K // (e d_C d_P), in depth-first order, root excluded
         below = order[1:]
         parents = [parent[cid] for cid in below]
         weights = [nbrs[cid][par] * mult[cid] * mult[par] for cid, par in zip(below, parents)]
         scale = lcm(*set(weights))
-        # the (start, stop) run in `below` of each component's branch, by id, each child
-        # of the gauge component starting one; the gauge component's is the empty run
-        starts = [i for i, par in enumerate(parents) if par == gauge_cid]
-        self._branch_of = branch_of = [(0, 0)] * n
-        for run in zip(starts, starts[1:] + [len(below)]):
-            for cid in below[run[0]:run[1]]:
-                branch_of[cid] = run
         self._mult = mult
         self._scale = scale
         self._below = below
         self._parents = parents
         self._steps = [scale // w for w in weights]
-        self._scratch = [0] * n, [0] * n  # den * F_C, all 0 between solves; den * K * y_C
 
     def solve(self, targets: QDivisor) -> QDivisor:
         """The V with (V . C) = targets.coeff(C) for every C and gauge coefficient 0.
 
-        Targets must be orthogonal to the kernel: sum d_C t_C = 0. The passes walk
-        only the branches that hold a target, and V is supported there.
+        Targets must be orthogonal to the kernel: sum d_C t_C = 0.
         """
         mult, num, den = self._mult, targets._num, targets._den
         _check_ids(self.config, num)
@@ -498,18 +489,15 @@ class GaugeSolver:
                 "no solution: targets are not orthogonal to the fiber "
                 f"(sum d_C t_C = {Fraction(compat, den)})"
             )
-        sub, y = self._scratch  # y at the gauge component stays 0
+        acc = [0] * len(mult)  # den * d_C t_C, then den * F_C, then den * K * y_C
         for cid, v in num.items():
-            sub[cid] = mult[cid] * v  # den * d_C t_C, then den * F_C
+            acc[cid] = mult[cid] * v
+        below, parents = self._below, self._parents
+        for cid, par in zip(reversed(below), reversed(parents)):
+            acc[par] += acc[cid]
         coeffs = {}
-        below, parents, steps = self._below, self._parents, self._steps
-        for start, stop in {self._branch_of[cid] for cid in num}:
-            ids, pars = below[start:stop], parents[start:stop]
-            for cid, par in zip(reversed(ids), reversed(pars)):
-                sub[par] += sub[cid]
-            for cid, par, step in zip(ids, pars, steps[start:stop]):
-                y[cid] = v = y[par] - sub[cid] * step
-                sub[cid] = 0
-                if v:
-                    coeffs[cid] = mult[cid] * v
+        for cid, par, step in zip(below, parents, self._steps):
+            acc[cid] = v = acc[par] - acc[cid] * step
+            if v:
+                coeffs[cid] = mult[cid] * v
         return QDivisor.from_numerators(coeffs, den * self._scale)

@@ -256,13 +256,14 @@ def double_roots(p: int) -> list[int]:
     the primes and takes q(d) + q(a/d) at a composite a from a prime factor
     d < a read off a sieve. The sieve and the q table are C int tables, 8
     bytes per residue together; p above DOUBLE_ROOT_CAP raises CapExceeded before they
-    are allocated. double_roots_gcd is the independent gcd(f, f') oracle for
-    this count. The contract 0 <= 2s <= p-3 on s = len(roots) is checked
+    are allocated and before the trial division that tests p for primality, so any p
+    above the cap, prime or not, is refused as over the cap. double_roots_gcd is the
+    independent gcd(f, f') oracle for this count. The contract 0 <= 2s <= p-3 on s = len(roots) is checked
     here, so every caller gets it.
     """
-    require_odd_prime(p)
     if p > DOUBLE_ROOT_CAP:
         raise CapExceeded(f"p = {p} exceeds the double-root cap {DOUBLE_ROOT_CAP}")
+    require_odd_prime(p)
     # factor[a] is a prime factor d < a of a, else 0, and q[a] is q(a): C int
     # tables, bytearrays viewed as "i", 4 bytes an entry
     factor = memoryview(bytearray(4 * p)).cast("i")

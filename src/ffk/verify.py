@@ -239,7 +239,7 @@ def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
             while stack[-1][0] != par:
                 stack.pop()
             _, pbid, p_own, e = stack[-1]
-            whole, parts = (h, hden), [p_own, (f_a, solver._scale)]
+            whole, parts = (h, hden), [p_own, f_a]
             if bid != pbid:  # V_D - V_P holds G_D - G_P too
                 whole, parts = _combined(h, hden, g, den), parts + [bases[pbid][:2]]
             delta = _residual(whole, *parts)  # empty on a good fiber

@@ -1,6 +1,6 @@
 """Every public function and method of the package, and every private module-level
-function and class, has a caller inside the package, and every name a package module
-imports is read in that module.
+function and class, has a caller inside the package, every name a package module
+imports is read in that module, and every attribute the package stores is read in it.
 
 A public module-level function, or a public non-dunder method of a package
 class, that only tests call is a second entry point to a quantity some other
@@ -111,6 +111,26 @@ def unused_imports(package: Path = PACKAGE) -> list[str]:
 
 def test_every_module_import_is_used():
     assert unused_imports() == []
+
+
+def unread_attributes(package: Path = PACKAGE) -> list[str]:
+    """module:line.name of each attribute a package module stores (an ast.Attribute in a
+    Store context) whose name no package module reads as an ast.Attribute in a Load
+    context. Names are matched, not resolved, like the checks above; state a deletion
+    leaves behind, stored but never read, is what this finds."""
+    stored, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    stored.append((f"{path.stem}:{node.lineno}", node.attr))
+                elif isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    return [f"{where}.{name}" for where, name in stored if name not in read]
+
+
+def test_every_stored_attribute_is_read():
+    assert unread_attributes() == []
 
 
 def package_imports(path: Path) -> set[str]:

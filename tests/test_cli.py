@@ -65,6 +65,24 @@ def test_rho_bad_p(capsys):
     assert "parameter error" in err
 
 
+@pytest.mark.parametrize("p, code, calls", [("4", 2, 1), ("10000001", 3, 0),
+                                            ("1000000000000000003", 3, 0)])
+def test_rho_checks_the_cap_before_primality(capsys, monkeypatch, p, code, calls):
+    # the cap comes first: 10000001 = 11 * 909091 is over it, so it exits 3, not 2, and a
+    # refused p never reaches the trial division (by sqrt(p), 10^9 steps at 10^18 + 3)
+    seen = []
+    factorize = polyarith.factorize
+
+    def counted(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(polyarith, "factorize", counted)
+    got, out, err = run(capsys, "rho", "--p", p)
+    assert (got, out, len(seen)) == (code, "", calls)
+    assert len(err.splitlines()) == 1
+
+
 def test_fiber_json(capsys):
     code, doc, _ = run_json(capsys, "fiber", "--p", "5", "--m", "3")
     assert code == 0

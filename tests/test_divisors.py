@@ -407,8 +407,8 @@ def test_suite_divisor_matches_the_reference_when_only_the_solver_fails(models, 
     # one_edge: the factor's step on the edge from LXYZ(2) down to Chain(m-1,1,2) is off by
     # one, as a wrong edge weight would make it, so the solver is wrong for every t_D with D
     # on that chain, whose least id is its end Chain(1,1,2). every_solve: the divisor LXYZ(2)
-    # added to every solve, t_Fm's included, as a stale buffer would; w_Fm - V_Fm then holds
-    # it too, and the check fails at D = 0
+    # added to every solve, t_Fm's included, an error that does not depend on the targets;
+    # w_Fm - V_Fm then holds it too, and the check fails at D = 0
     model = models[pm]
     lxyz, top = model.lxyz(2), model.chain(model.params.m - 1, 1, 2)
     factor, solve = GaugeSolver.__init__, GaugeSolver.solve

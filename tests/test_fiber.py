@@ -367,8 +367,9 @@ def test_solve_gauge_incompatible_targets(model53):
 
 
 def test_solves_on_one_solver_do_not_depend_on_earlier_solves(model53):
-    # every solve reuses the solver's two lists, after a refused, a full or a branch solve;
-    # a full one solves t_D = t_Fm + step, with a target in every branch under Fm
+    # a solve reads only the factor, so it gives what a fresh solver gives after a refused,
+    # a full or a one-branch solve; a full one solves t_D = t_Fm + step, with a target in
+    # every branch under Fm
     cfg, fm = model53.config, model53.fm
     ldelta = model53.cid(FermatLabel("Ldelta", i=1))
     steps = [QDivisor.single(fm, Fraction(1, cfg.component(fm).multiplicity))
@@ -456,7 +457,8 @@ def test_solve_sparse_targets_matches_dense_oracle_at_every_root(cfg, data):
             for value in (Fraction(0), gauge):
                 got = solve_at(solver, QDivisor(targets), value)
                 assert got == dense_solve_oracle(cfg, targets, (root, value)), (root, targets, value)
-        # the solution stays inside the branches that hold a and b
+        # the solution stays inside the branches that hold a and b: a branch without a
+        # target has every F_C = 0, so its y_C all equal the gauge's, 0
         top = _branch_tops(cfg, root)
         reached = {top[cid] for cid in (a, b) if cid != root}
         assert {top.get(cid) for cid, _ in solver.solve(two_point).items()} <= reached
@@ -491,9 +493,8 @@ def test_an_edge_solves_to_the_fiber_below_it_at_every_root(cfg):
             want[cid] = par, fa
         solver = GaugeSolver(cfg, root)
         steps = _branch_steps(solver)
-        assert next(steps) == (root, None, {})
-        got = {cid: (par, QDivisor.from_numerators(f_a, solver._scale))
-               for cid, par, f_a in steps}
+        assert next(steps) == (root, None, ({}, solver._scale))
+        got = {cid: (par, QDivisor.from_numerators(*f_a)) for cid, par, f_a in steps}
         assert got == want
 
 
