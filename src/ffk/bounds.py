@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polyarith
-from .errors import MathContractError, ParameterError
+from .errors import CapExceeded, MathContractError, ParameterError
 
 
 def genus_formula(n: int) -> int:
@@ -23,15 +23,19 @@ def genus_formula(n: int) -> int:
 
 
 def factor_odd_squarefree(n: int) -> list[int]:
-    """Prime factors of N, requiring N odd, squarefree and composite."""
+    """Prime factors of N, requiring N odd, squarefree and composite; CapExceeded if trial
+    division up to DOUBLE_ROOT_CAP leaves a cofactor, once the factors found hold no square."""
     if n < 3:
         raise ParameterError(f"N must be >= 3, got {n}")
     if n % 2 == 0:
         raise ParameterError(f"N must be odd, got {n}")
-    primes = polyarith.factorize(n)
+    primes, rest = polyarith._small_factors(n, polyarith.DOUBLE_ROOT_CAP)
     for d, e in zip(primes, primes[1:]):
         if d == e:
             raise ParameterError(f"N = {n} is squareful (divisible by {d}^2)")
+    if rest > 1:
+        raise CapExceeded(f"N = {n} has a prime factor that exceeds the double-root cap "
+                          f"{polyarith.DOUBLE_ROOT_CAP}")
     if len(primes) < 2:
         raise ParameterError(f"N = {n} is prime; a composite exponent is required")
     return primes

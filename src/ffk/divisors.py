@@ -25,6 +25,7 @@ from .fiber import (
     FiberConfig,
     QDivisor,
     _a_values,
+    _combined,
     canonical_pair,
     pair,
     pairing_divisor,
@@ -194,17 +195,13 @@ def u_s(model: FermatModel, vs: QDivisor) -> QDivisor:
 def _u_of(params: FermatParams, vs: QDivisor, comps, fm: int) -> QDivisor:
     """(lambda+nu)(2F + p Fm) - 2V_S, F = sum d_C C over `comps`: fiber components or cells.
 
-    With lambda+nu = a/b and V_S = sum v_C/e C, the numerators over b e are
-    a e (2 d_C + p [C = Fm]) - 2 b v_C, built in one pass and normalised once.
+    With lambda+nu = a/b, the pair (a (2 d_C + p [C = Fm]), b) combined with V_S at sign
+    -2, in one pass and normalised once.
     """
-    total = lambda_nu(params).total
-    e = vs.denominator
-    ae, b = total.numerator * e, total.denominator
-    num = {cid: 2 * ae * c.multiplicity for cid, c in enumerate(comps)}
-    num[fm] += ae * params.p
-    for cid, v in vs.numerators().items():
-        num[cid] -= 2 * b * v
-    return QDivisor.from_numerators(num, b * e)
+    a, b = lambda_nu(params).total.as_integer_ratio()
+    num = {cid: 2 * a * c.multiplicity for cid, c in enumerate(comps)}
+    num[fm] += a * params.p
+    return QDivisor.from_numerators(*_combined(-2, (num, b), (vs.numerators(), vs.denominator)))
 
 
 def _on_cells(model: FermatModel, cusp: tuple[int, int]):

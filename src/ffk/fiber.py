@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import repeat
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import attrgetter, floordiv, itemgetter, mul
 from types import MappingProxyType
 from typing import Any
@@ -61,15 +61,19 @@ class Component:
             raise ParameterError(f"component {self.label}: genus must be >= 0")
 
 
-def _combined(a: Mapping[int, int], aden: int, b: Mapping[int, int], bden: int,
-              sign: int = 1) -> tuple[dict[int, int], int]:
-    """a/aden + sign * b/bden as (integer numerators, lcm(aden, bden)), not normalised."""
-    den = lcm(aden, bden)
-    ka, kb = den // aden, sign * (den // bden)
-    out = dict(zip(a, map(mul, a.values(), repeat(ka))))
+def _combined(sign: int, first: tuple[Mapping[int, int], int],
+              *rest: tuple[Mapping[int, int], int]) -> tuple[dict[int, int], int]:
+    """first + sign * (sum of rest), each an (integer numerators, den) pair, as (integer
+    numerators, lcm of the dens): the one kernel for integer divisor sums. Not normalised,
+    and zeros are kept: a sum is zero iff `any(numerators.values())` is False."""
+    num, fden = first
+    den = lcm(fden, *(pden for _, pden in rest))
+    out = dict(zip(num, map(mul, num.values(), repeat(den // fden))))
     get = out.get
-    for cid, v in b.items():
-        out[cid] = get(cid, 0) + v * kb
+    for pnum, pden in rest:
+        k = sign * (den // pden)
+        for cid, v in pnum.items():
+            out[cid] = get(cid, 0) + v * k
     return out, den
 
 
@@ -139,8 +143,8 @@ class QDivisor:
         return isinstance(other, QDivisor) and self._den == other._den and self._num == other._num
 
     def _combine(self, other: "QDivisor", sign: int) -> "QDivisor":
-        return QDivisor.from_numerators(*_combined(self._num, self._den, other._num, other._den,
-                                                   sign))
+        return QDivisor.from_numerators(*_combined(sign, (self._num, self._den),
+                                                   (other._num, other._den)))
 
     def __add__(self, other: "QDivisor") -> "QDivisor":
         return self._combine(other, 1)
@@ -270,24 +274,10 @@ def _dot(num: Mapping[int, int], other: Mapping[int, int]) -> int:
     return sum(map(mul, num.values(), map(other.get, num, repeat(0))))
 
 
-def _residual(whole: tuple[Mapping[int, int], int],
-              *parts: tuple[Mapping[int, int], int]) -> tuple[dict[int, int], int]:
-    """`whole` minus the sum of `parts`, each (integer numerators, den), cross-multiplied:
-    (the nonzero numerators, den), empty iff `whole` is that sum. Not normalised."""
-    num, den = whole
-    scale = prod(pden for _, pden in parts)
-    acc = dict(zip(num, map(mul, num.values(), repeat(scale))))
-    for pnum, pden in parts:
-        k = den * scale // pden
-        for cid, v in pnum.items():
-            acc[cid] = acc.get(cid, 0) - v * k
-    return dict(filter(itemgetter(1), acc.items())), den * scale
-
-
 def _branch_steps(solver: "GaugeSolver"):
     """(C, P, F|_A / w) for every C, in the solver's depth-first order, where P is C's
     parent, A C's subtree and w = e d_C d_P: the gauge-0 solution of P/d_P - C/d_C
-    (GaugeSolver), as the pair ({A: d_A K // w}, K) that `_residual` takes, K the
+    (GaugeSolver), as the pair ({A: d_A K // w}, K) that `_combined` takes, K the
     solver's scale. The gauge component comes first, as (gauge, None, ({}, K)). Read
     from the solver's own steps, so a wrong factor shows in the listing too."""
     below, parents, mult, scale = solver._below, solver._parents, solver._mult, solver._scale

@@ -74,15 +74,18 @@ class FermatParams:
     s: int
 
     def __post_init__(self):
-        polyarith.require_odd_prime(self.p)
+        """Parity and size, then the caps (p's in require_odd_prime, and m's cusp quotient of
+        at least 3m cells), before p and m are trial-divided, in at most sqrt(cap) steps."""
         if self.m == 1:
             raise ParameterError(
                 "m = 1 (prime exponent) uses a different minimal model; not supported"
             )
         if self.m < 3 or self.m % 2 == 0:
             raise ParameterError(f"m must be odd and >= 3, got {self.m}")
+        polyarith.require_odd_prime(self.p)
         if self.m % self.p == 0:
             raise ParameterError(f"gcd(p, m) must be 1, got p={self.p}, m={self.m}")
+        check_component_cap(3 * self.m)
         factors = polyarith.factorize(self.m)
         if len(set(factors)) < len(factors):
             raise ParameterError(f"N = p*m must be squarefree; m={self.m} is not")

@@ -27,18 +27,24 @@ ORACLE_BOUND = 500
 DOUBLE_ROOT_CAP = 10**7
 
 
-def factorize(n: int) -> list[int]:
-    """Prime factors of n >= 1 in ascending order, with multiplicity, by trial division."""
+def _small_factors(n: int, limit: int) -> tuple[list[int], int]:
+    """(prime factors of n >= 1, ascending, with multiplicity; 1), by trial division up to
+    `limit`, or, if that leaves a cofactor above limit^2, (the factors found; the cofactor)."""
     primes = []
     d = 2
     while d * d <= n:
+        if d > limit:
+            return primes, n
         while n % d == 0:
             primes.append(d)
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        primes.append(n)
-    return primes
+    return primes + [n] if n > 1 else primes, 1
+
+
+def factorize(n: int) -> list[int]:
+    """Prime factors of n >= 1 in ascending order, with multiplicity, by trial division."""
+    return _small_factors(n, n)[0]
 
 
 def is_prime(n: int) -> bool:
@@ -46,6 +52,10 @@ def is_prime(n: int) -> bool:
 
 
 def require_odd_prime(p: int) -> None:
+    """CapExceeded for any p above DOUBLE_ROOT_CAP, checked before the trial division that
+    tests p, which so takes at most sqrt(cap) steps; ParameterError unless p is an odd prime."""
+    if p > DOUBLE_ROOT_CAP:
+        raise CapExceeded(f"p = {p} exceeds the double-root cap {DOUBLE_ROOT_CAP}")
     if not is_prime(p) or p == 2:
         raise ParameterError(f"p must be an odd prime, got {p}")
 
@@ -255,14 +265,11 @@ def double_roots(p: int) -> list[int]:
     Ann. of Math. 39 (1938)), so one walk up a = 2..p-1 calls pow only at
     the primes and takes q(d) + q(a/d) at a composite a from a prime factor
     d < a read off a sieve. The sieve and the q table are C int tables, 8
-    bytes per residue together; p above DOUBLE_ROOT_CAP raises CapExceeded before they
-    are allocated and before the trial division that tests p for primality, so any p
-    above the cap, prime or not, is refused as over the cap. double_roots_gcd is the
-    independent gcd(f, f') oracle for this count. The contract 0 <= 2s <= p-3 on s = len(roots) is checked
+    bytes per residue together; require_odd_prime refuses p above DOUBLE_ROOT_CAP, prime
+    or not, before they are allocated. double_roots_gcd is the independent gcd(f, f')
+    oracle for this count. The contract 0 <= 2s <= p-3 on s = len(roots) is checked
     here, so every caller gets it.
     """
-    if p > DOUBLE_ROOT_CAP:
-        raise CapExceeded(f"p = {p} exceeds the double-root cap {DOUBLE_ROOT_CAP}")
     require_odd_prime(p)
     # factor[a] is a prime factor d < a of a, else 0, and q[a] is q(a): C int
     # tables, bytearrays viewed as "i", 4 bytes an entry

@@ -21,7 +21,6 @@ from .fiber import (
     _branch_steps,
     _combined,
     _dot,
-    _residual,
     _spread,
     i_c_values,
     pair,
@@ -202,10 +201,10 @@ def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
 
     def base(vb):
         """G_B and prof(G_B) over one den, S_B, B . prof(B) and V_S . prof(B)."""
-        g, den = _combined(vb.numerators(), vb.denominator, vfm, fm_den, -1)
+        g, den = _combined(-1, (vb.numerators(), vb.denominator), (vfm, fm_den))
         g = dict(filter(itemgetter(1), g.items()))  # without Fm
         prof, k = _spread(config, g), den // fm_den  # k prof(V_Fm) is over den
-        s, sden = _combined(*miss, prof, den, -1)
+        s, sden = _combined(-1, miss, (prof, den))
         return (g, den, prof, k, (dict(filter(itemgetter(1), s.items())), sden),
                 fm_self * k * k + 2 * _dot(g, fm_prof) * k + _dot(g, prof),  # over den^2
                 vs_fm * k + _dot(prof, vs))
@@ -219,8 +218,8 @@ def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
             bases[bid] = base(divisors.v_base(model, bid))
         g, den, prof, k, s_b, b_sq, b_vs = bases[bid]
         h_prof = _spread(config, h)
-        step = _combined({fm: 1}, d_fm, {cid: 1}, d.multiplicity, -1)
-        if cid < relation and _residual((h_prof, hden), step, s_b)[0]:
+        if cid < relation and any(_combined(-1, (h_prof, hden), ({fm: 1}, d_fm),
+                                            ({cid: -1}, d.multiplicity), s_b)[0].values()):
             relation = cid
         if cid < closed[0]:
             key = divisors.closed_form_class(d.label)
@@ -241,9 +240,9 @@ def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
             _, pbid, p_own, e = stack[-1]
             whole, parts = (h, hden), [p_own, f_a]
             if bid != pbid:  # V_D - V_P holds G_D - G_P too
-                whole, parts = _combined(h, hden, g, den), parts + [bases[pbid][:2]]
-            delta = _residual(whole, *parts)  # empty on a good fiber
-            e = e + QDivisor.from_numerators(*delta) if delta[0] else e
+                whole, parts = _combined(1, whole, (g, den)), parts + [bases[pbid][:2]]
+            delta = _combined(-1, whole, *parts)  # zero on a good fiber
+            e = e + QDivisor.from_numerators(*delta) if any(delta[0].values()) else e
             stack.append((cid, bid, (h, hden), e))
             solved_at = cid if e and cid < solved_at else solved_at
         elif relation < n and closed[0] < n:

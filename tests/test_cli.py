@@ -8,10 +8,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ffk.cli as cli
 import ffk.divisors
@@ -81,6 +84,84 @@ def test_rho_checks_the_cap_before_primality(capsys, monkeypatch, p, code, calls
     got, out, err = run(capsys, "rho", "--p", p)
     assert (got, out, len(seen)) == (code, "", calls)
     assert len(err.splitlines()) == 1
+
+
+def run_bounded(argv, monkeypatch):
+    """cli.main(argv) as (exit code, stdout, stderr). It fails at once, instead of hanging,
+    on a trial division past the double-root cap: factorize of a larger n, or that of N
+    in factor_odd_squarefree to a larger limit."""
+    factorize, small_factors = polyarith.factorize, polyarith._small_factors
+    cap = polyarith.DOUBLE_ROOT_CAP
+
+    def bounded(n):
+        assert n <= cap, f"factorize({n})"
+        return factorize(n)
+
+    def limited(n, limit):
+        assert limit <= cap, f"trial division of {n} up to {limit}"
+        return small_factors(n, limit)
+
+    monkeypatch.setattr(polyarith, "factorize", bounded)
+    monkeypatch.setattr(polyarith, "_small_factors", limited)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_well_formed(code, out, err):
+    """An exit code the CLI documents, one stderr line and no traceback on a failure,
+    and an empty stdout or one JSON document."""
+    assert code in (0, 2, 3, 4, 5)
+    if code:
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert out == "" or isinstance(json.loads(out), dict)
+
+
+BIG = 10**18 + 3  # a prime: trial division by sqrt would take 5 * 10^8 steps
+
+
+@pytest.mark.parametrize("argv, code", [
+    (f"fiber --p 3 --m {BIG}", 3),  # the cusp quotient's 3m cells are over the cap
+    (f"divisors --p {BIG} --m 3", 3),
+    ("fiber --p 10000001 --m 3", 3),  # composite, but over the cap first: 3, not 2
+    ("divisors --p 10000001 --m 3", 3),
+    (f"fiber --p {BIG} --m 4", 2),  # parity and size come before the caps
+    ("fiber --p 4 --m 3", 2),
+    ("divisors --p 9 --m 5", 2),
+    (f"bounds --N {3 * BIG}", 3),  # the cofactor BIG is left above 10^14
+    (f"fiber --N {3 * BIG}", 3),
+    (f"divisors --N {3 * BIG}", 3),
+    (f"bounds --N {BIG}", 3),
+    (f"bounds --N {9 * BIG}", 2),  # the factors found, 3 and 3, hold a square
+    (f"bounds --N {2 * BIG}", 2),
+    ("bounds --N 10000019", 2),  # a prime below 10^14 is known to be one
+])
+def test_refusals_take_bounded_work(monkeypatch, argv, code):
+    # the caps come before any trial division, and that of N stops at the double-root cap
+    got, out, err = run_bounded(argv.split(), monkeypatch)
+    assert (got, out) == (code, "")
+    assert_well_formed(got, out, err)
+
+
+# small odd primes and large odd numbers, so that builds and both caps are reached
+ARGV_INTS = st.one_of(st.sampled_from([3, 5, 7, 11, 13]), st.integers(-3, 40),
+                      st.integers(-10, 10**30), st.integers(1, 10**30).map(lambda x: 2 * x + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("rho"), ARGV_INTS.filter(
+        lambda p: p <= 3000 or p > polyarith.DOUBLE_ROOT_CAP or not polyarith.is_prime(p))),
+    st.tuples(st.sampled_from(["fiber", "divisors"]), ARGV_INTS, ARGV_INTS)))
+def test_every_argv_exits_with_bounded_work(args):
+    # rho skips the primes in (3000, 10^7], whose s(p) is work, not a refusal; under a
+    # 300-component cap no fiber or divisor command builds more than 300 components
+    argv = [args[0], "--p", str(args[1])] + (["--m", str(args[2])] if len(args) > 2 else [])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("FFK_COMPONENT_CAP", "300")
+        code, out, err = run_bounded(argv, mp)
+    assert_well_formed(code, out, err)
 
 
 def test_fiber_json(capsys):

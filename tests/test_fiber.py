@@ -15,6 +15,7 @@ from ffk.fiber import (
     QDivisor,
     _a_values,
     _branch_steps,
+    _combined,
     _spread,
     _tree,
     canonical_pair,
@@ -142,6 +143,20 @@ def test_qdivisor_matches_fraction_dict_reference(data):
     assert built == A
     assert QDivisor.from_numerators({c: 6 * v for c, v in A.numerators().items()},
                                     6 * A.denominator) == A
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-3, 3),
+       st.lists(st.tuples(st.dictionaries(st.integers(0, 9), st.integers(-20, 20), max_size=6),
+                          st.integers(1, 12)), min_size=1, max_size=5))
+def test_combined_matches_fraction_sums(sign, pairs):
+    # first + sign * (sum of rest) over the lcm of the dens, every key of every pair kept
+    num, den = _combined(sign, *pairs)
+    assert den == lcm(*(d for _, d in pairs))
+    assert num.keys() == {cid for n, _ in pairs for cid in n}
+    want = {cid: Fraction(pairs[0][0].get(cid, 0), pairs[0][1])
+            + sign * sum(Fraction(n.get(cid, 0), d) for n, d in pairs[1:]) for cid in num}
+    assert {cid: Fraction(v, den) for cid, v in num.items()} == want
 
 
 def test_pair_fiber_orthogonality(model53):

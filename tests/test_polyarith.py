@@ -13,6 +13,7 @@ from ffk.polyarith import (
     ORACLE_BOUND,
     BiPoly,
     FpPoly,
+    _small_factors,
     capital_psi,
     double_root_count,
     double_roots,
@@ -232,6 +233,20 @@ def test_factorize_and_is_prime():
         assert is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))
         assert all(is_prime(q) for q in primes)
     assert not is_prime(0) and not is_prime(-7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**12), st.integers(1, 1000))
+def test_small_factors_stop_at_the_limit(n, limit):
+    # either every prime factor, the cofactor 1, or the factors up to limit and a
+    # cofactor above limit^2 with no divisor in [2, limit]
+    primes, rest = _small_factors(n, limit)
+    assert math.prod(primes) * rest == n and primes == sorted(primes)
+    if rest == 1:
+        assert all(is_prime(q) for q in primes)
+    else:
+        assert rest > limit * limit and all(q <= limit for q in primes)
+        assert math.gcd(rest, math.factorial(limit)) == 1
 
 
 def test_fppoly_gcd_monic():
