@@ -91,9 +91,9 @@ def _fiber_csv(model) -> str:
     """
     config = model.config
     return "".join(
-        f"{c.label.kind},{c.label.i},{c.label.k},{c.label.j},{c.multiplicity},{c.genus},"
-        f"{c.self_int},{ic}\n"
-        for c, ic in zip(config.components, i_c_values(config))
+        f"{lab.kind},{lab.i},{lab.k},{lab.j},{d},{g},{sq},{ic}\n"
+        for lab, d, g, sq, ic in zip(config.labels, config.multiplicities, config.genera,
+                                     config.self_ints, i_c_values(config))
     )
 
 

@@ -80,7 +80,7 @@ def mu_chain(params: FermatParams, j: int, k: int) -> Fraction:
 def v_base(model: FermatModel, bid: int) -> QDivisor:
     """V_B for a base B = Fm, Lgamma(i) or LXYZ(i): (p-2)/(2g-2) on Fm and, unless B is
     Fm, 1/p on B and 1/(2p) on each leaf of Lgamma(i) or j/N on each Chain(j,k,i)."""
-    params, lab = model.params, model.config.component(bid).label
+    params, lab = model.params, model.config.label(bid)
     p, m, n, two_g2 = params.p, params.m, params.n, 2 * params.genus - 2
     den = lcm(two_g2, 2 * n)
     num = {model.fm: (p - 2) * (den // two_g2)}
@@ -96,7 +96,7 @@ def v_own(model: FermatModel, cid: int) -> tuple[int, dict[int, int], int]:
     each its own with H_D empty; an Ldelta has the base Fm and H_D 1/p on itself, a leaf of
     Lgamma(i) that base and 1/2 on itself, and Chain(r,k,i) the base LXYZ(i) and j(m-r)/(rm)
     at level j < r and (m-j)/m at j >= r on chain k."""
-    lab = model.config.component(cid).label
+    lab = model.config.label(cid)
     if lab.kind == "Ldelta":
         return model.fm, {cid: 1}, model.params.p
     if lab.kind == "LgammaLeaf":
@@ -189,17 +189,17 @@ def u_s(model: FermatModel, vs: QDivisor) -> QDivisor:
     semipos_check and u_s_probe build the same divisor on the cells of the cusp
     quotient. u_s_probe weighs it against the printed alternatives.
     """
-    return _u_of(model.params, vs, model.config.components, model.fm)
+    return _u_of(model.params, vs, model.config.multiplicities, model.fm)
 
 
-def _u_of(params: FermatParams, vs: QDivisor, comps, fm: int) -> QDivisor:
-    """(lambda+nu)(2F + p Fm) - 2V_S, F = sum d_C C over `comps`: fiber components or cells.
+def _u_of(params: FermatParams, vs: QDivisor, mult, fm: int) -> QDivisor:
+    """(lambda+nu)(2F + p Fm) - 2V_S, F = sum d_C C, `mult` holding the components' or cells' d_C.
 
     With lambda+nu = a/b, the pair (a (2 d_C + p [C = Fm]), b) combined with V_S at sign
     -2, in one pass and normalised once.
     """
     a, b = lambda_nu(params).total.as_integer_ratio()
-    num = {cid: 2 * a * c.multiplicity for cid, c in enumerate(comps)}
+    num = {cid: 2 * a * d for cid, d in enumerate(mult)}
     num[fm] += a * params.p
     return QDivisor.from_numerators(*_combined(-2, (num, b), (vs.numerators(), vs.denominator)))
 
@@ -221,10 +221,10 @@ def _on_cells(model: FermatModel, cusp: tuple[int, int]):
     fm = 3 * (params.m - 1)
     v_fm = QDivisor.single(fm, Fraction(params.p - 2, 2 * params.genus - 2))
     vs = {fm + 1: Fraction(1, params.p)}  # LXYZ(i)
-    vs.update((cid, mu_chain(params, c.label.j, 1 if c.label.k == cusp[1] else 2))
-              for cid, c in enumerate(q.components[:2 * (params.m - 1)]))
+    vs.update((cid, mu_chain(params, lab.j, 1 if lab.k == cusp[1] else 2))
+              for cid, lab in enumerate(q.labels[:2 * (params.m - 1)]))
     vs = v_fm + QDivisor(vs)
-    return q, v_fm, vs, _u_of(params, vs, q.components, fm)
+    return q, v_fm, vs, _u_of(params, vs, q.multiplicities, fm)
 
 
 def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
@@ -239,7 +239,7 @@ def semipos_check(model: FermatModel, cusp: tuple[int, int] = (1, 1)):
     """
     q, _, vs, us = _on_cells(model, cusp)
     nums, den = u_s_values(q, vs, us, 0)[2]
-    return [(c.label, Fraction(v, den)) for c, v in zip(q.components, nums)]
+    return [(lab, Fraction(v, den)) for lab, v in zip(q.labels, nums)]
 
 
 def u_s_values(
@@ -358,8 +358,7 @@ def u_s_probe(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> list[CheckR
     # which suite_divisor checks for every pair; V_C^2 is the closed form by label
     vs_k = canonical_pair(q, vs) / (2 * params.genus - 2)
     expansion, weighted = {}, {}
-    for cid, c in enumerate(q.components):
-        lab = c.label
+    for cid, (lab, d) in enumerate(zip(q.labels, q.multiplicities)):
         if lab.kind == "Chain":
             j = lab.j
             expansion[cid] = (j * mu_chain(params, j, 1) - Fraction(2 * j, n) * (lab.i == cusp[0])
@@ -368,9 +367,9 @@ def u_s_probe(model: FermatModel, cusp: tuple[int, int] = (1, 1)) -> list[CheckR
             expansion[cid] = Fraction(-1 if lab.i == cusp[0] else 1, p)
         elif lab.kind != "Fm":
             expansion[cid] = Fraction(1 + p if lab.kind == "LgammaLeaf" else 1, p)
-        weighted[cid] = (c.multiplicity * (2 * vs_k - v_self_closed(params, lab))
+        weighted[cid] = (d * (2 * vs_k - v_self_closed(params, lab))
                          - 2 * vs.coeff(cid))
-    ldelta = next((cid for cid, c in enumerate(q.components) if c.label.kind == "Ldelta"), None)
+    ldelta = next((cid for cid, lab in enumerate(q.labels) if lab.kind == "Ldelta"), None)
     results = []
     for name, cand in (("expansion", QDivisor(expansion)), ("weighted-vc", QDivisor(weighted)),
                        ("adopted", us)):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import repeat
 from math import gcd, lcm
-from operator import attrgetter, floordiv, itemgetter, mul
+from operator import add, attrgetter, floordiv, itemgetter, mul
 from types import MappingProxyType
 from typing import Any
 
@@ -39,6 +39,9 @@ def check_component_cap(n: int) -> None:
         raise CapExceeded(f"{n} components exceed the component cap {limit}")
 
 
+_FIELDS = ("multiplicity", "genus", "self_int")
+
+
 @dataclass(frozen=True, slots=True)
 class Component:
     """One irreducible component of the special fiber; its id is its position in FiberConfig."""
@@ -49,10 +52,8 @@ class Component:
     self_int: int
 
     def __post_init__(self):
-        if not (isinstance(self.multiplicity, int) and isinstance(self.genus, int)
-                and isinstance(self.self_int, int)):
-            bad = next(f for f in ("multiplicity", "genus", "self_int")
-                       if not isinstance(getattr(self, f), int))
+        bad = next((f for f in _FIELDS if not isinstance(getattr(self, f), int)), None)
+        if bad:
             raise ParameterError(f"component {self.label}: {bad} must be an int, "
                                  f"got {getattr(self, bad)!r}")
         if self.multiplicity < 1:
@@ -169,30 +170,52 @@ class QDivisor:
         return f"QDivisor({{{inner}}})"
 
 
+#: off-diagonal pairing counts, as FiberConfig takes them
+Pairings = Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]]
+
+
 class FiberConfig:
     """Immutable weighted intersection graph of one special fiber.
 
-    `pairings` holds the off-diagonal entries: (i, j) -> number of transversal
-    intersection points, as a mapping or, as `dict()` takes them, an iterable
-    of ((i, j), count) pairs; counts given as both (i, j) and (j, i), or for
-    one pair more than once, are summed.
-    Self-intersections live on the components. Each edge is stored once per
-    endpoint, in the neighbour map of that component. Whole-fiber facts that
-    never change, such as the first non-orthogonal component, are computed once.
+    The components are stored as columns: `labels` and the int tuples
+    `multiplicities`, `genera` and `self_ints`, a component's id being its position
+    in each; `components` and `component(cid)` make `Component`s from them on
+    demand. `pairings` holds the off-diagonal entries: (i, j) -> number of
+    transversal intersection points, as a mapping or, as `dict()` takes them, an
+    iterable of ((i, j), count) pairs; counts given as both (i, j) and (j, i), or
+    for one pair more than once, are summed. Each edge is stored once per
+    endpoint, in the neighbour map of that component. Whole-fiber facts that never
+    change, such as the first non-orthogonal component, are computed once.
     `sizes` holds each vertex's size (module docstring); None, the default, means
     every vertex is one component. `n_components` counts vertices either way.
-    A component's id is its position in `components`.
     """
 
-    def __init__(self, components: Iterable[Component],
-                 pairings: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]],
-                 genus: int, sizes: Iterable[int] | None = None):
+    def __init__(self, components: Iterable[Component], pairings: Pairings, genus: int,
+                 sizes: Iterable[int] | None = None):
         comps = tuple(components)
-        n = len(comps)
+        cols = (tuple(map(attrgetter(f), comps)) for f in ("label", *_FIELDS))
+        vars(self).update(vars(FiberConfig.from_columns(*cols, pairings, genus, sizes)))
+
+    @classmethod
+    def from_columns(cls, labels: Iterable[Any], multiplicities: Iterable[int],
+                     genera: Iterable[int], self_ints: Iterable[int], pairings: Pairings,
+                     genus: int, sizes: Iterable[int] | None = None) -> FiberConfig:
+        """The fiber whose component cid is (labels[cid], multiplicities[cid], genera[cid],
+        self_ints[cid]): the one validating constructor. A bad field raises the message
+        `Component` gives its row."""
+        labels = tuple(labels)
+        n = len(labels)
         check_component_cap(n)
+        cols = tuple(map(tuple, (multiplicities, genera, self_ints)))
+        if any(len(col) != n for col in cols):
+            raise ParameterError("every column must give one entry per label")
+        if not (all(all(map(isinstance, col, repeat(int))) for col in cols)
+                and min(cols[0], default=1) >= 1 and min(cols[1], default=0) >= 0):
+            for row in zip(labels, *cols):
+                Component(*row)  # raises at the first offending row
         if not isinstance(genus, int):
             raise ParameterError(f"genus must be an int, got {genus!r}")
-        nbrs: list[dict[int, int]] = [{} for _ in comps]
+        nbrs: list[dict[int, int]] = [{} for _ in labels]
         for (a, b), cnt in pairings.items() if isinstance(pairings, Mapping) else pairings:
             if a == b:
                 raise ParameterError("diagonal entries belong to Component.self_int")
@@ -203,28 +226,35 @@ class FiberConfig:
             if cnt:
                 na, nb = nbrs[a], nbrs[b]
                 na[b] = nb[a] = na.get(b, 0) + cnt
-        self.components = comps
-        self.genus = genus
-        self._nbrs = tuple(nbrs)
-        self.sizes = None if sizes is None else tuple(sizes)
-        if self.sizes is not None and (
-            len(self.sizes) != len(comps)
-            or any(not isinstance(k, int) or k < 1 for k in self.sizes)
-        ):
+        sizes = None if sizes is None else tuple(sizes)
+        if sizes is not None and (len(sizes) != n
+                                  or any(not isinstance(k, int) or k < 1 for k in sizes)):
             raise ParameterError("sizes must give every component a size >= 1")
+        out = cls.__new__(cls)
+        out.labels, (out.multiplicities, out.genera, out.self_ints) = labels, cols
+        out.genus, out._nbrs, out.sizes = genus, tuple(nbrs), sizes
+        return out
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return len(self.labels)
+
+    def label(self, cid: int) -> Any:
+        _check_ids(self, (cid,))
+        return self.labels[cid]
 
     def component(self, cid: int) -> Component:
-        if 0 <= cid < len(self.components):
-            return self.components[cid]
-        raise ParameterError(f"unknown component id {cid}")
+        return Component(self.label(cid), self.multiplicities[cid], self.genera[cid],
+                         self.self_ints[cid])
+
+    @cached_property
+    def components(self) -> tuple[Component, ...]:
+        """Every component, in id order, made from the columns on first read."""
+        return tuple(map(Component, self.labels, self.multiplicities, self.genera,
+                         self.self_ints))
 
     def fiber_divisor(self) -> QDivisor:
-        mult = (c.multiplicity for c in self.components)
-        return QDivisor.from_numerators(dict(enumerate(mult)), 1)
+        return QDivisor.from_numerators(dict(enumerate(self.multiplicities)), 1)
 
     def edges(self):
         """Iterate ((a, b), count) over every edge, with a < b."""
@@ -236,15 +266,16 @@ class FiberConfig:
         """The first C with (F . C) = d_C C^2 + I_C != 0, or None; computed once.
 
         At a vertex of size k the sum is (F . [c]) = k (F . C), C^2 being [c]^2."""
-        return next((c for c, ic in zip(self.components, i_c_values(self))
-                     if c.multiplicity * c.self_int + ic), None)
+        dc2 = map(mul, self.multiplicities, self.self_ints)
+        cid = next((cid for cid, f in enumerate(map(add, dc2, i_c_values(self))) if f), None)
+        return None if cid is None else self.component(cid)
 
 
 def _check_ids(config: FiberConfig, ids) -> None:
     """Raise ParameterError unless every id in `ids` names a component, so callers may index."""
     if ids:
         lo, hi = min(ids), max(ids)
-        if lo < 0 or hi >= len(config.components):
+        if lo < 0 or hi >= len(config.labels):
             raise ParameterError(f"unknown component id {lo if lo < 0 else hi}")
 
 
@@ -259,13 +290,13 @@ def _spread(config: FiberConfig, num: Mapping[int, int]) -> dict[int, int]:
     Each component of D's support hands its pairing to its neighbours and to itself.
     """
     _check_ids(config, num)
-    comps, nbrs = config.components, config._nbrs
+    self_ints, nbrs = config.self_ints, config._nbrs
     out: dict[int, int] = {}
     get = out.get
     for c, v in num.items():
         for x, cnt in nbrs[c].items():
             out[x] = get(x, 0) + v * cnt
-        out[c] = get(c, 0) + v * comps[c].self_int
+        out[c] = get(c, 0) + v * self_ints[c]
     return out
 
 
@@ -280,7 +311,8 @@ def _branch_steps(solver: "GaugeSolver"):
     (GaugeSolver), as the pair ({A: d_A K // w}, K) that `_combined` takes, K the
     solver's scale. The gauge component comes first, as (gauge, None, ({}, K)). Read
     from the solver's own steps, so a wrong factor shows in the listing too."""
-    below, parents, mult, scale = solver._below, solver._parents, solver._mult, solver._scale
+    below, parents, scale = solver._below, solver._parents, solver._scale
+    mult = solver.config.multiplicities
     size = [1] * len(mult)  # of each subtree, summed up the tree
     for cid, par in zip(reversed(below), reversed(parents)):
         size[par] += size[cid]
@@ -316,7 +348,7 @@ def pair_profile(config: FiberConfig, D: QDivisor) -> dict[int, Fraction]:
 def i_c_values(config: FiberConfig) -> list[int]:
     """[I_C for every C] in id order, one pass: neighbour multiplicities weighted by points,
     so that (F . C) = d_C C^2 + I_C; at size k, I = (F . [c]) - d_C [c]^2."""
-    mult = list(map(attrgetter("multiplicity"), config.components))
+    mult = config.multiplicities
     out = []
     for nbrs in config._nbrs:
         total = 0
@@ -329,9 +361,9 @@ def i_c_values(config: FiberConfig) -> list[int]:
 def _a_values(config: FiberConfig, ids) -> list[int]:
     """[(K . C) for C in ids], each by adjunction: -C^2 + 2 g_C - 2, and at size k
     (K . [c]) = -[c]^2 + k(2g_C - 2). The ids must be valid."""
-    comps, sizes = config.components, config.sizes
+    genera, self_ints, sizes = config.genera, config.self_ints, config.sizes
     ks = repeat(1) if sizes is None else map(sizes.__getitem__, ids)
-    return [k * (2 * c.genus - 2) - c.self_int for c, k in zip(map(comps.__getitem__, ids), ks)]
+    return [k * (2 * genera[c] - 2) - self_ints[c] for c, k in zip(ids, ks)]
 
 
 def canonical_pair(config: FiberConfig, D: QDivisor) -> Fraction:
@@ -354,7 +386,7 @@ def _tree(config: FiberConfig, root: int) -> tuple[list[int], list[int]]:
     n = len(nbrs)
     if not n:
         raise MathContractError("fiber has no components")
-    label = config.component(root).label
+    label = config.label(root)
     parent = [-1] * n
     parent[root] = root
     order, stack = [], [root]
@@ -388,7 +420,7 @@ def validate(config: FiberConfig) -> list[CheckResult]:
     data, never raised. The symmetry check passes by construction, since
     `FiberConfig` writes both neighbour maps of an edge from one count; it stays
     so that the list of reported checks is unchanged. The adjunction sum is
-    canonical_pair(config, F), size-weighted like the rest.
+    (K . F) = sum d_C a_C, read from the columns and size-weighted like the rest.
     """
     nbrs, sym_ok = config._nbrs, True
     for (a, b), cnt in config.edges():
@@ -407,7 +439,8 @@ def validate(config: FiberConfig) -> list[CheckResult]:
         detail = str(exc)
     results.append(CheckResult("kernel spanned by multiplicity vector", not detail, detail))
 
-    total, want = canonical_pair(config, config.fiber_divisor()), 2 * config.genus - 2
+    a_vals = _a_values(config, range(config.n_components))
+    total, want = sum(map(mul, config.multiplicities, a_vals)), 2 * config.genus - 2
     results.append(CheckResult("sum d_C a_C = 2g - 2", total == want,
                                "" if total == want else f"got {total}, want {want}"))
     return results
@@ -452,15 +485,13 @@ class GaugeSolver:
         order, parent = _tree(config, gauge_cid)
         self.config = config
         self.gauge_cid = gauge_cid
-        mult = list(map(attrgetter("multiplicity"), config.components))
-        nbrs = config._nbrs
+        mult, nbrs = config.multiplicities, config._nbrs
 
         # component, parent and K // (e d_C d_P), in depth-first order, root excluded
         below = order[1:]
         parents = [parent[cid] for cid in below]
         weights = [nbrs[cid][par] * mult[cid] * mult[par] for cid, par in zip(below, parents)]
         scale = lcm(*set(weights))
-        self._mult = mult
         self._scale = scale
         self._below = below
         self._parents = parents
@@ -471,7 +502,7 @@ class GaugeSolver:
 
         Targets must be orthogonal to the kernel: sum d_C t_C = 0.
         """
-        mult, num, den = self._mult, targets._num, targets._den
+        mult, num, den = self.config.multiplicities, targets._num, targets._den
         _check_ids(self.config, num)
         compat = sum(map(mul, map(mult.__getitem__, num), num.values()))
         if compat:

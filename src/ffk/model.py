@@ -31,12 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain, product, repeat, starmap
+from operator import mul
 
 from . import polyarith
 from .bounds import genus_formula
 from .errors import ParameterError
 from .fiber import (
-    Component,
     FiberConfig,
     check_component_cap,
     i_c_values,
@@ -67,19 +68,24 @@ class FermatLabel:
 
 @dataclass(frozen=True)
 class FermatParams:
-    """Validated parameters (p, m, s) with N = p*m odd squarefree composite."""
+    """Validated parameters (p, m, s) with N = p*m odd squarefree composite.
+
+    s None derives s = s(p) from the polynomial arithmetic, once (p, m) is valid and
+    the s = 0 census, a lower bound (each unit of s adds m^2 (p-1) components),
+    is within the component cap, so an over-cap (p, m) never computes s.
+    """
 
     p: int
     m: int
-    s: int
+    s: int | None
 
     def __post_init__(self):
         """Parity and size, then the caps (p's in require_odd_prime, and m's cusp quotient of
-        at least 3m cells), before p and m are trial-divided, in at most sqrt(cap) steps."""
+        at least 3m cells), before p and m are trial-divided, in at most sqrt(cap) steps;
+        each is trial-divided once."""
         if self.m == 1:
-            raise ParameterError(
-                "m = 1 (prime exponent) uses a different minimal model; not supported"
-            )
+            raise ParameterError("m = 1 (prime exponent) uses a different minimal model; "
+                                 "not supported")
         if self.m < 3 or self.m % 2 == 0:
             raise ParameterError(f"m must be odd and >= 3, got {self.m}")
         polyarith.require_odd_prime(self.p)
@@ -89,10 +95,12 @@ class FermatParams:
         factors = polyarith.factorize(self.m)
         if len(set(factors)) < len(factors):
             raise ParameterError(f"N = p*m must be squarefree; m={self.m} is not")
-        if not 0 <= 2 * self.s <= self.p - 3:
-            raise ParameterError(
-                f"s={self.s} violates 0 <= 2s <= p-3 for p={self.p}"
-            )
+        if self.s is None:
+            check_component_cap(sum(expected_census(self.p, self.m, 0).values()))
+            # s(p) satisfies 0 <= 2s <= p-3, polyarith checks it
+            object.__setattr__(self, "s", polyarith.double_root_count(self.p))
+        elif not 0 <= 2 * self.s <= self.p - 3:
+            raise ParameterError(f"s={self.s} violates 0 <= 2s <= p-3 for p={self.p}")
 
     @property
     def n(self) -> int:
@@ -131,8 +139,8 @@ class FermatModel:
             cid = first[kind] + (i - 1) * p + label.j
         else:
             cid = first[kind] + i if kind in first else -1
-        comps = self.config.components
-        if 0 <= cid < len(comps) and comps[cid].label == label:
+        labels = self.config.labels
+        if 0 <= cid < len(labels) and labels[cid] == label:
             return cid
         raise ParameterError(f"no component labelled {label}")
 
@@ -176,8 +184,8 @@ class FermatModel:
 
     def census(self) -> dict[str, int]:
         out = dict.fromkeys(KINDS, 0)
-        for c in self.config.components:
-            out[c.label.kind] += 1
+        for label in self.config.labels:
+            out[label.kind] += 1
         return out
 
 
@@ -225,33 +233,28 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
 
     s (the double-root count) is an explicit parameter so synthetic
     configurations can be exercised; pass None to derive it from the
-    polynomial arithmetic. The component cap is checked against the census
-    before any component is created; when s is derived, it is first checked
-    against the s = 0 census, a lower bound (each unit of s adds m^2 (p-1)
-    components), so an over-cap (p, m) never computes s.
+    polynomial arithmetic (FermatParams). The component cap is checked against
+    the census before any column is filled. The columns follow the id layout of
+    the module docstring, each kind one run of one shape.
     """
-    if s is None:
-        FermatParams(p, m, 0)  # validates (p, m)
-        check_component_cap(sum(expected_census(p, m, 0).values()))
-        s = polyarith.double_root_count(p)
     params = FermatParams(p, m, s)
-    census = expected_census(p, m, s)
+    census = expected_census(p, m, params.s)
     check_component_cap(sum(census.values()))
-    n_gamma, n_delta = census["Lgamma"], census["Ldelta"]
-
-    # components in id order: Chain(j, k, i) in label order, then the other kinds
-    chains = (FermatLabel("Chain", i, k, j)
-              for i in range(1, 3 * m + 1) for k in range(1, p + 1) for j in range(1, m))
-    comps = [Component(lab, lab.j, 0, -2) for lab in chains]
-    rest = [FermatLabel("Fm")]
-    rest += [FermatLabel("LXYZ", i) for i in range(1, 3 * m + 1)]
-    rest += [FermatLabel("Ldelta", i) for i in range(1, n_delta + 1)]
-    rest += [FermatLabel("Lgamma", i) for i in range(1, n_gamma + 1)]
-    rest += [FermatLabel("LgammaLeaf", i, 0, j)
-             for i in range(1, n_gamma + 1) for j in range(1, p + 1)]
-    shape = _shapes(p, m)
-    comps += [Component(lab, *shape[lab.kind]) for lab in rest]
-    return FermatModel(params, FiberConfig(comps, _edges(p, m, s), params.genus))
+    n_gamma, shape = census["Lgamma"], _shapes(p, m)
+    arms = range(1, 3 * m + 1)
+    labels = starmap(FermatLabel, chain(
+        product(["Chain"], arms, range(1, p + 1), range(1, m)), [("Fm",)],
+        product(["LXYZ"], arms), product(["Ldelta"], range(1, census["Ldelta"] + 1)),
+        product(["Lgamma"], range(1, n_gamma + 1)),
+        product(["LgammaLeaf"], range(1, n_gamma + 1), [0], range(1, p + 1))))
+    runs = [(kind, census[kind]) for kind in ("Fm", "LXYZ", "Ldelta", "Lgamma", "LgammaLeaf")]
+    n_chain = census["Chain"]
+    mult, genera, self_ints = (
+        chain(first, *(repeat(shape[kind][f], count) for kind, count in runs))
+        for f, first in enumerate((chain.from_iterable(repeat(range(1, m), 3 * m * p)),
+                                   repeat(0, n_chain), repeat(-2, n_chain))))
+    return FermatModel(params, FiberConfig.from_columns(
+        labels, mult, genera, self_ints, _edges(p, m, params.s), params.genus))
 
 
 def _edges(p: int, m: int, s: int):
@@ -311,17 +314,15 @@ def cusp_quotient(params: FermatParams, cusp: tuple[int, int]) -> FiberConfig:
              **dict.fromkeys(other, p * (3 * m - 1)), fm: 1, lx: 1, lx_other: 3 * m - 1}
     sizes.update((lab, census[lab.kind]) for lab in (ld, lg, leaf))
     ids = {label: c for c, label in enumerate(x for x, n in sizes.items() if n)}
-    cells = []
-    for label in ids:
-        d, g, sq = (label.j, 0, -2) if label.kind == "Chain" else shape[label.kind]
-        cells.append(Component(label, d, g, sizes[label] * sq))
+    d, g, sq = zip(*((lab.j, 0, -2) if lab.kind == "Chain" else shape[lab.kind] for lab in ids))
     # each component of b meets one of a, so [a].[b] = |b|
     meets = [(fm, lx), (fm, lx_other), (fm, ld), (fm, lg), (lg, leaf), (lx, cusp_c[-1]),
              (lx, arm[-1]), (lx_other, other[-1])]
     meets += [ab for run in (cusp_c, arm, other) for ab in zip(run, run[1:])]
-    return FiberConfig(cells, {(ids[a], ids[b]): sizes[b] for a, b in meets
-                               if a in ids and b in ids},
-                       params.genus, map(sizes.get, ids))
+    return FiberConfig.from_columns(
+        ids, d, g, map(mul, map(sizes.get, ids), sq),
+        {(ids[a], ids[b]): sizes[b] for a, b in meets if a in ids and b in ids},
+        params.genus, map(sizes.get, ids))
 
 
 def transversality_check(model: FermatModel) -> bool:
@@ -332,7 +333,7 @@ def transversality_check(model: FermatModel) -> bool:
     config = model.config
     p, m = model.params.p, model.params.m
     total_ic = sum(i_c_values(config))
-    total_d = sum(c.multiplicity for c in config.components)
+    total_d = sum(config.multiplicities)
     g_fm = genus_formula(m)
     lhs = 2 * model.params.genus - 2
     if lhs != total_ic + 2 * p * g_fm - 2 * total_d:
@@ -352,7 +353,5 @@ def i_c_matches_pairing(model: FermatModel) -> bool:
     """
     config = model.config
     get = pairing_divisor(config, config.fiber_divisor()).numerators().get
-    return all(
-        ic == get(cid, 0) - c.multiplicity * c.self_int
-        for cid, (c, ic) in enumerate(zip(config.components, i_c_values(config)))
-    )
+    dc2 = map(mul, config.multiplicities, config.self_ints)
+    return all(ic == get(cid, 0) - d for cid, (d, ic) in enumerate(zip(dc2, i_c_values(config))))

@@ -95,26 +95,13 @@ def suite_fiber(models: list[FermatModel]) -> list[CheckResult]:
         p, m, s = model.params.p, model.params.m, model.params.s
         tag = f"(p={p}, m={m})"
 
-        want = expected_census(p, m, s)
-        got = model.census()
-        out.append(
-            CheckResult(
-                f"census {tag}",
-                got == want,
-                "" if got == want else f"got {got}, want {want}",
-            )
-        )
-
-        checks = validate(model.config)
-        for chk in checks:
-            out.append(CheckResult(f"{chk.name} {tag}", chk.passed, chk.detail))
-
-        out.append(
-            CheckResult(f"transversality identity {tag}", transversality_check(model))
-        )
-        out.append(
-            CheckResult(f"I_C = (C . F - d_C C) for all C {tag}", i_c_matches_pairing(model))
-        )
+        want, got = expected_census(p, m, s), model.census()
+        out.append(CheckResult(f"census {tag}", got == want,
+                               "" if got == want else f"got {got}, want {want}"))
+        out += [_retag(chk, tag) for chk in validate(model.config)]
+        out.append(CheckResult(f"transversality identity {tag}", transversality_check(model)))
+        out.append(CheckResult(f"I_C = (C . F - d_C C) for all C {tag}",
+                               i_c_matches_pairing(model)))
 
         ics = i_c_values(model.config)
         ic_ok = (
@@ -124,14 +111,10 @@ def suite_fiber(models: list[FermatModel]) -> list[CheckResult]:
         )
         out.append(CheckResult(f"I_C table values {tag}", ic_ok))
 
-        ends = {cid for cid, c in enumerate(model.config.components)
-                if c.label.kind == "Chain" and c.label.j == 1}
-        out.append(
-            CheckResult(
-                f"cusp sections biject with mult-1 chain ends {tag}",
-                set(model.cusps) == ends and len(model.cusps) == 3 * model.params.n,
-            )
-        )
+        ends = {cid for cid, lab in enumerate(model.config.labels)
+                if lab.kind == "Chain" and lab.j == 1}
+        out.append(CheckResult(f"cusp sections biject with mult-1 chain ends {tag}",
+                               set(model.cusps) == ends and len(model.cusps) == 3 * model.params.n))
     return out
 
 
@@ -144,7 +127,7 @@ def _fm_targets(model: FermatModel) -> QDivisor:
     """t_Fm = sum_C (a_C/(2g-2) - delta_{Fm,C}/d_Fm) C, the relation's targets for D = Fm."""
     config = model.config
     two_g2 = 2 * model.params.genus - 2
-    d_fm = config.components[model.fm].multiplicity
+    d_fm = config.multiplicities[model.fm]
     den = lcm(two_g2, d_fm)
     k = den // two_g2
     num = dict(enumerate(a * k for a in _a_values(config, range(config.n_components))))
@@ -169,8 +152,8 @@ def gauge_reproduction(model: FermatModel, v_fm: QDivisor, t_fm: QDivisor):
     try:
         w_fm = solver.solve(t_fm)
     except NoSolutionError as exc:
-        return None, None, f"fails for D={config.component(0).label}: {exc}"
-    d_fm = config.components[model.fm].multiplicity
+        return None, None, f"fails for D={config.label(0)}: {exc}"
+    d_fm = config.multiplicities[model.fm]
     shift = config.fiber_divisor().scale(Fraction(params.p - 2, (2 * params.genus - 2) * d_fm))
     return solver, w_fm + shift - v_fm, ""
 
@@ -190,10 +173,10 @@ def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
     if the factor fails. Each check keeps its least failing D, n while none fails.
     """
     config, fm, params, n = model.config, model.fm, model.params, model.config.n_components
-    comps = config.components
+    labels, mult = config.labels, config.multiplicities
     v_fm, t_fm, vs = divisors.v_base(model, fm), _fm_targets(model), divisors.v_s(model)
     solver, rest, solved = gauge_reproduction(model, v_fm, t_fm)
-    vfm, fm_den, d_fm = v_fm.numerators(), v_fm.denominator, comps[fm].multiplicity
+    vfm, fm_den, d_fm = v_fm.numerators(), v_fm.denominator, mult[fm]
     fm_prof = _spread(config, vfm)
     miss = t_fm - QDivisor.from_numerators(fm_prof, fm_den)  # empty on a good fiber
     miss, vs, vs_den = (miss.numerators(), miss.denominator), vs.numerators(), vs.denominator
@@ -212,20 +195,20 @@ def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
     bases, forms, relation, closed, solved_at = {fm: base(v_fm)}, {}, n, (n, ""), n
     stack = solver and [(None, fm, ({}, 1), QDivisor() - rest)]  # (D, B, H_D, E_D), D's parent
     for cid, par, f_a in _branch_steps(solver) if solver else ((c, 0, 0) for c in range(n)):
-        d = comps[cid]
+        label = labels[cid]
         bid, h, hden = divisors.v_own(model, cid)
         if bid not in bases:
             bases[bid] = base(divisors.v_base(model, bid))
         g, den, prof, k, s_b, b_sq, b_vs = bases[bid]
         h_prof = _spread(config, h)
         if cid < relation and any(_combined(-1, (h_prof, hden), ({fm: 1}, d_fm),
-                                            ({cid: -1}, d.multiplicity), s_b)[0].values()):
+                                            ({cid: -1}, mult[cid]), s_b)[0].values()):
             relation = cid
         if cid < closed[0]:
-            key = divisors.closed_form_class(d.label)
+            key = divisors.closed_form_class(label)
             if key not in forms:
-                forms[key] = (divisors.v_self_closed(params, d.label),
-                              divisors.vs_pair_closed(params, d.label))
+                forms[key] = (divisors.v_self_closed(params, label),
+                              divisors.vs_pair_closed(params, label))
             (want_sq, want_vs), bh = forms[key], den * hden
             h_b = _dot(h, fm_prof) * k + _dot(h, prof)  # H_D . prof(B), over bh
             sq = b_sq * hden * hden + 2 * h_b * bh + _dot(h, h_prof) * den * den
@@ -249,9 +232,9 @@ def representative_relation_full(model: FermatModel) -> tuple[CheckResult, ...]:
             break
     names = ("representative pairing relation (all pairs)", "self/cross closed forms",
              "gauged solver reproduces representatives")
-    fails = (relation < n and f"fails for D={comps[relation].label}",
-             closed[0] < n and f"{closed[1]} fails for D={comps[closed[0]].label}",
-             solved or solved_at < n and f"fails for D={comps[solved_at].label}")
+    fails = (relation < n and f"fails for D={labels[relation]}",
+             closed[0] < n and f"{closed[1]} fails for D={labels[closed[0]]}",
+             solved or solved_at < n and f"fails for D={labels[solved_at]}")
     return tuple(CheckResult(name, not fail, fail or "") for name, fail in zip(names, fails))
 
 
@@ -290,22 +273,14 @@ def suite_beta(models: list[FermatModel]) -> list[CheckResult]:
 
         if betas:
             closed69 = bounds.beta_sp_closed(n, p)
-            out.append(
-                CheckResult(
-                    f"beta equals alpha-polynomial closed form {tag}",
-                    betas[0] == closed69,
-                    "" if betas[0] == closed69 else f"{betas[0]} != {closed69}",
-                )
-            )
+            out.append(CheckResult(f"beta equals alpha-polynomial closed form {tag}",
+                                   betas[0] == closed69,
+                                   "" if betas[0] == closed69 else f"{betas[0]} != {closed69}"))
 
         g_ss = [vs - v_fm for vs in v_ss]
         want_gs = -Fraction(n - p + 1, n)
-        out.append(
-            CheckResult(
-                f"G_S^2 = -(N-p+1)/N, all cusps {tag}",
-                all(pair(config, gs, gs) == want_gs for gs in g_ss),
-            )
-        )
+        out.append(CheckResult(f"G_S^2 = -(N-p+1)/N, all cusps {tag}",
+                               all(pair(config, gs, gs) == want_gs for gs in g_ss)))
 
         squares, canonicals, minima = zip(*(divisors.u_s_identities(params, v) for v in values))
         out.append(CheckResult(f"square identity for 2V_S+U_S {tag}", all(squares)))
@@ -336,25 +311,24 @@ def suite_cycles(models: list[FermatModel]) -> list[CheckResult]:
     Each chain Chain(1..m-1, k, i) is the id run from its end in model.cusps
     (the model docstring); each leaf is found by its label. A model whose
     config does not carry the docstring's labels fails the check. A cycle D, the
-    sum of its run, has p_a = 1 + (D^2 + K.D)/2, with D^2 = sum C^2 plus twice the
-    intersection points inside the run and K.D from one _a_values pass. C^2 cancels against
-    K.C's -C^2, so a wrong self-intersection passes here; fiber orthogonality sees it.
+    sum of its run, has p_a = 1 + (D^2 + K.D)/2 with D^2 = sum C^2 plus twice the points
+    inside the run and K.C = -C^2 + 2g_C - 2, so D^2 + K.D reads the genera, not C^2: a
+    wrong self-intersection passes here; fiber orthogonality sees it.
     """
     out = []
     for model in models:
         p, m = model.params.p, model.params.m
         config = model.config
-        comps, nbrs = config.components, config._nbrs
+        genera, nbrs = config.genera, config._nbrs
         try:
             cycles = [range(end, end + m - 1) for end in model.cusps]
         except ParameterError:
             cycles = None
         else:
-            cycles += [range(cid, cid + 1) for cid, c in enumerate(comps)
-                       if c.label.kind == "LgammaLeaf"]
-            a_vals = _a_values(config, range(config.n_components))
+            cycles += [range(cid, cid + 1) for cid, lab in enumerate(config.labels)
+                       if lab.kind == "LgammaLeaf"]
         ok = cycles is not None and all(
-            sum(a_vals[cid] + comps[cid].self_int
+            sum(2 * genera[cid] - 2
                 + sum(cnt for x, cnt in nbrs[cid].items() if run.start <= x < run.stop)
                 for cid in run) == -2
             for run in cycles)
@@ -389,12 +363,8 @@ def suite_bounds(models: list[FermatModel], scan_to: int = 10**4) -> list[CheckR
         except MathContractError as exc:
             ok, detail = False, str(exc)
         out.append(CheckResult(f"per-prime geometric = Q(N,p) {tag}", ok, detail))
-        out.append(
-            CheckResult(
-                f"beta closed forms agree {tag}",
-                bounds.beta_sp_closed(n, p) == divisors.beta_closed(params),
-            )
-        )
+        out.append(CheckResult(f"beta closed forms agree {tag}",
+                               bounds.beta_sp_closed(n, p) == divisors.beta_closed(params)))
     name = f"strict lower/simple inequality for all N <= {scan_to}"
     rows = 0
     strict = True

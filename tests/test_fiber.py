@@ -750,7 +750,66 @@ def test_i_c_pass_matches_single_look_ups(cfg, data):
         comps[cid] = dataclasses.replace(comps[cid], **{kind: getattr(comps[cid], kind) + delta})
     bad = FiberConfig(comps, edges.items(), cfg.genus)
     assert i_c_values(bad) == [_i_c(bad, cid) for cid in range(n)]
-    assert bad.non_orthogonal is _first_offender(bad)
+    # a Component made from the columns: equal to the offender, not the same object
+    assert bad.non_orthogonal == _first_offender(bad)
+
+
+def _columns(cfg):
+    return cfg.labels, cfg.multiplicities, cfg.genera, cfg.self_ints
+
+
+@settings(max_examples=60, deadline=None)
+@given(orthogonal_trees(), st.data())
+def test_from_columns_agrees_with_the_component_constructor(cfg, data):
+    n = cfg.n_components
+    cols, edges = [list(col) for col in _columns(cfg)], dict(cfg.edges())
+    # the tree itself, or a mutant with one multiplicity, genus, self-intersection or edge
+    # count changed
+    kind = data.draw(st.sampled_from([None, 1, 2, 3] + (["edge"] if edges else [])), label="kind")
+    delta = data.draw(st.integers(min_value=1, max_value=3), label="delta")
+    if kind == "edge":
+        edges[data.draw(st.sampled_from(sorted(edges)), label="edge")] += delta
+    elif kind is not None:
+        cols[kind][data.draw(st.integers(min_value=0, max_value=n - 1), label="cid")] += delta
+    sizes = data.draw(st.none() | st.lists(st.integers(min_value=1, max_value=4),
+                                           min_size=n, max_size=n), label="sizes")
+    by_row = FiberConfig(list(map(Component, *cols)), edges.items(), cfg.genus, sizes)
+    by_col = FiberConfig.from_columns(*cols, edges.items(), cfg.genus, sizes)
+    assert _columns(by_row) == _columns(by_col) == tuple(map(tuple, cols))
+    assert (by_row.genus, by_row.sizes) == (by_col.genus, by_col.sizes)
+    assert _maps(by_row) == _maps(by_col)
+    assert by_row.components == by_col.components == tuple(map(Component, *cols))
+    assert [by_col.component(cid) for cid in range(n)] == list(by_col.components)
+    assert [by_col.label(cid) for cid in range(n)] == cols[0]
+    assert by_row.non_orthogonal == by_col.non_orthogonal
+    if kind in (None, 2):  # a genus leaves (F . C) as it was
+        assert by_col.non_orthogonal is None
+    assert validate(by_row) == validate(by_col)
+    assert i_c_values(by_row) == i_c_values(by_col)
+    for bad in (-1, n):
+        with pytest.raises(ParameterError, match=f"unknown component id {bad}"):
+            by_col.label(bad)
+
+
+@pytest.mark.parametrize("row", [
+    ("X", 1.5, 0, -2), ("X", 1, 0.5, -2), ("X", 1, 0, -1.25), ("X", Fraction(2), 0, -2),
+    ("X", 0, 0, -2), ("X", 1, -1, -2),
+], ids=["float-multiplicity", "float-genus", "float-self-int", "fraction-multiplicity",
+        "multiplicity-0", "negative-genus"])
+def test_from_columns_refuses_a_bad_row_with_the_component_message(row):
+    with pytest.raises(ParameterError) as want:
+        Component(*row)
+    good = ("A", 1, 0, -1)
+    # the bad row alone among good ones, then before a bad row that is not reported
+    for rows in ([good, row, good], [good, row, ("C", 0, -1, 0.5)]):
+        with pytest.raises(ParameterError) as got:
+            FiberConfig.from_columns(*zip(*rows), {}, 0)
+        assert str(got.value) == str(want.value)
+
+
+def test_from_columns_takes_one_entry_per_label():
+    with pytest.raises(ParameterError, match="every column must give one entry per label"):
+        FiberConfig.from_columns("AB", [1, 1], [0], [-1, -1], {}, 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,8 +4,9 @@ import tracemalloc
 import pytest
 
 from ffk import polyarith
+from ffk.divisors import beta_s, g_s, per_prime_geometric, semipos_check
 from ffk.errors import CapExceeded, ParameterError
-from ffk.fiber import Component, FiberConfig, QDivisor, i_c_values, pair
+from ffk.fiber import Component, FiberConfig, QDivisor, i_c_values, pair, validate
 from ffk.model import (
     FermatLabel,
     FermatModel,
@@ -173,9 +174,10 @@ def test_component_cap(monkeypatch):
 
 def test_component_cap_fires_before_any_component_is_built(monkeypatch):
     def no_alloc(*args, **kwargs):
-        raise AssertionError("a component was built before the cap check")
+        raise AssertionError("a label was made before the cap check")
 
-    monkeypatch.setattr("ffk.model.Component", no_alloc)
+    # the labels are the first column build_config fills
+    monkeypatch.setattr("ffk.model.FermatLabel", no_alloc)
     monkeypatch.setenv("FFK_COMPONENT_CAP", "19159")
     with pytest.raises(CapExceeded, match="19160 components exceed the component cap 19159"):
         build_config(7, 23)
@@ -196,6 +198,41 @@ def test_component_cap_fires_before_s_is_computed(monkeypatch):
     monkeypatch.delenv("FFK_COMPONENT_CAP")
     with pytest.raises(CapExceeded):
         build_config(99991, 3)  # the s = 0 census alone is 2.7e6 components
+
+
+@pytest.mark.parametrize("s, want", [(None, [7, 23, 7]), (2, [7, 23])])
+def test_build_trial_divides_m_once_and_p_at_most_twice(monkeypatch, s, want):
+    # p and m by FermatParams, and p again by s(p)'s own check when s is derived
+    seen, factorize = [], polyarith.factorize
+
+    def spy(n):
+        seen.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(polyarith, "factorize", spy)
+    assert build_config(7, 23, s).params.s == 2
+    assert seen == want
+
+
+def test_build_validate_and_census_make_no_component(monkeypatch):
+    made, post_init = [], Component.__post_init__
+
+    def counted(self):
+        made.append(self.label)
+        post_init(self)
+
+    monkeypatch.setattr(Component, "__post_init__", counted)
+    for p, m, s in ((3, 5, None), (7, 3, None), (11, 3, 4), (13, 3, 0), (7, 23, None)):
+        model = build_config(p, m, s)
+        assert all(chk.passed for chk in validate(model.config))
+        assert model.census() == expected_census(p, m, model.params.s)
+    assert made == []
+    # the cusp identities read labels and columns, and leave `components` unmade
+    beta_s(model), per_prime_geometric(model), g_s(model), semipos_check(model)
+    assert "components" not in vars(model.config)
+    # components are made on demand, and the counter sees them
+    assert model.config.components[model.fm] == model.config.component(model.fm)
+    assert len(made) == model.config.n_components + 1
 
 
 def test_bad_parameters_fail_before_s_is_computed(monkeypatch):
@@ -305,7 +342,8 @@ def test_closed_form_ids_match_sorted_label_build(p, m, s):
 
 def test_build_memory_per_component():
     # the edges stream into the neighbour maps, so no edge table lives beside
-    # them at the peak; 19,160 components
+    # them at the peak, and the components are int columns, not Component
+    # objects (448 bytes a component at the peak when they were); 19,160 components
     s = polyarith.double_root_count(7)
     build_config(7, 3, s)
     tracemalloc.start()
@@ -315,5 +353,5 @@ def test_build_memory_per_component():
     finally:
         tracemalloc.stop()
     n = model.config.n_components
-    assert peak <= 480 * n, peak / n
-    assert retained <= 433 * n, retained / n
+    assert peak <= 430 * n, peak / n
+    assert retained <= 410 * n, retained / n
