@@ -36,7 +36,6 @@ from .errors import (
 )
 from .fiber import (
     CheckResult,
-    Component,
     FiberConfig,
     QDivisor,
     canonical_pair,

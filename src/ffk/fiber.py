@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, attrgetter, floordiv, itemgetter, mul
+from operator import add, floordiv, itemgetter, mul
 from types import MappingProxyType
 from typing import Any
 
@@ -40,26 +40,6 @@ def check_component_cap(n: int) -> None:
 
 
 _FIELDS = ("multiplicity", "genus", "self_int")
-
-
-@dataclass(frozen=True, slots=True)
-class Component:
-    """One irreducible component of the special fiber; its id is its position in FiberConfig."""
-
-    label: Any
-    multiplicity: int
-    genus: int
-    self_int: int
-
-    def __post_init__(self):
-        bad = next((f for f in _FIELDS if not isinstance(getattr(self, f), int)), None)
-        if bad:
-            raise ParameterError(f"component {self.label}: {bad} must be an int, "
-                                 f"got {getattr(self, bad)!r}")
-        if self.multiplicity < 1:
-            raise ParameterError(f"component {self.label}: multiplicity must be >= 1")
-        if self.genus < 0:
-            raise ParameterError(f"component {self.label}: genus must be >= 0")
 
 
 def _combined(sign: int, first: tuple[Mapping[int, int], int],
@@ -109,6 +89,8 @@ class QDivisor:
     @classmethod
     def from_numerators(cls, num: Mapping[int, int], den: int) -> "QDivisor":
         """The divisor sum num[C]/den C, for integers num[C] and den > 0."""
+        if den < 1:
+            raise ParameterError(f"denominator must be >= 1, got {den}")
         num = dict(filter(itemgetter(1), num.items()))
         # not gcd(den, *values): CPython 3.11 parks each freed 20-tuple on a free
         # list that allocation never draws from, up to 2000 of them (400 KB)
@@ -179,8 +161,8 @@ class FiberConfig:
 
     The components are stored as columns: `labels` and the int tuples
     `multiplicities`, `genera` and `self_ints`, a component's id being its position
-    in each; `components` and `component(cid)` make `Component`s from them on
-    demand. `pairings` holds the off-diagonal entries: (i, j) -> number of
+    in each; a bad field raises ParameterError naming the first offending row's
+    label. `pairings` holds the off-diagonal entries: (i, j) -> number of
     transversal intersection points, as a mapping or, as `dict()` takes them, an
     iterable of ((i, j), count) pairs; counts given as both (i, j) and (j, i), or
     for one pair more than once, are summed. Each edge is stored once per
@@ -190,19 +172,9 @@ class FiberConfig:
     every vertex is one component. `n_components` counts vertices either way.
     """
 
-    def __init__(self, components: Iterable[Component], pairings: Pairings, genus: int,
-                 sizes: Iterable[int] | None = None):
-        comps = tuple(components)
-        cols = (tuple(map(attrgetter(f), comps)) for f in ("label", *_FIELDS))
-        vars(self).update(vars(FiberConfig.from_columns(*cols, pairings, genus, sizes)))
-
-    @classmethod
-    def from_columns(cls, labels: Iterable[Any], multiplicities: Iterable[int],
-                     genera: Iterable[int], self_ints: Iterable[int], pairings: Pairings,
-                     genus: int, sizes: Iterable[int] | None = None) -> FiberConfig:
-        """The fiber whose component cid is (labels[cid], multiplicities[cid], genera[cid],
-        self_ints[cid]): the one validating constructor. A bad field raises the message
-        `Component` gives its row."""
+    def __init__(self, labels: Iterable[Any], multiplicities: Iterable[int],
+                 genera: Iterable[int], self_ints: Iterable[int], pairings: Pairings,
+                 genus: int, sizes: Iterable[int] | None = None):
         labels = tuple(labels)
         n = len(labels)
         check_component_cap(n)
@@ -211,14 +183,21 @@ class FiberConfig:
             raise ParameterError("every column must give one entry per label")
         if not (all(all(map(isinstance, col, repeat(int))) for col in cols)
                 and min(cols[0], default=1) >= 1 and min(cols[1], default=0) >= 0):
-            for row in zip(labels, *cols):
-                Component(*row)  # raises at the first offending row
+            for label, *row in zip(labels, *cols):  # raise at the first offending row
+                for field, v in zip(_FIELDS, row):
+                    if not isinstance(v, int):
+                        raise ParameterError(f"component {label}: {field} must be an int, "
+                                             f"got {v!r}")
+                if row[0] < 1:
+                    raise ParameterError(f"component {label}: multiplicity must be >= 1")
+                if row[1] < 0:
+                    raise ParameterError(f"component {label}: genus must be >= 0")
         if not isinstance(genus, int):
             raise ParameterError(f"genus must be an int, got {genus!r}")
         nbrs: list[dict[int, int]] = [{} for _ in labels]
         for (a, b), cnt in pairings.items() if isinstance(pairings, Mapping) else pairings:
             if a == b:
-                raise ParameterError("diagonal entries belong to Component.self_int")
+                raise ParameterError("diagonal entries belong to the self_ints column")
             if not (0 <= a < n and 0 <= b < n):
                 raise ParameterError(f"unknown component id in pairing ({a}, {b})")
             if not isinstance(cnt, int) or cnt < 0:
@@ -230,10 +209,8 @@ class FiberConfig:
         if sizes is not None and (len(sizes) != n
                                   or any(not isinstance(k, int) or k < 1 for k in sizes)):
             raise ParameterError("sizes must give every component a size >= 1")
-        out = cls.__new__(cls)
-        out.labels, (out.multiplicities, out.genera, out.self_ints) = labels, cols
-        out.genus, out._nbrs, out.sizes = genus, tuple(nbrs), sizes
-        return out
+        self.labels, (self.multiplicities, self.genera, self.self_ints) = labels, cols
+        self.genus, self._nbrs, self.sizes = genus, tuple(nbrs), sizes
 
     @property
     def n_components(self) -> int:
@@ -242,16 +219,6 @@ class FiberConfig:
     def label(self, cid: int) -> Any:
         _check_ids(self, (cid,))
         return self.labels[cid]
-
-    def component(self, cid: int) -> Component:
-        return Component(self.label(cid), self.multiplicities[cid], self.genera[cid],
-                         self.self_ints[cid])
-
-    @cached_property
-    def components(self) -> tuple[Component, ...]:
-        """Every component, in id order, made from the columns on first read."""
-        return tuple(map(Component, self.labels, self.multiplicities, self.genera,
-                         self.self_ints))
 
     def fiber_divisor(self) -> QDivisor:
         return QDivisor.from_numerators(dict(enumerate(self.multiplicities)), 1)
@@ -262,13 +229,12 @@ class FiberConfig:
                 for b, cnt in nbrs.items() if a < b)
 
     @cached_property
-    def non_orthogonal(self) -> Component | None:
-        """The first C with (F . C) = d_C C^2 + I_C != 0, or None; computed once.
+    def non_orthogonal(self) -> int | None:
+        """The id of the first C with (F . C) = d_C C^2 + I_C != 0, or None; computed once.
 
         At a vertex of size k the sum is (F . [c]) = k (F . C), C^2 being [c]^2."""
         dc2 = map(mul, self.multiplicities, self.self_ints)
-        cid = next((cid for cid, f in enumerate(map(add, dc2, i_c_values(self))) if f), None)
-        return None if cid is None else self.component(cid)
+        return next((cid for cid, f in enumerate(map(add, dc2, i_c_values(self))) if f), None)
 
 
 def _check_ids(config: FiberConfig, ids) -> None:
@@ -403,9 +369,9 @@ def _tree(config: FiberConfig, root: int) -> tuple[list[int], list[int]]:
     n_edges = sum(map(len, nbrs)) // 2
     if n_edges != n - 1:
         raise MathContractError(f"fiber graph is not a tree: {n_edges} edges on {n} components")
-    offender = config.non_orthogonal
-    if offender is not None:
-        raise MathContractError(f"fiber orthogonality fails at component {offender.label}")
+    bad = config.non_orthogonal
+    if bad is not None:
+        raise MathContractError(f"fiber orthogonality fails at component {config.labels[bad]}")
     return order, parent
 
 
@@ -427,10 +393,10 @@ def validate(config: FiberConfig) -> list[CheckResult]:
         if nbrs[b].get(a) != cnt:
             sym_ok = False
             break
-    offender = config.non_orthogonal
+    bad = config.non_orthogonal
     results = [CheckResult("pairing matrix symmetric", sym_ok),
-               CheckResult("fiber orthogonality (F.C = 0 for all C)", offender is None,
-                           "" if offender is None else f"fails at component {offender.label}")]
+               CheckResult("fiber orthogonality (F.C = 0 for all C)", bad is None,
+                           "" if bad is None else f"fails at component {config.labels[bad]}")]
 
     detail = ""
     try:

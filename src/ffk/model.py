@@ -80,9 +80,12 @@ class FermatParams:
     s: int | None
 
     def __post_init__(self):
-        """Parity and size, then the caps (p's in require_odd_prime, and m's cusp quotient of
-        at least 3m cells), before p and m are trial-divided, in at most sqrt(cap) steps;
-        each is trial-divided once."""
+        """Types (int, not bool; s may be None), parity and size, then the caps (p's in
+        require_odd_prime, and m's cusp quotient of at least 3m cells), before p and m are
+        trial-divided, in at most sqrt(cap) steps; each is trial-divided once."""
+        for name, v in (("p", self.p), ("m", self.m), ("s", 0 if self.s is None else self.s)):
+            if type(v) is not int:  # a bool too
+                raise ParameterError(f"{name} must be an int, got {v!r}")
         if self.m == 1:
             raise ParameterError("m = 1 (prime exponent) uses a different minimal model; "
                                  "not supported")
@@ -253,7 +256,7 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
         chain(first, *(repeat(shape[kind][f], count) for kind, count in runs))
         for f, first in enumerate((chain.from_iterable(repeat(range(1, m), 3 * m * p)),
                                    repeat(0, n_chain), repeat(-2, n_chain))))
-    return FermatModel(params, FiberConfig.from_columns(
+    return FermatModel(params, FiberConfig(
         labels, mult, genera, self_ints, _edges(p, m, params.s), params.genus))
 
 
@@ -319,7 +322,7 @@ def cusp_quotient(params: FermatParams, cusp: tuple[int, int]) -> FiberConfig:
     meets = [(fm, lx), (fm, lx_other), (fm, ld), (fm, lg), (lg, leaf), (lx, cusp_c[-1]),
              (lx, arm[-1]), (lx_other, other[-1])]
     meets += [ab for run in (cusp_c, arm, other) for ab in zip(run, run[1:])]
-    return FiberConfig.from_columns(
+    return FiberConfig(
         ids, d, g, map(mul, map(sizes.get, ids), sq),
         {(ids[a], ids[b]): sizes[b] for a, b in meets if a in ids and b in ids},
         params.genus, map(sizes.get, ids))

@@ -20,7 +20,7 @@ from ffk import divisors, verify
 from ffk.errors import MathContractError
 from ffk.fiber import CheckResult, FiberConfig, QDivisor, pair, validate
 from ffk.model import FermatLabel, FermatModel
-from test_fiber import NOT_ORTHOGONAL_TREES, p_a_divisor
+from test_fiber import COLUMN, NOT_ORTHOGONAL_TREES, columns, p_a_divisor
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, detail: str = ""):
@@ -93,18 +93,15 @@ def test_criterion_6_fundamental_cycles(models):
 
 def _mutated(model, mode: str) -> FermatModel:
     cfg = model.config
-    comps = list(cfg.components)
+    cols = columns(cfg)
     edges = dict(cfg.edges())
     victim = model.cid(FermatLabel("Ldelta", i=1))
-    if mode == "self_int":
-        comps[victim] = dataclasses.replace(comps[victim], self_int=comps[victim].self_int + 1)
-    elif mode == "adjacency":
+    if mode == "adjacency":
         key = (min(model.fm, victim), max(model.fm, victim))
         del edges[key]
-    elif mode == "multiplicity":
-        comps[victim] = dataclasses.replace(comps[victim],
-                                            multiplicity=comps[victim].multiplicity + 1)
-    bad_cfg = FiberConfig(comps, edges, cfg.genus)
+    elif mode in COLUMN:
+        cols[COLUMN[mode]][victim] += 1
+    bad_cfg = FiberConfig(*cols, edges, cfg.genus)
     return dataclasses.replace(model, config=bad_cfg)
 
 
@@ -115,9 +112,9 @@ def _divisor_suite_raises(model) -> bool:
     a defect in the built graph reaches them only through the oracle suites.
     """
     try:
-        for cid, c in enumerate(model.config.components[:40]):
+        for cid, label in enumerate(model.config.labels[:40]):
             vc = divisors.v_divisor(model, cid)
-            if pair(model.config, vc, vc) != divisors.v_self_closed(model.params, c.label):
+            if pair(model.config, vc, vc) != divisors.v_self_closed(model.params, label):
                 return True
         divisors.beta_s(model)
         divisors.per_prime_geometric(model)
@@ -132,7 +129,7 @@ def _doubled_edge(model) -> FiberConfig:
     edges = dict(model.config.edges())
     a, b = (model.cid(FermatLabel("Ldelta", i=i)) for i in (1, 2))
     edges[(a, b)] = edges[(b, a)] = 1
-    return FiberConfig(model.config.components, edges, model.config.genus)
+    return FiberConfig(*columns(model.config), edges, model.config.genus)
 
 
 def _pinned_validate_configs(models) -> dict[str, FiberConfig]:
@@ -195,25 +192,25 @@ def test_criterion_7_mutation_sensitivity(models):
 def test_random_mutation_is_caught(models, data):
     # one random change to the (5,3) fiber: validate or a divisor identity must see it
     base = models[(5, 3)]
-    comps = list(base.config.components)
+    cols = columns(base.config)
+    n = base.config.n_components
     edges = dict(base.config.edges())
     mode = data.draw(st.sampled_from(
         ("self_int", "multiplicity", "genus", "add_edge", "remove_edge")), label="mode")
     if mode == "remove_edge":
         del edges[data.draw(st.sampled_from(sorted(edges)), label="edge")]
     elif mode == "add_edge":
-        a = data.draw(st.integers(0, len(comps) - 1), label="a")
-        b = data.draw(st.integers(0, len(comps) - 1).filter(lambda b: b != a), label="b")
+        a = data.draw(st.integers(0, n - 1), label="a")
+        b = data.draw(st.integers(0, n - 1).filter(lambda b: b != a), label="b")
         key = (min(a, b), max(a, b))
         edges[key] = edges.get(key, 0) + 1
     else:
-        cid = data.draw(st.integers(0, len(comps) - 1), label="component")
-        c = comps[cid]
-        old = getattr(c, mode)
+        cid = data.draw(st.integers(0, n - 1), label="component")
+        col = cols[COLUMN[mode]]
+        old = col[cid]
         low = {"self_int": old - 3, "multiplicity": 1, "genus": 0}[mode]
-        new = data.draw(st.integers(low, old + 3).filter(lambda v: v != old), label=mode)
-        comps[cid] = dataclasses.replace(c, **{mode: new})
-    bad = dataclasses.replace(base, config=FiberConfig(comps, edges, base.config.genus))
+        col[cid] = data.draw(st.integers(low, old + 3).filter(lambda v: v != old), label=mode)
+    bad = dataclasses.replace(base, config=FiberConfig(*cols, edges, base.config.genus))
     caught = not all(chk.passed for chk in validate(bad.config)) or _divisor_suite_raises(bad)
     assert caught, f"random {mode} defect not caught"
 
@@ -224,22 +221,22 @@ MUTATIONS = ("genus+1", "self_int+1", "self_int-1", "multiplicity+1", "drop_edge
 def _single_field_mutants(model, mode: str):
     """`mode` applied, one at a time, at components or edges spread over the fiber."""
     cfg = model.config
-    comps, edges = list(cfg.components), dict(cfg.edges())
-    n = len(comps)
+    cols, edges = columns(cfg), dict(cfg.edges())
+    n = cfg.n_components
     if mode == "drop_edge":
         keys = sorted(edges)
         for key in (keys[0], keys[len(keys) // 2], keys[-1]):
-            yield FiberConfig(comps, {k: v for k, v in edges.items() if k != key}, cfg.genus)
+            yield FiberConfig(*cols, {k: v for k, v in edges.items() if k != key}, cfg.genus)
     elif mode == "add_edge":
         for a, b in ((0, n - 1), (model.fm, n // 2), (model.lxyz(1), model.lxyz(2))):
             key = (min(a, b), max(a, b))
-            yield FiberConfig(comps, {**edges, key: edges.get(key, 0) + 1}, cfg.genus)
+            yield FiberConfig(*cols, {**edges, key: edges.get(key, 0) + 1}, cfg.genus)
     else:
-        field, delta = mode[:-2], int(mode[-2:])
+        col, delta = cols[COLUMN[mode[:-2]]], int(mode[-2:])
         for cid in (0, model.fm, n // 2, n - 1):
-            bad, c = list(comps), comps[cid]
-            bad[cid] = dataclasses.replace(c, **{field: getattr(c, field) + delta})
-            yield FiberConfig(bad, edges, cfg.genus)
+            col[cid] += delta  # FiberConfig copies the columns, so undo it after the yield
+            yield FiberConfig(*cols, edges, cfg.genus)
+            col[cid] -= delta
 
 
 @pytest.mark.parametrize("mode", MUTATIONS)
@@ -262,7 +259,7 @@ def _cycles_reference(model):
     """suite_cycles' verdict from one QDivisor and one p_a_divisor per fundamental cycle."""
     config, m = model.config, model.params.m
     cycles = [range(end, end + m - 1) for end in model.cusps]
-    cycles += [(cid,) for cid, c in enumerate(config.components) if c.label.kind == "LgammaLeaf"]
+    cycles += [(cid,) for cid, label in enumerate(config.labels) if label.kind == "LgammaLeaf"]
     return all(p_a_divisor(config, QDivisor.from_numerators(dict.fromkeys(z, 1), 1)) == 0
                for z in cycles)
 

@@ -8,9 +8,10 @@ function already computes; it is to be deleted, not kept for its test. A
 private helper that nothing references is what a deletion orphans. A
 reference is an `ast.Name` or `ast.Attribute` in any module but `__init__.py`
 (re-exports do not count, and neither do strings such as the JSON key
-"upper_bound"), outside the definition's own body. Names are matched, not
-resolved, so a method counts as called when any package code reads an
-attribute of that name. The package has no linter, so the import check stands
+"upper_bound"), outside the definition's own body; a method is referenced only
+by an `ast.Attribute` load, so a parameter or local variable of its name does
+not count. Names are matched, not resolved, so a method counts as called when
+any package code reads an attribute of that name. The package has no linter, so the import check stands
 in for its unused-import rule, and the layering check for an import-layer rule.
 """
 
@@ -20,45 +21,50 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ffk"
 
 
-def _names(node: ast.AST) -> set[str]:
-    """Names and attribute names referenced anywhere in node."""
-    out = set()
-    for sub in ast.walk(node):
+def _names(nodes: list[ast.AST]) -> tuple[set[str], set[str]]:
+    """(names and attribute names, attribute names in a Load context) referenced anywhere
+    in nodes."""
+    names, loads = set(), set()
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-    return out
+            names.add(sub.attr)
+            if isinstance(sub.ctx, ast.Load):
+                loads.add(sub.attr)
+    return names, loads
 
 
 def _units(package: Path):
-    """(qualified name, node, names it references) for each top-level statement of every
-    module but __init__.py, with each class split into its header and the statements of
-    its body."""
+    """(qualified name, node, the two sets of `_names`) for each top-level statement of
+    every module but __init__.py, with each class split into its header and the
+    statements of its body."""
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(), str(path)).body:
             if isinstance(node, ast.ClassDef):
                 header = node.decorator_list + node.bases + node.keywords
-                yield f"{path.stem}.{node.name}", node, set().union(*map(_names, header))
+                yield f"{path.stem}.{node.name}", node, _names(header)
                 for sub in node.body:
-                    yield f"{path.stem}.{node.name}.{getattr(sub, 'name', '')}", sub, _names(sub)
+                    yield f"{path.stem}.{node.name}.{getattr(sub, 'name', '')}", sub, _names([sub])
             else:
-                yield f"{path.stem}.{getattr(node, 'name', '')}", node, _names(node)
+                yield f"{path.stem}.{getattr(node, 'name', '')}", node, _names([node])
 
 
 def _unreferenced(depth: int, package: Path, private: bool = False,
                   kinds: tuple[type, ...] = (ast.FunctionDef,)) -> list[str]:
     """Qualified names with `depth` dots of public (or private) definitions of `kinds`
-    that no unit outside their own references."""
+    that no unit outside their own references; a method (depth 2) only by an attribute
+    load."""
     units = list(_units(package))
     return [
         qual
         for qual, node, _ in units
         if qual.count(".") == depth and isinstance(node, kinds)
         and node.name.startswith("_") == private
-        and not any(node.name in names for other, _, names in units
+        and not any(node.name in (loads if depth == 2 else names)
+                    for other, _, (names, loads) in units
                     if other != qual and not other.startswith(qual + "."))
     ]
 

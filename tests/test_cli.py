@@ -238,9 +238,9 @@ def test_fiber_csv_matches_csv_writer(capsys, models, argv, pairs):
     w.writerow(["kind", "i", "k", "j", "multiplicity", "genus", "self_intersection", "i_c"])
     for pm in pairs:
         config = models[pm].config
-        for c, ic in zip(config.components, i_c_values(config)):
-            w.writerow([c.label.kind, c.label.i, c.label.k, c.label.j, c.multiplicity, c.genus,
-                        c.self_int, ic])
+        for label, *row in zip(config.labels, config.multiplicities, config.genera,
+                               config.self_ints, i_c_values(config)):
+            w.writerow([label.kind, label.i, label.k, label.j, *row])
     assert out == buf.getvalue()
 
 

@@ -41,7 +41,7 @@ from ffk.verify import (
     suite_divisor,
 )
 from test_acceptance import MUTATIONS, _single_field_mutants
-from test_fiber import solve_at
+from test_fiber import COLUMN, columns, solve_at
 
 
 def test_lambda_nu_values(model53, model35):
@@ -68,7 +68,7 @@ def v_divisor_reference(model, cid):
     """V_D built whole, as v_divisor built it before the base and own-part split."""
     params = model.params
     p, m, n = params.p, params.m, params.n
-    lab = model.config.component(cid).label
+    lab = model.config.labels[cid]
     two_g2 = 2 * params.genus - 2
     r = lab.j if lab.kind == "Chain" else 1
     den = lcm(two_g2, 2 * n, r * m)
@@ -147,7 +147,7 @@ def _v_self(model, cid):
     """V_D^2 from the graph pairing, asserted equal to its closed form."""
     vd = v_divisor(model, cid)
     got = pair(model.config, vd, vd)
-    assert got == v_self_closed(model.params, model.config.component(cid).label)
+    assert got == v_self_closed(model.params, model.config.labels[cid])
     return got
 
 
@@ -168,33 +168,37 @@ def test_closed_forms_match_graph(models):
     for model in models.values():
         cfg = model.config
         vs = v_s(model)
-        for cid, c in enumerate(cfg.components):
+        for cid, label in enumerate(cfg.labels):
             vc = v_divisor(model, cid)
-            assert pair(cfg, vc, vc) == v_self_closed(model.params, c.label)
-            assert pair(cfg, vs, vc) == vs_pair_closed(model.params, c.label)
+            assert pair(cfg, vc, vc) == v_self_closed(model.params, label)
+            assert pair(cfg, vs, vc) == vs_pair_closed(model.params, label)
 
 
 def test_closed_forms_are_constant_on_each_closed_form_class(models):
     # the divisor sweep evaluates the closed forms once per class, so a class fixes both
     for model in models.values():
         seen = {}
-        for c in model.config.components:
-            forms = v_self_closed(model.params, c.label), vs_pair_closed(model.params, c.label)
-            assert seen.setdefault(divisors.closed_form_class(c.label), forms) == forms
+        for label in model.config.labels:
+            forms = v_self_closed(model.params, label), vs_pair_closed(model.params, label)
+            assert seen.setdefault(divisors.closed_form_class(label), forms) == forms
+
+
+def _mutant(model, changes):
+    """model with delta added to the field of component cid, for each (cid, field, delta)."""
+    cfg = model.config
+    cols = columns(cfg)
+    for cid, field, delta in changes:
+        cols[COLUMN[field]][cid] += delta
+    return dataclasses.replace(model, config=FiberConfig(*cols, dict(cfg.edges()), cfg.genus))
 
 
 def test_suite_divisor_flags_mutated_graph(model53):
-    from ffk.fiber import FiberConfig
-
     cfg = model53.config
     cid = model53.cid(FermatLabel("Ldelta", i=1))
-    comps = list(cfg.components)
-    comps[cid] = dataclasses.replace(comps[cid], self_int=comps[cid].self_int - 1)
-    bad_cfg = FiberConfig(comps, dict(cfg.edges()), cfg.genus)
-    bad = dataclasses.replace(model53, config=bad_cfg)
+    bad = _mutant(model53, [(cid, "self_int", -1)])
     checks = {c.name: c for c in suite_divisor([bad])}
     closed = checks["self/cross closed forms (p=5, m=3)"]
-    assert not closed.passed and closed.detail == f"V_D^2 fails for D={cfg.component(cid).label}"
+    assert not closed.passed and closed.detail == f"V_D^2 fails for D={cfg.labels[cid]}"
     # the relation and the closed forms share one sweep, but each keeps its own first failure
     relation = checks["representative pairing relation (all pairs) (p=5, m=3)"]
     assert not relation.passed and relation.detail == "fails for D=Chain(j=1,k=1,i=1)"
@@ -209,7 +213,7 @@ def test_gauge_reproduces_representatives(model53):
     assert solver.gauge_cid == model53.fm and rest == QDivisor() and detail == ""
     # V_D = solve(t_D - t_Fm) + w_Fm, with t_D - t_Fm = Fm/d_Fm - D/d_D (d_Fm = p = 5)
     for cid in (0, model53.lxyz(2), model53.cid(FermatLabel("Ldelta", i=3))):
-        d = model53.config.component(cid).multiplicity
+        d = model53.config.multiplicities[cid]
         step = QDivisor({model53.fm: Fraction(1, 5), cid: Fraction(-1, d)})
         assert solver.solve(step) + v_fm == v_divisor(model53, cid)
 
@@ -217,27 +221,22 @@ def test_gauge_reproduces_representatives(model53):
 def test_gauge_reproduction_reports_incompatible_targets(model53):
     # one genus + 1 keeps the fiber orthogonal but breaks adjunction, so no target has a
     # solution: the check names the first D and the solver's reason, it does not raise
-    from ffk.fiber import FiberConfig
-
-    cfg = model53.config
-    comps = list(cfg.components)
-    comps[model53.fm] = dataclasses.replace(comps[model53.fm], genus=comps[model53.fm].genus + 1)
-    bad = dataclasses.replace(model53, config=FiberConfig(comps, dict(cfg.edges()), cfg.genus))
+    bad = _mutant(model53, [(model53.fm, "genus", 1)])
     solver, rest, detail = gauge_reproduction(bad, v_divisor(bad, bad.fm), _fm_targets(bad))
     # sum d_C t_C is d_Fm (a_Fm's increase 2)/(2g-2)
-    excess = Fraction(2 * comps[model53.fm].multiplicity, 2 * model53.params.genus - 2)
+    excess = Fraction(2 * bad.config.multiplicities[bad.fm], 2 * model53.params.genus - 2)
     assert solver is None and rest is None
     assert detail == ("fails for D=Chain(j=1,k=1,i=1): no solution: targets are not "
                       f"orthogonal to the fiber (sum d_C t_C = {excess})")
 
 
 def _whole_fiber_representatives(model):
-    """(D, V_D, t_D) for every D, t_D = sum_C (a_C/(2g-2) - delta_{D,C}/d_D) C, dense."""
+    """(D's label, V_D, t_D) for every D, t_D = sum_C (a_C/(2g-2) - delta_{D,C}/d_D) C, dense."""
     cfg = model.config
     base = QDivisor.from_numerators(
         dict(enumerate(_a_values(cfg, range(cfg.n_components)))), 2 * model.params.genus - 2)
-    for cid, d in enumerate(cfg.components):
-        yield d, v_divisor(model, cid), base - QDivisor.from_numerators({cid: 1}, d.multiplicity)
+    for cid, (label, d) in enumerate(zip(cfg.labels, cfg.multiplicities)):
+        yield label, v_divisor(model, cid), base - QDivisor.from_numerators({cid: 1}, d)
 
 
 def suite_divisor_reference(model):
@@ -250,14 +249,14 @@ def suite_divisor_reference(model):
     cfg, params = model.config, model.params
     vs_profile = pairing_divisor(cfg, v_s(model))
     relation = closed = ""
-    for d, vd, want in _whole_fiber_representatives(model):
+    for label, vd, want in _whole_fiber_representatives(model):
         prof = pairing_divisor(cfg, vd)
         if not relation and prof != want:
-            relation = f"fails for D={d.label}"
-        if not closed and vd.dot(prof) != v_self_closed(params, d.label):
-            closed = f"V_D^2 fails for D={d.label}"
-        if not closed and vd.dot(vs_profile) != vs_pair_closed(params, d.label):
-            closed = f"(V_S.V_D) fails for D={d.label}"
+            relation = f"fails for D={label}"
+        if not closed and vd.dot(prof) != v_self_closed(params, label):
+            closed = f"V_D^2 fails for D={label}"
+        if not closed and vd.dot(vs_profile) != vs_pair_closed(params, label):
+            closed = f"(V_S.V_D) fails for D={label}"
         if relation and closed:
             break
     solved = ""
@@ -267,13 +266,13 @@ def suite_divisor_reference(model):
         solved = str(exc)
     else:
         gauge_val = Fraction(params.p - 2, 2 * params.genus - 2)
-        for d, vd, targets in _whole_fiber_representatives(model):
+        for label, vd, targets in _whole_fiber_representatives(model):
             try:
                 if solve_at(solver, targets, gauge_val) != vd:
-                    solved = f"fails for D={d.label}"
+                    solved = f"fails for D={label}"
                     break
             except NoSolutionError as exc:
-                solved = f"fails for D={d.label}: {exc}"
+                solved = f"fails for D={label}: {exc}"
                 break
     tag = f"(p={params.p}, m={params.m})"
     return [(f"representative pairing relation (all pairs) {tag}", not relation, relation),
@@ -301,27 +300,16 @@ def test_suite_divisor_matches_the_reference_on_single_field_mutants(models, pm,
         assert _suite_divisor_triples(bad) == suite_divisor_reference(bad), (pm, mode)
 
 
-def _mutant(model, changes):
-    """model with dataclasses.replace(component, **change) for each (cid, change) given."""
-    cfg = model.config
-    comps = list(cfg.components)
-    for cid, change in changes:
-        comps[cid] = dataclasses.replace(comps[cid], **change)
-    return dataclasses.replace(model, config=FiberConfig(comps, dict(cfg.edges()), cfg.genus))
-
-
 def test_suite_divisor_matches_the_reference_on_self_int_and_genus_mutants(model53):
-    comps = model53.config.components
     fm = model53.fm
     ldeltas = [model53.cid(FermatLabel("Ldelta", i=i)) for i in range(1, 6)]
     mutants = (
         # the two mutants the tests above pin: a non-orthogonal fiber and an unsolvable one
-        [(ldeltas[0], {"self_int": comps[ldeltas[0]].self_int - 1})],
-        [(fm, {"genus": comps[fm].genus + 1})],
+        [(ldeltas[0], "self_int", -1)],
+        [(fm, "genus", 1)],
         # genus moved from Fm (d = 5) to five Ldelta (d = 1): sum d_C a_C is unchanged, so
         # every t_D stays solvable, but t_Fm changes and V_Fm no longer solves it
-        [(fm, {"genus": comps[fm].genus - 1})]
-        + [(cid, {"genus": comps[cid].genus + 1}) for cid in ldeltas],
+        [(fm, "genus", -1)] + [(cid, "genus", 1) for cid in ldeltas],
     )
     for changes in mutants:
         bad = _mutant(model53, changes)
@@ -421,11 +409,11 @@ def test_suite_divisor_matches_the_reference_when_only_the_solver_fails(models, 
 
     if mutant == "one_edge":
         monkeypatch.setattr(GaugeSolver, "__init__", off_edge)
-        first = model.config.component(model.chain(1, 1, 2)).label
+        first = model.config.labels[model.chain(1, 1, 2)]
     else:
         monkeypatch.setattr(GaugeSolver, "solve",
                             lambda self, targets: solve(self, targets) + QDivisor.single(lxyz))
-        first = model.config.component(0).label
+        first = model.config.labels[0]
     want = suite_divisor_reference(model)
     assert [(passed, detail) for _, passed, detail in want] == [
         (True, ""), (True, ""), (False, f"fails for D={first}")]
@@ -464,7 +452,7 @@ def test_suite_divisor_matches_the_reference_when_only_a_closed_form_fails(model
 
     monkeypatch.setattr(divisors, "vs_pair_closed", off_for_one_kind)
     monkeypatch.setitem(globals(), "vs_pair_closed", off_for_one_kind)
-    first = next(c.label for c in model.config.components if c.label.kind == kind)
+    first = next(label for label in model.config.labels if label.kind == kind)
     want = suite_divisor_reference(model)
     assert [(passed, detail) for _, passed, detail in want] == [
         (True, ""), (False, f"(V_S.V_D) fails for D={first}"), (True, "")]
@@ -494,7 +482,7 @@ def test_suite_divisor_matches_the_reference_when_one_part_is_off(models, pm, pa
 
     monkeypatch.setattr(divisors, name, off)
     want = suite_divisor_reference(model)
-    assert want[0][1:] == (False, f"fails for D={model.config.component(first).label}")
+    assert want[0][1:] == (False, f"fails for D={model.config.labels[first]}")
     assert _suite_divisor_triples(model) == want
 
 

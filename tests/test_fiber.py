@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from ffk.errors import MathContractError, NoSolutionError, ParameterError
 from ffk.fiber import (
-    Component,
     FiberConfig,
     GaugeSolver,
     QDivisor,
@@ -29,9 +27,18 @@ from ffk.model import FermatLabel, build_config
 from ffk.verify import _fm_targets
 
 
+#: each row field's position in `columns(cfg)`
+COLUMN = {"multiplicity": 1, "genus": 2, "self_int": 3}
+
+
+def columns(cfg):
+    """[labels, multiplicities, genera, self_ints] of cfg, as lists a mutant may edit."""
+    return [list(cfg.labels), list(cfg.multiplicities), list(cfg.genera), list(cfg.self_ints)]
+
+
 def _pair_cc(config, a, b):
-    """Intersection number of two components, read from the component and its neighbour map."""
-    return config.component(a).self_int if a == b else config._nbrs[a].get(b, 0)
+    """Intersection number of two components, read from the columns and the neighbour map."""
+    return config.self_ints[a] if a == b else config._nbrs[a].get(b, 0)
 
 
 def p_a_divisor(config, D):
@@ -87,7 +94,7 @@ def dense_solve_oracle(config, targets, gauge):
 def solve_at(solver, targets, value):
     """The solution whose gauge coefficient is `value`: solve(targets) + (value/d_gauge) F."""
     cfg = solver.config
-    shift = Fraction(value) / cfg.component(solver.gauge_cid).multiplicity
+    shift = Fraction(value) / cfg.multiplicities[solver.gauge_cid]
     return solver.solve(targets) + cfg.fiber_divisor().scale(shift)
 
 
@@ -293,7 +300,7 @@ def test_adjunction_sum(models):
     for model in models.values():
         cfg = model.config
         a = _a_values(cfg, range(cfg.n_components))
-        total = sum(c.multiplicity * a_c for c, a_c in zip(cfg.components, a))
+        total = sum(map(mul, cfg.multiplicities, a))
         assert total == 2 * model.params.genus - 2
 
 
@@ -314,9 +321,9 @@ def test_validate_clean(model53):
 
 
 def _mutate_self_int(cfg, cid, delta):
-    comps = list(cfg.components)
-    comps[cid] = dataclasses.replace(comps[cid], self_int=comps[cid].self_int + delta)
-    return FiberConfig(comps, dict(cfg.edges()), cfg.genus)
+    cols = columns(cfg)
+    cols[COLUMN["self_int"]][cid] += delta
+    return FiberConfig(*cols, dict(cfg.edges()), cfg.genus)
 
 
 def test_validate_detects_self_int_mutation(model53):
@@ -328,9 +335,9 @@ def test_validate_detects_self_int_mutation(model53):
 
 def test_validate_detects_genus_mutation(model53):
     cfg = model53.config
-    comps = list(cfg.components)
-    comps[model53.fm] = dataclasses.replace(comps[model53.fm], genus=0)
-    bad = FiberConfig(comps, dict(cfg.edges()), cfg.genus)
+    cols = columns(cfg)
+    cols[COLUMN["genus"]][model53.fm] = 0
+    bad = FiberConfig(*cols, dict(cfg.edges()), cfg.genus)
     results = {c.name: c for c in validate(bad)}
     assert not results["sum d_C a_C = 2g - 2"].passed
 
@@ -341,7 +348,7 @@ def test_validate_detects_dropped_adjacency(model53):
     ld = model53.cid(FermatLabel("Ldelta", i=1))
     key = (min(model53.fm, ld), max(model53.fm, ld))
     del edges[key]
-    bad = FiberConfig(cfg.components, edges, cfg.genus)
+    bad = FiberConfig(*columns(cfg), edges, cfg.genus)
     results = {c.name: c for c in validate(bad)}
     assert not results["fiber orthogonality (F.C = 0 for all C)"].passed
 
@@ -387,8 +394,8 @@ def test_solves_on_one_solver_do_not_depend_on_earlier_solves(model53):
     # every branch under Fm
     cfg, fm = model53.config, model53.fm
     ldelta = model53.cid(FermatLabel("Ldelta", i=1))
-    steps = [QDivisor.single(fm, Fraction(1, cfg.component(fm).multiplicity))
-             - QDivisor.single(cid, Fraction(1, cfg.component(cid).multiplicity))
+    steps = [QDivisor.single(fm, Fraction(1, cfg.multiplicities[fm]))
+             - QDivisor.single(cid, Fraction(1, cfg.multiplicities[cid]))
              for cid in (0, model53.lxyz(2), ldelta)]
     t_fm = _fm_targets(model53)
     solver = GaugeSolver(cfg, fm)
@@ -401,8 +408,7 @@ def test_solves_on_one_solver_do_not_depend_on_earlier_solves(model53):
 
 
 def test_solve_gauge_extra_rank_deficiency():
-    comps = [Component("A", 1, 0, 0), Component("B", 1, 0, 0)]
-    cfg = FiberConfig(comps, {}, genus=2)
+    cfg = FiberConfig("AB", [1, 1], [0, 0], [0, 0], {}, genus=2)
     with pytest.raises(MathContractError):
         GaugeSolver(cfg, 0).solve(QDivisor())
 
@@ -424,8 +430,7 @@ def orthogonal_trees(draw):
         edges[(par, cid)] = e
         self_int[par] -= e * mult[cid] // mult[par]
         self_int[cid] -= e * mult[par] // mult[cid]
-    comps = [Component(f"T{cid}", mult[cid], 0, self_int[cid]) for cid in range(n)]
-    return FiberConfig(comps, edges, genus=1)
+    return FiberConfig([f"T{cid}" for cid in range(n)], mult, [0] * n, self_int, edges, genus=1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -435,8 +440,9 @@ def test_solve_gauge_matches_dense_oracle_on_random_trees(cfg, data):
     coeff = st.fractions(min_value=-20, max_value=20, max_denominator=30)
     targets = data.draw(st.dictionaries(st.integers(min_value=0, max_value=n - 1), coeff))
     fix = data.draw(st.integers(min_value=0, max_value=n - 1))
-    rest = sum(cfg.component(cid).multiplicity * v for cid, v in targets.items() if cid != fix)
-    targets[fix] = -Fraction(rest) / cfg.component(fix).multiplicity
+    mult = cfg.multiplicities
+    rest = sum(mult[cid] * v for cid, v in targets.items() if cid != fix)
+    targets[fix] = -Fraction(rest) / mult[fix]
     gauge = (data.draw(st.integers(min_value=0, max_value=n - 1)), data.draw(coeff))
     got = solve_at(GaugeSolver(cfg, gauge[0]), QDivisor(targets), gauge[1])
     assert got == dense_solve_oracle(cfg, targets, gauge)
@@ -458,7 +464,7 @@ def _branch_tops(cfg, root):
 @given(orthogonal_trees(), st.data())
 def test_solve_sparse_targets_matches_dense_oracle_at_every_root(cfg, data):
     n = cfg.n_components
-    mult = [c.multiplicity for c in cfg.components]
+    mult = cfg.multiplicities
     node = st.integers(min_value=0, max_value=n - 1)
     a, b = data.draw(node, label="a"), data.draw(node, label="b")
     two_point = QDivisor.single(a, Fraction(1, mult[a])) - QDivisor.single(b, Fraction(1, mult[b]))
@@ -496,7 +502,7 @@ def test_an_edge_solves_to_the_fiber_below_it_at_every_root(cfg):
     # rooted at r, the gauge-0 solution of P/d_P - D/d_D for a tree edge (P, D), D the end
     # away from r, is F restricted to D's side A over w = e d_D d_P; the divisor sweep walks
     # this identity, so the dense oracle checks it first, and then _branch_steps' listing
-    mult = [c.multiplicity for c in cfg.components]
+    mult = cfg.multiplicities
     for root in range(cfg.n_components):
         want = {}
         for (a, b), e in cfg.edges():
@@ -538,7 +544,7 @@ def test_factor_implies_the_kernel_is_the_fiber_divisor(cfg, data):
     root = data.draw(st.integers(min_value=0, max_value=cfg.n_components - 1))
     check_tree(cfg, root)
     GaugeSolver(cfg, root)
-    want = dense_solve_oracle(cfg, {}, (root, cfg.component(root).multiplicity))
+    want = dense_solve_oracle(cfg, {}, (root, cfg.multiplicities[root]))
     assert want == cfg.fiber_divisor()
 
 
@@ -547,7 +553,7 @@ def test_factor_implies_the_kernel_is_the_fiber_divisor_on_a_built_fiber(model53
     for root in (0, model53.fm):
         check_tree(cfg, root)
         GaugeSolver(cfg, root)
-        want = dense_solve_oracle(cfg, {}, (root, cfg.component(root).multiplicity))
+        want = dense_solve_oracle(cfg, {}, (root, cfg.multiplicities[root]))
         assert want == cfg.fiber_divisor()
 
 
@@ -570,9 +576,9 @@ def test_pairing_kernels_match_dense_pairing_on_random_trees(cfg, data):
 
 def _small_config(comps, edges):
     """Components given as (multiplicity, self-intersection), all of genus 0."""
-    return FiberConfig(
-        [Component(f"C{cid}", d, 0, s) for cid, (d, s) in enumerate(comps)], edges, genus=1
-    )
+    mult, self_int = zip(*comps)
+    return FiberConfig([f"C{cid}" for cid in range(len(comps))], mult, [0] * len(comps),
+                       self_int, edges, genus=1)
 
 
 NOT_ORTHOGONAL_TREES = {
@@ -597,15 +603,15 @@ def test_solver_rejects_configs_that_are_not_orthogonal_trees(kind):
 
 
 def test_empty_configs_build_with_or_without_sizes():
-    assert FiberConfig([], {}, 1).n_components == 0
-    assert FiberConfig([], {}, 1, sizes=[]).n_components == 0
+    assert FiberConfig([], [], [], [], {}, 1).n_components == 0
+    assert FiberConfig([], [], [], [], {}, 1, sizes=[]).n_components == 0
     with pytest.raises(ParameterError):
-        FiberConfig([Component("A", 1, 0, -1)], {}, 1, sizes=[0])
+        FiberConfig("A", [1], [0], [-1], {}, 1, sizes=[0])
 
 
 @pytest.mark.parametrize("sizes", [None, []], ids=["no-sizes", "empty-sizes"])
 def test_validate_reports_an_empty_fiber_and_raises_nothing(sizes):
-    cfg = FiberConfig([], {}, 1, sizes=sizes)
+    cfg = FiberConfig([], [], [], [], {}, 1, sizes=sizes)
     results = validate(cfg)
     assert len(results) == 4
     failed = [c for c in results if not c.passed]
@@ -623,10 +629,10 @@ def test_validate_reports_an_empty_fiber_and_raises_nothing(sizes):
     ({(0, 1): 1}, [1, Fraction(2)]),
 ], ids=["negative-count", "float-count", "fraction-count", "float-size", "fraction-size"])
 def test_fiber_config_takes_only_int_counts_and_sizes(pairings, sizes):
-    comps = [Component("A", 1, 0, -1), Component("B", 1, 0, -1)]
+    cols = ("AB", [1, 1], [0, 0], [-1, -1])
     with pytest.raises(ParameterError):
-        FiberConfig(comps, pairings, 0, sizes=sizes)
-    zero = FiberConfig(comps, {(0, 1): 0}, 0)
+        FiberConfig(*cols, pairings, 0, sizes=sizes)
+    zero = FiberConfig(*cols, {(0, 1): 0}, 0)
     assert list(zero.edges()) == [] and zero._nbrs[0] == {}
 
 
@@ -643,16 +649,24 @@ def test_qdivisor_scales_only_by_exact_factors(k):
     assert QDivisor({0: 1}).scale(Fraction(1, 10)) == QDivisor({0: Fraction(1, 10)})
 
 
+@pytest.mark.parametrize("den", [0, -2])
+def test_qdivisor_takes_only_a_positive_denominator(den):
+    # -1/2 as {0: 1} over -2 would not equal {0: -1} over 2, and 1/0 would fail later
+    with pytest.raises(ParameterError, match=f"^denominator must be >= 1, got {den}$"):
+        QDivisor.from_numerators({0: 1}, den)
+    assert QDivisor.from_numerators({0: -1}, 2) == QDivisor({0: Fraction(-1, 2)})
+
+
 def test_component_cap(monkeypatch):
     monkeypatch.setenv("FFK_COMPONENT_CAP", "1")
     from ffk.errors import CapExceeded
 
-    comps = [Component("A", 1, 0, -1), Component("B", 1, 0, -1)]
+    cols = ("AB", [1, 1], [0, 0], [-1, -1])
     with pytest.raises(CapExceeded):
-        FiberConfig(comps, {(0, 1): 1}, genus=1)
+        FiberConfig(*cols, {(0, 1): 1}, genus=1)
     monkeypatch.setenv("FFK_COMPONENT_CAP", "one")
     with pytest.raises(ParameterError, match="bad FFK_COMPONENT_CAP value: 'one'"):
-        FiberConfig(comps, {(0, 1): 1}, genus=1)
+        FiberConfig(*cols, {(0, 1): 1}, genus=1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -660,32 +674,34 @@ def test_component_cap(monkeypatch):
 def test_reduced_genus_zero_tree_has_pa_zero(data):
     # any reduced connected tree of genus-0 components has arithmetic genus 0
     n = data.draw(st.integers(min_value=1, max_value=9))
-    comps = []
+    self_ints = []
     edges = {}
     for cid in range(n):
-        self_int = data.draw(st.integers(min_value=-9, max_value=-1))
-        comps.append(Component(f"T{cid}", 1, 0, self_int))
+        self_ints.append(data.draw(st.integers(min_value=-9, max_value=-1)))
         if cid:
             parent = data.draw(st.integers(min_value=0, max_value=cid - 1))
             edges[(parent, cid)] = 1
-    cfg = FiberConfig(comps, edges, genus=0)
+    cfg = FiberConfig([f"T{cid}" for cid in range(n)], [1] * n, [0] * n, self_ints, edges,
+                      genus=0)
     z = QDivisor({cid: Fraction(1) for cid in range(n)})
     assert p_a_divisor(cfg, z) == 0
 
 
-@pytest.mark.parametrize("fields", [
-    ("A", 1.5, 0, -1.25), ("A", 1, 0, -1.25), ("A", 1, 0.5, -2), ("A", Fraction(2), 0, -2),
+@pytest.mark.parametrize("fields,field", [
+    (("A", 1.5, 0, -1.25), "multiplicity"), (("A", 1, 0, -1.25), "self_int"),
+    (("A", 1, 0.5, -2), "genus"), (("A", Fraction(2), 0, -2), "multiplicity"),
 ], ids=["float-multiplicity", "float-self-int", "float-genus", "fraction-multiplicity"])
-def test_component_takes_only_int_fields(fields):
-    with pytest.raises(ParameterError, match="must be an int"):
-        Component(*fields)
+def test_component_takes_only_int_fields(fields, field):
+    # a row's first non-int field, in column order, is the one reported
+    with pytest.raises(ParameterError, match=f"component A: {field} must be an int"):
+        FiberConfig(*zip(fields), {}, 0)
 
 
 def test_fiber_config_takes_only_an_int_genus():
-    c = Component("A", 1, 0, 0)
+    cols = ("A", [1], [0], [0])
     with pytest.raises(ParameterError, match="genus must be an int, got 0.5"):
-        FiberConfig([c], {}, 0.5)
-    assert FiberConfig([c], {}, 0).genus == 0
+        FiberConfig(*cols, {}, 0.5)
+    assert FiberConfig(*cols, {}, 0).genus == 0
 
 
 def _maps(cfg):
@@ -696,15 +712,15 @@ def _maps(cfg):
 def test_fiber_config_takes_pairings_as_a_stream(model73):
     cfg = model73.config
     edges = list(cfg.edges())
-    from_dict = FiberConfig(cfg.components, dict(edges), cfg.genus)
-    from_stream = FiberConfig(cfg.components, iter(edges), cfg.genus)
+    from_dict = FiberConfig(*columns(cfg), dict(edges), cfg.genus)
+    from_stream = FiberConfig(*columns(cfg), iter(edges), cfg.genus)
     assert _maps(from_stream) == _maps(from_dict)
     assert [sorted(row) for row in _maps(from_stream)] == [sorted(row) for row in _maps(cfg)]
     # mirrored and repeated pairs are summed, and zero counts make no edge
-    comps = [Component(x, 1, 0, -1) for x in "ABC"]
+    cols = ("ABC", [1] * 3, [0] * 3, [-1] * 3)
     stream = [((0, 1), 1), ((1, 0), 2), ((0, 1), 3), ((1, 2), 0)]
-    assert _maps(FiberConfig(comps, stream, 0)) == _maps(FiberConfig(comps, {(0, 1): 6}, 0))
-    assert _maps(FiberConfig(comps, stream, 0)) == [[(1, 6)], [(0, 6)], []]
+    assert _maps(FiberConfig(*cols, stream, 0)) == _maps(FiberConfig(*cols, {(0, 1): 6}, 0))
+    assert _maps(FiberConfig(*cols, stream, 0)) == [[(1, 6)], [(0, 6)], []]
 
 
 @pytest.mark.parametrize("pairings", [
@@ -712,23 +728,23 @@ def test_fiber_config_takes_pairings_as_a_stream(model73):
 ], ids=["diagonal", "id-too-large", "negative-id", "negative-count", "float-count",
         "fraction-count"])
 def test_fiber_config_stream_raises_as_the_mapping_does(pairings):
-    comps = [Component(x, 1, 0, -1) for x in "ABC"]
+    cols = ("ABC", [1] * 3, [0] * 3, [-1] * 3)
     with pytest.raises(ParameterError) as from_dict:
-        FiberConfig(comps, pairings, 0)
+        FiberConfig(*cols, pairings, 0)
     with pytest.raises(ParameterError) as from_stream:
-        FiberConfig(comps, iter(pairings.items()), 0)
+        FiberConfig(*cols, iter(pairings.items()), 0)
     assert str(from_stream.value) == str(from_dict.value)
 
 
 def _i_c(cfg, cid):
     """I_C of one component, looked up in its own neighbour map."""
-    return sum(cfg.components[nbr].multiplicity * cnt for nbr, cnt in cfg._nbrs[cid].items())
+    return sum(cfg.multiplicities[nbr] * cnt for nbr, cnt in cfg._nbrs[cid].items())
 
 
 def _first_offender(cfg):
-    """The first C with d_C C^2 + I_C != 0, from one _i_c look-up per component."""
-    return next((c for cid, c in enumerate(cfg.components)
-                 if c.multiplicity * c.self_int + _i_c(cfg, cid)), None)
+    """The id of the first C with d_C C^2 + I_C != 0, from one _i_c look-up per component."""
+    return next((cid for cid, (d, c2) in enumerate(zip(cfg.multiplicities, cfg.self_ints))
+                 if d * c2 + _i_c(cfg, cid)), None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -738,7 +754,7 @@ def test_i_c_pass_matches_single_look_ups(cfg, data):
     assert i_c_values(cfg) == [_i_c(cfg, cid) for cid in range(n)]
     assert cfg.non_orthogonal is None
     # a mutant with one self-intersection, multiplicity or edge count changed
-    comps, edges = list(cfg.components), dict(cfg.edges())
+    cols, edges = columns(cfg), dict(cfg.edges())
     kinds = ["self_int", "multiplicity"] + (["edge"] if edges else [])
     kind = data.draw(st.sampled_from(kinds), label="kind")
     delta = data.draw(st.integers(min_value=1, max_value=3), label="delta")
@@ -747,22 +763,17 @@ def test_i_c_pass_matches_single_look_ups(cfg, data):
         edges[key] += delta
     else:
         cid = data.draw(st.integers(min_value=0, max_value=n - 1), label="cid")
-        comps[cid] = dataclasses.replace(comps[cid], **{kind: getattr(comps[cid], kind) + delta})
-    bad = FiberConfig(comps, edges.items(), cfg.genus)
+        cols[COLUMN[kind]][cid] += delta
+    bad = FiberConfig(*cols, edges.items(), cfg.genus)
     assert i_c_values(bad) == [_i_c(bad, cid) for cid in range(n)]
-    # a Component made from the columns: equal to the offender, not the same object
     assert bad.non_orthogonal == _first_offender(bad)
-
-
-def _columns(cfg):
-    return cfg.labels, cfg.multiplicities, cfg.genera, cfg.self_ints
 
 
 @settings(max_examples=60, deadline=None)
 @given(orthogonal_trees(), st.data())
-def test_from_columns_agrees_with_the_component_constructor(cfg, data):
+def test_fiber_config_stores_its_columns_and_pairings(cfg, data):
     n = cfg.n_components
-    cols, edges = [list(col) for col in _columns(cfg)], dict(cfg.edges())
+    cols, edges = columns(cfg), dict(cfg.edges())
     # the tree itself, or a mutant with one multiplicity, genus, self-intersection or edge
     # count changed
     kind = data.draw(st.sampled_from([None, 1, 2, 3] + (["edge"] if edges else [])), label="kind")
@@ -773,43 +784,47 @@ def test_from_columns_agrees_with_the_component_constructor(cfg, data):
         cols[kind][data.draw(st.integers(min_value=0, max_value=n - 1), label="cid")] += delta
     sizes = data.draw(st.none() | st.lists(st.integers(min_value=1, max_value=4),
                                            min_size=n, max_size=n), label="sizes")
-    by_row = FiberConfig(list(map(Component, *cols)), edges.items(), cfg.genus, sizes)
-    by_col = FiberConfig.from_columns(*cols, edges.items(), cfg.genus, sizes)
-    assert _columns(by_row) == _columns(by_col) == tuple(map(tuple, cols))
-    assert (by_row.genus, by_row.sizes) == (by_col.genus, by_col.sizes)
-    assert _maps(by_row) == _maps(by_col)
-    assert by_row.components == by_col.components == tuple(map(Component, *cols))
-    assert [by_col.component(cid) for cid in range(n)] == list(by_col.components)
-    assert [by_col.label(cid) for cid in range(n)] == cols[0]
-    assert by_row.non_orthogonal == by_col.non_orthogonal
+    got = FiberConfig(*cols, edges.items(), cfg.genus, sizes)
+    assert [got.labels, got.multiplicities, got.genera, got.self_ints] == list(map(tuple, cols))
+    assert (got.genus, got.sizes) == (cfg.genus, None if sizes is None else tuple(sizes))
+    # each edge once per endpoint, with its count
+    assert dict(got.edges()) == edges and sum(map(len, got._nbrs)) == 2 * len(edges)
+    assert all(got._nbrs[a][b] == got._nbrs[b][a] == cnt for (a, b), cnt in edges.items())
+    assert [got.label(cid) for cid in range(n)] == cols[0]
+    assert got.non_orthogonal == _first_offender(got)
     if kind in (None, 2):  # a genus leaves (F . C) as it was
-        assert by_col.non_orthogonal is None
-    assert validate(by_row) == validate(by_col)
-    assert i_c_values(by_row) == i_c_values(by_col)
+        assert got.non_orthogonal is None
+    orthogonality = validate(got)[1]
+    assert orthogonality.passed == (got.non_orthogonal is None)
+    if not orthogonality.passed:
+        assert orthogonality.detail == f"fails at component {cols[0][got.non_orthogonal]}"
+    assert i_c_values(got) == [_i_c(got, cid) for cid in range(n)]
     for bad in (-1, n):
         with pytest.raises(ParameterError, match=f"unknown component id {bad}"):
-            by_col.label(bad)
+            got.label(bad)
 
 
-@pytest.mark.parametrize("row", [
-    ("X", 1.5, 0, -2), ("X", 1, 0.5, -2), ("X", 1, 0, -1.25), ("X", Fraction(2), 0, -2),
-    ("X", 0, 0, -2), ("X", 1, -1, -2),
+@pytest.mark.parametrize("row,message", [
+    (("X", 1.5, 0, -2), "multiplicity must be an int, got 1.5"),
+    (("X", 1, 0.5, -2), "genus must be an int, got 0.5"),
+    (("X", 1, 0, -1.25), "self_int must be an int, got -1.25"),
+    (("X", Fraction(2), 0, -2), "multiplicity must be an int, got Fraction(2, 1)"),
+    (("X", 0, 0, -2), "multiplicity must be >= 1"),
+    (("X", 1, -1, -2), "genus must be >= 0"),
 ], ids=["float-multiplicity", "float-genus", "float-self-int", "fraction-multiplicity",
         "multiplicity-0", "negative-genus"])
-def test_from_columns_refuses_a_bad_row_with_the_component_message(row):
-    with pytest.raises(ParameterError) as want:
-        Component(*row)
+def test_from_columns_refuses_a_bad_row_with_the_component_message(row, message):
     good = ("A", 1, 0, -1)
     # the bad row alone among good ones, then before a bad row that is not reported
     for rows in ([good, row, good], [good, row, ("C", 0, -1, 0.5)]):
         with pytest.raises(ParameterError) as got:
-            FiberConfig.from_columns(*zip(*rows), {}, 0)
-        assert str(got.value) == str(want.value)
+            FiberConfig(*zip(*rows), {}, 0)
+        assert str(got.value) == f"component X: {message}"
 
 
 def test_from_columns_takes_one_entry_per_label():
     with pytest.raises(ParameterError, match="every column must give one entry per label"):
-        FiberConfig.from_columns("AB", [1, 1], [0], [-1, -1], {}, 0)
+        FiberConfig("AB", [1, 1], [0], [-1, -1], {}, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -820,7 +835,7 @@ def test_p_a_divisor_is_the_adjunction_formula(cfg, data):
     sized = data.draw(st.booleans(), label="sized")
     if sized:
         sizes = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n))
-        cfg = FiberConfig(cfg.components, cfg.edges(), cfg.genus, sizes)
+        cfg = FiberConfig(*columns(cfg), cfg.edges(), cfg.genus, sizes)
     D = QDivisor(data.draw(st.dictionaries(node, st.integers(min_value=1, max_value=5),
                                            min_size=1), label="D"))
     assert p_a_divisor(cfg, D) == 1 + (pair(cfg, D, D) + canonical_pair(cfg, D)) / 2

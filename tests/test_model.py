@@ -1,12 +1,13 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from ffk import polyarith
 from ffk.divisors import beta_s, g_s, per_prime_geometric, semipos_check
 from ffk.errors import CapExceeded, ParameterError
-from ffk.fiber import Component, FiberConfig, QDivisor, i_c_values, pair, validate
+from ffk.fiber import FiberConfig, QDivisor, i_c_values, pair, validate
 from ffk.model import (
     FermatLabel,
     FermatModel,
@@ -18,6 +19,7 @@ from ffk.model import (
     transversality_check,
 )
 from ffk.verify import suite_cycles
+from test_fiber import columns
 
 
 def test_census_5_3(model53):
@@ -53,12 +55,13 @@ def test_census_synthetic_s():
 
 def test_multiplicities_and_selfints(model73):
     cfg = model73.config
-    fm = cfg.component(model73.fm)
-    assert (fm.multiplicity, fm.genus, fm.self_int) == (7, 1, -9)
-    lg = cfg.component(model73.lgamma(4))
-    assert (lg.multiplicity, lg.genus, lg.self_int) == (2, 0, -7)
-    leaf = cfg.component(model73.leaf(2, 4))
-    assert (leaf.multiplicity, leaf.genus, leaf.self_int) == (1, 0, -2)
+
+    def row(cid):
+        return cfg.multiplicities[cid], cfg.genera[cid], cfg.self_ints[cid]
+
+    assert row(model73.fm) == (7, 1, -9)
+    assert row(model73.lgamma(4)) == (2, 0, -7)
+    assert row(model73.leaf(2, 4)) == (1, 0, -2)
 
 
 def test_param_validation():
@@ -74,6 +77,21 @@ def test_param_validation():
         FermatParams(4, 3, 0)  # p not prime
     with pytest.raises(ParameterError):
         FermatParams(5, 3, 2)  # 2s > p-3
+
+
+@pytest.mark.parametrize("p, m, s, name", [
+    (7, 3.0, None, "m"), (7.0, 3, None, "p"), (7, 3, 2.0, "s"), (7, 3, True, "s"),
+    (True, 3, None, "p"), (7, Fraction(3), 0, "m"),
+], ids=["float-m", "float-p", "float-s", "bool-s", "bool-p", "fraction-m"])
+def test_params_take_only_ints(monkeypatch, p, m, s, name):
+    # refused before any trial division, so neither the model nor its census is built
+    def refused(n):
+        raise AssertionError(f"trial division of {n!r}")
+
+    monkeypatch.setattr(polyarith, "factorize", refused)
+    for make in (FermatParams, build_config):
+        with pytest.raises(ParameterError, match=f"^{name} must be an int, got "):
+            make(p, m, s)
 
 
 def test_genus_formula():
@@ -112,7 +130,7 @@ def test_transversality_detects_mutation(model53):
     ld = model53.cid(FermatLabel("Ldelta", i=2))
     key = (min(model53.fm, ld), max(model53.fm, ld))
     del edges[key]
-    bad_cfg = FiberConfig(cfg.components, edges, cfg.genus)
+    bad_cfg = FiberConfig(*columns(cfg), edges, cfg.genus)
     bad = dataclasses.replace(model53, config=bad_cfg)
     assert not transversality_check(bad)
 
@@ -142,20 +160,20 @@ def test_cusp_sections(models):
         targets = list(model.cusps)
         assert len(set(targets)) == 3 * n
         for t in targets:
-            lab = model.config.component(t).label
+            lab = model.config.labels[t]
             assert lab.kind == "Chain" and lab.j == 1
             assert model.cusp(lab.i, lab.k) == t
         # each multiplicity-one chain end is hit exactly once
-        ends = {cid for cid, c in enumerate(model.config.components)
-                if c.label.kind == "Chain" and c.label.j == 1}
+        ends = {cid for cid, lab in enumerate(model.config.labels)
+                if lab.kind == "Chain" and lab.j == 1}
         assert set(targets) == ends
 
 
 def test_labels_deterministic(model53):
     again = build_config(5, 3, 0)
-    labels = [c.label for c in again.config.components]
-    assert labels == [c.label for c in model53.config.components]
-    assert [str(lab) for lab in labels] == [str(c.label) for c in model53.config.components]
+    labels = list(again.config.labels)
+    assert labels == list(model53.config.labels)
+    assert [str(lab) for lab in labels] == list(map(str, model53.config.labels))
     assert labels == sorted(labels)
 
 
@@ -214,25 +232,19 @@ def test_build_trial_divides_m_once_and_p_at_most_twice(monkeypatch, s, want):
     assert seen == want
 
 
-def test_build_validate_and_census_make_no_component(monkeypatch):
-    made, post_init = [], Component.__post_init__
-
-    def counted(self):
-        made.append(self.label)
-        post_init(self)
-
-    monkeypatch.setattr(Component, "__post_init__", counted)
+def test_build_validate_and_census_make_no_component():
+    # the store is columns only: after the build, validate, the census and the cusp
+    # identities, a config holds its columns, neighbour maps and cached orthogonality
+    # verdict, and no object per component
     for p, m, s in ((3, 5, None), (7, 3, None), (11, 3, 4), (13, 3, 0), (7, 23, None)):
         model = build_config(p, m, s)
         assert all(chk.passed for chk in validate(model.config))
         assert model.census() == expected_census(p, m, model.params.s)
-    assert made == []
-    # the cusp identities read labels and columns, and leave `components` unmade
     beta_s(model), per_prime_geometric(model), g_s(model), semipos_check(model)
-    assert "components" not in vars(model.config)
-    # components are made on demand, and the counter sees them
-    assert model.config.components[model.fm] == model.config.component(model.fm)
-    assert len(made) == model.config.n_components + 1
+    cfg = model.config
+    assert sorted(vars(cfg)) == ["_nbrs", "genera", "genus", "labels", "multiplicities",
+                                 "non_orthogonal", "self_ints", "sizes"]
+    assert {type(v) for col in (cfg.multiplicities, cfg.genera, cfg.self_ints) for v in col} == {int}
 
 
 def test_bad_parameters_fail_before_s_is_computed(monkeypatch):
@@ -253,9 +265,9 @@ def test_suite_cycles_reads_chains_as_id_runs(models, monkeypatch):
     assert [chk.passed for chk in suite_cycles([model])] == [True]
     assert calls == []
     # a config whose labels do not match the model's ids fails the check, it does not raise
-    comps = list(model.config.components)
-    comps[model.fm] = dataclasses.replace(comps[model.fm], label=FermatLabel("LXYZ", i=99))
-    bad = dataclasses.replace(model, config=FiberConfig(comps, dict(model.config.edges()),
+    cols = columns(model.config)
+    cols[0][model.fm] = FermatLabel("LXYZ", i=99)
+    bad = dataclasses.replace(model, config=FiberConfig(*cols, dict(model.config.edges()),
                                                         model.config.genus))
     assert [chk.passed for chk in suite_cycles([bad])] == [False]
 
@@ -302,8 +314,8 @@ def _build_by_sorted_labels(p, m, s):
     by_label = {lab: cid for cid, lab in enumerate(labels)}
     shape = {"Fm": (p, genus_formula(m), -m * m), "LXYZ": (m, 0, -p), "Lgamma": (2, 0, -p),
              "LgammaLeaf": (1, 0, -2), "Ldelta": (1, 0, -p)}
-    comps = tuple(Component(lab, lab.j, 0, -2) if lab.kind == "Chain"
-                  else Component(lab, *shape[lab.kind]) for lab in labels)
+    mult, genera, self_ints = zip(*((lab.j, 0, -2) if lab.kind == "Chain" else shape[lab.kind]
+                                    for lab in labels))
 
     def cid(kind, **kw):
         return by_label[FermatLabel(kind, **kw)]
@@ -323,7 +335,8 @@ def _build_by_sorted_labels(p, m, s):
         pairs[(cid("Ldelta", i=i), cid("Fm"))] = 1
     cusps = tuple(cid("Chain", i=i, k=k, j=1)
                   for i in range(1, 3 * m + 1) for k in range(1, p + 1))
-    return tuple(labels), by_label, FiberConfig(comps, pairs, genus_formula(p * m)), cusps
+    cfg = FiberConfig(labels, mult, genera, self_ints, pairs, genus_formula(p * m))
+    return tuple(labels), by_label, cfg, cusps
 
 
 @pytest.mark.parametrize("p, m, s", [(3, 5, None), (5, 3, None), (7, 3, None), (3, 7, None),
@@ -332,7 +345,7 @@ def test_closed_form_ids_match_sorted_label_build(p, m, s):
     model = build_config(p, m, s)
     labels, by_label, cfg, cusps = _build_by_sorted_labels(p, m, model.params.s)
     assert [model.cid(lab) for lab in labels] == [by_label[lab] for lab in labels]
-    assert model.config.components == cfg.components
+    assert columns(model.config) == columns(cfg)
     assert sorted(model.config.edges()) == sorted(cfg.edges())
     # the same neighbour order too, so every sparse kernel walks the graph alike
     assert list(map(list, model.config._nbrs)) == list(map(list, cfg._nbrs))
@@ -342,8 +355,8 @@ def test_closed_form_ids_match_sorted_label_build(p, m, s):
 
 def test_build_memory_per_component():
     # the edges stream into the neighbour maps, so no edge table lives beside
-    # them at the peak, and the components are int columns, not Component
-    # objects (448 bytes a component at the peak when they were); 19,160 components
+    # them at the peak, and the components are int columns, not one object per
+    # component (448 bytes a component at the peak when they were); 19,160 components
     s = polyarith.double_root_count(7)
     build_config(7, 3, s)
     tracemalloc.start()

@@ -38,7 +38,7 @@ from ffk.fiber import (
     validate,
 )
 from ffk.model import FermatLabel, FermatParams, build_config, cusp_quotient, expected_census
-from test_fiber import solve_at
+from test_fiber import columns, solve_at
 
 QUOTIENT_FUNCTIONS = (divisors.beta_s, divisors.per_prime_geometric, divisors.semipos_check,
                       divisors.cusp_squares, divisors.u_s_probe)
@@ -73,32 +73,32 @@ def graph_semipositivity(model, cusp) -> list[Fraction]:
 def assert_quotient_matches_graph(model, cusp):
     config, params = model.config, model.params
     q = cusp_quotient(params, cusp)
-    cells = [cell_of(c.label, cusp, params) for c in config.components]
-    labels = dict(enumerate(c.label for c in q.components))
+    cells = [cell_of(label, cusp, params) for label in config.labels]
+    labels = dict(enumerate(q.labels))
     ids = {label: c for c, label in labels.items()}
 
     # the ids the cell divisors are built on: the cusp chain end, Fm and LXYZ(i)
     fm = 3 * (params.m - 1)
-    assert [q.components[c].label for c in (0, fm, fm + 1)] == [
+    assert [q.labels[c] for c in (0, fm, fm + 1)] == [
         FermatLabel("Chain", *cusp, 1), FermatLabel("Fm"), FermatLabel("LXYZ", cusp[0])]
 
     # cells and their sizes; a cell's self_int is [c]^2 = |c| C^2
     assert Counter(cells) == {labels[c]: size for c, size in enumerate(q.sizes)}
-    assert len(q.components) <= 3 * (params.m - 1) + 6
-    for comp, cell in zip(config.components, cells):
-        shape = q.components[ids[cell]]
-        assert (comp.multiplicity, comp.genus, comp.self_int * q.sizes[ids[cell]]) == (
-            shape.multiplicity, shape.genus, shape.self_int), comp.label
+    assert q.n_components <= 3 * (params.m - 1) + 6
+    for cid, cell in enumerate(cells):
+        c = ids[cell]
+        assert (config.multiplicities[cid], config.genera[cid], config.self_ints[cid] * q.sizes[c]
+                ) == (q.multiplicities[c], q.genera[c], q.self_ints[c]), config.labels[cid]
 
     # one walk over the edges: every component of a cell c meets w(c, c')/|c| components of c'
-    met = [Counter() for _ in config.components]
+    met = [Counter() for _ in cells]
     for (a, b), cnt in config.edges():
         met[a][cells[b]] += cnt
         met[b][cells[a]] += cnt
-    for comp, cell, seen in zip(config.components, cells, met):
+    for label, cell, seen in zip(config.labels, cells, met):
         size = q.sizes[ids[cell]]
         want = {labels[c2]: Fraction(w, size) for c2, w in q._nbrs[ids[cell]].items()}
-        assert dict(seen) == want, (comp.label, cell)
+        assert dict(seen) == want, (label, cell)
 
     # V_S and U_S are constant on cells
     vs, gs = divisors.v_s(model, cusp), divisors.g_s(model, cusp)
@@ -116,7 +116,7 @@ def assert_quotient_matches_graph(model, cusp):
     assert divisors.per_prime_geometric(model, cusp) == divisors.geometric_graph(
         params, vs_self, gs_self)
     semis_on_cells = divisors.semipos_check(model, cusp)
-    assert [cell for cell, _ in semis_on_cells] == [c.label for c in q.components]
+    assert [cell for cell, _ in semis_on_cells] == list(q.labels)
     by_cell = dict(semis_on_cells)
     on_graph = graph_semipositivity(model, cusp)
     assert [by_cell[cell] for cell in cells] == on_graph
@@ -133,8 +133,7 @@ def graph_candidates(model, cusp) -> dict[str, QDivisor]:
     p, m, n = params.p, params.m, params.n
     ci, ck = cusp
     expansion = {}
-    for cid, c in enumerate(config.components):
-        lab = c.label
+    for cid, lab in enumerate(config.labels):
         if lab.kind in ("Ldelta", "Lgamma"):
             expansion[cid] = Fraction(1, p)
         elif lab.kind == "LgammaLeaf":
@@ -156,9 +155,9 @@ def graph_candidates(model, cusp) -> dict[str, QDivisor]:
     vs = divisors.v_s(model, cusp)
     w = pairing_divisor(config, vs).scale(2) - k_div
     weighted = {}
-    for cid, c in enumerate(config.components):
+    for cid, d in enumerate(config.multiplicities):
         vc = divisors.v_divisor(model, cid)
-        weighted[cid] = c.multiplicity * vc.dot(w) + vc.coeff(cid)
+        weighted[cid] = d * vc.dot(w) + vc.coeff(cid)
     return {"expansion": QDivisor(expansion), "weighted-vc": QDivisor(weighted),
             "adopted": divisors.u_s(model, vs)}
 
@@ -195,8 +194,8 @@ def assert_probe_matches_graph(model, cusp):
     candidates = graph_candidates(model, cusp)
     assert report == graph_probe(model, cusp, candidates)
 
-    ids = {c.label: cid for cid, c in enumerate(cusp_quotient(model.params, cusp).components)}
-    cells = [ids[cell_of(c.label, cusp, model.params)] for c in model.config.components]
+    ids = {label: cid for cid, label in enumerate(cusp_quotient(model.params, cusp).labels)}
+    cells = [ids[cell_of(label, cusp, model.params)] for label in model.config.labels]
     assert len(on_cells) == len(candidates)
     for (name, cand), cell_cand in zip(candidates.items(), on_cells):
         get = cell_cand.numerators().get
@@ -212,8 +211,8 @@ def assert_cell_divisors_match_the_graph(model, cusp, d, e):
     is |c| times the graph's (D . C) on every component C of c.
     """
     config, q = model.config, cusp_quotient(model.params, cusp)
-    ids = {c.label: cid for cid, c in enumerate(q.components)}
-    cells = [ids[cell_of(c.label, cusp, model.params)] for c in config.components]
+    ids = {label: cid for cid, label in enumerate(q.labels)}
+    cells = [ids[cell_of(label, cusp, model.params)] for label in config.labels]
     D, E = (QDivisor(zip(range(len(ids)), x)) for x in (d, e))
 
     def lift(X):
@@ -298,10 +297,10 @@ def test_validate_passes_on_the_quotient(models):
     for model, cusp, q in _quotients(models):
         assert [chk.passed for chk in validate(q)] == [True] * 4, (model.params, cusp)
         # sizes enter the adjunction sum: one size off by one fails it, unless 2g_C - 2 = 0
-        for i, c in enumerate(q.components):
+        for i, (label, genus) in enumerate(zip(q.labels, q.genera)):
             sizes = [k + (cid == i) for cid, k in enumerate(q.sizes)]
-            bad = FiberConfig(q.components, dict(q.edges()), q.genus, sizes)
-            assert all(chk.passed for chk in validate(bad)) == (c.genus == 1), (c.label, cusp)
+            bad = FiberConfig(*columns(q), dict(q.edges()), q.genus, sizes)
+            assert all(chk.passed for chk in validate(bad)) == (genus == 1), (label, cusp)
 
 
 def test_gauged_solver_on_the_quotient_reproduces_v_s(models):
@@ -322,13 +321,13 @@ def test_quotient_past_the_component_cap(monkeypatch):
     with pytest.raises(CapExceeded):
         build_config(7, 401, 2)
     q = cusp_quotient(params, (1, 1))
-    assert len(q.components) == 1205
+    assert q.n_components == 1205
     assert sum(q.sizes) == sum(expected_census(7, 401, 2).values())
     assert [chk.passed for chk in validate(q)] == [True] * 4
 
     # V_S from its targets |c| a_c/(2g-2) - [c = 0], pinned at (p-2)/(2g-2) on Fm
     two_g2 = 2 * params.genus - 2
-    fm = [c.label for c in q.components].index(FermatLabel("Fm"))
+    fm = q.labels.index(FermatLabel("Fm"))
     gauge = Fraction(params.p - 2, two_g2)
     targets = QDivisor({cid: Fraction(a, two_g2) - (cid == 0)
                         for cid, a in enumerate(_a_values(q, range(q.n_components)))})
@@ -342,8 +341,8 @@ def test_quotient_past_the_component_cap(monkeypatch):
                                        ((7, 5, 2), {"Ldelta"})])
 def test_empty_cells_are_dropped(pms, gone):
     q = cusp_quotient(FermatParams(*pms), (1, 1))
-    assert not gone & {c.label.kind for c in q.components}
-    assert len(q.components) == 3 * (pms[1] - 1) + 6 - len(gone)
+    assert not gone & {label.kind for label in q.labels}
+    assert q.n_components == 3 * (pms[1] - 1) + 6 - len(gone)
     assert 0 not in q.sizes
 
 
