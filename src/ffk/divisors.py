@@ -103,7 +103,8 @@ def v_own(model: FermatModel, cid: int) -> tuple[int, dict[int, int], int]:
         return model.lgamma(lab.i), {cid: 1}, 2
     if lab.kind != "Chain":
         return cid, {}, 1
-    m, r, first = model.params.m, lab.j, model.chain(1, lab.k, lab.i)
+    m, r = model.params.m, lab.j
+    first = cid - r + 1  # Chain(1, k, i), by the id layout of the model docstring
     return model.lxyz(lab.i), {c: j * (m - r) if j < r else (m - j) * r
                                for j, c in enumerate(range(first, first + m - 1), 1)}, r * m
 

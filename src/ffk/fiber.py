@@ -12,7 +12,7 @@ constant on cells. All arithmetic is exact over Q.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, MutableSequence, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -79,7 +79,7 @@ class QDivisor:
     def __init__(self, coeffs: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
         coeffs = dict(coeffs)
         for cid, v in coeffs.items():
-            if not isinstance(v, (int, Fraction)):
+            if type(v) is not int and not isinstance(v, Fraction):  # a bool too
                 raise ParameterError(f"coefficient of {cid} must be an int or a Fraction, got {v!r}")
         vals = {cid: Fraction(v) for cid, v in coeffs.items() if v != 0}
         den = lcm(*(v.denominator for v in vals.values()))
@@ -136,7 +136,7 @@ class QDivisor:
         return self._combine(other, -1)
 
     def scale(self, k: int | Fraction) -> "QDivisor":
-        if not isinstance(k, (int, Fraction)):
+        if type(k) is not int and not isinstance(k, Fraction):  # a bool too
             raise ParameterError(f"scale factor must be an int or a Fraction, got {k!r}")
         k = Fraction(k)
         return QDivisor.from_numerators(
@@ -161,13 +161,16 @@ class FiberConfig:
 
     The components are stored as columns: `labels` and the int tuples
     `multiplicities`, `genera` and `self_ints`, a component's id being its position
-    in each; a bad field raises ParameterError naming the first offending row's
-    label. `pairings` holds the off-diagonal entries: (i, j) -> number of
-    transversal intersection points, as a mapping or, as `dict()` takes them, an
-    iterable of ((i, j), count) pairs; counts given as both (i, j) and (j, i), or
-    for one pair more than once, are summed. Each edge is stored once per
-    endpoint, in the neighbour map of that component. Whole-fiber facts that never
-    change, such as the first non-orthogonal component, are computed once.
+    in each; a bad field (a bool too) raises ParameterError naming the first
+    offending row's label. `labels` is kept as given when it is a Sequence that is
+    not a MutableSequence (model.FermatLabels makes each label from its id) and is
+    copied to a tuple otherwise; it is read only to name a component. `pairings`
+    holds the off-diagonal entries: (i, j) -> number of transversal intersection
+    points, as a mapping or, as `dict()` takes them, an iterable of ((i, j),
+    count) pairs; counts given as both (i, j) and (j, i), or for one pair more
+    than once, are summed. Each edge is stored once per endpoint, in the neighbour
+    map of that component. Whole-fiber facts that never change, such as the first
+    non-orthogonal component, are computed once.
     `sizes` holds each vertex's size (module docstring); None, the default, means
     every vertex is one component. `n_components` counts vertices either way.
     """
@@ -175,46 +178,47 @@ class FiberConfig:
     def __init__(self, labels: Iterable[Any], multiplicities: Iterable[int],
                  genera: Iterable[int], self_ints: Iterable[int], pairings: Pairings,
                  genus: int, sizes: Iterable[int] | None = None):
-        labels = tuple(labels)
+        if not isinstance(labels, Sequence) or isinstance(labels, MutableSequence):
+            labels = tuple(labels)
         n = len(labels)
         check_component_cap(n)
         cols = tuple(map(tuple, (multiplicities, genera, self_ints)))
         if any(len(col) != n for col in cols):
             raise ParameterError("every column must give one entry per label")
-        if not (all(all(map(isinstance, col, repeat(int))) for col in cols)
+        if not (all(set(map(type, col)) <= {int} for col in cols)  # a bool is refused
                 and min(cols[0], default=1) >= 1 and min(cols[1], default=0) >= 0):
             for label, *row in zip(labels, *cols):  # raise at the first offending row
                 for field, v in zip(_FIELDS, row):
-                    if not isinstance(v, int):
+                    if type(v) is not int:
                         raise ParameterError(f"component {label}: {field} must be an int, "
                                              f"got {v!r}")
                 if row[0] < 1:
                     raise ParameterError(f"component {label}: multiplicity must be >= 1")
                 if row[1] < 0:
                     raise ParameterError(f"component {label}: genus must be >= 0")
-        if not isinstance(genus, int):
+        if type(genus) is not int:
             raise ParameterError(f"genus must be an int, got {genus!r}")
-        nbrs: list[dict[int, int]] = [{} for _ in labels]
+        nbrs: list[dict[int, int]] = [{} for _ in range(n)]
         for (a, b), cnt in pairings.items() if isinstance(pairings, Mapping) else pairings:
             if a == b:
                 raise ParameterError("diagonal entries belong to the self_ints column")
             if not (0 <= a < n and 0 <= b < n):
                 raise ParameterError(f"unknown component id in pairing ({a}, {b})")
-            if not isinstance(cnt, int) or cnt < 0:
+            if type(cnt) is not int or cnt < 0:
                 raise ParameterError(f"pairing ({a}, {b}): count must be an int >= 0, got {cnt!r}")
             if cnt:
                 na, nb = nbrs[a], nbrs[b]
                 na[b] = nb[a] = na.get(b, 0) + cnt
         sizes = None if sizes is None else tuple(sizes)
         if sizes is not None and (len(sizes) != n
-                                  or any(not isinstance(k, int) or k < 1 for k in sizes)):
+                                  or any(type(k) is not int or k < 1 for k in sizes)):
             raise ParameterError("sizes must give every component a size >= 1")
         self.labels, (self.multiplicities, self.genera, self.self_ints) = labels, cols
         self.genus, self._nbrs, self.sizes = genus, tuple(nbrs), sizes
 
     @property
     def n_components(self) -> int:
-        return len(self.labels)
+        return len(self.multiplicities)
 
     def label(self, cid: int) -> Any:
         _check_ids(self, (cid,))
@@ -241,7 +245,7 @@ def _check_ids(config: FiberConfig, ids) -> None:
     """Raise ParameterError unless every id in `ids` names a component, so callers may index."""
     if ids:
         lo, hi = min(ids), max(ids)
-        if lo < 0 or hi >= len(config.labels):
+        if lo < 0 or hi >= len(config.multiplicities):
             raise ParameterError(f"unknown component id {lo if lo < 0 else hi}")
 
 
@@ -352,7 +356,7 @@ def _tree(config: FiberConfig, root: int) -> tuple[list[int], list[int]]:
     n = len(nbrs)
     if not n:
         raise MathContractError("fiber has no components")
-    label = config.label(root)
+    _check_ids(config, (root,))
     parent = [-1] * n
     parent[root] = root
     order, stack = [], [root]
@@ -365,7 +369,7 @@ def _tree(config: FiberConfig, root: int) -> tuple[list[int], list[int]]:
                 stack.append(nbr)
     if len(order) < n:
         raise MathContractError(f"fiber graph is disconnected: {n - len(order)} of {n} "
-                                f"components are unreachable from {label}")
+                                f"components are unreachable from {config.labels[root]}")
     n_edges = sum(map(len, nbrs)) // 2
     if n_edges != n - 1:
         raise MathContractError(f"fiber graph is not a tree: {n_edges} edges on {n} components")

@@ -25,14 +25,19 @@ Ldelta and n_gamma of Lgamma:
     Ldelta(i)        c + 3m + i
     Lgamma(i)        c + 3m + n_delta + i
     LgammaLeaf(j,i)  c + 3m + n_delta + n_gamma + (i-1)p + j
+
+A built config stores no label: its labels are a FermatLabels, which inverts this
+table and makes each label from its id on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain, product, repeat, starmap
+from itertools import chain, product, repeat
 from operator import mul
+from typing import NamedTuple
 
 from . import polyarith
 from .bounds import genus_formula
@@ -45,11 +50,14 @@ from .fiber import (
 )
 
 KINDS = ("Fm", "LXYZ", "Chain", "Lgamma", "LgammaLeaf", "Ldelta")
+_new = tuple.__new__  # makes a FermatLabel from its (kind, i, k, j) with no Python frame
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class FermatLabel:
-    """Canonical component label; sort order (kind, i, k, j) is the id order."""
+class FermatLabel(NamedTuple):
+    """Canonical component label; sort order (kind, i, k, j) is the id order.
+
+    A tuple: it equals, and unpacks as, its (kind, i, k, j).
+    """
 
     kind: str
     i: int = 0
@@ -64,6 +72,66 @@ class FermatLabel:
         if self.kind == "LgammaLeaf":
             return f"LgammaLeaf(j={self.j},i={self.i})"
         return f"Chain(j={self.j},k={self.k},i={self.i})"
+
+
+@dataclass(frozen=True, slots=True)
+class FermatLabels(Sequence):
+    """The labels of the (p, m, s) fiber in id order, each made from its id on demand.
+
+    Indexing decodes an id with the offsets of the module docstring (_first_ids), the
+    inverse of FermatModel.cid, and takes negative ids and slices as a tuple does;
+    iteration streams the labels in id order; `census` is the layout's run lengths.
+    No label is stored. (p, m, s) are taken as FermatParams has validated them.
+    """
+
+    p: int
+    m: int
+    s: int
+    _ids: range = field(init=False, repr=False, compare=False)
+    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        first = _first_ids(self.p, self.m, self.s)
+        object.__setattr__(self, "_ids", range(sum(self.census.values())))
+        object.__setattr__(self, "_offsets", (*map(first.get, (
+            "Fm", "Ldelta", "Lgamma", "LgammaLeaf")), self.m - 1, self.p))
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, cid):
+        c = self._ids[cid]  # raises as a tuple index does; a range for a slice
+        if c.__class__ is range:
+            return tuple(map(self.__getitem__, c))
+        fm, ldelta0, lgamma0, leaf0, length, p = self._offsets
+        if c < fm:  # ((i-1)p + k-1)(m-1) + j-1
+            arm_k = c // length
+            return _new(FermatLabel, ("Chain", arm_k // p + 1, arm_k % p + 1, c % length + 1))
+        if c == fm:
+            return _new(FermatLabel, ("Fm", 0, 0, 0))
+        if c <= ldelta0:
+            return _new(FermatLabel, ("LXYZ", c - fm, 0, 0))
+        if c <= lgamma0:
+            return _new(FermatLabel, ("Ldelta", c - ldelta0, 0, 0))
+        if c <= leaf0:
+            return _new(FermatLabel, ("Lgamma", c - lgamma0, 0, 0))
+        c -= leaf0 + 1  # (i-1)p + j-1
+        return _new(FermatLabel, ("LgammaLeaf", c // p + 1, 0, c % p + 1))
+
+    def __iter__(self):
+        p, m, census = self.p, self.m, self.census
+        arms, gammas, none = range(1, 3 * m + 1), range(1, census["Lgamma"] + 1), [0]
+        return map(_new, repeat(FermatLabel), chain(
+            product(["Chain"], arms, range(1, p + 1), range(1, m)), [("Fm", 0, 0, 0)],
+            product(["LXYZ"], arms, none, none),
+            product(["Ldelta"], range(1, census["Ldelta"] + 1), none, none),
+            product(["Lgamma"], gammas, none, none),
+            product(["LgammaLeaf"], gammas, none, range(1, p + 1))))
+
+    @property
+    def census(self) -> dict[str, int]:
+        """Component count per kind, read from the layout, with no pass over the labels."""
+        return expected_census(self.p, self.m, self.s)
 
 
 @dataclass(frozen=True)
@@ -186,8 +254,13 @@ class FermatModel:
         return self.cid(self.params.cusp_end(i, k))
 
     def census(self) -> dict[str, int]:
+        """Component count per kind: the layout's when the config holds FermatLabels, else
+        counted label by label (a config built some other way, as by a test)."""
+        labels = self.config.labels
+        if isinstance(labels, FermatLabels):
+            return labels.census
         out = dict.fromkeys(KINDS, 0)
-        for label in self.config.labels:
+        for label in labels:
             out[label.kind] += 1
         return out
 
@@ -238,26 +311,21 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     configurations can be exercised; pass None to derive it from the
     polynomial arithmetic (FermatParams). The component cap is checked against
     the census before any column is filled. The columns follow the id layout of
-    the module docstring, each kind one run of one shape.
+    the module docstring, each kind one run of one shape; the labels are
+    FermatLabels, made from the ids on demand, so no object per component is made.
     """
     params = FermatParams(p, m, s)
     census = expected_census(p, m, params.s)
     check_component_cap(sum(census.values()))
-    n_gamma, shape = census["Lgamma"], _shapes(p, m)
-    arms = range(1, 3 * m + 1)
-    labels = starmap(FermatLabel, chain(
-        product(["Chain"], arms, range(1, p + 1), range(1, m)), [("Fm",)],
-        product(["LXYZ"], arms), product(["Ldelta"], range(1, census["Ldelta"] + 1)),
-        product(["Lgamma"], range(1, n_gamma + 1)),
-        product(["LgammaLeaf"], range(1, n_gamma + 1), [0], range(1, p + 1))))
+    shape = _shapes(p, m)
     runs = [(kind, census[kind]) for kind in ("Fm", "LXYZ", "Ldelta", "Lgamma", "LgammaLeaf")]
     n_chain = census["Chain"]
     mult, genera, self_ints = (
         chain(first, *(repeat(shape[kind][f], count) for kind, count in runs))
         for f, first in enumerate((chain.from_iterable(repeat(range(1, m), 3 * m * p)),
                                    repeat(0, n_chain), repeat(-2, n_chain))))
-    return FermatModel(params, FiberConfig(
-        labels, mult, genera, self_ints, _edges(p, m, params.s), params.genus))
+    return FermatModel(params, FiberConfig(FermatLabels(p, m, params.s), mult, genera,
+                                           self_ints, _edges(p, m, params.s), params.genus))
 
 
 def _edges(p: int, m: int, s: int):

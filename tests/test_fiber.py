@@ -23,7 +23,7 @@ from ffk.fiber import (
     pairing_divisor,
     validate,
 )
-from ffk.model import FermatLabel, build_config
+from ffk.model import FermatLabel, FermatLabels, build_config
 from ffk.verify import _fm_targets
 
 
@@ -627,7 +627,10 @@ def test_validate_reports_an_empty_fiber_and_raises_nothing(sizes):
     ({(0, 1): Fraction(1)}, None),
     ({(0, 1): 1}, [1, 1.0]),
     ({(0, 1): 1}, [1, Fraction(2)]),
-], ids=["negative-count", "float-count", "fraction-count", "float-size", "fraction-size"])
+    ({(0, 1): True}, None),
+    ({(0, 1): 1}, [1, True]),
+], ids=["negative-count", "float-count", "fraction-count", "float-size", "fraction-size",
+        "bool-count", "bool-size"])
 def test_fiber_config_takes_only_int_counts_and_sizes(pairings, sizes):
     cols = ("AB", [1, 1], [0, 0], [-1, -1])
     with pytest.raises(ParameterError):
@@ -636,13 +639,13 @@ def test_fiber_config_takes_only_int_counts_and_sizes(pairings, sizes):
     assert list(zero.edges()) == [] and zero._nbrs[0] == {}
 
 
-@pytest.mark.parametrize("coeff", [0.1, 1.0, "1/2"])
+@pytest.mark.parametrize("coeff", [0.1, 1.0, "1/2", True])
 def test_qdivisor_takes_only_exact_coefficients(coeff):
     with pytest.raises(ParameterError, match="must be an int or a Fraction"):
         QDivisor({0: coeff})
 
 
-@pytest.mark.parametrize("k", [0.1, 1.0, "1/2"])
+@pytest.mark.parametrize("k", [0.1, 1.0, "1/2", True])
 def test_qdivisor_scales_only_by_exact_factors(k):
     with pytest.raises(ParameterError, match="scale factor must be an int or a Fraction"):
         QDivisor({0: 1}).scale(k)
@@ -690,7 +693,9 @@ def test_reduced_genus_zero_tree_has_pa_zero(data):
 @pytest.mark.parametrize("fields,field", [
     (("A", 1.5, 0, -1.25), "multiplicity"), (("A", 1, 0, -1.25), "self_int"),
     (("A", 1, 0.5, -2), "genus"), (("A", Fraction(2), 0, -2), "multiplicity"),
-], ids=["float-multiplicity", "float-self-int", "float-genus", "fraction-multiplicity"])
+    (("A", True, 0, -2), "multiplicity"), (("A", 1, False, -2), "genus"),
+], ids=["float-multiplicity", "float-self-int", "float-genus", "fraction-multiplicity",
+        "bool-multiplicity", "bool-genus"])
 def test_component_takes_only_int_fields(fields, field):
     # a row's first non-int field, in column order, is the one reported
     with pytest.raises(ParameterError, match=f"component A: {field} must be an int"):
@@ -701,6 +706,8 @@ def test_fiber_config_takes_only_an_int_genus():
     cols = ("A", [1], [0], [0])
     with pytest.raises(ParameterError, match="genus must be an int, got 0.5"):
         FiberConfig(*cols, {}, 0.5)
+    with pytest.raises(ParameterError, match="genus must be an int, got True"):
+        FiberConfig(*cols, {}, True)
     assert FiberConfig(*cols, {}, 0).genus == 0
 
 
@@ -811,8 +818,9 @@ def test_fiber_config_stores_its_columns_and_pairings(cfg, data):
     (("X", Fraction(2), 0, -2), "multiplicity must be an int, got Fraction(2, 1)"),
     (("X", 0, 0, -2), "multiplicity must be >= 1"),
     (("X", 1, -1, -2), "genus must be >= 0"),
+    (("X", 1, 0, True), "self_int must be an int, got True"),
 ], ids=["float-multiplicity", "float-genus", "float-self-int", "fraction-multiplicity",
-        "multiplicity-0", "negative-genus"])
+        "multiplicity-0", "negative-genus", "bool-self-int"])
 def test_from_columns_refuses_a_bad_row_with_the_component_message(row, message):
     good = ("A", 1, 0, -1)
     # the bad row alone among good ones, then before a bad row that is not reported
@@ -820,6 +828,21 @@ def test_from_columns_refuses_a_bad_row_with_the_component_message(row, message)
         with pytest.raises(ParameterError) as got:
             FiberConfig(*zip(*rows), {}, 0)
         assert str(got.value) == f"component X: {message}"
+
+
+def test_fiber_config_keeps_its_labels_safe(model53):
+    # a mutable sequence or a stream of labels is copied to a tuple, so editing the list
+    # later leaves the config as it was; an immutable sequence is kept as it is given
+    labels, cols = ["A", "B"], ([1, 1], [0, 0], [-1, -1])
+    cfg = FiberConfig(labels, *cols, {(0, 1): 1}, 0)
+    labels[0] = "Z"
+    labels.append("C")
+    assert cfg.labels == ("A", "B") and cfg.label(0) == "A" and cfg.n_components == 2
+    assert FiberConfig(iter("AB"), *cols, {}, 0).labels == ("A", "B")
+    fermat = model53.config.labels
+    assert isinstance(fermat, FermatLabels)
+    kept = FiberConfig(fermat, *columns(model53.config)[1:], model53.config.edges(), 3)
+    assert kept.labels is fermat
 
 
 def test_from_columns_takes_one_entry_per_label():

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from ffk.errors import CapExceeded, ParameterError
 from ffk.fiber import FiberConfig, QDivisor, i_c_values, pair, validate
 from ffk.model import (
     FermatLabel,
+    FermatLabels,
     FermatModel,
     FermatParams,
     build_config,
@@ -18,7 +20,7 @@ from ffk.model import (
     i_c_matches_pairing,
     transversality_check,
 )
-from ffk.verify import suite_cycles
+from ffk.verify import ACCEPTANCE_PAIRS, suite_cycles
 from test_fiber import columns
 
 
@@ -184,6 +186,33 @@ def test_label_str():
     assert str(FermatLabel("LgammaLeaf", i=3, j=4)) == "LgammaLeaf(j=4,i=3)"
 
 
+def test_label_is_its_tuple():
+    lab = FermatLabel("Chain", i=1, k=2, j=3)
+    kind, i, k, j = lab
+    assert lab == ("Chain", 1, 2, 3) == (kind, i, k, j) and len(lab) == 4
+    assert FermatLabel("Fm") == ("Fm", 0, 0, 0) and hash(lab) == hash(("Chain", 1, 2, 3))
+
+
+@pytest.mark.parametrize("p, m, s", [(3, 5, 0), (7, 3, 1), (7, 5, 2), (5, 7, 0)])
+def test_fermat_labels_index_as_a_tuple_does(p, m, s):
+    labels = FermatLabels(p, m, s)
+    ref, n = tuple(labels), len(labels)
+    assert n == sum(expected_census(p, m, s).values())
+    for cid in (0, 1, n // 2, n - 1, -1, -2, -n // 2, -n):
+        assert labels[cid] == ref[cid] and type(labels[cid]) is FermatLabel
+    for cut in (slice(None), slice(3, 9, 2), slice(None, None, -1), slice(-5, None),
+                slice(n, None), slice(5, 2), slice(-n - 3, 2), slice(None, None, -7)):
+        assert labels[cut] == ref[cut]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            labels[bad]
+    with pytest.raises(TypeError):
+        labels[1.0]
+    assert labels == FermatLabels(p, m, s) != FermatLabels(p, m + 2, s)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        labels.p = 5
+
+
 def test_component_cap(monkeypatch):
     monkeypatch.setenv("FFK_COMPONENT_CAP", "50")
     with pytest.raises(CapExceeded):
@@ -194,8 +223,8 @@ def test_component_cap_fires_before_any_component_is_built(monkeypatch):
     def no_alloc(*args, **kwargs):
         raise AssertionError("a label was made before the cap check")
 
-    # the labels are the first column build_config fills
-    monkeypatch.setattr("ffk.model.FermatLabel", no_alloc)
+    # the labels are the first column build_config makes
+    monkeypatch.setattr("ffk.model.FermatLabels", no_alloc)
     monkeypatch.setenv("FFK_COMPONENT_CAP", "19159")
     with pytest.raises(CapExceeded, match="19160 components exceed the component cap 19159"):
         build_config(7, 23)
@@ -232,19 +261,23 @@ def test_build_trial_divides_m_once_and_p_at_most_twice(monkeypatch, s, want):
     assert seen == want
 
 
-def test_build_validate_and_census_make_no_component():
+def test_build_validate_and_census_make_no_component(monkeypatch):
     # the store is columns only: after the build, validate, the census and the cusp
     # identities, a config holds its columns, neighbour maps and cached orthogonality
-    # verdict, and no object per component
+    # verdict, and no object per component; the build, validate and the census make no
+    # label either (with FermatLabel unset, making one raises TypeError)
+    monkeypatch.setattr("ffk.model.FermatLabel", None)
     for p, m, s in ((3, 5, None), (7, 3, None), (11, 3, 4), (13, 3, 0), (7, 23, None)):
         model = build_config(p, m, s)
         assert all(chk.passed for chk in validate(model.config))
         assert model.census() == expected_census(p, m, model.params.s)
+    monkeypatch.undo()
     beta_s(model), per_prime_geometric(model), g_s(model), semipos_check(model)
     cfg = model.config
     assert sorted(vars(cfg)) == ["_nbrs", "genera", "genus", "labels", "multiplicities",
                                  "non_orthogonal", "self_ints", "sizes"]
     assert {type(v) for col in (cfg.multiplicities, cfg.genera, cfg.self_ints) for v in col} == {int}
+    assert isinstance(cfg.labels, FermatLabels) and cfg.labels == FermatLabels(7, 23, 2)
 
 
 def test_bad_parameters_fail_before_s_is_computed(monkeypatch):
@@ -339,12 +372,23 @@ def _build_by_sorted_labels(p, m, s):
     return tuple(labels), by_label, cfg, cusps
 
 
-@pytest.mark.parametrize("p, m, s", [(3, 5, None), (5, 3, None), (7, 3, None), (3, 7, None),
-                                     (5, 7, None), (7, 23, None), (11, 3, 4), (13, 3, 0)])
+# every acceptance (p, m) (p = 3 among them), then synthetic s at each census edge:
+# s = 0 (no Lgamma) and 2s = p - 3 (no Ldelta), and one with every kind
+@pytest.mark.parametrize("p, m, s", [(p, m, None) for p, m in ACCEPTANCE_PAIRS] + [
+    (7, 23, None), (11, 3, 4), (13, 3, 0), (7, 5, 0), (13, 3, 5), (7, 3, 1)])
 def test_closed_form_ids_match_sorted_label_build(p, m, s):
     model = build_config(p, m, s)
     labels, by_label, cfg, cusps = _build_by_sorted_labels(p, m, model.params.s)
     assert [model.cid(lab) for lab in labels] == [by_label[lab] for lab in labels]
+    # the labels made on demand: streamed and decoded alike, the sorted labels, each
+    # the inverse of cid, and counted by kind as the census the layout gives
+    got = model.config.labels
+    n = len(got)
+    assert list(got) == [got[cid] for cid in range(n)] == list(labels)
+    assert [model.cid(got[cid]) for cid in range(n)] == list(range(n))
+    assert Counter(lab.kind for lab in got) == Counter(model.census())
+    # the reference build's tuple of labels is counted label by label
+    assert dataclasses.replace(model, config=cfg).census() == model.census()
     assert columns(model.config) == columns(cfg)
     assert sorted(model.config.edges()) == sorted(cfg.edges())
     # the same neighbour order too, so every sparse kernel walks the graph alike
@@ -355,8 +399,9 @@ def test_closed_form_ids_match_sorted_label_build(p, m, s):
 
 def test_build_memory_per_component():
     # the edges stream into the neighbour maps, so no edge table lives beside
-    # them at the peak, and the components are int columns, not one object per
-    # component (448 bytes a component at the peak when they were); 19,160 components
+    # them at the peak, the components are int columns, not one object per
+    # component (448 bytes a component at the peak when they were), and no label
+    # is stored (396 with one FermatLabel per component); 19,160 components
     s = polyarith.double_root_count(7)
     build_config(7, 3, s)
     tracemalloc.start()
@@ -366,5 +411,5 @@ def test_build_memory_per_component():
     finally:
         tracemalloc.stop()
     n = model.config.n_components
-    assert peak <= 430 * n, peak / n
-    assert retained <= 410 * n, retained / n
+    assert peak <= 350 * n, peak / n
+    assert retained <= 340 * n, retained / n

@@ -359,3 +359,5 @@ def test_component_count_guard(model53, model35):
     bad = dataclasses.replace(model53, config=model35.config)
     with pytest.raises(MathContractError, match="cusp quotient"):
         divisors.beta_s(bad)
+    # the census is the config's, not read from the model's params
+    assert bad.census() == model35.census() != expected_census(5, 3, 0)
