@@ -200,10 +200,11 @@ class FiberConfig:
             raise ParameterError(f"genus must be an int, got {genus!r}")
         nbrs: list[dict[int, int]] = [{} for _ in range(n)]
         for (a, b), cnt in pairings.items() if isinstance(pairings, Mapping) else pairings:
-            if a == b:
-                raise ParameterError("diagonal entries belong to the self_ints column")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ParameterError(f"unknown component id in pairing ({a}, {b})")
+            if not (1 < a < n and 1 < b < n and a != b):  # a bool id is 0 or 1, so it lands here
+                if a == b:
+                    raise ParameterError("diagonal entries belong to the self_ints column")
+                if not (type(a) is int is type(b) and 0 <= a < n and 0 <= b < n):
+                    raise ParameterError(f"unknown component id in pairing ({a}, {b})")
             if type(cnt) is not int or cnt < 0:
                 raise ParameterError(f"pairing ({a}, {b}): count must be an int >= 0, got {cnt!r}")
             if cnt:

@@ -26,16 +26,17 @@ Ldelta and n_gamma of Lgamma:
     Lgamma(i)        c + 3m + n_delta + i
     LgammaLeaf(j,i)  c + 3m + n_delta + n_gamma + (i-1)p + j
 
-A built config stores no label: its labels are a FermatLabels, which inverts this
-table and makes each label from its id on demand.
+A built config stores no label: its labels are a FermatLabels, the one codec of
+this table, which makes each label from its id on demand and each id from its label.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import chain, product, repeat
+from functools import cached_property
+from itertools import accumulate, chain, product, repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -50,6 +51,7 @@ from .fiber import (
 )
 
 KINDS = ("Fm", "LXYZ", "Chain", "Lgamma", "LgammaLeaf", "Ldelta")
+_LAYOUT = ("Chain", "Fm", "LXYZ", "Ldelta", "Lgamma", "LgammaLeaf")  # the kinds in id order
 _new = tuple.__new__  # makes a FermatLabel from its (kind, i, k, j) with no Python frame
 
 
@@ -76,25 +78,34 @@ class FermatLabel(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class FermatLabels(Sequence):
-    """The labels of the (p, m, s) fiber in id order, each made from its id on demand.
+    """The labels of the (p, m, s) fiber in id order: the one codec of the id layout.
 
-    Indexing decodes an id with the offsets of the module docstring (_first_ids), the
-    inverse of FermatModel.cid, and takes negative ids and slices as a tuple does;
-    iteration streams the labels in id order; `census` is the layout's run lengths.
-    No label is stored. (p, m, s) are taken as FermatParams has validated them.
+    Each kind's ids run from its first id over a box i0 <= i < i0 + ni, k0 <= k < k0 + nk,
+    j0 <= j < j0 + nj in row-major (i, k, j) order, the offsets of the module docstring.
+    Indexing decodes an id, taking negative ids and slices as a tuple does; index(label)
+    encodes, its inverse in O(1); iteration streams the labels in id order; `census` is
+    the layout's run lengths. No label is stored. (p, m, s) are taken as FermatParams
+    has validated them.
     """
 
     p: int
     m: int
     s: int
     _ids: range = field(init=False, repr=False, compare=False)
-    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _firsts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _rows: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        first = _first_ids(self.p, self.m, self.s)
-        object.__setattr__(self, "_ids", range(sum(self.census.values())))
-        object.__setattr__(self, "_offsets", (*map(first.get, (
-            "Fm", "Ldelta", "Lgamma", "LgammaLeaf")), self.m - 1, self.p))
+        p, m, census = self.p, self.m, self.census
+        arms, gammas, one = (1, 3 * m), (1, census["Lgamma"]), (0, 1)  # (least value, count)
+        boxes = {"Chain": (arms, (1, p), (1, m - 1)), "Fm": (one, one, one),
+                 "LXYZ": (arms, one, one), "Ldelta": ((1, census["Ldelta"]), one, one),
+                 "Lgamma": (gammas, one, one), "LgammaLeaf": (gammas, one, (1, p))}
+        firsts = [0, *accumulate(census[kind] for kind in _LAYOUT)]
+        object.__setattr__(self, "_ids", range(firsts.pop()))
+        object.__setattr__(self, "_firsts", tuple(firsts))
+        object.__setattr__(self, "_rows", tuple(  # (kind, first, i0, ni, k0, nk, j0, nj)
+            (kind, first, *chain(*boxes[kind])) for kind, first in zip(_LAYOUT, firsts)))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -103,30 +114,26 @@ class FermatLabels(Sequence):
         c = self._ids[cid]  # raises as a tuple index does; a range for a slice
         if c.__class__ is range:
             return tuple(map(self.__getitem__, c))
-        fm, ldelta0, lgamma0, leaf0, length, p = self._offsets
-        if c < fm:  # ((i-1)p + k-1)(m-1) + j-1
-            arm_k = c // length
-            return _new(FermatLabel, ("Chain", arm_k // p + 1, arm_k % p + 1, c % length + 1))
-        if c == fm:
-            return _new(FermatLabel, ("Fm", 0, 0, 0))
-        if c <= ldelta0:
-            return _new(FermatLabel, ("LXYZ", c - fm, 0, 0))
-        if c <= lgamma0:
-            return _new(FermatLabel, ("Ldelta", c - ldelta0, 0, 0))
-        if c <= leaf0:
-            return _new(FermatLabel, ("Lgamma", c - lgamma0, 0, 0))
-        c -= leaf0 + 1  # (i-1)p + j-1
-        return _new(FermatLabel, ("LgammaLeaf", c // p + 1, 0, c % p + 1))
+        # the last kind whose first id is c or less: an empty kind shares the next one's
+        kind, first, i0, _, k0, nk, j0, nj = self._rows[bisect_right(self._firsts, c) - 1]
+        c -= first
+        return _new(FermatLabel, (kind, i0 + c // nj // nk, k0 + c // nj % nk, j0 + c % nj))
+
+    def index(self, label) -> int:
+        """The id of `label`, the inverse of indexing, in O(1); ValueError, as tuple.index
+        raises, for a kind not in the layout or a field outside its kind's box."""
+        kind, i, k, j = label
+        _, first, i0, ni, k0, nk, j0, nj = self._rows[_LAYOUT.index(kind)]
+        i, k, j = i - i0, k - k0, j - j0
+        cid = first + (i * nk + k) * nj + j
+        if 0 <= i < ni and 0 <= k < nk and 0 <= j < nj and type(cid) is int:
+            return cid
+        raise ValueError(f"{label!r} names no component of {self!r}")
 
     def __iter__(self):
-        p, m, census = self.p, self.m, self.census
-        arms, gammas, none = range(1, 3 * m + 1), range(1, census["Lgamma"] + 1), [0]
-        return map(_new, repeat(FermatLabel), chain(
-            product(["Chain"], arms, range(1, p + 1), range(1, m)), [("Fm", 0, 0, 0)],
-            product(["LXYZ"], arms, none, none),
-            product(["Ldelta"], range(1, census["Ldelta"] + 1), none, none),
-            product(["Lgamma"], gammas, none, none),
-            product(["LgammaLeaf"], gammas, none, range(1, p + 1))))
+        return map(_new, repeat(FermatLabel), chain.from_iterable(
+            product([kind], range(i0, i0 + ni), range(k0, k0 + nk), range(j0, j0 + nj))
+            for kind, _, i0, ni, k0, nk, j0, nj in self._rows))
 
     @property
     def census(self) -> dict[str, int]:
@@ -193,27 +200,18 @@ class FermatParams:
 class FermatModel:
     """A built configuration and its parameters; every id is a closed form in (p, m, s).
 
-    Labels are not indexed: cid computes the id from the offsets of the module
-    docstring and accepts it only if the built component there carries the label.
+    cid looks a label up with config.labels.index: on FermatLabels the closed form of
+    the module docstring, with no label decoded.
     """
 
     params: FermatParams
     config: FiberConfig
 
     def cid(self, label: FermatLabel) -> int:
-        p, m = self.params.p, self.params.m
-        first = _first_ids(p, m, self.params.s)
-        kind, i = label.kind, label.i
-        if kind == "Chain":
-            cid = ((i - 1) * p + label.k - 1) * (m - 1) + label.j - 1
-        elif kind == "LgammaLeaf":
-            cid = first[kind] + (i - 1) * p + label.j
-        else:
-            cid = first[kind] + i if kind in first else -1
-        labels = self.config.labels
-        if 0 <= cid < len(labels) and labels[cid] == label:
-            return cid
-        raise ParameterError(f"no component labelled {label}")
+        try:
+            return self.config.labels.index(label)
+        except ValueError:
+            raise ParameterError(f"no component labelled {label}") from None
 
     @cached_property
     def fm(self) -> int:
@@ -278,21 +276,6 @@ def expected_census(p: int, m: int, s: int) -> dict[str, int]:
     }
 
 
-@cache
-def _first_ids(p: int, m: int, s: int) -> dict[str, int]:
-    """The offsets of the module docstring, by kind; read-only.
-
-    X(i) has id first[X] + i for X = Fm (i = 0), LXYZ, Ldelta and Lgamma, and
-    LgammaLeaf(j, i) has id first["LgammaLeaf"] + (i-1)p + j.
-    """
-    census = expected_census(p, m, s)
-    fm = census["Chain"]
-    ldelta0 = fm + 3 * m
-    lgamma0 = ldelta0 + census["Ldelta"]
-    return {"Fm": fm, "LXYZ": fm, "Ldelta": ldelta0, "Lgamma": lgamma0,
-            "LgammaLeaf": lgamma0 + census["Lgamma"]}
-
-
 def _shapes(p: int, m: int) -> dict[str, tuple[int, int, int]]:
     """(multiplicity, genus, self-intersection) by kind; a Chain(j) has (j, 0, -2)."""
     return {
@@ -318,41 +301,39 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     census = expected_census(p, m, params.s)
     check_component_cap(sum(census.values()))
     shape = _shapes(p, m)
-    runs = [(kind, census[kind]) for kind in ("Fm", "LXYZ", "Ldelta", "Lgamma", "LgammaLeaf")]
+    runs = [(kind, census[kind]) for kind in _LAYOUT[1:]]  # each kind after the chains
     n_chain = census["Chain"]
     mult, genera, self_ints = (
         chain(first, *(repeat(shape[kind][f], count) for kind, count in runs))
         for f, first in enumerate((chain.from_iterable(repeat(range(1, m), 3 * m * p)),
                                    repeat(0, n_chain), repeat(-2, n_chain))))
-    return FermatModel(params, FiberConfig(FermatLabels(p, m, params.s), mult, genera,
-                                           self_ints, _edges(p, m, params.s), params.genus))
+    labels = FermatLabels(p, m, params.s)
+    return FermatModel(params, FiberConfig(labels, mult, genera, self_ints, _edges(labels),
+                                           params.genus))
 
 
-def _edges(p: int, m: int, s: int):
-    """Every edge ((a, b), 1) of the (p, m, s) fiber, ids from the module docstring.
+def _edges(labels: FermatLabels):
+    """Every edge ((a, b), 1) of the fiber `labels` lays out, ids from their offsets.
 
     Arm by arm, then each Lgamma with its leaves, then the Ldelta; each hub's
     id is one int, shared by all of its edges. FiberConfig consumes the stream
     as it comes, so no edge table exists beside the neighbour maps.
     """
-    census = expected_census(p, m, s)
-    fm, ldelta0, lgamma0, leaf0 = map(_first_ids(p, m, s).get,
-                                      ("Fm", "Ldelta", "Lgamma", "LgammaLeaf"))
-    length = m - 1  # components Chain(1..m-1, k, i) of one chain
-    for i in range(1, 3 * m + 1):
+    _, fm, _, ldelta, lgamma, leaf = labels._firsts  # the first id of each kind
+    p, length = labels.p, labels.m - 1  # length: Chain(1..m-1, k, i)
+    for i in range(1, 3 * labels.m + 1):
         lx = fm + i
         yield (lx, fm), 1
         for first in range((i - 1) * p * length, i * p * length, length):  # Chain(1, k, i)
             for c in range(first, first + length - 1):
                 yield (c, c + 1), 1
             yield (first + length - 1, lx), 1
-    for i in range(1, census["Lgamma"] + 1):
-        lg = lgamma0 + i
+    for lg, first in zip(range(lgamma, leaf), range(leaf, len(labels), p)):  # leaves of lg
         yield (lg, fm), 1
-        for leaf in range(leaf0 + (i - 1) * p + 1, leaf0 + i * p + 1):
-            yield (leaf, lg), 1
-    for i in range(1, census["Ldelta"] + 1):
-        yield (ldelta0 + i, fm), 1
+        for c in range(first, first + p):
+            yield (c, lg), 1
+    for ld in range(ldelta, lgamma):
+        yield (ld, fm), 1
 
 
 def cusp_quotient(params: FermatParams, cusp: tuple[int, int]) -> FiberConfig:

@@ -111,8 +111,9 @@ def suite_fiber(models: list[FermatModel]) -> list[CheckResult]:
         )
         out.append(CheckResult(f"I_C table values {tag}", ic_ok))
 
+        mult = model.config.multiplicities
         ends = {cid for cid, lab in enumerate(model.config.labels)
-                if lab.kind == "Chain" and lab.j == 1}
+                if lab.kind == "Chain" and lab.j == 1 and mult[cid] == 1}
         out.append(CheckResult(f"cusp sections biject with mult-1 chain ends {tag}",
                                set(model.cusps) == ends and len(model.cusps) == 3 * model.params.n))
     return out

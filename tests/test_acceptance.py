@@ -291,3 +291,19 @@ def test_a_wrong_self_intersection_fails_orthogonality_not_suite_cycles(models, 
         bad = dataclasses.replace(base, config=cfg)
         assert not {c.name: c.passed for c in verify.suite_fiber([bad])}[name]
         assert [c.passed for c in verify.suite_cycles([bad])] == [True]
+
+
+@pytest.mark.parametrize("pm", [(5, 3), (7, 3), (3, 5)], ids=lambda pm: f"{pm[0]},{pm[1]}")
+def test_a_chain_end_of_multiplicity_two_fails_the_cusp_check(models, pm):
+    # the cusp check reads the multiplicities: Chain(1,1,1), id 0, at multiplicity 2 is no
+    # mult-1 chain end, so the cusp sections no longer biject with them
+    base = models[pm]
+    cols = columns(base.config)
+    cols[COLUMN["multiplicity"]][0] = 2
+    bad = dataclasses.replace(base, config=FiberConfig(*cols, dict(base.config.edges()),
+                                                       base.config.genus))
+    tag = f"(p={pm[0]}, m={pm[1]})"
+    got = {c.name: c.passed for c in verify.suite_fiber([bad])}
+    assert not got[f"cusp sections biject with mult-1 chain ends {tag}"]
+    assert not got[f"fiber orthogonality (F.C = 0 for all C) {tag}"]
+    assert all({c.name: c.passed for c in verify.suite_fiber([base])}.values())

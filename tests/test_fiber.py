@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -621,19 +622,28 @@ def test_validate_reports_an_empty_fiber_and_raises_nothing(sizes):
     assert failed[0].detail == str(refused.value) == "fiber has no components"
 
 
-@pytest.mark.parametrize("pairings,sizes", [
-    ({(0, 1): 1, (1, 0): -1}, None),
-    ({(0, 1): 0.5}, None),
-    ({(0, 1): Fraction(1)}, None),
-    ({(0, 1): 1}, [1, 1.0]),
-    ({(0, 1): 1}, [1, Fraction(2)]),
-    ({(0, 1): True}, None),
-    ({(0, 1): 1}, [1, True]),
+COUNT, SIZE = "count must be an int >= 0", "sizes must give every component a size >= 1"
+
+
+@pytest.mark.parametrize("pairings,sizes,message", [
+    ({(0, 1): 1, (1, 0): -1}, None, COUNT),
+    ({(0, 1): 0.5}, None, COUNT),
+    ({(0, 1): Fraction(1)}, None, COUNT),
+    ({(0, 1): 1}, [1, 1.0], SIZE),
+    ({(0, 1): 1}, [1, Fraction(2)], SIZE),
+    ({(0, 1): True}, None, COUNT),
+    ({(0, 1): 1}, [1, True], SIZE),
+    ({(False, True): 1}, None, "in pairing (False, True)"),
+    ({(0, True): 1}, None, "in pairing (0, True)"),
+    ({(True, 0): 1}, None, "in pairing (True, 0)"),
+    ({(1.0, 0): 1}, None, "in pairing (1.0, 0)"),
+    ({(0, 2): 1}, None, "in pairing (0, 2)"),
 ], ids=["negative-count", "float-count", "fraction-count", "float-size", "fraction-size",
-        "bool-count", "bool-size"])
-def test_fiber_config_takes_only_int_counts_and_sizes(pairings, sizes):
+        "bool-count", "bool-size", "bool-ids", "bool-b", "bool-a", "float-id", "id-past-n"])
+def test_fiber_config_takes_only_int_counts_and_sizes(pairings, sizes, message):
+    # an id is an int too: a bool is an int equal to 0 or 1, so only a type test refuses it
     cols = ("AB", [1, 1], [0, 0], [-1, -1])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=re.escape(message)):
         FiberConfig(*cols, pairings, 0, sizes=sizes)
     zero = FiberConfig(*cols, {(0, 1): 0}, 0)
     assert list(zero.edges()) == [] and zero._nbrs[0] == {}

@@ -10,6 +10,7 @@ from ffk.divisors import beta_s, g_s, per_prime_geometric, semipos_check
 from ffk.errors import CapExceeded, ParameterError
 from ffk.fiber import FiberConfig, QDivisor, i_c_values, pair, validate
 from ffk.model import (
+    KINDS,
     FermatLabel,
     FermatLabels,
     FermatModel,
@@ -20,7 +21,7 @@ from ffk.model import (
     i_c_matches_pairing,
     transversality_check,
 )
-from ffk.verify import ACCEPTANCE_PAIRS, suite_cycles
+from ffk.verify import ACCEPTANCE_PAIRS, representative_relation_full, suite_cycles
 from test_fiber import columns
 
 
@@ -332,6 +333,31 @@ def test_unknown_label_lookup(models, pm, label):
         models[pm].cid(label)
 
 
+def test_cid_decodes_no_label_and_the_sweep_about_two_a_component(models, monkeypatch):
+    # cid is labels.index: the closed form, with no label decoded; the divisor sweep
+    # decodes D in its loop and in v_own, and little else (3.0 and 3.1 when cid decoded)
+    decodes, kinds, getitem = [], set(), FermatLabels.__getitem__
+
+    def spy(self, cid):
+        decodes.append(cid)
+        return getitem(self, cid)
+
+    monkeypatch.setattr(FermatLabels, "__getitem__", spy)
+    for pm in ((5, 3), (7, 3)):  # every kind: (5,3) has no Lgamma, (7,3) no Ldelta
+        model = models[pm]
+        for label in {lab.kind: lab for lab in model.config.labels}.values():
+            kinds.add(label.kind)
+            assert model.cid(label) == list(model.config.labels).index(label)
+        with pytest.raises(ParameterError):
+            model.cid(FermatLabel("LXYZ", 3 * pm[1] + 1))
+        model.lxyz(1), model.chain(1, 2, 3), model.cusp(2, 1), model.fm
+        assert decodes == []
+        assert all(chk.passed for chk in representative_relation_full(model))
+        assert len(decodes) <= 2.2 * model.config.n_components, pm
+        decodes.clear()
+    assert kinds == set(KINDS)
+
+
 def _build_by_sorted_labels(p, m, s):
     """The fiber built without closed-form ids: sorted labels, edges looked up by label."""
     census = expected_census(p, m, s)
@@ -385,7 +411,30 @@ def test_closed_form_ids_match_sorted_label_build(p, m, s):
     got = model.config.labels
     n = len(got)
     assert list(got) == [got[cid] for cid in range(n)] == list(labels)
+    assert [got.index(got[cid]) for cid in range(n)] == list(range(n))
     assert [model.cid(got[cid]) for cid in range(n)] == list(range(n))
+    # every field of every kind has its range: a label past one names no component
+    n_gamma, n_delta = model.census()["Lgamma"], model.census()["Ldelta"]
+    bad = [FermatLabel("Chain", i, k, j) for i, k, j in (
+        (1, 1, 0), (1, 1, m), (1, p + 1, 1), (1, 0, 1), (3 * m + 1, 1, 1), (0, 1, 1))]
+    bad += [FermatLabel("Fm", 1), FermatLabel("Fm", 0, 1), FermatLabel("Fm", 0, 0, 1),
+            FermatLabel("LXYZ", 0), FermatLabel("LXYZ", 3 * m + 1), FermatLabel("LXYZ", 1, 1),
+            FermatLabel("Ldelta", n_delta + 1), FermatLabel("Ldelta", 0),
+            FermatLabel("Ldelta", 1, 0, 1), FermatLabel("Lgamma", n_gamma + 1),
+            FermatLabel("Lgamma", 0), FermatLabel("Lgamma", 1, 1),
+            FermatLabel("LgammaLeaf", n_gamma + 1, 0, 1), FermatLabel("LgammaLeaf", 1, 0, 0),
+            FermatLabel("LgammaLeaf", 1, 0, p + 1), FermatLabel("LgammaLeaf", 1, 1, 1),
+            FermatLabel("Curve"), FermatLabel("LXYZ", 1.5), FermatLabel("Chain", 1, 1, 1.5)]
+    for label in bad:
+        with pytest.raises(ValueError):
+            got.index(label)
+        with pytest.raises(ParameterError, match="no component labelled"):
+            model.cid(label)
+    # on a hand-built tuple, cid finds a label wherever it sits
+    flipped = dataclasses.replace(model, config=FiberConfig(
+        labels[::-1], *columns(cfg)[1:], {}, cfg.genus))
+    for cid in (0, 1, n // 2, n - 1):
+        assert flipped.cid(labels[cid]) == n - 1 - cid
     assert Counter(lab.kind for lab in got) == Counter(model.census())
     # the reference build's tuple of labels is counted label by label
     assert dataclasses.replace(model, config=cfg).census() == model.census()
