@@ -200,16 +200,22 @@ class FiberConfig:
             raise ParameterError(f"genus must be an int, got {genus!r}")
         nbrs: list[dict[int, int]] = [{} for _ in range(n)]
         for (a, b), cnt in pairings.items() if isinstance(pairings, Mapping) else pairings:
-            if not (1 < a < n and 1 < b < n and a != b):  # a bool id is 0 or 1, so it lands here
-                if a == b:
-                    raise ParameterError("diagonal entries belong to the self_ints column")
-                if not (type(a) is int is type(b) and 0 <= a < n and 0 <= b < n):
-                    raise ParameterError(f"unknown component id in pairing ({a}, {b})")
-            if type(cnt) is not int or cnt < 0:
-                raise ParameterError(f"pairing ({a}, {b}): count must be an int >= 0, got {cnt!r}")
-            if cnt:
-                na, nb = nbrs[a], nbrs[b]
-                na[b] = nb[a] = na.get(b, 0) + cnt
+            try:  # a non-int id fails a comparison, the list index or the zero-count test
+                if not (1 < a < n and 1 < b < n and a != b):  # a bool id is 0 or 1: lands here
+                    if a == b:
+                        raise ParameterError("diagonal entries belong to the self_ints column")
+                    if not (type(a) is int is type(b) and 0 <= a < n and 0 <= b < n):
+                        raise TypeError
+                if type(cnt) is not int or cnt < 0:
+                    raise ParameterError(f"pairing ({a}, {b}): count must be an int >= 0, "
+                                         f"got {cnt!r}")
+                if cnt:
+                    na, nb = nbrs[a], nbrs[b]
+                    na[b] = nb[a] = na.get(b, 0) + cnt
+                elif not type(a) is int is type(b):  # a zero count stores nothing
+                    raise TypeError
+            except TypeError:
+                raise ParameterError(f"unknown component id in pairing ({a!r}, {b!r})") from None
         sizes = None if sizes is None else tuple(sizes)
         if sizes is not None and (len(sizes) != n
                                   or any(type(k) is not int or k < 1 for k in sizes)):

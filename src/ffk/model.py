@@ -26,8 +26,9 @@ Ldelta and n_gamma of Lgamma:
     Lgamma(i)        c + 3m + n_delta + i
     LgammaLeaf(j,i)  c + 3m + n_delta + n_gamma + (i-1)p + j
 
-A built config stores no label: its labels are a FermatLabels, the one codec of
-this table, which makes each label from its id on demand and each id from its label.
+Both tables are one in the code, _table: a row per kind in id order, its (i, k, j) box
+and shape. A built config stores no label: its labels are a FermatLabels, the one codec
+of the layout, which makes each label from its id on demand and each id from its label.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .fiber import (
     pairing_divisor,
 )
 
-KINDS = ("Fm", "LXYZ", "Chain", "Lgamma", "LgammaLeaf", "Ldelta")
 _LAYOUT = ("Chain", "Fm", "LXYZ", "Ldelta", "Lgamma", "LgammaLeaf")  # the kinds in id order
 _new = tuple.__new__  # makes a FermatLabel from its (kind, i, k, j) with no Python frame
 
@@ -80,12 +80,11 @@ class FermatLabel(NamedTuple):
 class FermatLabels(Sequence):
     """The labels of the (p, m, s) fiber in id order: the one codec of the id layout.
 
-    Each kind's ids run from its first id over a box i0 <= i < i0 + ni, k0 <= k < k0 + nk,
-    j0 <= j < j0 + nj in row-major (i, k, j) order, the offsets of the module docstring.
-    Indexing decodes an id, taking negative ids and slices as a tuple does; index(label)
-    encodes, its inverse in O(1); iteration streams the labels in id order; `census` is
-    the layout's run lengths. No label is stored. (p, m, s) are taken as FermatParams
-    has validated them.
+    Each kind's ids run from its first id, the census before it, over its box in _table
+    in row-major (i, k, j) order: the offsets of the module docstring. Indexing decodes an
+    id, taking negative ids and slices as a tuple does; index(label) encodes, its inverse
+    in O(1); iteration streams the labels in id order. No label is stored. (p, m, s) are
+    taken as FermatParams has validated them.
     """
 
     p: int
@@ -96,16 +95,12 @@ class FermatLabels(Sequence):
     _rows: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p, m, census = self.p, self.m, self.census
-        arms, gammas, one = (1, 3 * m), (1, census["Lgamma"]), (0, 1)  # (least value, count)
-        boxes = {"Chain": (arms, (1, p), (1, m - 1)), "Fm": (one, one, one),
-                 "LXYZ": (arms, one, one), "Ldelta": ((1, census["Ldelta"]), one, one),
-                 "Lgamma": (gammas, one, one), "LgammaLeaf": (gammas, one, (1, p))}
-        firsts = [0, *accumulate(census[kind] for kind in _LAYOUT)]
+        firsts = [0, *accumulate(expected_census(self.p, self.m, self.s).values())]
         object.__setattr__(self, "_ids", range(firsts.pop()))
         object.__setattr__(self, "_firsts", tuple(firsts))
-        object.__setattr__(self, "_rows", tuple(  # (kind, first, i0, ni, k0, nk, j0, nj)
-            (kind, first, *chain(*boxes[kind])) for kind, first in zip(_LAYOUT, firsts)))
+        object.__setattr__(self, "_rows", tuple(  # (kind, first, i0, ni, k0, nk, j0, nj, shape)
+            (kind, first, *i, *k, *j, shape)
+            for (kind, i, k, j, shape), first in zip(_table(self.p, self.m, self.s), firsts)))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -115,30 +110,28 @@ class FermatLabels(Sequence):
         if c.__class__ is range:
             return tuple(map(self.__getitem__, c))
         # the last kind whose first id is c or less: an empty kind shares the next one's
-        kind, first, i0, _, k0, nk, j0, nj = self._rows[bisect_right(self._firsts, c) - 1]
+        kind, first, i0, _, k0, nk, j0, nj, _ = self._rows[bisect_right(self._firsts, c) - 1]
         c -= first
         return _new(FermatLabel, (kind, i0 + c // nj // nk, k0 + c // nj % nk, j0 + c % nj))
 
     def index(self, label) -> int:
         """The id of `label`, the inverse of indexing, in O(1); ValueError, as tuple.index
-        raises, for a kind not in the layout or a field outside its kind's box."""
-        kind, i, k, j = label
-        _, first, i0, ni, k0, nk, j0, nj = self._rows[_LAYOUT.index(kind)]
-        i, k, j = i - i0, k - k0, j - j0
-        cid = first + (i * nk + k) * nj + j
-        if 0 <= i < ni and 0 <= k < nk and 0 <= j < nj and type(cid) is int:
-            return cid
+        raises, for anything but a (kind, i, k, j) of the layout with ints in its box."""
+        try:
+            kind, i, k, j = label
+            _, first, i0, ni, k0, nk, j0, nj, _ = self._rows[_LAYOUT.index(kind)]
+            i, k, j = i - i0, k - k0, j - j0
+            cid = first + (i * nk + k) * nj + j
+            if 0 <= i < ni and 0 <= k < nk and 0 <= j < nj and type(cid) is int:
+                return cid
+        except TypeError:
+            pass
         raise ValueError(f"{label!r} names no component of {self!r}")
 
     def __iter__(self):
         return map(_new, repeat(FermatLabel), chain.from_iterable(
             product([kind], range(i0, i0 + ni), range(k0, k0 + nk), range(j0, j0 + nj))
-            for kind, _, i0, ni, k0, nk, j0, nj in self._rows))
-
-    @property
-    def census(self) -> dict[str, int]:
-        """Component count per kind, read from the layout, with no pass over the labels."""
-        return expected_census(self.p, self.m, self.s)
+            for kind, _, i0, ni, k0, nk, j0, nj, _ in self._rows))
 
 
 @dataclass(frozen=True)
@@ -189,9 +182,9 @@ class FermatParams:
         return genus_formula(self.n)
 
     def cusp_end(self, i: int, k: int) -> FermatLabel:
-        """Chain(1, k, i), the chain end the cusp section (i, k) meets; checks the range."""
-        if not (1 <= i <= 3 * self.m and 1 <= k <= self.p):
-            raise ParameterError(f"cusp ({i},{k}) out of range: need 1 <= i <= "
+        """Chain(1, k, i), the chain end the cusp section (i, k) meets; checks ints in range."""
+        if not (type(i) is int is type(k) and 1 <= i <= 3 * self.m and 1 <= k <= self.p):
+            raise ParameterError(f"cusp ({i!r},{k!r}) out of range: need 1 <= i <= "
                                  f"{3 * self.m} and 1 <= k <= {self.p}")
         return FermatLabel("Chain", i, k, 1)
 
@@ -252,39 +245,34 @@ class FermatModel:
         return self.cid(self.params.cusp_end(i, k))
 
     def census(self) -> dict[str, int]:
-        """Component count per kind: the layout's when the config holds FermatLabels, else
+        """Component count per kind: the table's when the config holds FermatLabels, else
         counted label by label (a config built some other way, as by a test)."""
         labels = self.config.labels
         if isinstance(labels, FermatLabels):
-            return labels.census
-        out = dict.fromkeys(KINDS, 0)
+            return expected_census(labels.p, labels.m, labels.s)
+        out = dict.fromkeys(_LAYOUT, 0)
         for label in labels:
             out[label.kind] += 1
         return out
 
 
+def _table(p: int, m: int, s: int) -> tuple[tuple, ...]:
+    """The module docstring's tables, a row per kind in id order: (kind, i, k, j, shape).
+    i, k and j are box sides (least value, count): a kind's ids run over its box in
+    row-major (i, k, j) order, ni nk nj of them. The shape is (multiplicity, genus,
+    self-intersection); a multiplicity None is the level j, as for Chain(j, k, i)."""
+    arms, gammas, one = (1, 3 * m), (1, m * m * s), (0, 1)  # Lgamma count m rho
+    return (("Chain", arms, (1, p), (1, m - 1), (None, 0, -2)),
+            ("Fm", one, one, one, (p, genus_formula(m), -m * m)),
+            ("LXYZ", arms, one, one, (m, 0, -p)),
+            ("Ldelta", (1, m * m * (p - 3) - 2 * m * m * s), one, one, (1, 0, -p)),
+            ("Lgamma", gammas, one, one, (2, 0, -p)),
+            ("LgammaLeaf", gammas, one, (1, p), (1, 0, -2)))
+
+
 def expected_census(p: int, m: int, s: int) -> dict[str, int]:
-    """Component count per kind, from the census table above."""
-    rho = m * s
-    return {
-        "Fm": 1,
-        "LXYZ": 3 * m,
-        "Chain": 3 * m * p * (m - 1),
-        "Lgamma": m * rho,
-        "LgammaLeaf": p * m * rho,
-        "Ldelta": m * m * (p - 3) - 2 * m * rho,
-    }
-
-
-def _shapes(p: int, m: int) -> dict[str, tuple[int, int, int]]:
-    """(multiplicity, genus, self-intersection) by kind; a Chain(j) has (j, 0, -2)."""
-    return {
-        "Fm": (p, genus_formula(m), -m * m),
-        "LXYZ": (m, 0, -p),
-        "Ldelta": (1, 0, -p),
-        "Lgamma": (2, 0, -p),
-        "LgammaLeaf": (1, 0, -2),
-    }
+    """Component count per kind, in id order: the size of each kind's box in _table."""
+    return {kind: ni * nk * nj for kind, (_, ni), (_, nk), (_, nj), _ in _table(p, m, s)}
 
 
 def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
@@ -293,23 +281,20 @@ def build_config(p: int, m: int, s: int | None = None) -> FermatModel:
     s (the double-root count) is an explicit parameter so synthetic
     configurations can be exercised; pass None to derive it from the
     polynomial arithmetic (FermatParams). The component cap is checked against
-    the census before any column is filled. The columns follow the id layout of
-    the module docstring, each kind one run of one shape; the labels are
-    FermatLabels, made from the ids on demand, so no object per component is made.
+    the census before any label or column is made. The labels are FermatLabels,
+    made from the ids on demand, and the columns are read from their rows, so no
+    object per component is made.
     """
     params = FermatParams(p, m, s)
-    census = expected_census(p, m, params.s)
-    check_component_cap(sum(census.values()))
-    shape = _shapes(p, m)
-    runs = [(kind, census[kind]) for kind in _LAYOUT[1:]]  # each kind after the chains
-    n_chain = census["Chain"]
-    mult, genera, self_ints = (
-        chain(first, *(repeat(shape[kind][f], count) for kind, count in runs))
-        for f, first in enumerate((chain.from_iterable(repeat(range(1, m), 3 * m * p)),
-                                   repeat(0, n_chain), repeat(-2, n_chain))))
+    check_component_cap(sum(expected_census(p, m, params.s).values()))
     labels = FermatLabels(p, m, params.s)
-    return FermatModel(params, FiberConfig(labels, mult, genera, self_ints, _edges(labels),
-                                           params.genus))
+    # each kind's (multiplicity, genus, self-intersection) runs over its box, a None as
+    # the levels j; the lists bind each value before the columns are consumed
+    runs = zip(*([repeat(v, ni * nk * nj) if v is not None else
+                  chain.from_iterable(repeat(range(j0, j0 + nj), ni * nk)) for v in shape]
+                 for _, _, _, ni, _, nk, j0, nj, shape in labels._rows))
+    return FermatModel(params, FiberConfig(labels, *map(chain.from_iterable, runs),
+                                           _edges(labels), params.genus))
 
 
 def _edges(labels: FermatLabels):
@@ -355,7 +340,8 @@ def cusp_quotient(params: FermatParams, cusp: tuple[int, int]) -> FiberConfig:
     """
     end = params.cusp_end(*cusp)
     p, m, i, k = params.p, params.m, end.i, end.k
-    census, shape = expected_census(p, m, params.s), _shapes(p, m)
+    census = expected_census(p, m, params.s)
+    shape = {row[0]: row[-1] for row in _table(p, m, params.s)}
     other_i = i % (3 * m) + 1
     cusp_c, arm, other = ([FermatLabel("Chain", ii, kk, j) for j in range(1, m)]
                           for ii, kk in ((i, k), (i, k % p + 1), (other_i, k)))
@@ -366,7 +352,7 @@ def cusp_quotient(params: FermatParams, cusp: tuple[int, int]) -> FiberConfig:
              **dict.fromkeys(other, p * (3 * m - 1)), fm: 1, lx: 1, lx_other: 3 * m - 1}
     sizes.update((lab, census[lab.kind]) for lab in (ld, lg, leaf))
     ids = {label: c for c, label in enumerate(x for x, n in sizes.items() if n)}
-    d, g, sq = zip(*((lab.j, 0, -2) if lab.kind == "Chain" else shape[lab.kind] for lab in ids))
+    d, g, sq = zip(*((d or lab.j, g, sq) for lab in ids for d, g, sq in [shape[lab.kind]]))
     # each component of b meets one of a, so [a].[b] = |b|
     meets = [(fm, lx), (fm, lx_other), (fm, ld), (fm, lg), (lg, leaf), (lx, cusp_c[-1]),
              (lx, arm[-1]), (lx_other, other[-1])]

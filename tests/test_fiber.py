@@ -629,20 +629,29 @@ COUNT, SIZE = "count must be an int >= 0", "sizes must give every component a si
     ({(0, 1): 1, (1, 0): -1}, None, COUNT),
     ({(0, 1): 0.5}, None, COUNT),
     ({(0, 1): Fraction(1)}, None, COUNT),
-    ({(0, 1): 1}, [1, 1.0], SIZE),
-    ({(0, 1): 1}, [1, Fraction(2)], SIZE),
+    ({(0, 1): 1}, [1, 1, 1, 1.0], SIZE),
+    ({(0, 1): 1}, [1, 1, 1, Fraction(2)], SIZE),
     ({(0, 1): True}, None, COUNT),
-    ({(0, 1): 1}, [1, True], SIZE),
+    ({(0, 1): 1}, [1, 1, 1, True], SIZE),
     ({(False, True): 1}, None, "in pairing (False, True)"),
     ({(0, True): 1}, None, "in pairing (0, True)"),
     ({(True, 0): 1}, None, "in pairing (True, 0)"),
     ({(1.0, 0): 1}, None, "in pairing (1.0, 0)"),
-    ({(0, 2): 1}, None, "in pairing (0, 2)"),
+    ({(0, 4): 1}, None, "in pairing (0, 4)"),
+    ({(2.0, 3): 1}, None, "in pairing (2.0, 3)"),
+    ({(2, 3.0): 1}, None, "in pairing (2, 3.0)"),
+    ({("2", 3): 1}, None, "in pairing ('2', 3)"),
+    ({(None, 3): 1}, None, "in pairing (None, 3)"),
+    ({(2.5, 3): 0}, None, "in pairing (2.5, 3)"),
+    ({(2, 3.5): 0}, None, "in pairing (2, 3.5)"),
 ], ids=["negative-count", "float-count", "fraction-count", "float-size", "fraction-size",
-        "bool-count", "bool-size", "bool-ids", "bool-b", "bool-a", "float-id", "id-past-n"])
+        "bool-count", "bool-size", "bool-ids", "bool-b", "bool-a", "float-id", "id-past-n",
+        "float-a-past-1", "float-b-past-1", "str-id", "none-id", "float-a-zero-count",
+        "float-b-zero-count"])
 def test_fiber_config_takes_only_int_counts_and_sizes(pairings, sizes, message):
-    # an id is an int too: a bool is an int equal to 0 or 1, so only a type test refuses it
-    cols = ("AB", [1, 1], [0, 0], [-1, -1])
+    # an id is an int too: a bool is an int equal to 0 or 1, so only a type test refuses
+    # it; an id of 2 or more skips the per-edge type test, so four components
+    cols = ("ABCD", [1] * 4, [0] * 4, [-1] * 4)
     with pytest.raises(ParameterError, match=re.escape(message)):
         FiberConfig(*cols, pairings, 0, sizes=sizes)
     zero = FiberConfig(*cols, {(0, 1): 0}, 0)

@@ -10,7 +10,7 @@ from ffk.divisors import beta_s, g_s, per_prime_geometric, semipos_check
 from ffk.errors import CapExceeded, ParameterError
 from ffk.fiber import FiberConfig, QDivisor, i_c_values, pair, validate
 from ffk.model import (
-    KINDS,
+    _LAYOUT,
     FermatLabel,
     FermatLabels,
     FermatModel,
@@ -327,8 +327,15 @@ def test_fiber_divisor_orthogonal_on_all(models):
     pytest.param((7, 3), FermatLabel("LgammaLeaf", i=1, j=8), id="leaf-j-p+1"),
     pytest.param((5, 3), FermatLabel("Fm", i=1), id="fm-i-1"),
     pytest.param((5, 3), FermatLabel("Curve"), id="unknown-kind"),
+    pytest.param((5, 3), 5, id="an-int"),
+    pytest.param((5, 3), None, id="none"),
+    pytest.param((5, 3), ("LXYZ", "1", 0, 0), id="str-field"),
+    pytest.param((5, 3), ("Chain", 1, 1, None), id="none-field"),
 ])
 def test_unknown_label_lookup(models, pm, label):
+    # whatever the label, index raises ValueError, as tuple.index does, and cid ParameterError
+    with pytest.raises(ValueError):
+        models[pm].config.labels.index(label)
     with pytest.raises(ParameterError, match="no component labelled"):
         models[pm].cid(label)
 
@@ -355,12 +362,14 @@ def test_cid_decodes_no_label_and_the_sweep_about_two_a_component(models, monkey
         assert all(chk.passed for chk in representative_relation_full(model))
         assert len(decodes) <= 2.2 * model.config.n_components, pm
         decodes.clear()
-    assert kinds == set(KINDS)
+    assert kinds == set(_LAYOUT)
 
 
 def _build_by_sorted_labels(p, m, s):
-    """The fiber built without closed-form ids: sorted labels, edges looked up by label."""
-    census = expected_census(p, m, s)
+    """The fiber built without closed-form ids: sorted labels, edges looked up by label.
+
+    Its counts and shapes are the census table's, written out here a second time."""
+    census = {"Lgamma": m * m * s, "Ldelta": m * m * (p - 3) - 2 * m * m * s}
     labels = [FermatLabel("Fm")]
     labels += [FermatLabel("LXYZ", i=i) for i in range(1, 3 * m + 1)]
     labels += [FermatLabel("Chain", i=i, k=k, j=j)

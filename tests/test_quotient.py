@@ -349,7 +349,7 @@ def test_empty_cells_are_dropped(pms, gone):
 @pytest.mark.parametrize("fn", QUOTIENT_FUNCTIONS, ids=lambda fn: fn.__name__)
 def test_bad_cusp_raises_parameter_error(model53, fn):
     p, m = model53.params.p, model53.params.m
-    for cusp in ((0, 1), (3 * m + 1, 1), (1, p + 1)):
+    for cusp in ((0, 1), (3 * m + 1, 1), (1, p + 1), (1.5, 1), (1, 2.0), (True, 1), ("1", 1)):
         with pytest.raises(ParameterError):
             fn(model53, cusp)
 
