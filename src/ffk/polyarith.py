@@ -10,6 +10,7 @@ the special fiber.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from itertools import accumulate
 from math import comb, factorial
 
@@ -43,65 +44,30 @@ def _small_factors(n: int, limit: int) -> tuple[list[int], int]:
 
 
 def factorize(n: int) -> list[int]:
-    """Prime factors of n >= 1 in ascending order, with multiplicity, by trial division."""
+    """Prime factors of an int n >= 1, ascending, with multiplicity, by trial division."""
+    if type(n) is not int:
+        raise ParameterError(f"n must be an int, got {n!r}")
     return _small_factors(n, n)[0]
 
 
 def is_prime(n: int) -> bool:
-    return n > 1 and factorize(n) == [n]
+    return factorize(n) == [n]  # [] for every n < 2
 
 
 def require_odd_prime(p: int) -> None:
-    """CapExceeded for any p above DOUBLE_ROOT_CAP, checked before the trial division that
+    """ParameterError unless p is an int (a bool is not), before any comparison; then
+    CapExceeded for any p above DOUBLE_ROOT_CAP, checked before the trial division that
     tests p, which so takes at most sqrt(cap) steps; ParameterError unless p is an odd prime."""
+    if type(p) is not int:
+        raise ParameterError(f"p must be an int, got {p!r}")
     if p > DOUBLE_ROOT_CAP:
         raise CapExceeded(f"p = {p} exceeds the double-root cap {DOUBLE_ROOT_CAP}")
     if not is_prime(p) or p == 2:
         raise ParameterError(f"p must be an odd prime, got {p}")
 
 
-class BiPoly:
-    """Sparse bivariate polynomial over Z, stored as {(i, j): coeff}."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c: int = 1) -> "BiPoly":
-        return cls({(i, j): c})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self.terms == other.terms
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return BiPoly(out)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> "BiPoly":
-        return BiPoly({key: k * v for key, v in self.terms.items()})
-
-    def exact_div_scalar(self, k: int) -> "BiPoly":
-        if any(v % k for v in self.terms.values()):
-            raise MathContractError(f"polynomial not divisible by {k}")
-        return BiPoly({key: v // k for key, v in self.terms.items()})
-
-    def substitute_powers(self, m: int) -> "BiPoly":
-        """Replace (a, b) by (a^m, b^m): scales every exponent by m."""
-        return BiPoly({(i * m, j * m): v for (i, j), v in self.terms.items()})
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self.terms})"
-
-
-def trinomial_pow(n: int) -> BiPoly:
-    """(a + b - 1)^n expanded by the multinomial theorem."""
+def trinomial_pow(n: int) -> dict[tuple[int, int], int]:
+    """(a + b - 1)^n expanded by the multinomial theorem, as {(i, j): coefficient}."""
     terms = {}
     fn = factorial(n)
     for i in range(n + 1):
@@ -109,19 +75,17 @@ def trinomial_pow(n: int) -> BiPoly:
             k = n - i - j
             c = fn // (factorial(i) * factorial(j) * factorial(k))
             terms[(i, j)] = c if k % 2 == 0 else -c
-    return BiPoly(terms)
+    return terms
 
 
-def psi_poly(p: int) -> BiPoly:
-    """The splitting polynomial psi(a,b) = (a^p + b^p - 1 - (a+b-1)^p)/p."""
+def psi_poly(p: int) -> dict[tuple[int, int], int]:
+    """psi(a,b) = (a^p + b^p - 1 - (a+b-1)^p)/p as {(i, j): coefficient}, no coefficient 0."""
     require_odd_prime(p)
-    num = (
-        BiPoly.monomial(p, 0)
-        + BiPoly.monomial(0, p)
-        + BiPoly.monomial(0, 0, -1)
-        - trinomial_pow(p)
-    )
-    return num.exact_div_scalar(p)
+    num = Counter({(p, 0): 1, (0, p): 1, (0, 0): -1})
+    num.subtract(trinomial_pow(p))
+    if any(c % p for c in num.values()):
+        raise MathContractError(f"polynomial not divisible by {p}")
+    return {key: c // p for key, c in num.items() if c}
 
 
 def psi_diag(p: int) -> tuple[int, ...]:
@@ -337,29 +301,19 @@ def double_roots_gcd(p: int) -> list[int]:
 
 
 def fermat_split_check(p: int, m: int) -> bool:
-    """Exact check of X^N + Y^N - 1 = (X^m + Y^m - 1)^p + p*psi(X^m, Y^m).
-
-    (X^m + Y^m - 1)^p is expanded here by binomials, apart from psi_poly's
-    trinomial_pow, so the check fails unless the two expansions agree.
-    """
+    """Exact check of X^N + Y^N - 1 = (X^m + Y^m - 1)^p + p*psi(X^m, Y^m), with the power
+    expanded here by binomials, apart from psi_poly's trinomial_pow, so the two must agree."""
     require_odd_prime(p)
-    if m < 1:
-        raise ParameterError(f"m must be positive, got {m}")
+    if type(m) is not int or m < 1:
+        raise ParameterError(f"m must be a positive int, got {m!r}")
     n = p * m
     if n > SPLIT_CAP:
         raise CapExceeded(f"degree N = {n} exceeds the splitting-check cap {SPLIT_CAP}")
-    lhs = (
-        BiPoly.monomial(n, 0)
-        + BiPoly.monomial(0, n)
-        + BiPoly.monomial(0, 0, -1)
-    )
     try:
         psi = psi_poly(p)
     except MathContractError:
         return False
-    power = BiPoly({
-        (i * m, j * m): comb(p, i + j) * comb(i + j, i) * (-1) ** (p - i - j)
-        for i in range(p + 1)
-        for j in range(p + 1 - i)
-    })
-    return lhs == power + psi.substitute_powers(m).scale(p)
+    rhs = Counter({(i * m, j * m): p * c for (i, j), c in psi.items()})
+    rhs.update({(i * m, j * m): comb(p, i + j) * comb(i + j, i) * (-1) ** (p - i - j)
+                for i in range(p + 1) for j in range(p + 1 - i)})
+    return {key: c for key, c in rhs.items() if c} == {(n, 0): 1, (0, n): 1, (0, 0): -1}

@@ -1,6 +1,7 @@
-"""Every public function and method of the package, and every private module-level
+"""Every public function, method and class of the package, and every private module-level
 function and class, has a caller inside the package, every name a package module
-imports is read in that module, and every attribute the package stores is read in it.
+imports is read in that module, every module-level name a module assigns is read in
+the package, and every attribute the package stores is read in it.
 
 A public module-level function, or a public non-dunder method of a package
 class, that only tests call is a second entry point to a quantity some other
@@ -95,6 +96,39 @@ def unreferenced_private_definitions(package: Path = PACKAGE) -> list[str]:
 
 def test_every_private_helper_has_a_package_caller():
     assert unreferenced_private_definitions() == []
+
+
+def unreferenced_public_classes(package: Path = PACKAGE) -> list[str]:
+    """module.Name of each public module-level class no other package code references."""
+    return _unreferenced(1, package, kinds=(ast.ClassDef,))
+
+
+def test_every_public_class_has_a_package_caller():
+    assert unreferenced_public_classes() == []
+
+
+def unread_module_names(package: Path = PACKAGE) -> list[str]:
+    """module.name of each name a module-level assignment binds in a module but __init__.py
+    that no package module reads as an ast.Name or an ast.Attribute in a Load context: a
+    constant or alias that a deletion leaves behind."""
+    bound, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+        if path.name == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound += [(path.stem, sub.id) for target in targets for sub in ast.walk(target)
+                          if isinstance(sub, ast.Name)]
+    return [f"{module}.{name}" for module, name in bound if name not in read]
+
+
+def test_every_module_level_name_is_read():
+    assert unread_module_names() == []
 
 
 def unused_imports(package: Path = PACKAGE) -> list[str]:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from itertools import count
 
@@ -11,7 +12,6 @@ from ffk.errors import CapExceeded, MathContractError, ParameterError
 from ffk.polyarith import (
     DOUBLE_ROOT_CAP,
     ORACLE_BOUND,
-    BiPoly,
     FpPoly,
     _small_factors,
     capital_psi,
@@ -23,6 +23,8 @@ from ffk.polyarith import (
     fermat_split_check,
     psi_diag,
     psi_poly,
+    require_odd_prime,
+    trinomial_pow,
 )
 
 PRIMES_TO_101 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -62,10 +64,10 @@ def _poly_mul(a, b):
     return out
 
 
-def substitute_diag(f: BiPoly) -> tuple[int, ...]:
+def substitute_diag(f: dict) -> tuple[int, ...]:
     """Independent oracle for psi_diag: f(a, 1-a), with (1-a)^j by repeated multiplication."""
     acc, powers = [], [[1]]
-    for (i, j), c in sorted(f.terms.items()):
+    for (i, j), c in sorted(f.items()):
         while len(powers) <= j:
             powers.append(_poly_mul(powers[-1], [1, -1]))
         acc = _poly_add(acc, _poly_mul([0] * i + [c], powers[j]))
@@ -78,26 +80,52 @@ def test_psi_poly_p3_explicit():
     # oracle: -a^2 b - a b^2 + a^2 + 2ab + b^2 - a - b
     want = {(2, 1): -1, (1, 2): -1, (2, 0): 1, (1, 1): 2, (0, 2): 1,
             (1, 0): -1, (0, 1): -1}
-    assert psi_poly(3).terms == want
+    assert psi_poly(3) == want
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_101)
 def test_psi_defining_identity(p):
     # p*psi + (a+b-1)^p - a^p - b^p + 1 = 0, against the naive-power oracle
-    tri = slow_trinomial_pow(p)
-    lhs = psi_poly(p).scale(p) + BiPoly(tri)
-    lhs = lhs - BiPoly.monomial(p, 0) - BiPoly.monomial(0, p) + BiPoly.monomial(0, 0)
-    assert lhs.terms == {}
+    lhs = {key: p * c for key, c in psi_poly(p).items()}
+    for key, c in [*slow_trinomial_pow(p).items(), ((p, 0), -1), ((0, p), -1), ((0, 0), 1)]:
+        lhs[key] = lhs.get(key, 0) + c
+    assert all(c == 0 for c in lhs.values())
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_101)
+def test_psi_and_trinomial_pow_store_no_zero(p):
+    assert 0 not in psi_poly(p).values() and 0 not in trinomial_pow(p).values()
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_101)
+def test_psi_poly_is_the_slow_oracle_dict(p):
+    num = {key: -c for key, c in slow_trinomial_pow(p).items()}
+    for key, c in (((p, 0), 1), ((0, p), 1), ((0, 0), -1)):
+        num[key] = num.get(key, 0) + c
+    assert all(c % p == 0 for c in num.values())
+    assert psi_poly(p) == {key: c // p for key, c in num.items() if c}
 
 
 def test_psi_value_at_one_one():
-    assert sum(psi_poly(5).terms.values()) == 0  # the value at (1, 1) is the coefficient sum
+    assert sum(psi_poly(5).values()) == 0  # the value at (1, 1) is the coefficient sum
 
 
 @pytest.mark.parametrize("p", [4, 9, 2, 1, 15])
 def test_psi_rejects_non_odd_primes(p):
     with pytest.raises(ParameterError):
         psi_poly(p)
+
+
+@pytest.mark.parametrize("call,arg", [
+    (require_odd_prime, 7.0), (require_odd_prime, "7"), (require_odd_prime, True),
+    (is_prime, 7.0), (is_prime, "7"), (factorize, 7.5), (factorize, True), (double_root_count, 7.0),
+    (double_roots, 7.0), (psi_diag, 7.0), (psi_poly, 5.0), (capital_psi, 7.0),
+    (double_roots_gcd, 7.0),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_a_non_int_is_refused(call, arg):
+    # the type test comes before any comparison, so neither a TypeError nor a pass
+    with pytest.raises(ParameterError, match=re.escape(f"must be an int, got {arg!r}")):
+        call(arg)
 
 
 def test_psi_diag_explicit():
@@ -202,18 +230,22 @@ def test_fermat_split(p, m):
 
 def _add_to_trinomial_pow(monkeypatch, extra):
     right = polyarith.trinomial_pow
-    monkeypatch.setattr(polyarith, "trinomial_pow", lambda n: right(n) + extra(n))
+    def wrong(n):
+        terms = right(n)
+        terms[(1, 1)] += extra(n)
+        return terms
+    monkeypatch.setattr(polyarith, "trinomial_pow", wrong)
 
 
 @pytest.mark.parametrize("p,m", [(7, 3), (7, 5)])
 def test_fermat_split_fails_on_a_wrong_power(monkeypatch, p, m):
     # 7n ab is a multiple of p, so psi_poly still divides exactly
-    _add_to_trinomial_pow(monkeypatch, lambda n: BiPoly.monomial(1, 1, 7 * n))
+    _add_to_trinomial_pow(monkeypatch, lambda n: 7 * n)
     assert not fermat_split_check(p, m)
 
 
 def test_split_check_reports_a_psi_that_p_does_not_divide(monkeypatch):
-    _add_to_trinomial_pow(monkeypatch, lambda n: BiPoly.monomial(1, 1))
+    _add_to_trinomial_pow(monkeypatch, lambda n: 1)
     results = verify.suite_polynomial()
     split = [r for r in results if r.name.startswith("splitting identity")]
     assert len(split) == len(verify.ACCEPTANCE_PAIRS)
@@ -224,6 +256,12 @@ def test_split_check_reports_a_psi_that_p_does_not_divide(monkeypatch):
 def test_fermat_split_cap():
     with pytest.raises(CapExceeded, match="2000"):
         fermat_split_check(3, 667)
+
+
+@pytest.mark.parametrize("m", [True, 2.0, 0])
+def test_fermat_split_refuses_an_m_that_is_not_a_positive_int(m):
+    with pytest.raises(ParameterError, match=re.escape(f"m must be a positive int, got {m!r}")):
+        fermat_split_check(3, m)
 
 
 def test_factorize_and_is_prime():
