@@ -168,9 +168,13 @@ class FiberConfig:
     holds the off-diagonal entries: (i, j) -> number of transversal intersection
     points, as a mapping or, as `dict()` takes them, an iterable of ((i, j),
     count) pairs; counts given as both (i, j) and (j, i), or for one pair more
-    than once, are summed. Each edge is stored once per endpoint, in the neighbour
-    map of that component. Whole-fiber facts that never change, such as the first
-    non-orthogonal component, are computed once.
+    than once, are summed. Each edge is stored once: `_up[c]` and `_upc[c]` are
+    the component c links to and the link's count (-1 and 0 for none); `_first[c]`,
+    then `_nxt` of each, list the components linking to c. A new edge is its first
+    end's link, else its second end's, else, both ends linked, an `_extra` edge, in
+    a neighbour map at each end. Model's builds name each edge child first, so they
+    are stored as the tree rooted at Fm with no extra edge. Whole-fiber facts that
+    never change, such as the first non-orthogonal component, are computed once.
     `sizes` holds each vertex's size (module docstring); None, the default, means
     every vertex is one component. `n_components` counts vertices either way.
     """
@@ -198,10 +202,11 @@ class FiberConfig:
                     raise ParameterError(f"component {label}: genus must be >= 0")
         if type(genus) is not int:
             raise ParameterError(f"genus must be an int, got {genus!r}")
-        nbrs: list[dict[int, int]] = [{} for _ in range(n)]
+        up, upc, first, nxt = [-1] * n, [0] * n, [-1] * n, [-1] * n
+        extra: dict[int, dict[int, int]] = {}
         for (a, b), cnt in pairings.items() if isinstance(pairings, Mapping) else pairings:
-            try:  # a non-int id fails a comparison, the list index or the zero-count test
-                if not (1 < a < n and 1 < b < n and a != b):  # a bool id is 0 or 1: lands here
+            try:  # a non-int id fails a comparison or a type test; a bool id is 0 or 1
+                if not (1 < a < n and 1 < b < n and a != b and type(a) is int is type(b)):
                     if a == b:
                         raise ParameterError("diagonal entries belong to the self_ints column")
                     if not (type(a) is int is type(b) and 0 <= a < n and 0 <= b < n):
@@ -209,19 +214,28 @@ class FiberConfig:
                 if type(cnt) is not int or cnt < 0:
                     raise ParameterError(f"pairing ({a}, {b}): count must be an int >= 0, "
                                          f"got {cnt!r}")
-                if cnt:
-                    na, nb = nbrs[a], nbrs[b]
-                    na[b] = nb[a] = na.get(b, 0) + cnt
-                elif not type(a) is int is type(b):  # a zero count stores nothing
-                    raise TypeError
             except TypeError:
                 raise ParameterError(f"unknown component id in pairing ({a!r}, {b!r})") from None
+            if not cnt:  # a zero count stores nothing
+                continue
+            if up[a] == b:
+                upc[a] += cnt
+            elif up[b] == a:
+                upc[b] += cnt
+            elif up[a] < 0:
+                up[a], upc[a], nxt[a], first[b] = b, cnt, first[b], a
+            elif up[b] < 0:
+                up[b], upc[b], nxt[b], first[a] = a, cnt, first[a], b
+            else:
+                ea, eb = extra.setdefault(a, {}), extra.setdefault(b, {})
+                ea[b] = eb[a] = ea.get(b, 0) + cnt
         sizes = None if sizes is None else tuple(sizes)
         if sizes is not None and (len(sizes) != n
                                   or any(type(k) is not int or k < 1 for k in sizes)):
             raise ParameterError("sizes must give every component a size >= 1")
         self.labels, (self.multiplicities, self.genera, self.self_ints) = labels, cols
-        self.genus, self._nbrs, self.sizes = genus, tuple(nbrs), sizes
+        self.genus, self.sizes = genus, sizes
+        self._up, self._upc, self._first, self._nxt, self._extra = up, upc, first, nxt, extra
 
     @property
     def n_components(self) -> int:
@@ -234,10 +248,19 @@ class FiberConfig:
     def fiber_divisor(self) -> QDivisor:
         return QDivisor.from_numerators(dict(enumerate(self.multiplicities)), 1)
 
-    def edges(self):
-        """Iterate ((a, b), count) over every edge, with a < b."""
-        return (((a, b), cnt) for a, nbrs in enumerate(self._nbrs)
-                for b, cnt in nbrs.items() if a < b)
+    def neighbours(self, cid: int) -> dict[int, int]:
+        """{C: count} for each C that `cid` meets: its link, the links in, its extra edges."""
+        up, upc, nxt, extra = self._up, self._upc, self._nxt, self._extra
+        if not 0 <= cid < len(up):
+            _check_ids(self, (cid,))  # raises
+        out = {} if up[cid] < 0 else {up[cid]: upc[cid]}
+        x = self._first[cid]
+        while x >= 0:
+            out[x] = upc[x]
+            x = nxt[x]
+        if extra and cid in extra:
+            out.update(extra[cid])
+        return out
 
     @cached_property
     def non_orthogonal(self) -> int | None:
@@ -267,12 +290,21 @@ def _spread(config: FiberConfig, num: Mapping[int, int]) -> dict[int, int]:
     Each component of D's support hands its pairing to its neighbours and to itself.
     """
     _check_ids(config, num)
-    self_ints, nbrs = config.self_ints, config._nbrs
+    self_ints, extra = config.self_ints, config._extra
+    up, upc, first, nxt = config._up, config._upc, config._first, config._nxt
     out: dict[int, int] = {}
     get = out.get
     for c, v in num.items():
-        for x, cnt in nbrs[c].items():
-            out[x] = get(x, 0) + v * cnt
+        x = up[c]
+        if x >= 0:
+            out[x] = get(x, 0) + v * upc[c]
+        x = first[c]
+        while x >= 0:
+            out[x] = get(x, 0) + v * upc[x]
+            x = nxt[x]
+        if c in extra:
+            for x, cnt in extra[c].items():
+                out[x] = get(x, 0) + v * cnt
         out[c] = get(c, 0) + v * self_ints[c]
     return out
 
@@ -323,15 +355,17 @@ def pair_profile(config: FiberConfig, D: QDivisor) -> dict[int, Fraction]:
 
 
 def i_c_values(config: FiberConfig) -> list[int]:
-    """[I_C for every C] in id order, one pass: neighbour multiplicities weighted by points,
-    so that (F . C) = d_C C^2 + I_C; at size k, I = (F . [c]) - d_C [c]^2."""
+    """[I_C for every C] in id order, one pass scattering each link to both of its ends:
+    neighbour multiplicities weighted by points, so that (F . C) = d_C C^2 + I_C; at
+    size k, I = (F . [c]) - d_C [c]^2. An extra edge is read at each end."""
     mult = config.multiplicities
-    out = []
-    for nbrs in config._nbrs:
-        total = 0
-        for nbr, cnt in nbrs.items():
-            total += mult[nbr] * cnt
-        out.append(total)
+    out = [0] * len(mult)
+    for c, x, cnt in zip(range(len(mult)), config._up, config._upc):
+        if cnt:  # a link's count is >= 1
+            out[c] += mult[x] * cnt
+            out[x] += mult[c] * cnt
+    for c, nbrs in config._extra.items():
+        out[c] += sum(map(mul, map(mult.__getitem__, nbrs), nbrs.values()))
     return out
 
 
@@ -359,8 +393,8 @@ def _tree(config: FiberConfig, root: int) -> tuple[list[int], list[int]]:
     """The depth-first pre-order from `root`, each subtree one run of it, and every
     component's parent, `root` its own. Raises MathContractError unless the fiber is
     nonempty, connected, of n - 1 edges and orthogonal to F, checked in that order."""
-    nbrs = config._nbrs
-    n = len(nbrs)
+    up, first, nxt, extra = config._up, config._first, config._nxt, config._extra
+    n = len(up)
     if not n:
         raise MathContractError("fiber has no components")
     _check_ids(config, (root,))
@@ -370,14 +404,25 @@ def _tree(config: FiberConfig, root: int) -> tuple[list[int], list[int]]:
     while stack:
         cid = stack.pop()
         order.append(cid)
-        for nbr in nbrs[cid]:
-            if parent[nbr] < 0:
-                parent[nbr] = cid
-                stack.append(nbr)
+        x = up[cid]
+        if x >= 0 and parent[x] < 0:
+            parent[x] = cid
+            stack.append(x)
+        x = first[cid]
+        while x >= 0:
+            if parent[x] < 0:
+                parent[x] = cid
+                stack.append(x)
+            x = nxt[x]
+        if extra and cid in extra:
+            for x in extra[cid]:
+                if parent[x] < 0:
+                    parent[x] = cid
+                    stack.append(x)
     if len(order) < n:
         raise MathContractError(f"fiber graph is disconnected: {n - len(order)} of {n} "
                                 f"components are unreachable from {config.labels[root]}")
-    n_edges = sum(map(len, nbrs)) // 2
+    n_edges = n - up.count(-1) + sum(map(len, extra.values())) // 2
     if n_edges != n - 1:
         raise MathContractError(f"fiber graph is not a tree: {n_edges} edges on {n} components")
     bad = config.non_orthogonal
@@ -394,16 +439,14 @@ def validate(config: FiberConfig) -> list[CheckResult]:
     connected tree orthogonal to F. Such a tree has, in y_C = x_C / d_C, minus a
     weighted Laplacian as pairing, whose kernel is the constants, Q F (a cyclic
     fiber fails, though its kernel is Q F too). Failures are reported as
-    data, never raised. The symmetry check passes by construction, since
-    `FiberConfig` writes both neighbour maps of an edge from one count; it stays
-    so that the list of reported checks is unchanged. The adjunction sum is
+    data, never raised. A link is stored once, so the symmetry check reads what can
+    still break, nothing on a built fiber: that no extra edge is also a link, and
+    that the two entries of each extra edge agree. The adjunction sum is
     (K . F) = sum d_C a_C, read from the columns and size-weighted like the rest.
     """
-    nbrs, sym_ok = config._nbrs, True
-    for (a, b), cnt in config.edges():
-        if nbrs[b].get(a) != cnt:
-            sym_ok = False
-            break
+    up, extra = config._up, config._extra
+    sym_ok = all(up[a] != b and up[b] != a and extra.get(b, {}).get(a) == cnt
+                 for a, nbrs in extra.items() for b, cnt in nbrs.items())
     bad = config.non_orthogonal
     results = [CheckResult("pairing matrix symmetric", sym_ok),
                CheckResult("fiber orthogonality (F.C = 0 for all C)", bad is None,
@@ -462,12 +505,14 @@ class GaugeSolver:
         order, parent = _tree(config, gauge_cid)
         self.config = config
         self.gauge_cid = gauge_cid
-        mult, nbrs = config.multiplicities, config._nbrs
+        mult, up, upc = config.multiplicities, config._up, config._upc
 
         # component, parent and K // (e d_C d_P), in depth-first order, root excluded
         below = order[1:]
         parents = [parent[cid] for cid in below]
-        weights = [nbrs[cid][par] * mult[cid] * mult[par] for cid, par in zip(below, parents)]
+        weights = [(upc[cid] if up[cid] == par else upc[par] if up[par] == cid
+                    else config._extra[cid][par]) * mult[cid] * mult[par]
+                   for cid, par in zip(below, parents)]
         scale = lcm(*set(weights))
         self._scale = scale
         self._below = below

@@ -353,13 +353,13 @@ def cusp_quotient(params: FermatParams, cusp: tuple[int, int]) -> FiberConfig:
     sizes.update((lab, census[lab.kind]) for lab in (ld, lg, leaf))
     ids = {label: c for c, label in enumerate(x for x, n in sizes.items() if n)}
     d, g, sq = zip(*((d or lab.j, g, sq) for lab in ids for d, g, sq in [shape[lab.kind]]))
-    # each component of b meets one of a, so [a].[b] = |b|
-    meets = [(fm, lx), (fm, lx_other), (fm, ld), (fm, lg), (lg, leaf), (lx, cusp_c[-1]),
-             (lx, arm[-1]), (lx_other, other[-1])]
+    # child first, linking each cell towards Fm: a component of a meets one of b, [a].[b] = |a|
+    meets = [(lx, fm), (lx_other, fm), (ld, fm), (lg, fm), (leaf, lg), (cusp_c[-1], lx),
+             (arm[-1], lx), (other[-1], lx_other)]
     meets += [ab for run in (cusp_c, arm, other) for ab in zip(run, run[1:])]
     return FiberConfig(
         ids, d, g, map(mul, map(sizes.get, ids), sq),
-        {(ids[a], ids[b]): sizes[b] for a, b in meets if a in ids and b in ids},
+        {(ids[a], ids[b]): sizes[a] for a, b in meets if a in ids and b in ids},
         params.genus, map(sizes.get, ids))
 
 

@@ -320,7 +320,7 @@ def suite_cycles(models: list[FermatModel]) -> list[CheckResult]:
     for model in models:
         p, m = model.params.p, model.params.m
         config = model.config
-        genera, nbrs = config.genera, config._nbrs
+        genera = config.genera
         try:
             cycles = [range(end, end + m - 1) for end in model.cusps]
         except ParameterError:
@@ -330,7 +330,7 @@ def suite_cycles(models: list[FermatModel]) -> list[CheckResult]:
                        if lab.kind == "LgammaLeaf"]
         ok = cycles is not None and all(
             sum(2 * genera[cid] - 2
-                + sum(cnt for x, cnt in nbrs[cid].items() if run.start <= x < run.stop)
+                + sum(cnt for x, cnt in config.neighbours(cid).items() if x in run)
                 for cid in run) == -2
             for run in cycles)
         out.append(CheckResult(f"fundamental cycles have p_a = 0 (p={p}, m={m})", ok))

@@ -23,3 +23,10 @@ def model35(models):
 @pytest.fixture(scope="session")
 def model73(models):
     return models[(7, 3)]
+
+
+def fiber_edges(cfg):
+    """Iterate ((a, b), count) over every edge of cfg, with a < b, read through
+    `neighbours`: the edge list the tests edit and rebuild mutants from."""
+    return (((a, b), cnt) for a in range(cfg.n_components)
+            for b, cnt in cfg.neighbours(a).items() if a < b)

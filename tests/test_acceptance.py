@@ -20,6 +20,7 @@ from ffk import divisors, verify
 from ffk.errors import MathContractError
 from ffk.fiber import CheckResult, FiberConfig, QDivisor, pair, validate
 from ffk.model import FermatLabel, FermatModel
+from conftest import fiber_edges
 from test_fiber import COLUMN, NOT_ORTHOGONAL_TREES, columns, p_a_divisor
 
 
@@ -94,7 +95,7 @@ def test_criterion_6_fundamental_cycles(models):
 def _mutated(model, mode: str) -> FermatModel:
     cfg = model.config
     cols = columns(cfg)
-    edges = dict(cfg.edges())
+    edges = dict(fiber_edges(cfg))
     victim = model.cid(FermatLabel("Ldelta", i=1))
     if mode == "adjacency":
         key = (min(model.fm, victim), max(model.fm, victim))
@@ -126,7 +127,7 @@ def _divisor_suite_raises(model) -> bool:
 
 def _doubled_edge(model) -> FiberConfig:
     # one extra Ldelta-Ldelta edge, listed as both (a, b) and (b, a): its count is 2
-    edges = dict(model.config.edges())
+    edges = dict(fiber_edges(model.config))
     a, b = (model.cid(FermatLabel("Ldelta", i=i)) for i in (1, 2))
     edges[(a, b)] = edges[(b, a)] = 1
     return FiberConfig(*columns(model.config), edges, model.config.genus)
@@ -151,7 +152,7 @@ def test_validate_output_is_pinned(models):
     for name, cfg in configs.items():
         want = GOLDEN_VALIDATE[name]
         assert [[c.name, c.passed, c.detail] for c in validate(cfg)] == want["validate"], name
-        assert [[a, b, cnt] for (a, b), cnt in sorted(cfg.edges())] == want["edges"], name
+        assert [[a, b, cnt] for (a, b), cnt in sorted(fiber_edges(cfg))] == want["edges"], name
 
 
 def test_criterion_7_mutation_sensitivity(models):
@@ -194,7 +195,7 @@ def test_random_mutation_is_caught(models, data):
     base = models[(5, 3)]
     cols = columns(base.config)
     n = base.config.n_components
-    edges = dict(base.config.edges())
+    edges = dict(fiber_edges(base.config))
     mode = data.draw(st.sampled_from(
         ("self_int", "multiplicity", "genus", "add_edge", "remove_edge")), label="mode")
     if mode == "remove_edge":
@@ -221,7 +222,7 @@ MUTATIONS = ("genus+1", "self_int+1", "self_int-1", "multiplicity+1", "drop_edge
 def _single_field_mutants(model, mode: str):
     """`mode` applied, one at a time, at components or edges spread over the fiber."""
     cfg = model.config
-    cols, edges = columns(cfg), dict(cfg.edges())
+    cols, edges = columns(cfg), dict(fiber_edges(cfg))
     n = cfg.n_components
     if mode == "drop_edge":
         keys = sorted(edges)
@@ -300,7 +301,7 @@ def test_a_chain_end_of_multiplicity_two_fails_the_cusp_check(models, pm):
     base = models[pm]
     cols = columns(base.config)
     cols[COLUMN["multiplicity"]][0] = 2
-    bad = dataclasses.replace(base, config=FiberConfig(*cols, dict(base.config.edges()),
+    bad = dataclasses.replace(base, config=FiberConfig(*cols, dict(fiber_edges(base.config)),
                                                        base.config.genus))
     tag = f"(p={pm[0]}, m={pm[1]})"
     got = {c.name: c.passed for c in verify.suite_fiber([bad])}

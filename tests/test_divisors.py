@@ -40,6 +40,7 @@ from ffk.verify import (
     suite_bounds,
     suite_divisor,
 )
+from conftest import fiber_edges
 from test_acceptance import MUTATIONS, _single_field_mutants
 from test_fiber import COLUMN, columns, solve_at
 
@@ -189,7 +190,7 @@ def _mutant(model, changes):
     cols = columns(cfg)
     for cid, field, delta in changes:
         cols[COLUMN[field]][cid] += delta
-    return dataclasses.replace(model, config=FiberConfig(*cols, dict(cfg.edges()), cfg.genus))
+    return dataclasses.replace(model, config=FiberConfig(*cols, dict(fiber_edges(cfg)), cfg.genus))
 
 
 def test_suite_divisor_flags_mutated_graph(model53):

@@ -1,4 +1,5 @@
 import re
+from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -26,6 +27,7 @@ from ffk.fiber import (
 )
 from ffk.model import FermatLabel, FermatLabels, build_config
 from ffk.verify import _fm_targets
+from conftest import fiber_edges
 
 
 #: each row field's position in `columns(cfg)`
@@ -38,8 +40,8 @@ def columns(cfg):
 
 
 def _pair_cc(config, a, b):
-    """Intersection number of two components, read from the columns and the neighbour map."""
-    return config.self_ints[a] if a == b else config._nbrs[a].get(b, 0)
+    """Intersection number of two components, read from the columns and `neighbours`."""
+    return config.self_ints[a] if a == b else config.neighbours(a).get(b, 0)
 
 
 def p_a_divisor(config, D):
@@ -324,7 +326,7 @@ def test_validate_clean(model53):
 def _mutate_self_int(cfg, cid, delta):
     cols = columns(cfg)
     cols[COLUMN["self_int"]][cid] += delta
-    return FiberConfig(*cols, dict(cfg.edges()), cfg.genus)
+    return FiberConfig(*cols, dict(fiber_edges(cfg)), cfg.genus)
 
 
 def test_validate_detects_self_int_mutation(model53):
@@ -338,14 +340,14 @@ def test_validate_detects_genus_mutation(model53):
     cfg = model53.config
     cols = columns(cfg)
     cols[COLUMN["genus"]][model53.fm] = 0
-    bad = FiberConfig(*cols, dict(cfg.edges()), cfg.genus)
+    bad = FiberConfig(*cols, dict(fiber_edges(cfg)), cfg.genus)
     results = {c.name: c for c in validate(bad)}
     assert not results["sum d_C a_C = 2g - 2"].passed
 
 
 def test_validate_detects_dropped_adjacency(model53):
     cfg = model53.config
-    edges = dict(cfg.edges())
+    edges = dict(fiber_edges(cfg))
     ld = model53.cid(FermatLabel("Ldelta", i=1))
     key = (min(model53.fm, ld), max(model53.fm, ld))
     del edges[key]
@@ -451,10 +453,10 @@ def test_solve_gauge_matches_dense_oracle_on_random_trees(cfg, data):
 
 def _branch_tops(cfg, root):
     """{C: the neighbour of root whose side of the tree holds C}, for every C but root."""
-    top = {nbr: nbr for nbr in cfg._nbrs[root]}
+    top = {nbr: nbr for nbr in cfg.neighbours(root)}
     queue = list(top)
     for cid in queue:
-        for nbr in cfg._nbrs[cid]:
+        for nbr in cfg.neighbours(cid):
             if nbr != root and nbr not in top:
                 top[nbr] = top[cid]
                 queue.append(nbr)
@@ -490,7 +492,7 @@ def _below_edge(cfg, par, cid):
     """The components on cid's side of the edge (par, cid)."""
     side, queue = {cid}, [cid]
     for c in queue:
-        for nbr in cfg._nbrs[c]:
+        for nbr in cfg.neighbours(c):
             if nbr != par and nbr not in side:
                 side.add(nbr)
                 queue.append(nbr)
@@ -506,7 +508,7 @@ def test_an_edge_solves_to_the_fiber_below_it_at_every_root(cfg):
     mult = cfg.multiplicities
     for root in range(cfg.n_components):
         want = {}
-        for (a, b), e in cfg.edges():
+        for (a, b), e in fiber_edges(cfg):
             par, cid = (a, b) if root not in _below_edge(cfg, a, b) else (b, a)
             side = _below_edge(cfg, par, cid)
             fa = QDivisor({c: Fraction(mult[c], e * mult[cid] * mult[par]) for c in side})
@@ -527,7 +529,7 @@ def check_tree(cfg, root):
     assert parent[root] == root
     position = {cid: i for i, cid in enumerate(order)}
     for i, cid in enumerate(order[1:], 1):
-        assert parent[cid] in cfg._nbrs[cid] and position[parent[cid]] < i
+        assert parent[cid] in cfg.neighbours(cid) and position[parent[cid]] < i
         # depth-first: cid comes right after its parent or after a subtree under an
         # earlier sibling, so the component before it descends from its parent
         up = order[i - 1]
@@ -625,6 +627,10 @@ def test_validate_reports_an_empty_fiber_and_raises_nothing(sizes):
 COUNT, SIZE = "count must be an int >= 0", "sizes must give every component a size >= 1"
 
 
+class Id(IntEnum):
+    TWO, THREE = 2, 3
+
+
 @pytest.mark.parametrize("pairings,sizes,message", [
     ({(0, 1): 1, (1, 0): -1}, None, COUNT),
     ({(0, 1): 0.5}, None, COUNT),
@@ -644,18 +650,21 @@ COUNT, SIZE = "count must be an int >= 0", "sizes must give every component a si
     ({(None, 3): 1}, None, "in pairing (None, 3)"),
     ({(2.5, 3): 0}, None, "in pairing (2.5, 3)"),
     ({(2, 3.5): 0}, None, "in pairing (2, 3.5)"),
+    ({(Id.TWO, 3): 1}, None, "in pairing (<Id.TWO: 2>, 3)"),
+    ({(2, Id.THREE): 1}, None, "in pairing (2, <Id.THREE: 3>)"),
 ], ids=["negative-count", "float-count", "fraction-count", "float-size", "fraction-size",
         "bool-count", "bool-size", "bool-ids", "bool-b", "bool-a", "float-id", "id-past-n",
         "float-a-past-1", "float-b-past-1", "str-id", "none-id", "float-a-zero-count",
-        "float-b-zero-count"])
+        "float-b-zero-count", "intenum-a", "intenum-b"])
 def test_fiber_config_takes_only_int_counts_and_sizes(pairings, sizes, message):
-    # an id is an int too: a bool is an int equal to 0 or 1, so only a type test refuses
-    # it; an id of 2 or more skips the per-edge type test, so four components
+    # an id is an int too: a bool is an int equal to 0 or 1, and an IntEnum compares as
+    # its value, so only a type test refuses either; ids of 2 and up take the per-edge
+    # fast test, ids 0 and 1 the slow one, so four components
     cols = ("ABCD", [1] * 4, [0] * 4, [-1] * 4)
     with pytest.raises(ParameterError, match=re.escape(message)):
         FiberConfig(*cols, pairings, 0, sizes=sizes)
     zero = FiberConfig(*cols, {(0, 1): 0}, 0)
-    assert list(zero.edges()) == [] and zero._nbrs[0] == {}
+    assert list(fiber_edges(zero)) == [] and zero.neighbours(0) == {}
 
 
 @pytest.mark.parametrize("coeff", [0.1, 1.0, "1/2", True])
@@ -731,13 +740,13 @@ def test_fiber_config_takes_only_an_int_genus():
 
 
 def _maps(cfg):
-    """Every neighbour map, in id order and in its own insertion order."""
-    return [list(nbrs.items()) for nbrs in cfg._nbrs]
+    """Every component's `neighbours`, in id order and in their own order."""
+    return [list(cfg.neighbours(cid).items()) for cid in range(cfg.n_components)]
 
 
 def test_fiber_config_takes_pairings_as_a_stream(model73):
     cfg = model73.config
-    edges = list(cfg.edges())
+    edges = list(fiber_edges(cfg))
     from_dict = FiberConfig(*columns(cfg), dict(edges), cfg.genus)
     from_stream = FiberConfig(*columns(cfg), iter(edges), cfg.genus)
     assert _maps(from_stream) == _maps(from_dict)
@@ -763,8 +772,8 @@ def test_fiber_config_stream_raises_as_the_mapping_does(pairings):
 
 
 def _i_c(cfg, cid):
-    """I_C of one component, looked up in its own neighbour map."""
-    return sum(cfg.multiplicities[nbr] * cnt for nbr, cnt in cfg._nbrs[cid].items())
+    """I_C of one component, looked up in its own `neighbours`."""
+    return sum(cfg.multiplicities[nbr] * cnt for nbr, cnt in cfg.neighbours(cid).items())
 
 
 def _first_offender(cfg):
@@ -780,7 +789,7 @@ def test_i_c_pass_matches_single_look_ups(cfg, data):
     assert i_c_values(cfg) == [_i_c(cfg, cid) for cid in range(n)]
     assert cfg.non_orthogonal is None
     # a mutant with one self-intersection, multiplicity or edge count changed
-    cols, edges = columns(cfg), dict(cfg.edges())
+    cols, edges = columns(cfg), dict(fiber_edges(cfg))
     kinds = ["self_int", "multiplicity"] + (["edge"] if edges else [])
     kind = data.draw(st.sampled_from(kinds), label="kind")
     delta = data.draw(st.integers(min_value=1, max_value=3), label="delta")
@@ -799,7 +808,7 @@ def test_i_c_pass_matches_single_look_ups(cfg, data):
 @given(orthogonal_trees(), st.data())
 def test_fiber_config_stores_its_columns_and_pairings(cfg, data):
     n = cfg.n_components
-    cols, edges = columns(cfg), dict(cfg.edges())
+    cols, edges = columns(cfg), dict(fiber_edges(cfg))
     # the tree itself, or a mutant with one multiplicity, genus, self-intersection or edge
     # count changed
     kind = data.draw(st.sampled_from([None, 1, 2, 3] + (["edge"] if edges else [])), label="kind")
@@ -814,8 +823,9 @@ def test_fiber_config_stores_its_columns_and_pairings(cfg, data):
     assert [got.labels, got.multiplicities, got.genera, got.self_ints] == list(map(tuple, cols))
     assert (got.genus, got.sizes) == (cfg.genus, None if sizes is None else tuple(sizes))
     # each edge once per endpoint, with its count
-    assert dict(got.edges()) == edges and sum(map(len, got._nbrs)) == 2 * len(edges)
-    assert all(got._nbrs[a][b] == got._nbrs[b][a] == cnt for (a, b), cnt in edges.items())
+    nbrs = [got.neighbours(cid) for cid in range(n)]
+    assert dict(fiber_edges(got)) == edges and sum(map(len, nbrs)) == 2 * len(edges)
+    assert all(nbrs[a][b] == nbrs[b][a] == cnt for (a, b), cnt in edges.items())
     assert [got.label(cid) for cid in range(n)] == cols[0]
     assert got.non_orthogonal == _first_offender(got)
     if kind in (None, 2):  # a genus leaves (F . C) as it was
@@ -828,6 +838,78 @@ def test_fiber_config_stores_its_columns_and_pairings(cfg, data):
     for bad in (-1, n):
         with pytest.raises(ParameterError, match=f"unknown component id {bad}"):
             got.label(bad)
+
+
+def _reference_maps(n, stream):
+    """The store FiberConfig held before its link lists, as the reference for them: one
+    neighbour map per component, each edge written at both ends, repeats summed."""
+    nbrs = [{} for _ in range(n)]
+    for (a, b), cnt in stream:
+        if cnt:
+            nbrs[a][b] = nbrs[b][a] = nbrs[a].get(b, 0) + cnt
+    return nbrs
+
+
+@st.composite
+def edge_streams(draw):
+    """(n, stream): up to 8 components and ((a, b), count) items over random pairs, each
+    pair in either orientation, some repeated, counts 0 to 3, in any order: trees, cycles,
+    doubled edges and several components alike."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda ab: ab[0] != ab[1]),
+                          max_size=12)) if n > 1 else []
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=6))
+    stream = [((a, b) if draw(st.booleans()) else (b, a),
+               draw(st.integers(min_value=0, max_value=3))) for a, b in pairs]
+    return n, draw(st.permutations(stream))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_streams(), st.data())
+def test_link_store_matches_the_neighbour_map_reference(case, data):
+    n, stream = case
+    ref = _reference_maps(n, stream)
+    # multiplicity 1 and C^2 minus the points on C: every C is orthogonal to F
+    self_ints = [-sum(nbrs.values()) for nbrs in ref]
+    cfg = FiberConfig([f"C{cid}" for cid in range(n)], [1] * n, [0] * n, self_ints, stream, 0)
+    assert [cfg.neighbours(cid) for cid in range(n)] == ref
+    assert set(fiber_edges(cfg)) == {((a, b), cnt) for a, nbrs in enumerate(ref)
+                                     for b, cnt in nbrs.items() if a < b}
+    assert i_c_values(cfg) == [sum(nbrs.values()) for nbrs in ref]
+    num = data.draw(st.dictionaries(st.integers(min_value=0, max_value=n - 1),
+                                    st.integers(min_value=-5, max_value=5)), label="num")
+    want = {}
+    for cid, v in num.items():
+        for x, cnt in [*ref[cid].items(), (cid, self_ints[cid])]:
+            want[x] = want.get(x, 0) + v * cnt
+    assert _spread(cfg, num) == want
+    # the kernel check's detail, from a walk over the reference from component 0
+    seen = [0]
+    for cid in seen:
+        seen += [x for x in ref[cid] if x not in seen]
+    n_edges = sum(map(len, ref)) // 2
+    detail = (f"fiber graph is disconnected: {n - len(seen)} of {n} components are "
+              f"unreachable from C0" if len(seen) < n else
+              f"fiber graph is not a tree: {n_edges} edges on {n} components"
+              if n_edges != n - 1 else "")
+    results = validate(cfg)
+    assert results[0].passed and results[1].passed
+    assert results[2].detail == detail
+
+
+def test_symmetry_check_reads_the_extra_edges():
+    # (0, 2) comes when both of its ends have a link, so it is the one extra edge
+    stream = [((0, 1), 1), ((2, 3), 1), ((0, 2), 1)]
+    cfg = _small_config([(1, -1), (1, -2), (1, -2), (1, -1)], stream)
+    assert (cfg._up, cfg._extra) == ([1, -1, 3, -1], {0: {2: 1}, 2: {0: 1}})
+    assert validate(cfg)[0].passed
+    for extra in ({0: {2: 2}, 2: {0: 1}},  # the two entries disagree
+                  {0: {2: 1}},  # one entry is missing
+                  {0: {2: 1, 1: 1}, 1: {0: 1}, 2: {0: 1}}):  # an extra edge is also a link
+        cfg._extra = extra
+        assert not validate(cfg)[0].passed, extra
 
 
 @pytest.mark.parametrize("row,message", [
@@ -860,7 +942,7 @@ def test_fiber_config_keeps_its_labels_safe(model53):
     assert FiberConfig(iter("AB"), *cols, {}, 0).labels == ("A", "B")
     fermat = model53.config.labels
     assert isinstance(fermat, FermatLabels)
-    kept = FiberConfig(fermat, *columns(model53.config)[1:], model53.config.edges(), 3)
+    kept = FiberConfig(fermat, *columns(model53.config)[1:], fiber_edges(model53.config), 3)
     assert kept.labels is fermat
 
 
@@ -877,7 +959,7 @@ def test_p_a_divisor_is_the_adjunction_formula(cfg, data):
     sized = data.draw(st.booleans(), label="sized")
     if sized:
         sizes = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n))
-        cfg = FiberConfig(*columns(cfg), cfg.edges(), cfg.genus, sizes)
+        cfg = FiberConfig(*columns(cfg), fiber_edges(cfg), cfg.genus, sizes)
     D = QDivisor(data.draw(st.dictionaries(node, st.integers(min_value=1, max_value=5),
                                            min_size=1), label="D"))
     assert p_a_divisor(cfg, D) == 1 + (pair(cfg, D, D) + canonical_pair(cfg, D)) / 2

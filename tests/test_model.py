@@ -8,7 +8,7 @@ import pytest
 from ffk import polyarith
 from ffk.divisors import beta_s, g_s, per_prime_geometric, semipos_check
 from ffk.errors import CapExceeded, ParameterError
-from ffk.fiber import FiberConfig, QDivisor, i_c_values, pair, validate
+from ffk.fiber import FiberConfig, QDivisor, _tree, i_c_values, pair, validate
 from ffk.model import (
     _LAYOUT,
     FermatLabel,
@@ -16,12 +16,14 @@ from ffk.model import (
     FermatModel,
     FermatParams,
     build_config,
+    cusp_quotient,
     expected_census,
     genus_formula,
     i_c_matches_pairing,
     transversality_check,
 )
 from ffk.verify import ACCEPTANCE_PAIRS, representative_relation_full, suite_cycles
+from conftest import fiber_edges
 from test_fiber import columns
 
 
@@ -129,7 +131,7 @@ def test_transversality(models):
 
 def test_transversality_detects_mutation(model53):
     cfg = model53.config
-    edges = dict(cfg.edges())
+    edges = dict(fiber_edges(cfg))
     ld = model53.cid(FermatLabel("Ldelta", i=2))
     key = (min(model53.fm, ld), max(model53.fm, ld))
     del edges[key]
@@ -264,9 +266,10 @@ def test_build_trial_divides_m_once_and_p_at_most_twice(monkeypatch, s, want):
 
 def test_build_validate_and_census_make_no_component(monkeypatch):
     # the store is columns only: after the build, validate, the census and the cusp
-    # identities, a config holds its columns, neighbour maps and cached orthogonality
-    # verdict, and no object per component; the build, validate and the census make no
-    # label either (with FermatLabel unset, making one raises TypeError)
+    # identities, a config holds its columns, its int link lists, no extra edge and its
+    # cached orthogonality verdict, and no object per component; the build, validate
+    # and the census make no label either (with FermatLabel unset, making one raises
+    # TypeError)
     monkeypatch.setattr("ffk.model.FermatLabel", None)
     for p, m, s in ((3, 5, None), (7, 3, None), (11, 3, 4), (13, 3, 0), (7, 23, None)):
         model = build_config(p, m, s)
@@ -275,9 +278,12 @@ def test_build_validate_and_census_make_no_component(monkeypatch):
     monkeypatch.undo()
     beta_s(model), per_prime_geometric(model), g_s(model), semipos_check(model)
     cfg = model.config
-    assert sorted(vars(cfg)) == ["_nbrs", "genera", "genus", "labels", "multiplicities",
-                                 "non_orthogonal", "self_ints", "sizes"]
+    assert sorted(vars(cfg)) == ["_extra", "_first", "_nxt", "_up", "_upc", "genera", "genus",
+                                 "labels", "multiplicities", "non_orthogonal", "self_ints",
+                                 "sizes"]
     assert {type(v) for col in (cfg.multiplicities, cfg.genera, cfg.self_ints) for v in col} == {int}
+    assert {type(v) for col in (cfg._up, cfg._upc, cfg._first, cfg._nxt) for v in col} == {int}
+    assert cfg._extra == {}
     assert isinstance(cfg.labels, FermatLabels) and cfg.labels == FermatLabels(7, 23, 2)
 
 
@@ -301,7 +307,7 @@ def test_suite_cycles_reads_chains_as_id_runs(models, monkeypatch):
     # a config whose labels do not match the model's ids fails the check, it does not raise
     cols = columns(model.config)
     cols[0][model.fm] = FermatLabel("LXYZ", i=99)
-    bad = dataclasses.replace(model, config=FiberConfig(*cols, dict(model.config.edges()),
+    bad = dataclasses.replace(model, config=FiberConfig(*cols, dict(fiber_edges(model.config)),
                                                         model.config.genus))
     assert [chk.passed for chk in suite_cycles([bad])] == [False]
 
@@ -448,18 +454,35 @@ def test_closed_form_ids_match_sorted_label_build(p, m, s):
     # the reference build's tuple of labels is counted label by label
     assert dataclasses.replace(model, config=cfg).census() == model.census()
     assert columns(model.config) == columns(cfg)
-    assert sorted(model.config.edges()) == sorted(cfg.edges())
+    assert sorted(fiber_edges(model.config)) == sorted(fiber_edges(cfg))
     # the same neighbour order too, so every sparse kernel walks the graph alike
-    assert list(map(list, model.config._nbrs)) == list(map(list, cfg._nbrs))
+    assert ([list(model.config.neighbours(cid)) for cid in range(n)]
+            == [list(cfg.neighbours(cid)) for cid in range(n)])
     assert tuple(model.cusps) == cusps
     assert model.config.genus == cfg.genus
 
 
+@pytest.mark.parametrize("p, m, s", [(p, m, None) for p, m in ACCEPTANCE_PAIRS] + [
+    (7, 23, None), (7, 5, 0), (13, 3, 5), (7, 3, 1)])
+def test_built_fibers_are_stored_as_the_tree_under_fm(p, m, s):
+    # the builds name every edge child first, so each edge is the link of its end away
+    # from Fm, Fm is the one component with no link, and no edge is extra
+    model = build_config(p, m, s)
+    fibers = [(model.config, model.fm)]
+    fibers += [(cusp_quotient(model.params, cusp), 3 * (m - 1))
+               for cusp in ((1, 1), (2, 1), (3, p))]
+    for cfg, fm in fibers:
+        parent = _tree(cfg, fm)[1]
+        parent[fm] = -1
+        assert cfg._extra == {} and cfg._up == parent, cfg.labels[fm]
+
+
 def test_build_memory_per_component():
-    # the edges stream into the neighbour maps, so no edge table lives beside
-    # them at the peak, the components are int columns, not one object per
-    # component (448 bytes a component at the peak when they were), and no label
-    # is stored (396 with one FermatLabel per component); 19,160 components
+    # the edges stream into the link lists, so no edge table lives beside them at
+    # the peak, each edge is stored once (313 bytes a component retained with one
+    # neighbour map per component), the components are int columns, not one object
+    # per component (448 at the peak when they were), and no label is stored (396
+    # with one FermatLabel per component); 19,160 components
     s = polyarith.double_root_count(7)
     build_config(7, 3, s)
     tracemalloc.start()
@@ -469,5 +492,5 @@ def test_build_memory_per_component():
     finally:
         tracemalloc.stop()
     n = model.config.n_components
-    assert peak <= 350 * n, peak / n
-    assert retained <= 340 * n, retained / n
+    assert peak <= 120 * n, peak / n
+    assert retained <= 120 * n, retained / n

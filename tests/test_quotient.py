@@ -38,6 +38,7 @@ from ffk.fiber import (
     validate,
 )
 from ffk.model import FermatLabel, FermatParams, build_config, cusp_quotient, expected_census
+from conftest import fiber_edges
 from test_fiber import columns, solve_at
 
 QUOTIENT_FUNCTIONS = (divisors.beta_s, divisors.per_prime_geometric, divisors.semipos_check,
@@ -92,12 +93,12 @@ def assert_quotient_matches_graph(model, cusp):
 
     # one walk over the edges: every component of a cell c meets w(c, c')/|c| components of c'
     met = [Counter() for _ in cells]
-    for (a, b), cnt in config.edges():
+    for (a, b), cnt in fiber_edges(config):
         met[a][cells[b]] += cnt
         met[b][cells[a]] += cnt
     for label, cell, seen in zip(config.labels, cells, met):
         size = q.sizes[ids[cell]]
-        want = {labels[c2]: Fraction(w, size) for c2, w in q._nbrs[ids[cell]].items()}
+        want = {labels[c2]: Fraction(w, size) for c2, w in q.neighbours(ids[cell]).items()}
         assert dict(seen) == want, (label, cell)
 
     # V_S and U_S are constant on cells
@@ -299,7 +300,7 @@ def test_validate_passes_on_the_quotient(models):
         # sizes enter the adjunction sum: one size off by one fails it, unless 2g_C - 2 = 0
         for i, (label, genus) in enumerate(zip(q.labels, q.genera)):
             sizes = [k + (cid == i) for cid, k in enumerate(q.sizes)]
-            bad = FiberConfig(*columns(q), dict(q.edges()), q.genus, sizes)
+            bad = FiberConfig(*columns(q), dict(fiber_edges(q)), q.genus, sizes)
             assert all(chk.passed for chk in validate(bad)) == (genus == 1), (label, cusp)
 
 
